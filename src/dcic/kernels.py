@@ -14,20 +14,41 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 MAX_EXACT_PAIRS = 10 ** 6
 _SUBSAMPLE_SEED = 74  # fixed: the heuristic must not depend on caller seeds
+_BLOCK_ENTRIES = 2 ** 15  # entries per temporary block (256 KB of float64)
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise ||a_i - b_j||^2 via the inner-product expansion.
+def squared_distances(a: np.ndarray, b: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """All pairwise ||a_i - b_j||^2 via the inner-product expansion
+    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j.
 
     Negative rounding residue is clipped at zero so downstream kernels stay
-    in (0, 1].
+    in (0, 1]. ``out``, if given, is a float64 array of shape
+    (len(a), len(b)) that receives the result and is returned. The product
+    a b^T is written straight into it and the rest is done in place, so no
+    other array of that size is allocated; each entry is bit-identical to
+    the plain expression.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"feature dim mismatch: {a.shape} vs {b.shape}")
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+    shape = (a.shape[0], b.shape[0])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    np.matmul(a, b.T, out=out)
+    a_sq = (a * a).sum(axis=1)
+    b_sq = (b * b).sum(axis=1)
+    # |a|^2 + |b|^2 goes in a row block at a time, so its temporary stays
+    # small; -2ab + (|a|^2 + |b|^2) rounds exactly as (|a|^2 + |b|^2) - 2ab
+    step = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
+    for lo in range(0, shape[0], step):
+        blk = out[lo:lo + step]
+        blk *= -2.0
+        blk += np.add.outer(a_sq[lo:lo + step], b_sq)
+    return np.maximum(out, 0.0, out=out)
 
 
 def median_bandwidth(features: np.ndarray) -> float:
@@ -35,8 +56,10 @@ def median_bandwidth(features: np.ndarray) -> float:
 
     Exact when the pair count is at most 10^6; beyond that a fixed-seed
     subsample of 10^6 pairs is used (the heuristic is statistical, exactness
-    buys nothing at that size). Errors if fewer than 2 rows or the median
-    is zero (duplicated point set).
+    buys nothing at that size). The subsample's squared distances are
+    computed _BLOCK_ENTRIES pairs at a time into one vector, so memory is
+    O(10^6 + block * d) rather than O(10^6 * d). Errors if fewer than 2 rows
+    or the median is zero (duplicated point set).
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -52,8 +75,12 @@ def median_bandwidth(features: np.ndarray) -> float:
         i = rng.integers(0, n, size=MAX_EXACT_PAIRS)
         j = rng.integers(0, n, size=MAX_EXACT_PAIRS)
         keep = i != j
-        diff = x[i[keep]] - x[j[keep]]
-        med = float(np.median(np.sqrt((diff * diff).sum(axis=1))))
+        i, j = i[keep], j[keep]
+        sq = np.empty(i.size)
+        for lo in range(0, i.size, _BLOCK_ENTRIES):
+            diff = x[i[lo:lo + _BLOCK_ENTRIES]] - x[j[lo:lo + _BLOCK_ENTRIES]]
+            (diff * diff).sum(axis=1, out=sq[lo:lo + _BLOCK_ENTRIES])
+        med = float(np.median(np.sqrt(sq, out=sq)))
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (identical rows)")
     return med
@@ -71,12 +98,22 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     return float(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
-def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel matrix k(a_i, b_j); building block for GramSet and for
-    the chunked paths that never hold a full Gram."""
+    the chunked paths that never hold a full Gram.
+
+    ``out``, if given, is a float64 (len(a), len(b)) array that receives
+    the kernel matrix and is returned, so a chunked pass can reuse one
+    buffer. The squared distances, the division by -2 sigma^2 and the exp
+    all happen in that array; entries are bit-identical with and without
+    ``out``.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return np.exp(squared_distances(a, b) / (-2.0 * sigma * sigma))
+    k = squared_distances(a, b, out=out)
+    k /= -2.0 * sigma * sigma
+    return np.exp(k, out=k)
 
 
 @dataclass(frozen=True)
@@ -159,26 +196,3 @@ def weighted_mmd_sq(g: GramSet, weights: np.ndarray) -> float:
     ts = float((g.k_ts @ w).sum()) / (m * n)
     tt = float(g.k_tt.sum()) / (n * n)
     return ss - 2.0 * ts + tt
-
-
-# ---------------------------------------------------------------------------
-# Test oracle only: degree-2 polynomial kernel with its explicit feature map,
-# so MMD values can be cross-checked against literal mean-embedding vectors.
-# Not part of the user-facing API.
-# ---------------------------------------------------------------------------
-
-def _poly2_kernel_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return (a @ b.T + 1.0) ** 2
-
-
-def _poly2_features(x: np.ndarray) -> np.ndarray:
-    """Explicit map phi with phi(x) . phi(y) = (x.y + 1)^2."""
-    x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    cols = [np.ones((n, 1)), np.sqrt(2.0) * x, x ** 2]
-    for i in range(d):
-        for j in range(i + 1, d):
-            cols.append(np.sqrt(2.0) * (x[:, i] * x[:, j])[:, None])
-    return np.hstack(cols)

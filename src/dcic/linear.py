@@ -110,6 +110,12 @@ class _MmdProblem:
     Holds raw features, the per-class weight rows, and the bandwidth. The
     most recent (A, b, const) triple is cached keyed on the exact W object,
     so repeated evaluations at a pinned W cost one pass total.
+
+    A pass walks the rows in chunks of ``chunk_size`` and writes every
+    chunk's kernel block into one reused (chunk, max(m, n)) buffer. For the
+    symmetric self-blocks K_ss and K_tt it computes only the columns at or
+    right of the chunk's first row (the upper block-triangle): the diagonal
+    block counts once and the block right of it twice.
     """
 
     def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
@@ -136,16 +142,31 @@ class _MmdProblem:
         t = self.t if w is None else self.t @ w
         m, n = s.shape[0], t.shape[0]
         c = self.g.n_classes
+        width = max(m, n)
+        buf = np.empty(min(self.chunk, width) * width)
+
+        def gram(a, b):
+            # a C-contiguous prefix of the shared buffer, so BLAS sees the
+            # same layout as a freshly allocated block
+            out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
+            return gaussian_gram(a, b, self.sigma, out=out)
+
+        oh = self.onehot
         block = np.zeros((c, c))
         cross_by_class = np.zeros(c)
         tt_total = 0.0
         for lo in range(0, m, self.chunk):
-            k = gaussian_gram(s[lo:lo + self.chunk], s, self.sigma)
-            block += self.onehot[lo:lo + self.chunk].T @ (k @ self.onehot)
+            hi = min(lo + self.chunk, m)
+            k = gram(s[lo:hi], s[lo:])
+            block += oh[lo:hi].T @ (k[:, :hi - lo] @ oh[lo:hi])
+            off = oh[lo:hi].T @ (k[:, hi - lo:] @ oh[hi:])
+            block += off + off.T
         for lo in range(0, n, self.chunk):
-            k_ts = gaussian_gram(t[lo:lo + self.chunk], s, self.sigma)
-            cross_by_class += (k_ts @ self.onehot).sum(axis=0)
-            tt_total += gaussian_gram(t[lo:lo + self.chunk], t, self.sigma).sum()
+            hi = min(lo + self.chunk, n)
+            k_ts = gram(t[lo:hi], s)
+            cross_by_class += (k_ts @ oh).sum(axis=0)
+            k = gram(t[lo:hi], t[lo:])
+            tt_total += k[:, :hi - lo].sum() + 2.0 * k[:, hi - lo:].sum()
         ghat = self.g.class_rows
         a = ghat.T @ block @ ghat / (m * m)
         a = 0.5 * (a + a.T)

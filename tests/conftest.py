@@ -26,6 +26,25 @@ def brute_force_weighted_mmd(k_ss, k_tt, k_ts, weights):
     return total
 
 
+def poly2_kernel_matrix(a, b):
+    """Degree-2 polynomial kernel (a.b + 1)^2, whose explicit feature map
+    lets MMD values be checked against literal mean-embedding vectors."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return (a @ b.T + 1.0) ** 2
+
+
+def poly2_features(x):
+    """Explicit map phi with phi(x) . phi(y) = (x.y + 1)^2."""
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    cols = [np.ones((n, 1)), np.sqrt(2.0) * x, x ** 2]
+    for i in range(d):
+        for j in range(i + 1, d):
+            cols.append(np.sqrt(2.0) * (x[:, i] * x[:, j])[:, None])
+    return np.hstack(cols)
+
+
 def central_difference(fn, x, h=1e-6):
     """Central finite-difference gradient of a scalar function of an array."""
     x = np.asarray(x, dtype=np.float64)

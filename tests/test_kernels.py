@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_weighted_mmd
-from dcic.kernels import (GramSet, _poly2_features, _poly2_kernel_matrix,
-                          build_gram, gaussian_gram, gaussian_kernel,
-                          median_bandwidth, squared_distances,
-                          weighted_mmd_sq)
+from conftest import brute_force_weighted_mmd, poly2_features, poly2_kernel_matrix
+from dcic.kernels import (_SUBSAMPLE_SEED, MAX_EXACT_PAIRS, GramSet, build_gram,
+                          gaussian_gram, gaussian_kernel, median_bandwidth,
+                          squared_distances, weighted_mmd_sq)
 
 
 class TestMedianBandwidth:
@@ -70,6 +69,39 @@ class TestSquaredDistances:
         a = rng.standard_normal((1, 5)) * 1e4
         b = a + 1e-9
         assert squared_distances(a, b).min() >= 0.0
+
+    def test_out_shape_checked(self, rng):
+        a = rng.standard_normal((4, 2))
+        with pytest.raises(ValueError):
+            squared_distances(a, a, out=np.empty((4, 3)))
+        with pytest.raises(ValueError):
+            squared_distances(a, a, out=np.empty((4, 4), dtype=np.float32))
+
+
+def _plain_gaussian_gram(a, b, sigma):
+    """The one-expression Gram the blocked in-place version must reproduce."""
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.exp(np.maximum(sq, 0.0) / (-2.0 * sigma * sigma))
+
+
+class TestGaussianGramOut:
+    # 300 x 200 spans two row blocks of the in-place pass; a is b takes
+    # BLAS's syrk path
+    @pytest.mark.parametrize("shape", [(7, 5), (300, 200), (200, 300)])
+    def test_bit_identical_to_plain_expression(self, rng, shape):
+        x = rng.standard_normal((max(shape), 3)) * 2.0
+        a, b = x[:shape[0]], x[:shape[1]]
+        assert np.array_equal(gaussian_gram(a, b, 0.9), _plain_gaussian_gram(a, b, 0.9))
+        assert np.array_equal(gaussian_gram(x, x, 0.9), _plain_gaussian_gram(x, x, 0.9))
+
+    def test_out_reused_and_bit_identical(self, rng):
+        # the chunked MMD pass hands in a reshaped prefix of one flat buffer
+        a = rng.standard_normal((300, 4))
+        b = rng.standard_normal((250, 4))
+        view = np.full(400 * 300, np.nan)[:300 * 250].reshape(300, 250)
+        got = gaussian_gram(a, b, 1.3, out=view)
+        assert got is view
+        assert np.array_equal(got, gaussian_gram(a, b, 1.3))
 
 
 class TestBuildGram:
@@ -156,10 +188,10 @@ class TestWeightedMmdSq:
         s = rng.standard_normal((7, 3))
         t = rng.standard_normal((5, 3))
         w = rng.uniform(0.2, 2.0, size=7)
-        g = GramSet(_poly2_kernel_matrix(s, s), _poly2_kernel_matrix(t, t),
-                    _poly2_kernel_matrix(t, s), 1.0, check_range=False)
-        mu_s = (_poly2_features(s) * w[:, None]).mean(axis=0)
-        mu_t = _poly2_features(t).mean(axis=0)
+        g = GramSet(poly2_kernel_matrix(s, s), poly2_kernel_matrix(t, t),
+                    poly2_kernel_matrix(t, s), 1.0, check_range=False)
+        mu_s = (poly2_features(s) * w[:, None]).mean(axis=0)
+        mu_t = poly2_features(t).mean(axis=0)
         want = float(((mu_s - mu_t) ** 2).sum())
         assert weighted_mmd_sq(g, w) == pytest.approx(want, abs=1e-10)
 
@@ -199,6 +231,18 @@ class TestLargeMedianPath:
         exact_med = median_bandwidth(x[:1400])  # exact path (< 10^6 pairs)
         sub_med = median_bandwidth(x)           # subsampled path
         assert abs(sub_med - exact_med) / exact_med < 0.05
+
+    def test_streamed_subsample_bit_identical_to_one_shot(self):
+        # 1500 rows give 1.12 M pairs, so the subsample path runs; its
+        # blocked squared norms must equal the one-shot gather to the bit
+        x = np.random.default_rng(2).standard_normal((1500, 3))
+        rng = np.random.default_rng(_SUBSAMPLE_SEED)
+        i = rng.integers(0, 1500, size=MAX_EXACT_PAIRS)
+        j = rng.integers(0, 1500, size=MAX_EXACT_PAIRS)
+        keep = i != j
+        diff = x[i[keep]] - x[j[keep]]
+        want = float(np.median(np.sqrt((diff * diff).sum(axis=1))))
+        assert median_bandwidth(x) == want
 
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(1)

@@ -7,7 +7,7 @@ from conftest import central_difference, random_prior, relative_grad_error
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
 from dcic.kernels import build_gram, median_bandwidth, weighted_mmd_sq
 from dcic.linear import (GrassmannState, LinearFitConfig, LinearFitResult,
-                         alpha_qp_terms, euclidean_grad_w, fit,
+                         _MmdProblem, alpha_qp_terms, euclidean_grad_w, fit,
                          grassmann_step, objective, project_simplex,
                          qr_retract, solve_alpha_qp)
 from dcic.noise import build_g_matrix
@@ -102,6 +102,34 @@ class TestAlphaQpTerms:
                            ClassPrior(np.array([0.5, 0.5])), labels)
         a, _ = alpha_qp_terms(np.eye(2), source, target, g, 1.0)
         assert np.linalg.eigvalsh(a).min() >= -1e-10
+
+
+class TestChunkedTerms:
+    """The chunked pass (one reused buffer, upper block-triangle of the
+    self-Grams) against the dense Gram oracle, with ragged last chunks."""
+
+    @pytest.mark.parametrize("m, n", [(23, 17), (17, 23)])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, "m", "m+5"])
+    def test_matches_dense_oracle(self, rng, m, n, chunk):
+        source, target, g, sigma = _toy_problem(rng, m=m, n=n)
+        chunk = {"m": m, "m+5": m + 5}.get(chunk, chunk)
+        w = rng.standard_normal((3, 2))
+        a, b, const = _MmdProblem(source.features, target.features, g, sigma,
+                                  chunk_size=chunk).terms(w)
+        assert np.array_equal(a, a.T)
+        grams = build_gram(source.features @ w, target.features @ w, sigma)
+        gg = g.g
+        want_a = gg.T @ grams.k_ss @ gg / (m * m)
+        want_b = (grams.k_ts @ gg).sum(axis=0) / (m * n)
+        want_const = grams.k_tt.sum() / (n * n)
+        assert np.abs(a - want_a).max() <= 1e-12 * np.abs(want_a).max()
+        assert np.abs(b - want_b).max() <= 1e-12 * np.abs(want_b).max()
+        assert abs(const - want_const) <= 1e-12 * want_const
+        for _ in range(5):
+            alpha = random_prior(rng, 2).p
+            want = weighted_mmd_sq(grams, g.weights(alpha))
+            got = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestProjectSimplex:
