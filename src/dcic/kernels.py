@@ -14,7 +14,7 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 MAX_EXACT_PAIRS = 10 ** 6
 _SUBSAMPLE_SEED = 74  # fixed: the heuristic must not depend on caller seeds
-_BLOCK_ENTRIES = 2 ** 15  # entries per temporary block (256 KB of float64)
+_BLOCK_ENTRIES = 2 ** 15  # Gram entries, or subsample pairs, per temporary block
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray,
