@@ -14,7 +14,7 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 MAX_EXACT_PAIRS = 10 ** 6
 _SUBSAMPLE_SEED = 74  # fixed: the heuristic must not depend on caller seeds
-_BLOCK_ENTRIES = 2 ** 15  # Gram entries, or subsample pairs, per temporary block
+_BLOCK_ENTRIES = 2 ** 15  # float64 values per temporary block (256 KiB)
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray,
@@ -57,8 +57,9 @@ def median_bandwidth(features: np.ndarray) -> float:
     Exact when the pair count is at most 10^6; beyond that a fixed-seed
     subsample of 10^6 pairs is used (the heuristic is statistical, exactness
     buys nothing at that size). The subsample's squared distances are
-    computed _BLOCK_ENTRIES pairs at a time into one vector, so memory is
-    O(10^6 + block * d) rather than O(10^6 * d). Errors if fewer than 2 rows
+    computed about _BLOCK_ENTRIES / d pairs at a time in two reused
+    buffers of cache size and written into one vector, so memory is
+    O(10^6 + block) rather than O(10^6 * d). Errors if fewer than 2 rows
     or the median is zero (duplicated point set).
     """
     x = np.asarray(features, dtype=np.float64)
@@ -75,12 +76,24 @@ def median_bandwidth(features: np.ndarray) -> float:
         i = rng.integers(0, n, size=MAX_EXACT_PAIRS)
         j = rng.integers(0, n, size=MAX_EXACT_PAIRS)
         keep = i != j
-        i, j = i[keep], j[keep]
-        sq = np.empty(i.size)
-        for lo in range(0, i.size, _BLOCK_ENTRIES):
-            diff = x[i[lo:lo + _BLOCK_ENTRIES]] - x[j[lo:lo + _BLOCK_ENTRIES]]
-            (diff * diff).sum(axis=1, out=sq[lo:lo + _BLOCK_ENTRIES])
-        med = float(np.median(np.sqrt(sq, out=sq)))
+        sq = np.empty(int(keep.sum()))
+        # two (pairs, d) buffers of about _BLOCK_ENTRIES values each, reused
+        # for every block: no allocation or page fault inside the loop
+        step = max(1, _BLOCK_ENTRIES // max(1, x.shape[1]))
+        diff = np.empty((step, x.shape[1]))
+        other = np.empty_like(diff)
+        at = 0
+        for lo in range(0, MAX_EXACT_PAIRS, step):
+            kb = keep[lo:lo + step]
+            ib, jb = i[lo:lo + step][kb], j[lo:lo + step][kb]
+            d, o = diff[:ib.size], other[:ib.size]
+            np.take(x, ib, axis=0, out=d)
+            np.take(x, jb, axis=0, out=o)
+            d -= o
+            d *= d
+            d.sum(axis=1, out=sq[at:at + ib.size])
+            at += ib.size
+        med = float(np.median(np.sqrt(sq, out=sq), overwrite_input=True))
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (identical rows)")
     return med

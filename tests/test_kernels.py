@@ -232,10 +232,12 @@ class TestLargeMedianPath:
         sub_med = median_bandwidth(x)           # subsampled path
         assert abs(sub_med - exact_med) / exact_med < 0.05
 
-    def test_streamed_subsample_bit_identical_to_one_shot(self):
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_streamed_subsample_bit_identical_to_one_shot(self, d):
         # 1500 rows give 1.12 M pairs, so the subsample path runs; its
         # blocked squared norms must equal the one-shot gather to the bit
-        x = np.random.default_rng(2).standard_normal((1500, 3))
+        # (d sets the pairs per block, 32 is the joint model's hidden width)
+        x = np.random.default_rng(2).standard_normal((1500, d))
         rng = np.random.default_rng(_SUBSAMPLE_SEED)
         i = rng.integers(0, 1500, size=MAX_EXACT_PAIRS)
         j = rng.integers(0, 1500, size=MAX_EXACT_PAIRS)
