@@ -25,7 +25,7 @@ from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
                    symmetric_noise)
 from .linear import LinearFitConfig, fit
 from .noise import (GammaWeights, clean_prior_from_noisy,
-                    estimate_transition_anchor, gamma_weights)
+                    estimate_transition_anchor, floored_gamma_weights)
 from .rng import child_generator, child_seed
 from .synth import (SCALE_HIGH, SCALE_LOW, SHIFT_RANGE, apply_location_scale,
                     flip_labels, sample_dataset, sample_gmm_spec,
@@ -136,13 +136,6 @@ class MetricRecord:
     w: list | None = None               # fitted projection, rows = input dims
     objective_trace: list | None = None
     error: str | None = None
-
-
-def _safe_gamma(alpha: np.ndarray, q: TransitionMatrix,
-                noisy_prior: ClassPrior) -> GammaWeights:
-    # a fitted prior can sit exactly on a simplex vertex; nudge it inside
-    a = np.maximum(alpha, 1e-9)
-    return gamma_weights(ClassPrior(a / a.sum()), q, noisy_prior)
 
 
 def estimate_q_mlp(features: np.ndarray, noisy_labels: np.ndarray,
@@ -299,7 +292,7 @@ def _getars_rep(config, n, rho, beta1, rep, seed):
             res = fit(fit_cfg, noisy, target, q_used)
             s_proj = noisy.features @ res.w.w
             t_proj = target.features @ res.w.w
-            gamma = _safe_gamma(res.alpha.p, q_used, noisy_prior)
+            gamma = floored_gamma_weights(res.alpha.p, q_used, noisy_prior)
             train_cfg = TrainConfig(seed=child_seed(seed, 6), **GETARS_TRAIN)
             model = train(s_proj, noisy.labels, q_used, gamma, train_cfg)
             accuracy = float(np.mean(predict(model, t_proj) == target.labels))

@@ -23,11 +23,9 @@ from .classifier import (INIT_STREAM, SHUFFLE_STREAM, TARGET_STREAM, MlpModel,
                          init_model, sgd_step)
 from .data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
 from .kernels import gaussian_gram, median_bandwidth
-from .noise import GammaWeights, clean_prior_from_noisy, gamma_weights
+from .noise import clean_prior_from_noisy, floored_gamma_weights
 from .linear import _MmdProblem, build_g_matrix, solve_alpha_qp
 from .rng import child_generator
-
-ALPHA_FLOOR = 1e-9  # keeps gamma strictly positive at simplex vertices
 
 
 @dataclass(frozen=True)
@@ -119,13 +117,6 @@ def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_w,
     return loss, grads, sigma_used
 
 
-def _floored_gamma(alpha: np.ndarray, q: TransitionMatrix,
-                   noisy_prior) -> GammaWeights:
-    # a QP solution can sit exactly on a simplex vertex; nudge it inside
-    a = np.maximum(alpha, ALPHA_FLOOR)
-    return gamma_weights(ClassPrior(a / a.sum()), q, noisy_prior)
-
-
 def joint_loss(model: MlpModel, source_batch: Dataset, target_batch: Dataset,
                q: TransitionMatrix, alpha, cfg: JointConfig,
                sigma: float | None = None, noisy_prior=None):
@@ -145,7 +136,7 @@ def joint_loss(model: MlpModel, source_batch: Dataset, target_batch: Dataset,
     c = q.n_classes
     if noisy_prior is None:
         noisy_prior = empirical_prior(source_batch.labels, c)
-    gamma = _floored_gamma(alpha_vec, q, noisy_prior)
+    gamma = floored_gamma_weights(alpha_vec, q, noisy_prior)
     clean_prior = clean_prior_from_noisy(noisy_prior, q)
     g = build_g_matrix(q, clean_prior, source_batch.labels)
     class_w = g.class_weights(alpha_vec)
@@ -184,7 +175,7 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     clean_prior = clean_prior_from_noisy(noisy_prior, q)
     g = build_g_matrix(q, clean_prior, labels_all)
     alpha = np.full(c, 1.0 / c)
-    gamma = _floored_gamma(alpha, q, noisy_prior)
+    gamma = floored_gamma_weights(alpha, q, noisy_prior)
     class_w = g.class_weights(alpha)
 
     model = init_model(d, cfg.hidden_units, c, child_generator(cfg.seed, INIT_STREAM))
@@ -241,7 +232,7 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
                     prob = _MmdProblem(h_s, h_t, g, sig_full)
                     a_mat, b_vec, _ = prob.terms(None)
                     alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
-                    gamma = _floored_gamma(alpha, q, noisy_prior)
+                    gamma = floored_gamma_weights(alpha, q, noisy_prior)
                     class_w = g.class_weights(alpha)
     return model, ClassPrior(alpha / alpha.sum()), np.asarray(trace)
 

@@ -104,18 +104,39 @@ class LinearFitResult:
         })
 
 
+def _add_symmetric_rows(rows, k, rhs, lo, hi):
+    """rows += K @ rhs for a symmetric K given as its row block [lo, hi) from
+    column lo on: the block itself feeds rows lo..hi, and its part right of
+    the diagonal block, transposed, feeds the later rows."""
+    rows[lo:hi] += k @ rhs[lo:]
+    rows[hi:] += k[:, hi - lo:].T @ rhs[lo:hi]
+
+
 class _MmdProblem:
-    """Evaluates the objective and its alpha-quadratic via class-block sums.
+    """Evaluates the objective, its alpha-quadratic and its W gradient from
+    one chunked kernel pass per W.
 
     Holds raw features, the per-class weight rows, and the bandwidth. The
-    most recent (A, b, const) triple is cached keyed on the exact W object,
-    so repeated evaluations at a pinned W cost one pass total.
+    most recent pass is cached keyed on the value of W (a private copy,
+    compared with ``np.array_equal``; ``None`` is its own key), so repeated
+    evaluations at one W cost one pass total, whichever array carries it.
 
     A pass walks the rows in chunks of ``chunk_size`` and writes every
     chunk's kernel block into one reused (chunk, max(m, n)) buffer. For the
     symmetric self-blocks K_ss and K_tt it computes only the columns at or
-    right of the chunk's first row (the upper block-triangle): the diagonal
-    block counts once and the block right of it twice.
+    right of the chunk's first row (the upper block-triangle).
+
+    With ``w=None`` (features used as they are) the pass keeps only the
+    class-block sums: the diagonal block counts once and the block right of
+    it twice. With a W it keeps the per-row sums the W gradient needs,
+    O((m + n) c (1 + d')) values: with S' = Xs W, T' = Xt W, one-hot noisy
+    labels oh and P = [oh, oh (x) S'] (class-split projected rows),
+
+        K_ss P, K_ts P, K_ts^T [1, T'], K_tt [1, T'].
+
+    The class-block sums are the first c columns of K_ss P and K_ts P and the
+    first column of K_tt [1, T'], so the value needs no further kernel work,
+    and ``grad`` contracts the rows with any alpha.
     """
 
     def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
@@ -131,13 +152,20 @@ class _MmdProblem:
         onehot = np.zeros((m, g.n_classes))
         onehot[np.arange(m), g.labels - 1] = 1.0
         self.onehot = onehot
-        self._cache_w = ()
+        self._cache_w = None
         self._cache_val = None
+        self._rows = None
+
+    def _cached(self, w) -> bool:
+        if self._cache_val is None or (w is None) != (self._cache_w is None):
+            return False
+        return w is None or np.array_equal(w, self._cache_w)
 
     def terms(self, w: np.ndarray | None):
         """(A, b, const) with objective(alpha) = a^T A a - 2 b^T a + const."""
-        if self._cache_val is not None and self._cache_w is w:
+        if self._cached(w):
             return self._cache_val
+        w = None if w is None else np.array(w, dtype=np.float64)
         s = self.s if w is None else self.s @ w
         t = self.t if w is None else self.t @ w
         m, n = s.shape[0], t.shape[0]
@@ -152,21 +180,40 @@ class _MmdProblem:
             return gaussian_gram(a, b, self.sigma, out=out)
 
         oh = self.onehot
+        if w is not None:
+            p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
+            p_t = np.hstack([np.ones((n, 1)), t])
+            r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
+            r_st, r_tt = np.zeros((m, p_t.shape[1])), np.zeros((n, p_t.shape[1]))
         block = np.zeros((c, c))
         cross_by_class = np.zeros(c)
         tt_total = 0.0
         for lo in range(0, m, self.chunk):
             hi = min(lo + self.chunk, m)
             k = gram(s[lo:hi], s[lo:])
-            block += oh[lo:hi].T @ (k[:, :hi - lo] @ oh[lo:hi])
-            off = oh[lo:hi].T @ (k[:, hi - lo:] @ oh[hi:])
-            block += off + off.T
+            if w is None:
+                block += oh[lo:hi].T @ (k[:, :hi - lo] @ oh[lo:hi])
+                off = oh[lo:hi].T @ (k[:, hi - lo:] @ oh[hi:])
+                block += off + off.T
+            else:
+                _add_symmetric_rows(r_ss, k, p_s, lo, hi)
         for lo in range(0, n, self.chunk):
             hi = min(lo + self.chunk, n)
             k_ts = gram(t[lo:hi], s)
-            cross_by_class += (k_ts @ oh).sum(axis=0)
+            if w is None:
+                cross_by_class += (k_ts @ oh).sum(axis=0)
+            else:
+                r_ts[lo:hi] = k_ts @ p_s
+                r_st += k_ts.T @ p_t[lo:hi]
             k = gram(t[lo:hi], t[lo:])
-            tt_total += k[:, :hi - lo].sum() + 2.0 * k[:, hi - lo:].sum()
+            if w is None:
+                tt_total += k[:, :hi - lo].sum() + 2.0 * k[:, hi - lo:].sum()
+            else:
+                _add_symmetric_rows(r_tt, k, p_t, lo, hi)
+        if w is not None:
+            block = oh.T @ r_ss[:, :c]
+            cross_by_class = r_ts[:, :c].sum(axis=0)
+            tt_total = r_tt[:, 0].sum()
         ghat = self.g.class_rows
         a = ghat.T @ block @ ghat / (m * m)
         a = 0.5 * (a + a.T)
@@ -174,11 +221,49 @@ class _MmdProblem:
         const = tt_total / (n * n)
         self._cache_w = w
         self._cache_val = (a, b, const)
+        self._rows = None if w is None else (s, t, r_ss, r_ts, r_st, r_tt)
         return self._cache_val
 
     def eval(self, w: np.ndarray | None, alpha: np.ndarray) -> float:
         a, b, const = self.terms(w)
         return float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
+
+    def grad(self, w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Gradient of the objective with respect to W, a (d, d') matrix.
+
+        Contracts the cached per-row sums of the pass at W (running the pass
+        if W is not the cached one) with the per-class source weights
+        u = G_hat alpha, v = oh u. With the kernel derivative
+        dk(x, y)/dx = -k (x - y) / sigma^2, the gradients with respect to
+        the projected rows are
+
+            dS = -2/(s^2 m^2) v o ((K_ss v) o S' - K_ss (v o S'))
+                 + 2/(s^2 m n) v o ((K_ts^T 1) o S' - K_ts^T T')
+            dT = 2/(s^2 m n) ((K_ts v) o T' - K_ts (v o S'))
+                 - 2/(s^2 n^2) ((K_tt 1) o T' - K_tt T')
+
+        (s = sigma, o = row-wise product), and the W gradient follows by the
+        chain rule Xs^T dS + Xt^T dT. W need not be orthonormal.
+        """
+        if w is None:
+            raise ValueError("the W gradient needs an explicit W")
+        self.terms(w)
+        s, t, r_ss, r_ts, r_st, r_tt = self._rows
+        m, n = s.shape[0], t.shape[0]
+        c, d_out = self.g.n_classes, s.shape[1]
+        u = self.g.class_rows @ np.asarray(alpha, dtype=np.float64)
+        v = self.onehot @ u
+        sig2 = self.sigma ** 2
+        k_ss_v = r_ss[:, :c] @ u
+        k_ss_vs = u @ r_ss[:, c:].reshape(m, c, d_out)
+        k_ts_v = r_ts[:, :c] @ u
+        k_ts_vs = u @ r_ts[:, c:].reshape(n, c, d_out)
+        d_s = v[:, None] * (
+            (-2.0 / (sig2 * m * m)) * (k_ss_v[:, None] * s - k_ss_vs)
+            + (2.0 / (sig2 * m * n)) * (r_st[:, :1] * s - r_st[:, 1:]))
+        d_t = ((2.0 / (sig2 * m * n)) * (k_ts_v[:, None] * t - k_ts_vs)
+               - (2.0 / (sig2 * n * n)) * (r_tt[:, :1] * t - r_tt[:, 1:]))
+        return self.s.T @ d_s + self.t.T @ d_t
 
 
 def objective(w, alpha, source: Dataset, target: Dataset, g: GMatrix,
@@ -270,32 +355,13 @@ def euclidean_grad_w(w, alpha, source: Dataset, target: Dataset, g: GMatrix,
     """Gradient of the objective with respect to W as an unconstrained
     (d, d') matrix.
 
-    Every kernel entry k(x'_a, x'_b) contributes its quadratic-form
-    coefficient times -k (x_a - x_b)(x'_a - x'_b)^T / sigma^2; summed per
-    block via weighted scatter matrices. Dense in the sample sizes, meant
-    for the moderate-m regime where W is actually optimized.
+    A thin wrapper over ``_MmdProblem.grad``: one chunked kernel pass at W,
+    then the per-row sums are contracted with alpha and mapped back through
+    the chain rule Xs^T dS + Xt^T dT. ``fit`` calls the engine directly, so
+    its gradients reuse the pass the line search already ran.
     """
-    w_mat = _as_w_matrix(w)
-    alpha_vec = _as_alpha_vector(alpha)
-    xs, xt = source.features, target.features
-    m, n = xs.shape[0], xt.shape[0]
-    v = g.weights(alpha_vec)
-    sp, tp = xs @ w_mat, xt @ w_mat
-    sig2 = float(sigma) ** 2
-
-    def pair_scatter(xa, xb, coeff_times_k):
-        row = coeff_times_k.sum(axis=1)
-        col = coeff_times_k.sum(axis=0)
-        cross = xa.T @ (coeff_times_k @ xb)
-        return ((xa * row[:, None]).T @ xa - cross - cross.T
-                + (xb * col[:, None]).T @ xb)
-
-    m_ss = (np.outer(v, v) / (m * m)) * gaussian_gram(sp, sp, sigma)
-    m_ts = (-2.0 / (m * n)) * (gaussian_gram(tp, sp, sigma) * v[None, :])
-    m_tt = gaussian_gram(tp, tp, sigma) / (n * n)
-    scatter = (pair_scatter(xs, xs, m_ss) + pair_scatter(xt, xs, m_ts)
-               + pair_scatter(xt, xt, m_tt))
-    return (-1.0 / sig2) * (scatter @ w_mat)
+    prob = _MmdProblem(source.features, target.features, g, sigma)
+    return prob.grad(_as_w_matrix(w), _as_alpha_vector(alpha))
 
 
 def qr_retract(m: np.ndarray) -> np.ndarray:
@@ -426,7 +492,7 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
                 f_current=f_now, step=step_memory)
             accepted_any = False
             for _ in range(config.w_cg_iters):
-                grad = euclidean_grad_w(w_mat, alpha, noisy_source, target, g, sigma)
+                grad = prob.grad(w_mat, alpha)  # W's pass is cached
                 proj, state = grassmann_step(w_mat, grad, state)
                 if state.stalled or proj.w is w_mat:
                     break  # line search failed, or W already stationary

@@ -16,6 +16,7 @@ import numpy as np
 from .data import ClassPrior, ClassRatio, TransitionMatrix, validate_transition
 
 NEGATIVE_PRIOR_TOL = 1e-6
+ALPHA_FLOOR = 1e-9  # keeps gamma strictly positive at simplex vertices
 DEFAULT_ANCHOR_PERCENTILE = 97.0
 
 
@@ -160,6 +161,15 @@ def gamma_weights(alpha: ClassPrior, q: TransitionMatrix,
     if np.any(noisy_prior.p <= 0):
         raise ValueError("noisy prior must be strictly positive")
     return GammaWeights((q.q.T @ alpha.p) / noisy_prior.p)
+
+
+def floored_gamma_weights(alpha: np.ndarray, q: TransitionMatrix,
+                          noisy_prior: ClassPrior) -> GammaWeights:
+    """gamma_weights of a fitted prior vector raised to ALPHA_FLOOR and
+    renormalized: a QP solution can sit exactly on a simplex vertex, where
+    gamma would have a zero entry; the floor nudges it inside."""
+    a = np.maximum(alpha, ALPHA_FLOOR)
+    return gamma_weights(ClassPrior(a / a.sum()), q, noisy_prior)
 
 
 def estimate_transition_anchor(posteriors: np.ndarray,

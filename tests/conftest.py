@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcic.data import ClassPrior, Dataset, TransitionMatrix
+from dcic.kernels import gaussian_gram
 
 
 def brute_force_weighted_mmd(k_ss, k_tt, k_ts, weights):
@@ -43,6 +44,34 @@ def poly2_features(x):
         for j in range(i + 1, d):
             cols.append(np.sqrt(2.0) * (x[:, i] * x[:, j])[:, None])
     return np.hstack(cols)
+
+
+def dense_grad_w(w, alpha, source, target, g, sigma):
+    """W gradient of the weighted MMD from full dense Grams.
+
+    Every kernel entry k(x'_a, x'_b) contributes its quadratic-form
+    coefficient times -k (x_a - x_b)(x'_a - x'_b)^T / sigma^2; summed per
+    block via weighted scatter matrices. The oracle for the chunked engine.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    xs, xt = source.features, target.features
+    m, n = xs.shape[0], xt.shape[0]
+    v = g.weights(np.asarray(alpha, dtype=np.float64))
+    sp, tp = xs @ w, xt @ w
+
+    def pair_scatter(xa, xb, coeff_times_k):
+        row = coeff_times_k.sum(axis=1)
+        col = coeff_times_k.sum(axis=0)
+        cross = xa.T @ (coeff_times_k @ xb)
+        return ((xa * row[:, None]).T @ xa - cross - cross.T
+                + (xb * col[:, None]).T @ xb)
+
+    m_ss = (np.outer(v, v) / (m * m)) * gaussian_gram(sp, sp, sigma)
+    m_ts = (-2.0 / (m * n)) * (gaussian_gram(tp, sp, sigma) * v[None, :])
+    m_tt = gaussian_gram(tp, tp, sigma) / (n * n)
+    scatter = (pair_scatter(xs, xs, m_ss) + pair_scatter(xt, xs, m_ts)
+               + pair_scatter(xt, xt, m_tt))
+    return (-1.0 / float(sigma) ** 2) * (scatter @ w)
 
 
 def central_difference(fn, x, h=1e-6):
@@ -88,6 +117,14 @@ def random_noisy_dataset(rng, m, d, c):
     labels = rng.integers(1, c + 1, size=m)
     labels[:c] = np.arange(1, c + 1)  # every class present
     return Dataset(features, labels, "noisy", c)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Mark every acceptance gate ``slow``: ``-m "not slow"`` is the quick
+    loop, the plain run still runs every gate."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.slow)
 
 
 @pytest.fixture

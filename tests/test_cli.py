@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dcic
 from dcic.cli import main
 from dcic.data import Dataset, symmetric_noise, write_dataset_csv
 from dcic.rng import as_generator
@@ -57,8 +59,14 @@ class TestArgHandling:
         assert "JSON object" in capsys.readouterr().err
 
     def test_module_entry_point(self):
+        # the child interpreter sees no pytest pythonpath setting; give it
+        # the directory holding the package this test imported
+        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(dcic.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "dcic.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "tars" in proc.stdout and "estimate-q" in proc.stdout
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import central_difference, random_prior, relative_grad_error
+from conftest import central_difference, dense_grad_w, random_prior, relative_grad_error
+import dcic.linear as linear_mod
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
 from dcic.kernels import build_gram, median_bandwidth, weighted_mmd_sq
 from dcic.linear import (GrassmannState, LinearFitConfig, LinearFitResult,
@@ -130,6 +131,98 @@ class TestChunkedTerms:
             want = weighted_mmd_sq(grams, g.weights(alpha))
             got = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestEngineGradient:
+    """``_MmdProblem.grad`` contracts the per-row sums of one chunked pass;
+    checked against the dense scatter-matrix oracle."""
+
+    @pytest.mark.parametrize("d_out", [1, 2])
+    @pytest.mark.parametrize("m, n", [(23, 17), (17, 23)])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, "m", "m+5"])
+    def test_matches_dense_oracle(self, rng, m, n, chunk, d_out):
+        source, target, g, sigma = _toy_problem(rng, m=m, n=n)
+        chunk = {"m": m, "m+5": m + 5}.get(chunk, chunk)
+        w = rng.standard_normal((3, d_out))
+        alpha = random_prior(rng, 2).p
+        got = _MmdProblem(source.features, target.features, g, sigma,
+                          chunk_size=chunk).grad(w, alpha)
+        want = dense_grad_w(w, alpha, source, target, g, sigma)
+        assert got.shape == (3, d_out)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_second_alpha_from_cached_pass(self, rng):
+        source, target, g, sigma = _toy_problem(rng, m=23, n=17)
+        w = rng.standard_normal((3, 2))
+        a1, a2 = random_prior(rng, 2).p, random_prior(rng, 2).p
+        prob = _MmdProblem(source.features, target.features, g, sigma, chunk_size=7)
+        prob.grad(w, a1)
+        reused = prob.grad(w, a2)
+        fresh = _MmdProblem(source.features, target.features, g, sigma,
+                            chunk_size=7).grad(w, a2)
+        assert np.array_equal(reused, fresh)
+
+    def test_wrapper_is_the_engine(self, rng):
+        source, target, g, sigma = _toy_problem(rng)
+        w = rng.standard_normal((3, 2))
+        alpha = random_prior(rng, 2).p
+        prob = _MmdProblem(source.features, target.features, g, sigma)
+        assert np.array_equal(euclidean_grad_w(w, alpha, source, target, g, sigma),
+                              prob.grad(w, alpha))
+
+    def test_needs_explicit_w(self, rng):
+        source, target, g, sigma = _toy_problem(rng)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
+        with pytest.raises(ValueError):
+            prob.grad(None, np.array([0.5, 0.5]))
+
+
+class TestPassCache:
+    """The pass is cached on W's value, not on the array object."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = linear_mod.gaussian_gram
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linear_mod, "gaussian_gram", counting)
+        return calls
+
+    def test_equal_copy_hits_and_other_w_recomputes(self, rng, monkeypatch):
+        source, target, g, sigma = _toy_problem(rng)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
+        calls = self._counted(monkeypatch)
+        w = rng.standard_normal((3, 2))
+        first = prob.terms(w)
+        per_pass = len(calls)
+        assert per_pass > 0
+        assert prob.terms(w.copy()) is first
+        prob.grad(w.copy(), np.array([0.4, 0.6]))
+        assert len(calls) == per_pass
+        prob.terms(w + 1e-3)
+        assert len(calls) == 2 * per_pass
+        prob.terms(None)
+        assert len(calls) == 3 * per_pass
+        prob.terms(None)
+        assert len(calls) == 3 * per_pass
+
+    def test_in_place_change_of_w_recomputes(self, rng, monkeypatch):
+        # the cache holds its own copy, so mutating the caller's array
+        # after a pass cannot return stale sums
+        source, target, g, sigma = _toy_problem(rng)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
+        w = rng.standard_normal((3, 2))
+        before = prob.terms(w)
+        w *= 1.5
+        after = prob.terms(w)
+        fresh = _MmdProblem(source.features, target.features, g, sigma).terms(w)
+        assert after is not before
+        for x, y in zip(after, fresh):
+            assert np.array_equal(x, y)
 
 
 class TestProjectSimplex:
