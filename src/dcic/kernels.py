@@ -87,8 +87,11 @@ def median_bandwidth(features: np.ndarray) -> float:
             kb = keep[lo:lo + step]
             ib, jb = i[lo:lo + step][kb], j[lo:lo + step][kb]
             d, o = diff[:ib.size], other[:ib.size]
-            np.take(x, ib, axis=0, out=d)
-            np.take(x, jb, axis=0, out=o)
+            # mode="clip": with the default "raise", numpy gathers into a
+            # temporary and copies it to out; indices from integers(0, n)
+            # are always in range, so clipping never changes a value
+            np.take(x, ib, axis=0, out=d, mode="clip")
+            np.take(x, jb, axis=0, out=o, mode="clip")
             d -= o
             d *= d
             d.sum(axis=1, out=sq[at:at + ib.size])

@@ -412,6 +412,56 @@ class TestGrassmannStep:
         assert np.array_equal(proj.w, w0)
         assert state.f_current == 0.0
 
+    @staticmethod
+    def _counting(fn, reject_first=0):
+        # wraps an objective, counting calls; the first reject_first calls
+        # return +inf so that those Armijo trials are rejected
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return np.inf if len(calls) <= reject_first else fn(m)
+        return counted, calls
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_relative_stationarity_stops_without_evaluating(self, rng, scale):
+        # horizontal part 1e-4 of the gradient's norm, at three gradient
+        # scales: the stop is scale-free, so all three return W as is
+        w0 = qr_retract(rng.standard_normal((5, 2)))
+        vert = w0 @ rng.standard_normal((2, 2))
+        z = rng.standard_normal((5, 2))
+        horiz = z - w0 @ (w0.T @ z)
+        grad = (vert / np.linalg.norm(vert)
+                + 1e-4 * horiz / np.linalg.norm(horiz)) * scale
+        fn, calls = self._counting(lambda m: 0.0)
+        state = GrassmannState(objective_fn=fn, f_current=1.0)
+        proj, state = grassmann_step(w0, grad, state)
+        assert proj.w is w0
+        assert not state.stalled
+        assert calls == []
+
+    def test_first_trial_accepted_doubles_step(self, rng):
+        fn, grad = self._quadratic(rng)
+        w0 = qr_retract(rng.standard_normal((5, 2)))
+        counted, calls = self._counting(fn)
+        state = GrassmannState(objective_fn=counted, f_current=fn(w0),
+                               step=1e-3)
+        proj, state = grassmann_step(w0, grad(w0), state)
+        assert len(calls) == 1
+        assert proj.w is not w0
+        assert state.step == 2e-3
+
+    def test_step_after_halving_keeps_accepted_step(self, rng):
+        fn, grad = self._quadratic(rng)
+        w0 = qr_retract(rng.standard_normal((5, 2)))
+        counted, calls = self._counting(fn, reject_first=2)
+        state = GrassmannState(objective_fn=counted, f_current=fn(w0),
+                               step=4e-3)
+        proj, state = grassmann_step(w0, grad(w0), state)
+        assert len(calls) == 3
+        assert proj.w is not w0
+        assert state.step == 1e-3
+
 
 class TestFitConfig:
     def test_bad_values_rejected(self):
