@@ -25,10 +25,15 @@ class TestMedianBandwidth:
         with pytest.raises(ValueError):
             median_bandwidth(np.ones((1, 2)))
 
-    def test_matches_brute_force(self, rng):
-        x = rng.standard_normal((40, 3))
+    # 700 rows stream as 16 row blocks of 46 (32768 // 700), the last one
+    # ragged at 10 rows; 40 rows fit in one block
+    @pytest.mark.parametrize("shape", [(40, 3), (700, 1), (700, 3)],
+                             ids=["40x3", "700x1", "700x3"])
+    def test_matches_brute_force(self, rng, shape):
+        x = rng.standard_normal(shape)
+        n = shape[0]
         dists = [np.linalg.norm(x[i] - x[j])
-                 for i in range(40) for j in range(i + 1, 40)]
+                 for i in range(n) for j in range(i + 1, n)]
         assert median_bandwidth(x) == pytest.approx(np.median(dists), rel=1e-12)
 
 
@@ -86,10 +91,15 @@ def _plain_gaussian_gram(a, b, sigma):
 
 class TestGaussianGramOut:
     # 300 x 200 spans two row blocks of the in-place pass; a is b takes
-    # BLAS's syrk path
-    @pytest.mark.parametrize("shape", [(7, 5), (300, 200), (200, 300)])
-    def test_bit_identical_to_plain_expression(self, rng, shape):
-        x = rng.standard_normal((max(shape), 3)) * 2.0
+    # BLAS's syrk path; width 1 takes the outer-product path, which must
+    # keep BLAS's bits for a distinct b and for a is b
+    @pytest.mark.parametrize("shape, width", [
+        ((7, 5), 3), ((300, 200), 3), ((200, 300), 3),
+        ((7, 5), 1), ((300, 200), 1), ((200, 300), 1),
+    ], ids=["shape0", "shape1", "shape2",
+            "shape0-width1", "shape1-width1", "shape2-width1"])
+    def test_bit_identical_to_plain_expression(self, rng, shape, width):
+        x = rng.standard_normal((max(shape), width)) * 2.0
         a, b = x[:shape[0]], x[:shape[1]]
         assert np.array_equal(gaussian_gram(a, b, 0.9), _plain_gaussian_gram(a, b, 0.9))
         assert np.array_equal(gaussian_gram(x, x, 0.9), _plain_gaussian_gram(x, x, 0.9))
