@@ -7,53 +7,37 @@ reweighting corrected for known or estimated label flip rates. The same
 objective drives an orthonormal linear projection onto components whose
 class-conditional distributions transfer across domains, and a
 forward-corrected classifier consumes the result.
+
+The top level exports what the demos, the quick start, the experiment
+harness and the CLI use; everything else is reached through its module
+(``dcic.joint.fit_joint``, ``dcic.kernels.median_bandwidth``, ...).
 """
 
-from .classifier import (MlpModel, TrainConfig, batch_loss_grads,
-                         forward_loss, init_model, predict, predict_proba,
-                         reweighted_risk, sgd_step, train)
-from .data import (ClassPrior, ClassRatio, Dataset, Projection,
-                   TransitionMatrix, empirical_prior, read_dataset_csv,
-                   symmetric_noise, validate_transition, write_dataset_csv)
-from .harness import (ExperimentConfig, MetricRecord, emit_results,
-                      estimate_q_mlp, run_experiment, run_getars, run_tars)
-from .joint import JointConfig, fit_joint, joint_loss
-from .kernels import (GramSet, build_gram, gaussian_gram, gaussian_kernel,
-                      median_bandwidth, weighted_mmd_sq)
-from .linear import (GrassmannState, LinearFitConfig, LinearFitResult,
-                     alpha_qp_terms, euclidean_grad_w, fit, grassmann_step,
-                     objective, project_simplex, qr_retract, solve_alpha_qp)
-from .noise import (GammaWeights, GMatrix, beta_from_beta_rho,
-                    beta_rho_from_alpha, build_g_matrix,
-                    clean_prior_from_noisy, estimate_transition_anchor,
+from .classifier import TrainConfig, predict, predict_proba, train
+from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
+                   read_dataset_csv, symmetric_noise)
+from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
+                      run_experiment, run_getars, run_tars)
+from .linear import LinearFitConfig, fit
+from .noise import (GammaWeights, clean_prior_from_noisy,
+                    estimate_transition_anchor, floored_gamma_weights,
                     gamma_weights)
-from .rng import as_generator, child_generator, child_seed
-from .synth import (GmmSpec, LocationScale, apply_location_scale,
-                    flip_labels, resample_by_prior, sample_dataset,
-                    sample_gmm_spec, sample_location_scale)
+from .rng import child_generator, child_seed
+from .synth import (GmmSpec, apply_location_scale, flip_labels,
+                    sample_dataset, sample_gmm_spec, sample_location_scale)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassPrior", "ClassRatio", "Dataset", "Projection", "TransitionMatrix",
-    "empirical_prior", "read_dataset_csv", "symmetric_noise",
-    "validate_transition", "write_dataset_csv",
-    "GmmSpec", "LocationScale", "apply_location_scale", "flip_labels",
-    "resample_by_prior", "sample_dataset", "sample_gmm_spec",
-    "sample_location_scale",
-    "GramSet", "build_gram", "gaussian_gram", "gaussian_kernel",
-    "median_bandwidth", "weighted_mmd_sq",
-    "GammaWeights", "GMatrix", "beta_from_beta_rho", "beta_rho_from_alpha",
-    "build_g_matrix", "clean_prior_from_noisy", "estimate_transition_anchor",
-    "gamma_weights",
-    "GrassmannState", "LinearFitConfig", "LinearFitResult", "alpha_qp_terms",
-    "euclidean_grad_w", "fit", "grassmann_step", "objective",
-    "project_simplex", "qr_retract", "solve_alpha_qp",
-    "MlpModel", "TrainConfig", "batch_loss_grads", "forward_loss",
-    "init_model", "predict", "predict_proba", "reweighted_risk", "sgd_step",
-    "train",
-    "JointConfig", "fit_joint", "joint_loss",
-    "ExperimentConfig", "MetricRecord", "emit_results", "estimate_q_mlp",
-    "run_experiment", "run_getars", "run_tars",
-    "as_generator", "child_generator", "child_seed",
+    "ClassPrior", "Dataset", "TransitionMatrix", "empirical_prior",
+    "read_dataset_csv", "symmetric_noise",
+    "GmmSpec", "apply_location_scale", "flip_labels", "sample_dataset",
+    "sample_gmm_spec", "sample_location_scale",
+    "GammaWeights", "clean_prior_from_noisy", "estimate_transition_anchor",
+    "floored_gamma_weights", "gamma_weights",
+    "LinearFitConfig", "fit",
+    "TrainConfig", "predict", "predict_proba", "train",
+    "ExperimentConfig", "emit_results", "estimate_q_mlp", "run_experiment",
+    "run_getars", "run_tars",
+    "child_generator", "child_seed",
 ]

@@ -170,13 +170,6 @@ def batch_loss_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray,
     return _ce_grads_from_forward(model, x, z1, a1, f, labels, q.q, gamma.gamma)
 
 
-def forward_loss(model: MlpModel, x_prime: np.ndarray, noisy_label: int,
-                 q: TransitionMatrix, gamma: GammaWeights):
-    """Single-sample corrected loss and gradients; see module docstring."""
-    x = np.asarray(x_prime, dtype=np.float64).reshape(1, -1)
-    return batch_loss_grads(model, x, np.asarray([noisy_label]), q, gamma)
-
-
 def sgd_step(model: MlpModel, grads: LossGrads, lr: float, l2: float) -> None:
     """In-place descent step; l2 decay applies to weight matrices only."""
     model.hidden_w -= lr * (grads.hidden_w + l2 * model.hidden_w)
@@ -233,14 +226,3 @@ def predict_proba(model: MlpModel, features: np.ndarray) -> np.ndarray:
 def predict(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """1-based argmax of the uncorrected head; ties go to the smaller index."""
     return np.argmax(predict_proba(model, features), axis=1) + 1
-
-
-def reweighted_risk(model: MlpModel, features: np.ndarray,
-                    noisy_labels: np.ndarray, gamma: GammaWeights) -> float:
-    """Mean gamma-weighted cross entropy against the raw head (no flip-rate
-    correction): the two-stage comparison arm."""
-    x = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(noisy_labels, dtype=np.int64)
-    f = predict_proba(model, x)
-    p_y = f[np.arange(x.shape[0]), labels - 1]
-    return float(np.mean(-gamma.gamma[labels - 1] * np.log(np.maximum(p_y, PROB_CLAMP))))

@@ -4,7 +4,8 @@ Subcommands: ``tars`` and ``getars`` run experiment sweeps and write the
 CSV plus JSON sidecar; ``fit`` runs one linear fit on CSV datasets;
 ``train`` fits the downstream classifier; ``estimate-q`` estimates a
 flip-rate matrix from noisy data. A JSON config file (--config) overrides
-the corresponding flags, except --seed which always wins.
+the corresponding flags, except --seed which always wins; a key the
+subcommand does not take is a configuration error.
 
 Exit codes: 0 success, 1 when any repetition failed (its record carries
 the error), 2 on configuration errors.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,27 +50,55 @@ def _file_config(path: str | None) -> dict:
     return obj
 
 
-def _run_sweep(args, scenario: str) -> int:
-    kwargs: dict = {"scenario": scenario}
-    if args.reps is not None:
-        kwargs["repetitions"] = args.reps
-    if args.out is not None:
-        kwargs["out"] = args.out
-    for flag, key in (("sizes", "sample_sizes"), ("rhos", "rho_grid"),
-                      ("betas", "beta_grid")):
-        val = getattr(args, flag)
-        if val is not None:
-            kwargs[key] = val
-    if args.q_source is not None:
-        kwargs["q_source"] = args.q_source
-    if args.d_prime is not None:
-        kwargs["d_prime"] = args.d_prime
+# sweep flag -> ExperimentConfig field, where the names differ
+_SWEEP_RENAME = {"reps": "repetitions", "sizes": "sample_sizes",
+                 "rhos": "rho_grid", "betas": "beta_grid"}
+
+
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def _merged(args, flags, allowed, rename=None) -> dict:
+    """The flags that were given, keyed by config field (``rename`` maps a
+    flag to its field where the names differ), with the --config file
+    layered on top; --seed always wins and the file's seed is ignored. A
+    file key outside ``allowed`` raises, so a misspelled key is an error."""
+    rename = rename or {}
+    out = {rename.get(f, f): getattr(args, f) for f in flags
+           if getattr(args, f) is not None}
     file_cfg = _file_config(args.config)
-    file_cfg.pop("seed", None)  # --seed always wins over the file
-    kwargs.update(file_cfg)
+    unknown = sorted(set(file_cfg) - set(allowed))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s) "
+                         f"{', '.join(unknown)} for this subcommand")
+    file_cfg.pop("seed", None)
+    out.update(file_cfg)
     if args.seed is not None:
-        kwargs["seed"] = args.seed
-    config = ExperimentConfig(**kwargs)
+        out["seed"] = args.seed
+    return out
+
+
+def _read_q(path: str) -> TransitionMatrix:
+    with open(path) as fh:
+        return TransitionMatrix.from_json(fh.read())
+
+
+def _write_out(text: str, path: str | None) -> int:
+    """Write a result document to ``path``, or print it without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        print(text)
+    return 0
+
+
+def _run_sweep(args, scenario: str) -> int:
+    opts = _merged(args, ("reps", "out", "sizes", "rhos", "betas", "q_source",
+                          "d_prime"),
+                   _field_names(ExperimentConfig), _SWEEP_RENAME)
+    config = ExperimentConfig(**{"scenario": scenario, **opts})
 
     records = run_experiment(config)
     out = config.out or f"{config.scenario}.csv"
@@ -90,39 +120,21 @@ def _cmd_getars(args) -> int:
     return _run_sweep(args, "getars_accuracy")
 
 
-def _merged(args, keys) -> dict:
-    """flags -> dict, file config layered on top (seed exempt)."""
-    out = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    file_cfg = _file_config(args.config)
-    file_cfg.pop("seed", None)
-    out.update(file_cfg)
-    if args.seed is not None:
-        out["seed"] = args.seed
-    return out
-
-
 def _cmd_fit(args) -> int:
-    opts = _merged(args, ("source", "target", "q", "mode", "d_prime"))
+    opts = _merged(args, ("source", "target", "q", "mode", "d_prime"),
+                   ("source", "target", "q") + _field_names(LinearFitConfig))
     source = read_dataset_csv(opts.pop("source"), label_kind="noisy")
     target = read_dataset_csv(opts.pop("target"))
-    with open(opts.pop("q")) as fh:
-        q = TransitionMatrix.from_json(fh.read())
+    q = _read_q(opts.pop("q"))
     cfg = LinearFitConfig(d_prime=int(opts.pop("d_prime", 1)), **opts)
-    result = fit(cfg, source, target, q)
-    text = result.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
-    return 0
+    return _write_out(fit(cfg, source, target, q).to_json(), args.out)
 
 
 def _cmd_train(args) -> int:
-    opts = _merged(args, ("features", "q", "alpha"))
+    opts = _merged(args, ("features", "q", "alpha"),
+                   ("features", "q", "alpha") + _field_names(TrainConfig))
     data = read_dataset_csv(opts.pop("features"), label_kind="noisy")
-    with open(opts.pop("q")) as fh:
-        q = TransitionMatrix.from_json(fh.read())
+    q = _read_q(opts.pop("q"))
     alpha = opts.pop("alpha", None)
     noisy_prior = empirical_prior(data.labels, q.n_classes)
     if alpha is None:
@@ -130,32 +142,18 @@ def _cmd_train(args) -> int:
     else:
         vec = np.asarray(alpha if isinstance(alpha, (list, tuple)) else _floats(alpha))
         gamma = gamma_weights(ClassPrior(vec), q, noisy_prior)
-    cfg_fields = {k: v for k, v in opts.items()
-                  if k in ("hidden_units", "learning_rate", "epochs",
-                           "batch_size", "l2_coeff", "seed")}
-    model = train(data.features, data.labels, q, gamma, TrainConfig(**cfg_fields))
-    text = model.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
-    return 0
+    model = train(data.features, data.labels, q, gamma, TrainConfig(**opts))
+    return _write_out(model.to_json(), args.out)
 
 
 def _cmd_estimate_q(args) -> int:
-    opts = _merged(args, ("features", "percentile"))
+    opts = _merged(args, ("features", "percentile"),
+                   ("features", "percentile", "seed"))
     data = read_dataset_csv(opts.pop("features"), label_kind="noisy")
     q_hat = estimate_q_mlp(data.features, data.labels, data.n_classes,
                            seed=int(opts.get("seed", 0)),
                            percentile=float(opts.pop("percentile", 97.0)))
-    text = q_hat.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text)
-    return 0
+    return _write_out(q_hat.to_json(), args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,5 @@
 """Core value types shared by every stage: datasets, flip-rate matrices,
-class priors/ratios, and orthonormal projections.
+class priors, and orthonormal projections.
 
 Labels are 1-based everywhere in the public API. All types are validated at
 construction and frozen afterwards, so instances can be shared read-only
@@ -180,21 +180,6 @@ class ClassPrior:
     @property
     def n_classes(self) -> int:
         return self.p.size
-
-
-@dataclass(frozen=True)
-class ClassRatio:
-    """Per-class ratio of target to source prior; non-negative and finite."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
-        if r.ndim != 1 or r.size < 1:
-            raise ValueError("ratio must be a non-empty vector")
-        if np.any(r < 0) or not np.all(np.isfinite(r)):
-            raise ValueError("ratio entries must be finite and non-negative")
-        object.__setattr__(self, "r", _freeze(r))
 
 
 @dataclass(frozen=True)

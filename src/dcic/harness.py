@@ -186,116 +186,72 @@ def _failed_record(scenario, rep, seed, rho, beta1, n, method, msg,
                         0.0, error=msg)
 
 
-def run_tars(config: ExperimentConfig) -> list:
-    """Prior-recovery sweeps: no covariate change across domains, the
-    projection pinned to the identity. Two records per repetition, one per
-    method, on identical data."""
+def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
+              seed: int):
+    """One repetition's data from its child streams, in the order of the
+    module docstring: (noisy source, target, target prior, the flip rates
+    handed to the corrected method, noisy-label prior). Every scenario
+    draws the same source and clean target; only getars_accuracy moves
+    the target by the stream-4 location-scale draw."""
+    q_true = symmetric_noise(N_CLASSES, rho)
+    spec = sample_gmm_spec(N_CLASSES, DIM, child_generator(seed, 0))
+    clean = sample_dataset(spec.with_priors(ClassPrior(SOURCE_PRIOR)), n,
+                           child_generator(seed, 1))
+    noisy = flip_labels(clean, q_true, child_generator(seed, 2))
+    target_prior = ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
+    target = sample_dataset(spec.with_priors(target_prior), n,
+                            child_generator(seed, 3))
     if config.scenario == "getars_accuracy":
-        raise ValueError("use run_getars for the accuracy scenario")
-    sizes, rhos, betas = resolved_grids(config)
-    records = []
-    for si, n in enumerate(sizes):
-        for ri, rho in enumerate(rhos):
-            for bi, beta1 in enumerate(betas):
-                for rep in range(config.repetitions):
-                    seed = child_seed(config.seed, si, ri, bi, rep)
-                    records.extend(_tars_rep(config, int(n), float(rho),
-                                             float(beta1), rep, seed))
-    return records
-
-
-def _tars_rep(config, n, rho, beta1, rep, seed):
-    scen = config.scenario
-    try:
-        q_true = symmetric_noise(N_CLASSES, rho)
-        spec = sample_gmm_spec(N_CLASSES, DIM, child_generator(seed, 0))
-        clean = sample_dataset(spec.with_priors(ClassPrior(SOURCE_PRIOR)), n,
-                               child_generator(seed, 1))
-        noisy = flip_labels(clean, q_true, child_generator(seed, 2))
-        target_prior = ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
-        target = sample_dataset(spec.with_priors(target_prior), n,
-                                child_generator(seed, 3))
-        q_method = _method_q(config, noisy, seed, q_true)
-        noisy_prior = empirical_prior(noisy.labels, N_CLASSES)
-    except Exception as exc:  # data generation failed: tag both arms
-        return [_failed_record(scen, rep, seed, rho, beta1, n, m, str(exc), False)
-                for m in METHODS]
-
-    identity = TransitionMatrix(np.eye(N_CLASSES))
-    records = []
-    for method in METHODS:
-        q_used = q_method if method == "dcic" else identity
-        t0 = time.perf_counter()
-        try:
-            cfg = LinearFitConfig(d_prime=DIM, mode="tars_fixed_w", seed=seed)
-            res = fit(cfg, noisy, target, q_used)
-            b_err, a_err, ratio_prior, beta_star = _beta_metrics(
-                res.alpha.p, q_used, noisy_prior, target_prior)
-            records.append(MetricRecord(
-                scen, rep, seed, rho, beta1, n, n, method, b_err, a_err, None,
-                time.perf_counter() - t0, alpha=res.alpha.p.tolist(),
-                ratio_prior=ratio_prior.p.tolist(), beta_star=beta_star.tolist(),
-                target_prior=target_prior.p.tolist(), converged=res.converged,
-                w=res.w.w.tolist(), objective_trace=list(res.objective_trace)))
-        except Exception as exc:
-            records.append(_failed_record(scen, rep, seed, rho, beta1, n,
-                                          method, str(exc), False))
-    return records
-
-
-def run_getars(config: ExperimentConfig) -> list:
-    """Full pipeline under class-conditional change: fit the invariant
-    projection, train the downstream classifier on projected noisy source,
-    score accuracy on clean-labeled target samples."""
-    if config.scenario != "getars_accuracy":
-        raise ValueError("run_getars expects the getars_accuracy scenario")
-    sizes, rhos, betas = resolved_grids(config)
-    records = []
-    for si, n in enumerate(sizes):
-        for ri, rho in enumerate(rhos):
-            for bi, beta1 in enumerate(betas):
-                for rep in range(config.repetitions):
-                    seed = child_seed(config.seed, si, ri, bi, rep)
-                    records.extend(_getars_rep(config, int(n), float(rho),
-                                               float(beta1), rep, seed))
-    return records
-
-
-def _getars_rep(config, n, rho, beta1, rep, seed):
-    scen = config.scenario
-    try:
-        q_true = symmetric_noise(N_CLASSES, rho)
-        spec = sample_gmm_spec(N_CLASSES, DIM, child_generator(seed, 0))
-        clean = sample_dataset(spec.with_priors(ClassPrior(SOURCE_PRIOR)), n,
-                               child_generator(seed, 1))
-        noisy = flip_labels(clean, q_true, child_generator(seed, 2))
-        target_prior = ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
-        target_clean = sample_dataset(spec.with_priors(target_prior), n,
-                                      child_generator(seed, 3))
         shift = sample_location_scale(N_CLASSES, DIM, child_generator(seed, 4))
-        target = apply_location_scale(target_clean, shift)
-        q_method = _method_q(config, noisy, seed, q_true)
-        noisy_prior = empirical_prior(noisy.labels, N_CLASSES)
+        target = apply_location_scale(target, shift)
+    q_method = _method_q(config, noisy, seed, q_true)
+    noisy_prior = empirical_prior(noisy.labels, N_CLASSES)
+    return noisy, target, target_prior, q_method, noisy_prior
+
+
+def _fit_arm(config: ExperimentConfig, method: str, noisy: Dataset,
+             target: Dataset, q_used: TransitionMatrix,
+             noisy_prior: ClassPrior, seed: int):
+    """(fit result, accuracy) of one method. Prior recovery pins W to the
+    identity and scores no accuracy; getars_accuracy fits the projection,
+    trains the downstream classifier on the projected noisy source and
+    scores it on the projected target."""
+    if config.scenario != "getars_accuracy":
+        cfg = LinearFitConfig(d_prime=DIM, mode="tars_fixed_w", seed=seed)
+        return fit(cfg, noisy, target, q_used), None
+    mode = "dcic" if method == "dcic" else "cic_baseline"
+    fit_cfg = LinearFitConfig(d_prime=config.d_prime, mode=mode,
+                              seed=child_seed(seed, 5), **GETARS_FIT)
+    res = fit(fit_cfg, noisy, target, q_used)
+    s_proj = noisy.features @ res.w.w
+    t_proj = target.features @ res.w.w
+    gamma = floored_gamma_weights(res.alpha.p, q_used, noisy_prior)
+    train_cfg = TrainConfig(seed=child_seed(seed, 6), **GETARS_TRAIN)
+    model = train(s_proj, noisy.labels, q_used, gamma, train_cfg)
+    return res, float(np.mean(predict(model, t_proj) == target.labels))
+
+
+def _run_rep(config: ExperimentConfig, n: int, rho: float, beta1: float,
+             rep: int, seed: int) -> list:
+    """Two records, one per method, on identical data. A failure tags the
+    record it hits (both, when data generation fails) instead of raising."""
+    scen = config.scenario
+    with_accuracy = scen == "getars_accuracy"
+    try:
+        noisy, target, target_prior, q_method, noisy_prior = _rep_data(
+            config, n, rho, beta1, seed)
     except Exception as exc:
-        return [_failed_record(scen, rep, seed, rho, beta1, n, m, str(exc), True)
-                for m in METHODS]
+        return [_failed_record(scen, rep, seed, rho, beta1, n, m, str(exc),
+                               with_accuracy) for m in METHODS]
 
     identity = TransitionMatrix(np.eye(N_CLASSES))
     records = []
     for method in METHODS:
         q_used = q_method if method == "dcic" else identity
-        mode = "dcic" if method == "dcic" else "cic_baseline"
         t0 = time.perf_counter()
         try:
-            fit_cfg = LinearFitConfig(d_prime=config.d_prime, mode=mode,
-                                      seed=child_seed(seed, 5), **GETARS_FIT)
-            res = fit(fit_cfg, noisy, target, q_used)
-            s_proj = noisy.features @ res.w.w
-            t_proj = target.features @ res.w.w
-            gamma = floored_gamma_weights(res.alpha.p, q_used, noisy_prior)
-            train_cfg = TrainConfig(seed=child_seed(seed, 6), **GETARS_TRAIN)
-            model = train(s_proj, noisy.labels, q_used, gamma, train_cfg)
-            accuracy = float(np.mean(predict(model, t_proj) == target.labels))
+            res, accuracy = _fit_arm(config, method, noisy, target, q_used,
+                                     noisy_prior, seed)
             b_err, a_err, ratio_prior, beta_star = _beta_metrics(
                 res.alpha.p, q_used, noisy_prior, target_prior)
             records.append(MetricRecord(
@@ -306,14 +262,39 @@ def _getars_rep(config, n, rho, beta1, rep, seed):
                 w=res.w.w.tolist(), objective_trace=list(res.objective_trace)))
         except Exception as exc:
             records.append(_failed_record(scen, rep, seed, rho, beta1, n,
-                                          method, str(exc), True))
+                                          method, str(exc), with_accuracy))
     return records
 
 
 def run_experiment(config: ExperimentConfig) -> list:
+    """Every cell x repetition of the sweep, in grid order."""
+    sizes, rhos, betas = resolved_grids(config)
+    records = []
+    for si, n in enumerate(sizes):
+        for ri, rho in enumerate(rhos):
+            for bi, beta1 in enumerate(betas):
+                for rep in range(config.repetitions):
+                    seed = child_seed(config.seed, si, ri, bi, rep)
+                    records.extend(_run_rep(config, int(n), float(rho),
+                                            float(beta1), rep, seed))
+    return records
+
+
+def run_tars(config: ExperimentConfig) -> list:
+    """Prior-recovery sweeps: no covariate change across domains, the
+    projection pinned to the identity."""
     if config.scenario == "getars_accuracy":
-        return run_getars(config)
-    return run_tars(config)
+        raise ValueError("use run_getars for the accuracy scenario")
+    return run_experiment(config)
+
+
+def run_getars(config: ExperimentConfig) -> list:
+    """Full pipeline under class-conditional change: fit the invariant
+    projection, train the downstream classifier on projected noisy source,
+    score accuracy on clean-labeled target samples."""
+    if config.scenario != "getars_accuracy":
+        raise ValueError("run_getars expects the getars_accuracy scenario")
+    return run_experiment(config)
 
 
 def emit_results(records: list, path: str,

@@ -6,14 +6,16 @@ the hidden layer plus weight decay,
 where D_hat is the weighted squared MMD between reweighted source and
 target hidden responses, and alpha (the target-prior candidate driving the
 weights) is refreshed by the simplex QP on full-data hidden features every
-``alpha_update_every`` batches. With pi1 = 0 the loop degenerates to plain
+``alpha_update_every`` batches. Both come from the linear model's kernel
+engine (``linear._MmdProblem``) run on hidden rows: the refresh takes its
+alpha-quadratic, the penalty its value and, with an identity W, its row
+gradients, which backpropagate into the hidden layer. With pi1 = 0 the loop degenerates to plain
 corrected-loss training and matches classifier.train bit for bit on the
 same seed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,8 @@ from .classifier import (INIT_STREAM, SHUFFLE_STREAM, TARGET_STREAM, MlpModel,
                          TrainConfig, _ce_grads_from_forward, _forward,
                          init_model, sgd_step)
 from .data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
-from .kernels import gaussian_gram, median_bandwidth
-from .noise import clean_prior_from_noisy, floored_gamma_weights
+from .kernels import median_bandwidth
+from .noise import GMatrix, clean_prior_from_noisy, floored_gamma_weights
 from .linear import _MmdProblem, build_g_matrix, solve_alpha_qp
 from .rng import child_generator
 
@@ -32,6 +34,7 @@ from .rng import child_generator
 class JointConfig(TrainConfig):
     """TrainConfig plus the joint-objective knobs.
 
+    pi1 weights the invariance penalty on the network's one hidden layer.
     l2_coeff doubles as the regularization tradeoff (exposed as ``pi2``).
     alpha_update_every counts batches; None means once per epoch. lr_decay
     switches the fixed rate to r0 * (1 + 1e-4 t)^(-0.75) in the global
@@ -39,7 +42,6 @@ class JointConfig(TrainConfig):
     """
 
     pi1: float = 1.0
-    mmd_layer: int = 1
     alpha_update_every: int | None = None
     lr_decay: bool = False
 
@@ -47,8 +49,6 @@ class JointConfig(TrainConfig):
         super().__post_init__()
         if self.pi1 < 0:
             raise ValueError("pi1 must be >= 0")
-        if self.mmd_layer != 1:
-            raise ValueError("architecture has a single hidden layer; mmd_layer must be 1")
         if self.alpha_update_every is not None and self.alpha_update_every < 1:
             raise ValueError("alpha_update_every must be >= 1")
 
@@ -57,40 +57,14 @@ class JointConfig(TrainConfig):
         return self.l2_coeff
 
 
-def _batch_mmd_hidden(h_s: np.ndarray, h_t: np.ndarray, v: np.ndarray,
-                      sigma: float):
-    """Weighted squared MMD on hidden rows and its gradients to them.
-
-    Each kernel entry contributes its quadratic-form coefficient times
-    -k (h_a - h_b) / sigma^2 to the a-side row (and the negative to the
-    b-side row).
-    """
-    bs, bt = h_s.shape[0], h_t.shape[0]
-    k_ss = gaussian_gram(h_s, h_s, sigma)
-    k_ts = gaussian_gram(h_t, h_s, sigma)
-    k_tt = gaussian_gram(h_t, h_t, sigma)
-    value = (float(v @ k_ss @ v) / (bs * bs)
-             - 2.0 * float((k_ts @ v).sum()) / (bs * bt)
-             + float(k_tt.sum()) / (bt * bt))
-    m_ss = (np.outer(v, v) / (bs * bs)) * k_ss
-    m_ts = (-2.0 / (bs * bt)) * (k_ts * v[None, :])
-    m_tt = k_tt / (bt * bt)
-    inv = -1.0 / (sigma * sigma)
-    dh_s = inv * (2.0 * (m_ss.sum(axis=1)[:, None] * h_s - m_ss @ h_s)
-                  + m_ts.sum(axis=0)[:, None] * h_s - m_ts.T @ h_t)
-    dh_t = inv * (2.0 * (m_tt.sum(axis=1)[:, None] * h_t - m_tt @ h_t)
-                  + m_ts.sum(axis=1)[:, None] * h_t - m_ts @ h_s)
-    return value, dh_s, dh_t
-
-
 def _weight_decay_value(model: MlpModel) -> float:
     """Omega: half the squared Frobenius mass of the weight matrices."""
     return 0.5 * (float((model.hidden_w ** 2).sum())
                   + float((model.out_w ** 2).sum()))
 
 
-def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_w,
-                 pi1: float, sigma: float | None):
+def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_rows,
+                 alpha, pi1: float, sigma: float | None):
     """Corrected risk plus pi1 times the invariance penalty on one batch
     pair, without the decay term (the caller owns that, so the training
     step can apply decay exactly the way classifier.train does).
@@ -107,9 +81,10 @@ def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_w,
         z1t, a1t, _ = _forward(model, xt)
         if sigma_used is None:
             sigma_used = median_bandwidth(np.vstack([a1s, a1t]))
-        v = class_w[ys - 1]
-        d_val, dh_s, dh_t = _batch_mmd_hidden(a1s, a1t, v, sigma_used)
-        loss += pi1 * d_val
+        prob = _MmdProblem(a1s, a1t, GMatrix(class_rows, ys), sigma_used)
+        eye = np.eye(a1s.shape[1])  # a1 @ I == a1 exactly
+        loss += pi1 * prob.eval(eye, alpha)
+        dh_s, dh_t = prob.row_grads(eye, alpha)
         dz1s = (pi1 * dh_s) * (z1s > 0)
         dz1t = (pi1 * dh_t) * (z1t > 0)
         grads.hidden_w = grads.hidden_w + xs.T @ dz1s + xt.T @ dz1t
@@ -139,10 +114,10 @@ def joint_loss(model: MlpModel, source_batch: Dataset, target_batch: Dataset,
     gamma = floored_gamma_weights(alpha_vec, q, noisy_prior)
     clean_prior = clean_prior_from_noisy(noisy_prior, q)
     g = build_g_matrix(q, clean_prior, source_batch.labels)
-    class_w = g.class_weights(alpha_vec)
     loss, grads, _ = _joint_batch(
         model, source_batch.features, source_batch.labels,
-        target_batch.features, q.q, gamma.gamma, class_w, cfg.pi1, sigma)
+        target_batch.features, q.q, gamma.gamma, g.class_rows, alpha_vec,
+        cfg.pi1, sigma)
     if cfg.pi2 > 0:
         loss += cfg.pi2 * _weight_decay_value(model)
         grads.hidden_w = grads.hidden_w + cfg.pi2 * model.hidden_w
@@ -176,7 +151,6 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     g = build_g_matrix(q, clean_prior, labels_all)
     alpha = np.full(c, 1.0 / c)
     gamma = floored_gamma_weights(alpha, q, noisy_prior)
-    class_w = g.class_weights(alpha)
 
     model = init_model(d, cfg.hidden_units, c, child_generator(cfg.seed, INIT_STREAM))
     shuffle_rng = child_generator(cfg.seed, SHUFFLE_STREAM)
@@ -200,14 +174,14 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
             try:
                 loss, grads, last_sigma = _joint_batch(
                     model, xs_all[idx], labels_all[idx], xt_all[tidx],
-                    q.q, gamma.gamma, class_w, cfg.pi1, None)
+                    q.q, gamma.gamma, g.class_rows, alpha, cfg.pi1, None)
             except ValueError:
                 # degenerate batch (identical hidden rows): reuse the last bandwidth
                 if last_sigma is None:
                     raise
                 loss, grads, _ = _joint_batch(
                     model, xs_all[idx], labels_all[idx], xt_all[tidx],
-                    q.q, gamma.gamma, class_w, cfg.pi1, last_sigma)
+                    q.q, gamma.gamma, g.class_rows, alpha, cfg.pi1, last_sigma)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite joint loss {loss!r} at epoch {epoch}, step {t_global}")
@@ -233,13 +207,5 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
                     a_mat, b_vec, _ = prob.terms(None)
                     alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
                     gamma = floored_gamma_weights(alpha, q, noisy_prior)
-                    class_w = g.class_weights(alpha)
     return model, ClassPrior(alpha / alpha.sum()), np.asarray(trace)
 
-
-def joint_to_json(model: MlpModel, alpha: ClassPrior, trace: np.ndarray) -> str:
-    """Model weights plus the fitted prior and loss trace, one document."""
-    blob = json.loads(model.to_json())
-    blob["alpha"] = alpha.p.tolist()
-    blob["trace"] = np.asarray(trace).tolist()
-    return json.dumps(blob)

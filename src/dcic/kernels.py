@@ -1,17 +1,15 @@
-"""Gaussian kernel machinery: the median-distance bandwidth heuristic, Gram
-matrix construction, and the weighted squared-MMD quadratic form.
+"""Gaussian kernel primitives: pairwise squared distances, the
+median-distance bandwidth heuristic and Gram blocks written into an
+optional caller buffer. The weighted squared MMD built from these blocks
+lives in one place, the chunked kernel pass of ``linear._MmdProblem``.
 
-Conventions. k(x, y) = exp(-||x - y||^2 / (2 sigma^2)). The cross matrix
-``k_ts`` has one row per target sample and one column per source sample.
+Convention: k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-SYMMETRY_TOL = 1e-12
 MAX_EXACT_PAIRS = 10 ** 6
 _SUBSAMPLE_SEED = 74  # fixed: the heuristic must not depend on caller seeds
 _BLOCK_ENTRIES = 2 ** 15  # float64 values per temporary block (256 KiB)
@@ -138,8 +136,8 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
 
 def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Dense kernel matrix k(a_i, b_j); building block for GramSet and for
-    the chunked paths that never hold a full Gram.
+    """Dense kernel matrix k(a_i, b_j); the building block of the chunked
+    kernel pass, which never holds a full Gram.
 
     ``out``, if given, is a float64 (len(a), len(b)) array that receives
     the kernel matrix and is returned, so a chunked pass can reuse one
@@ -153,84 +151,3 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
     k /= -2.0 * sigma * sigma
     return np.exp(k, out=k)
 
-
-@dataclass(frozen=True)
-class GramSet:
-    """The three Gram blocks of one source/target pair at a fixed bandwidth.
-
-    k_ss is m x m over source rows, k_tt is n x n over target rows, and
-    k_ts is n x m (target rows by source columns).
-    """
-
-    k_ss: np.ndarray
-    k_tt: np.ndarray
-    k_ts: np.ndarray
-    sigma: float
-    check_range: bool = True  # test oracles may substitute non-Gaussian kernels
-
-    def __post_init__(self):
-        k_ss = np.asarray(self.k_ss, dtype=np.float64)
-        k_tt = np.asarray(self.k_tt, dtype=np.float64)
-        k_ts = np.asarray(self.k_ts, dtype=np.float64)
-        m, n = k_ss.shape[0], k_tt.shape[0]
-        if k_ss.shape != (m, m) or k_tt.shape != (n, n) or k_ts.shape != (n, m):
-            raise ValueError("inconsistent Gram shapes")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        for name, k in (("k_ss", k_ss), ("k_tt", k_tt)):
-            if np.abs(k - k.T).max() > SYMMETRY_TOL:
-                raise ValueError(f"{name} not symmetric within {SYMMETRY_TOL}")
-        if self.check_range:
-            for name, k in (("k_ss", k_ss), ("k_tt", k_tt), ("k_ts", k_ts)):
-                if k.min() <= 0.0 or k.max() > 1.0 + 1e-12:
-                    raise ValueError(f"{name} entries must lie in (0, 1]")
-        for k in (k_ss, k_tt, k_ts):
-            k.setflags(write=False)
-        object.__setattr__(self, "k_ss", k_ss)
-        object.__setattr__(self, "k_tt", k_tt)
-        object.__setattr__(self, "k_ts", k_ts)
-
-    @property
-    def m(self) -> int:
-        return self.k_ss.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.k_tt.shape[0]
-
-
-def build_gram(source_feats: np.ndarray, target_feats: np.ndarray,
-               sigma: float) -> GramSet:
-    """GramSet of two feature matrices under the Gaussian kernel.
-
-    Self-blocks get an exact unit diagonal and are symmetrized, so the
-    GramSet invariants hold to machine precision.
-    """
-    s = np.asarray(source_feats, dtype=np.float64)
-    t = np.asarray(target_feats, dtype=np.float64)
-    k_ss = gaussian_gram(s, s, sigma)
-    k_tt = gaussian_gram(t, t, sigma)
-    k_ts = gaussian_gram(t, s, sigma)
-    k_ss = 0.5 * (k_ss + k_ss.T)
-    k_tt = 0.5 * (k_tt + k_tt.T)
-    np.fill_diagonal(k_ss, 1.0)
-    np.fill_diagonal(k_tt, 1.0)
-    return GramSet(k_ss, k_tt, k_ts, float(sigma))
-
-
-def weighted_mmd_sq(g: GramSet, weights: np.ndarray) -> float:
-    """Squared MMD between the w-weighted source embedding mean and the
-    plain target embedding mean:
-
-        w^T K_ss w / m^2  -  2 * 1^T K_ts w / (m n)  +  1^T K_tt 1 / n^2
-    """
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.shape[0] != g.m:
-        raise ValueError(f"weights length {w.shape[0]} != source size {g.m}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    m, n = g.m, g.n
-    ss = float(w @ (g.k_ss @ w)) / (m * m)
-    ts = float((g.k_ts @ w).sum()) / (m * n)
-    tt = float(g.k_tt.sum()) / (n * n)
-    return ss - 2.0 * ts + tt

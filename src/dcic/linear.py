@@ -40,7 +40,6 @@ STATIONARY_RTOL = 1e-3  # |horizontal grad| / |grad| at which W counts as statio
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
 MAX_CONSECUTIVE_STALLS = 3
-TRACE_SLACK = 1e-10  # accepted-iterate objective may wiggle below this
 
 
 def _as_w_matrix(w) -> np.ndarray:
@@ -70,23 +69,19 @@ class LinearFitConfig:
     d_prime: int
     max_outer_iters: int = 12
     w_cg_iters: int = 5
-    alpha_tol: float = KKT_TOL
     objective_tol: float = 1e-9
     mode: str = "dcic"
     seed: int = 0
-    chunk_size: int = DEFAULT_CHUNK
 
     def __post_init__(self):
         if self.d_prime < 1:
             raise ValueError("d_prime must be >= 1")
         if self.max_outer_iters < 1 or self.w_cg_iters < 1:
             raise ValueError("iteration counts must be >= 1")
-        if self.alpha_tol <= 0 or self.objective_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.objective_tol <= 0:
+            raise ValueError("objective_tol must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,12 @@ def _add_symmetric_rows(rows, k, rhs, lo, hi):
 
 
 class _MmdProblem:
-    """Evaluates the objective, its alpha-quadratic and its W gradient from
-    one chunked kernel pass per W.
+    """The package's one weighted squared-MMD implementation: evaluates the
+    objective, its alpha-quadratic, its gradients with respect to the
+    projected rows and its W gradient from one chunked kernel pass per W.
+    ``fit`` uses it on raw features; the joint model (``joint``) uses it on
+    hidden-layer rows with an identity W, for its penalty and the alpha
+    refresh.
 
     Holds raw features, the per-class weight rows, and the bandwidth. The
     most recent pass is cached keyed on the value of W (a private copy,
@@ -144,7 +143,7 @@ class _MmdProblem:
 
     The class-block sums are the first c columns of K_ss P and K_ts P and the
     first column of K_tt [1, T'], so the value needs no further kernel work,
-    and ``grad`` contracts the rows with any alpha.
+    and ``row_grads`` contracts the rows with any alpha.
     """
 
     def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
@@ -236,25 +235,27 @@ class _MmdProblem:
         a, b, const = self.terms(w)
         return float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
 
-    def grad(self, w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Gradient of the objective with respect to W, a (d, d') matrix.
+    def row_grads(self, w: np.ndarray, alpha: np.ndarray):
+        """Gradients (dS, dT) of the objective with respect to the projected
+        rows S' = Xs W and T' = Xt W, shapes (m, d') and (n, d').
 
         Contracts the cached per-row sums of the pass at W (running the pass
         if W is not the cached one) with the per-class source weights
         u = G_hat alpha, v = oh u. With the kernel derivative
-        dk(x, y)/dx = -k (x - y) / sigma^2, the gradients with respect to
-        the projected rows are
+        dk(x, y)/dx = -k (x - y) / sigma^2,
 
             dS = -2/(s^2 m^2) v o ((K_ss v) o S' - K_ss (v o S'))
                  + 2/(s^2 m n) v o ((K_ts^T 1) o S' - K_ts^T T')
             dT = 2/(s^2 m n) ((K_ts v) o T' - K_ts (v o S'))
                  - 2/(s^2 n^2) ((K_tt 1) o T' - K_tt T')
 
-        (s = sigma, o = row-wise product), and the W gradient follows by the
-        chain rule Xs^T dS + Xt^T dT. W need not be orthonormal.
+        (s = sigma, o = row-wise product). With W the identity the projected
+        rows are the features themselves (x @ I == x exactly), so these are
+        the gradients with respect to the features: the joint model's
+        hidden-layer penalty takes them straight into backpropagation.
         """
         if w is None:
-            raise ValueError("the W gradient needs an explicit W")
+            raise ValueError("the gradients need an explicit W")
         self.terms(w)
         s, t, r_ss, r_ts, r_st, r_tt = self._rows
         m, n = s.shape[0], t.shape[0]
@@ -271,6 +272,13 @@ class _MmdProblem:
             + (2.0 / (sig2 * m * n)) * (r_st[:, :1] * s - r_st[:, 1:]))
         d_t = ((2.0 / (sig2 * m * n)) * (k_ts_v[:, None] * t - k_ts_vs)
                - (2.0 / (sig2 * n * n)) * (r_tt[:, :1] * t - r_tt[:, 1:]))
+        return d_s, d_t
+
+    def grad(self, w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Gradient of the objective with respect to W, a (d, d') matrix:
+        the chain rule Xs^T dS + Xt^T dT over ``row_grads``. W need not be
+        orthonormal."""
+        d_s, d_t = self.row_grads(w, alpha)
         return self.s.T @ d_s + self.t.T @ d_t
 
 
@@ -283,15 +291,6 @@ def objective(w, alpha, source: Dataset, target: Dataset, g: GMatrix,
     """
     prob = _MmdProblem(source.features, target.features, g, sigma)
     return prob.eval(_as_w_matrix(w), _as_alpha_vector(alpha))
-
-
-def alpha_qp_terms(w, source: Dataset, target: Dataset, g: GMatrix,
-                   sigma: float):
-    """Quadratic form of the objective in alpha at fixed W: (A, b) with
-    objective(alpha) = alpha^T A alpha - 2 b^T alpha + const."""
-    prob = _MmdProblem(source.features, target.features, g, sigma)
-    a, b, _ = prob.terms(_as_w_matrix(w))
-    return a, b
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -453,7 +452,7 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
 def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         q: TransitionMatrix) -> LinearFitResult:
     """Alternating optimization: the simplex QP in alpha (solved to KKT
-    residual ``config.alpha_tol``), then up to ``config.w_cg_iters``
+    residual KKT_TOL), then up to ``config.w_cg_iters``
     CG steps for W on the manifold, until the objective change drops
     below objective_tol.
 
@@ -489,8 +488,7 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         rng = as_generator(config.seed)
         w_mat = qr_retract(rng.standard_normal((d, config.d_prime)))
 
-    prob = _MmdProblem(noisy_source.features, target.features, g, sigma,
-                       config.chunk_size)
+    prob = _MmdProblem(noisy_source.features, target.features, g, sigma)
     w_key = None if fixed_w else w_mat
     alpha = np.full(c, 1.0 / c)
     trace = [prob.eval(w_key, alpha)]
@@ -500,7 +498,7 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
 
     for _ in range(config.max_outer_iters):
         a, b, const = prob.terms(w_key)
-        alpha = solve_alpha_qp(a, b, start=alpha, tol=config.alpha_tol).p
+        alpha = solve_alpha_qp(a, b, start=alpha).p
         f_now = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
 
         if fixed_w:

@@ -1,10 +1,10 @@
-"""Flip-rate algebra: converting priors and ratios between clean and noisy
-label spaces, the per-sample weight matrix G, importance weights gamma, and
-an anchor-point estimator for the flip-rate matrix itself.
+"""Flip-rate algebra: recovering the clean prior from the noisy one, the
+per-sample weight matrix G, importance weights gamma, and an anchor-point
+estimator for the flip-rate matrix itself.
 
 Notation. Q is the row-stochastic flip-rate matrix; alpha is a candidate
-target class prior; beta / beta_rho are clean / noisy class-ratio vectors,
-related by beta = Q beta_rho.
+target class prior. G alpha gives the noisy class ratios beta_rho that
+alpha implies; the clean ratios are beta = Q beta_rho.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassPrior, ClassRatio, TransitionMatrix, validate_transition
+from .data import ClassPrior, TransitionMatrix, validate_transition
 
 NEGATIVE_PRIOR_TOL = 1e-6
 ALPHA_FLOOR = 1e-9  # keeps gamma strictly positive at simplex vertices
@@ -113,27 +113,6 @@ def clean_prior_from_noisy(noisy_prior: ClassPrior, q: TransitionMatrix) -> Clas
             f"{p} has an entry below -{NEGATIVE_PRIOR_TOL}")
     p = np.maximum(p, 0.0)
     return ClassPrior(p / p.sum())
-
-
-def beta_from_beta_rho(q: TransitionMatrix, beta_rho: ClassRatio) -> ClassRatio:
-    """Clean class ratios from noisy ones: beta = Q beta_rho."""
-    if beta_rho.r.size != q.n_classes:
-        raise ValueError("ratio length mismatch")
-    return ClassRatio(q.q @ beta_rho.r)
-
-
-def beta_rho_from_alpha(q: TransitionMatrix, clean_prior: ClassPrior,
-                        alpha: np.ndarray) -> np.ndarray:
-    """Noisy class ratios implied by a target-prior candidate:
-    beta_rho(i) = sum_j (Q^{-1})_{ij} alpha_j / clean_prior[j].
-
-    May carry negative entries mid-optimization; only final priors are
-    validated.
-    """
-    if np.any(clean_prior.p <= 0):
-        raise ValueError("clean prior must be strictly positive")
-    q_inv = np.linalg.inv(q.q)
-    return (q_inv / clean_prior.p[None, :]) @ np.asarray(alpha, dtype=np.float64)
 
 
 def build_g_matrix(q: TransitionMatrix, clean_prior: ClassPrior,

@@ -7,7 +7,6 @@ writes global RNG state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,19 +64,6 @@ class GmmSpec:
         """Same components under different mixing proportions."""
         return GmmSpec(self.means, self.covariances, priors)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
-            "priors": self.priors.p.tolist(),
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "GmmSpec":
-        obj = json.loads(text)
-        return GmmSpec(np.asarray(obj["means"]), np.asarray(obj["covariances"]),
-                       ClassPrior(np.asarray(obj["priors"])))
-
 
 @dataclass(frozen=True)
 class LocationScale:
@@ -97,14 +83,6 @@ class LocationScale:
         scale.setflags(write=False)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "scale", scale)
-
-    def to_json(self) -> str:
-        return json.dumps({"shift": self.shift.tolist(), "scale": self.scale.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "LocationScale":
-        obj = json.loads(text)
-        return LocationScale(np.asarray(obj["shift"]), np.asarray(obj["scale"]))
 
 
 def _wishart(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,26 +185,3 @@ def flip_labels(data: Dataset, q: TransitionMatrix, seed) -> Dataset:
         noisy[mask] = np.minimum(
             np.searchsorted(cum[i], u[mask], side="right"), q.n_classes - 1) + 1
     return Dataset(data.features, noisy, "noisy", data.n_classes)
-
-
-def resample_by_prior(data: Dataset, target: ClassPrior, n: int, seed) -> Dataset:
-    """n draws with replacement whose labels follow ``target``: pick a label
-    from the target prior, then a uniform sample from that class's pool."""
-    if data.labels is None:
-        raise ValueError("resampling needs labels")
-    c = target.n_classes
-    if data.n_classes != c:
-        raise ValueError("prior class count mismatch")
-    pools = [np.flatnonzero(data.labels == i + 1) for i in range(c)]
-    for i in range(c):
-        if target.p[i] > 0 and pools[i].size == 0:
-            raise ValueError(f"class {i + 1} has target mass but no source samples")
-    rng = as_generator(seed)
-    labels = rng.choice(c, size=n, p=target.p) + 1
-    rows = np.empty(n, dtype=np.int64)
-    for i in range(c):
-        mask = labels == i + 1
-        k = int(mask.sum())
-        if k:
-            rows[mask] = rng.choice(pools[i], size=k, replace=True)
-    return Dataset(data.features[rows], labels, data.label_kind, c)

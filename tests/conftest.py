@@ -1,5 +1,7 @@
 """Shared test helpers: brute-force oracles and random-instance builders."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,69 @@ def brute_force_weighted_mmd(k_ss, k_tt, k_ts, weights):
         for u in range(n):
             total += k_tt[t, u] / (n * n)
     return total
+
+
+@dataclass(frozen=True)
+class GramSet:
+    """The three dense Gram blocks of one source/target pair: k_ss is m x m,
+    k_tt n x n, and k_ts n x m (target rows by source columns)."""
+
+    k_ss: np.ndarray
+    k_tt: np.ndarray
+    k_ts: np.ndarray
+    sigma: float
+
+    @property
+    def m(self) -> int:
+        return self.k_ss.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.k_tt.shape[0]
+
+
+def build_gram(source_feats, target_feats, sigma):
+    """Dense Gaussian GramSet, the oracle for the chunked kernel pass.
+
+    Self-blocks get an exact unit diagonal and are symmetrized; all blocks
+    are read-only.
+    """
+    s = np.asarray(source_feats, dtype=np.float64)
+    t = np.asarray(target_feats, dtype=np.float64)
+    k_ss = gaussian_gram(s, s, sigma)
+    k_tt = gaussian_gram(t, t, sigma)
+    k_ts = gaussian_gram(t, s, sigma)
+    k_ss = 0.5 * (k_ss + k_ss.T)
+    k_tt = 0.5 * (k_tt + k_tt.T)
+    np.fill_diagonal(k_ss, 1.0)
+    np.fill_diagonal(k_tt, 1.0)
+    for k in (k_ss, k_tt, k_ts):
+        k.setflags(write=False)
+    return GramSet(k_ss, k_tt, k_ts, float(sigma))
+
+
+def batch_mmd_hidden(h_s, h_t, v, sigma):
+    """Weighted squared MMD on (hidden) rows and its gradients to them, from
+    dense Grams: the oracle for ``_MmdProblem.row_grads`` at an identity W.
+
+    Each kernel entry contributes its quadratic-form coefficient times
+    -k (h_a - h_b) / sigma^2 to the a-side row (and the negative to the
+    b-side row).
+    """
+    bs, bt = h_s.shape[0], h_t.shape[0]
+    k_ss = gaussian_gram(h_s, h_s, sigma)
+    k_ts = gaussian_gram(h_t, h_s, sigma)
+    k_tt = gaussian_gram(h_t, h_t, sigma)
+    value = brute_force_weighted_mmd(k_ss, k_tt, k_ts, v)
+    m_ss = (np.outer(v, v) / (bs * bs)) * k_ss
+    m_ts = (-2.0 / (bs * bt)) * (k_ts * v[None, :])
+    m_tt = k_tt / (bt * bt)
+    inv = -1.0 / (sigma * sigma)
+    dh_s = inv * (2.0 * (m_ss.sum(axis=1)[:, None] * h_s - m_ss @ h_s)
+                  + m_ts.sum(axis=0)[:, None] * h_s - m_ts.T @ h_t)
+    dh_t = inv * (2.0 * (m_tt.sum(axis=1)[:, None] * h_t - m_tt @ h_t)
+                  + m_ts.sum(axis=1)[:, None] * h_t - m_ts @ h_s)
+    return value, dh_s, dh_t
 
 
 def poly2_kernel_matrix(a, b):

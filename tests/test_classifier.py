@@ -5,8 +5,7 @@ import pytest
 
 from conftest import central_difference, relative_grad_error
 from dcic.classifier import (MlpModel, TrainConfig, batch_loss_grads,
-                             forward_loss, init_model, predict,
-                             predict_proba, reweighted_risk, sgd_step,
+                             init_model, predict, predict_proba, sgd_step,
                              softmax, train)
 from dcic.data import ClassPrior, TransitionMatrix, empirical_prior, symmetric_noise
 from dcic.noise import GammaWeights, gamma_weights
@@ -15,6 +14,12 @@ from dcic.rng import as_generator
 
 def _small_model(rng, d=3, h=5, c=2):
     return init_model(d, h, c, rng)
+
+
+def _one_row_loss(model, x, label, q, gamma):
+    """Corrected loss and gradients of a single sample: a 1-row batch."""
+    return batch_loss_grads(model, np.asarray(x, dtype=np.float64).reshape(1, -1),
+                            np.array([label]), q, gamma)
 
 
 def _separable(seed, m=600, flip=0.0, sep=2.0):
@@ -73,7 +78,7 @@ class TestForwardLoss:
         x = rng.standard_normal(3)
         q = TransitionMatrix(np.eye(2))
         gam = GammaWeights(np.ones(2))
-        loss, _ = forward_loss(model, x, 2, q, gam)
+        loss, _ = _one_row_loss(model, x, 2, q, gam)
         f = predict_proba(model, x.reshape(1, -1))[0]
         assert loss == pytest.approx(-np.log(f[1]), rel=1e-12)
 
@@ -84,7 +89,7 @@ class TestForwardLoss:
         gam = GammaWeights(np.array([1.5, 0.5]))
         f = predict_proba(model, x.reshape(1, -1))[0]
         want = -1.5 * np.log(0.8 * f[0] + 0.3 * f[1])
-        loss, _ = forward_loss(model, x, 1, q, gam)
+        loss, _ = _one_row_loss(model, x, 1, q, gam)
         assert loss == pytest.approx(want, rel=1e-12)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -115,7 +120,7 @@ class TestForwardLoss:
         eps = 1e-13
         q = TransitionMatrix(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
         gam = GammaWeights(np.ones(2))
-        loss, grads = forward_loss(model, np.zeros(2), 2, q, gam)
+        loss, grads = _one_row_loss(model, np.zeros(2), 2, q, gam)
         assert grads.clamped
         assert np.isfinite(loss)
         for name in ("hidden_w", "hidden_b", "out_w", "out_b"):
@@ -128,7 +133,7 @@ class TestForwardLoss:
                          np.array([500.0, -500.0]))
         q = TransitionMatrix(np.array([[0.0, 1.0], [0.9, 0.1]]))
         gam = GammaWeights(np.ones(2))
-        loss, grads = forward_loss(model, rng.standard_normal(2), 2, q, gam)
+        loss, grads = _one_row_loss(model, rng.standard_normal(2), 2, q, gam)
         assert loss <= 1e-10
         assert not grads.clamped
 
@@ -136,8 +141,8 @@ class TestForwardLoss:
         model = _small_model(rng)
         x = rng.standard_normal(3)
         q = symmetric_noise(2, 0.2)
-        l1, _ = forward_loss(model, x, 1, q, GammaWeights(np.array([1.0, 1.0])))
-        l2, _ = forward_loss(model, x, 1, q, GammaWeights(np.array([2.0, 1.0])))
+        l1, _ = _one_row_loss(model, x, 1, q, GammaWeights(np.array([1.0, 1.0])))
+        l2, _ = _one_row_loss(model, x, 1, q, GammaWeights(np.array([2.0, 1.0])))
         assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
 
@@ -276,11 +281,15 @@ class TestPredict:
 
 
 class TestReweightedRisk:
+    """The reweighted risk is the corrected batch loss at identity flip
+    rates: mean gamma(y) * -log f_y(x) against the raw head."""
+
     def test_unit_gamma_is_mean_ce(self, rng):
         model = _small_model(rng)
         x = rng.standard_normal((12, 3))
         labels = rng.integers(1, 3, size=12)
-        risk = reweighted_risk(model, x, labels, GammaWeights(np.ones(2)))
+        risk, _ = batch_loss_grads(model, x, labels, TransitionMatrix(np.eye(2)),
+                                   GammaWeights(np.ones(2)))
         f = predict_proba(model, x)
         want = float(np.mean(-np.log(f[np.arange(12), labels - 1])))
         assert risk == pytest.approx(want, rel=1e-12)
@@ -292,11 +301,13 @@ class TestReweightedRisk:
         gam = GammaWeights(np.array([0.8, 1.2]))
         loss, _ = batch_loss_grads(model, x, labels,
                                    TransitionMatrix(np.eye(2)), gam)
-        risk = reweighted_risk(model, x, labels, gam)
-        assert risk == pytest.approx(loss, abs=1e-12)
+        f = predict_proba(model, x)
+        want = float(np.mean(-gam.gamma[labels - 1]
+                             * np.log(f[np.arange(10), labels - 1])))
+        assert loss == pytest.approx(want, abs=1e-12)
 
     def test_no_shift_gamma_is_unweighted(self, rng):
-        # gamma built from alpha equal to the source noisy prior is the
+        # gamma built from alpha equal to the source clean prior is the
         # all-ones vector, so the risk reduces to plain mean CE
         model = _small_model(rng)
         x = rng.standard_normal((20, 3))
@@ -306,6 +317,7 @@ class TestReweightedRisk:
         q = symmetric_noise(2, 0.2)
         clean = ClassPrior(np.linalg.solve(q.q.T, noisy_prior.p))
         gam = gamma_weights(clean, q, noisy_prior)
-        a = reweighted_risk(model, x, labels, gam)
-        b = reweighted_risk(model, x, labels, GammaWeights(np.ones(2)))
+        identity = TransitionMatrix(np.eye(2))
+        a, _ = batch_loss_grads(model, x, labels, identity, gam)
+        b, _ = batch_loss_grads(model, x, labels, identity, GammaWeights(np.ones(2)))
         assert a == pytest.approx(b, rel=1e-10)

@@ -195,6 +195,24 @@ class TestSingleShotCommands:
         assert q.shape == (2, 2)
         assert q[0, 0] > q[0, 1] and q[1, 1] > q[1, 0]
 
+    @pytest.mark.parametrize("command, key", [
+        ("tars", "repetitionz"), ("getars", "rho_grd"), ("fit", "max_outer_iter"),
+        ("train", "epochz"), ("estimate-q", "percentil")])
+    def test_misspelled_config_key_returns_2(self, tmp_path, capsys, command, key):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({key: 1}))
+        out = str(tmp_path / "out")
+        inputs = {"tars": [], "getars": [],
+                  "fit": ["--source", src, "--target", tgt, "--q", qp],
+                  "train": ["--features", src, "--q", qp],
+                  "estimate-q": ["--features", src]}[command]
+        rc = main([command, *inputs, "--config", str(cfg), "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not os.path.exists(out)
+
     def test_fit_missing_input_returns_2(self, tmp_path, capsys):
         rc = main(["fit", "--source", str(tmp_path / "none.csv"),
                    "--target", str(tmp_path / "none2.csv"),

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcic.data import (ClassPrior, ClassRatio, Dataset, Projection,
+from dcic.data import (ClassPrior, Dataset, Projection,
                        TransitionMatrix, empirical_prior, read_dataset_csv,
                        symmetric_noise, validate_transition,
                        write_dataset_csv)
@@ -150,13 +150,6 @@ class TestPriorAndRatio:
     def test_prior_ok(self):
         p = ClassPrior(np.array([0.25, 0.75]))
         assert p.n_classes == 2
-
-    def test_ratio_nonnegative_finite(self):
-        ClassRatio(np.array([1.4, 0.6]))
-        with pytest.raises(ValueError):
-            ClassRatio(np.array([-0.1, 2.1]))
-        with pytest.raises(ValueError):
-            ClassRatio(np.array([np.inf, 0.0]))
 
 
 class TestProjection:

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from dcic.data import symmetric_noise
-from dcic.harness import (CSV_COLUMNS, ExperimentConfig, emit_results,
-                          estimate_q_mlp, resolved_grids, run_experiment,
-                          run_getars, run_tars, scenario_defaults)
-from dcic.rng import as_generator, child_seed
+from dcic.harness import (CSV_COLUMNS, ExperimentConfig, _rep_data,
+                          emit_results, estimate_q_mlp, resolved_grids,
+                          run_experiment, run_getars, run_tars,
+                          scenario_defaults)
+from dcic.rng import as_generator, child_generator, child_seed
+from dcic.synth import apply_location_scale, sample_location_scale
 
 
 def _tiny_tars(**kw):
@@ -146,6 +148,30 @@ class TestRunGetars:
         a = run_getars(self._cfg())
         b = run_getars(self._cfg())
         assert all(_records_equal_except_time(x, y) for x, y in zip(a, b))
+
+
+class TestRepData:
+    def test_scenarios_share_the_documented_streams(self):
+        # one seed and grid: the prior-recovery and accuracy scenarios draw
+        # the same noisy source and clean target from streams 0-3, and the
+        # accuracy target is that target moved by stream 4's location-scale
+        grid = dict(repetitions=1, sample_sizes=(60,), rho_grid=(0.2,),
+                    beta_grid=(1.4,), seed=0)
+        seed = child_seed(0, 0, 0, 0, 0)
+        noisy_t, target_t, prior_t, q_t, noisy_prior_t = _rep_data(
+            ExperimentConfig(scenario="tars_beta_sweep", **grid), 60, 0.2, 1.4, seed)
+        noisy_g, target_g, prior_g, q_g, noisy_prior_g = _rep_data(
+            ExperimentConfig(scenario="getars_accuracy", **grid), 60, 0.2, 1.4, seed)
+        assert np.array_equal(noisy_t.features, noisy_g.features)
+        assert np.array_equal(noisy_t.labels, noisy_g.labels)
+        assert np.array_equal(prior_t.p, prior_g.p)
+        assert np.array_equal(q_t.q, q_g.q)
+        assert np.array_equal(noisy_prior_t.p, noisy_prior_g.p)
+        shift = sample_location_scale(2, 2, child_generator(seed, 4))
+        moved = apply_location_scale(target_t, shift)
+        assert np.array_equal(moved.features, target_g.features)
+        assert np.array_equal(moved.labels, target_g.labels)
+        assert not np.array_equal(target_t.features, target_g.features)
 
 
 class TestEstimatedFlipRates:

@@ -1,5 +1,4 @@
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from conftest import central_difference, relative_grad_error
 from dcic.classifier import (TrainConfig, batch_loss_grads, init_model,
                              predict, train)
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
-from dcic.joint import (JointConfig, _weight_decay_value, fit_joint,
-                        joint_loss, joint_to_json)
+from dcic.joint import JointConfig, _weight_decay_value, fit_joint, joint_loss
 from dcic.linear import objective
 from dcic.noise import GammaWeights, build_g_matrix, clean_prior_from_noisy, gamma_weights
 from dcic.rng import as_generator
@@ -45,8 +43,6 @@ class TestJointConfig:
             JointConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             JointConfig(pi1=-0.1)
-        with pytest.raises(ValueError):
-            JointConfig(mmd_layer=2)
         with pytest.raises(ValueError):
             JointConfig(alpha_update_every=0)
 
@@ -218,16 +214,6 @@ class TestFitJoint:
         _, _, tr_a = fit_joint(base, source, target, q)
         _, _, tr_b = fit_joint(decay, source, target, q)
         assert not np.array_equal(tr_a, tr_b)
-
-    def test_json_export(self):
-        source, target, _, q = _domain_pair(seed=13, m=100, n=100)
-        cfg = JointConfig(pi1=0.5, hidden_units=5, epochs=1, batch_size=50,
-                          seed=14)
-        model, alpha, trace = fit_joint(cfg, source, target, q)
-        blob = json.loads(joint_to_json(model, alpha, trace))
-        assert np.allclose(blob["alpha"], alpha.p, atol=0)
-        assert len(blob["trace"]) == len(trace)
-        assert np.allclose(blob["hidden_w"], model.hidden_w, atol=0)
 
     def test_unlabeled_source_rejected(self):
         _, target, _, q = _domain_pair(seed=15, m=50, n=50)

@@ -1,10 +1,27 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_weighted_mmd, poly2_features, poly2_kernel_matrix
-from dcic.kernels import (_SUBSAMPLE_SEED, MAX_EXACT_PAIRS, GramSet, build_gram,
-                          gaussian_gram, gaussian_kernel, median_bandwidth,
-                          squared_distances, weighted_mmd_sq)
+from conftest import (brute_force_weighted_mmd, build_gram, poly2_features,
+                      poly2_kernel_matrix)
+from dcic.kernels import (_SUBSAMPLE_SEED, MAX_EXACT_PAIRS, gaussian_gram,
+                          gaussian_kernel, median_bandwidth, squared_distances)
+from dcic.linear import _MmdProblem
+from dcic.noise import GMatrix
+
+
+def _engine_mmd(s, t, weights, sigma):
+    """The kernel engine's weighted squared MMD with free per-sample weights:
+    every source row is its own class, so G alpha = weights at alpha = 1.
+    Both pass shapes (class-block sums, and per-row sums at W = I) must
+    agree."""
+    m, d = s.shape
+    g = GMatrix(np.diag(np.asarray(weights, dtype=np.float64)),
+                np.arange(1, m + 1))
+    prob = _MmdProblem(s, t, g, sigma)
+    blocks = prob.eval(None, np.ones(m))
+    rows = prob.eval(np.eye(d), np.ones(m))
+    assert rows == pytest.approx(blocks, rel=1e-12, abs=1e-15)
+    return blocks
 
 
 class TestMedianBandwidth:
@@ -149,40 +166,21 @@ class TestBuildGram:
             g.k_ss[0, 0] = 0.5
 
 
-class TestGramSet:
-    def test_asymmetric_rejected(self):
-        k = np.array([[1.0, 0.5], [0.4, 1.0]])
-        with pytest.raises(ValueError):
-            GramSet(k, np.eye(2), np.full((2, 2), 0.5), 1.0)
-
-    def test_out_of_range_rejected(self):
-        k = np.array([[1.0, 1.5], [1.5, 1.0]])
-        with pytest.raises(ValueError):
-            GramSet(k, np.eye(2), np.full((2, 2), 0.5), 1.0)
-
-    def test_inconsistent_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            GramSet(np.eye(3), np.eye(2), np.full((2, 2), 0.5), 1.0)
-
-    def test_check_range_escape_hatch(self):
-        k = np.array([[2.0, 1.5], [1.5, 2.0]])
-        g = GramSet(k, k, k, 1.0, check_range=False)
-        assert g.m == 2
-
-
 class TestWeightedMmdSq:
+    """The weighted squared MMD of the one engine (``linear._MmdProblem``)
+    with per-sample weights, against the dense oracles."""
+
     def test_identical_sets_unit_weights(self, rng):
         x = rng.standard_normal((20, 3))
-        g = build_gram(x, x, median_bandwidth(x))
-        assert abs(weighted_mmd_sq(g, np.ones(20))) <= 1e-12
+        assert abs(_engine_mmd(x, x, np.ones(20), median_bandwidth(x))) <= 1e-12
 
     def test_single_points(self):
         # m = n = 1 with unit weight: 1 - 2 k(s, t) + 1
         s = np.array([[0.0, 0.0]])
         t = np.array([[1.0, 1.0]])
-        g = build_gram(s, t, 1.0)
         k = gaussian_kernel(s[0], t[0], 1.0)
-        assert weighted_mmd_sq(g, np.ones(1)) == pytest.approx(2.0 * (1.0 - k), rel=1e-12)
+        assert _engine_mmd(s, t, np.ones(1), 1.0) == pytest.approx(
+            2.0 * (1.0 - k), rel=1e-12)
 
     def test_brute_force_small(self, rng):
         s = rng.standard_normal((5, 2))
@@ -190,45 +188,47 @@ class TestWeightedMmdSq:
         g = build_gram(s, t, 0.8)
         w = rng.uniform(-1.0, 2.0, size=5)
         want = brute_force_weighted_mmd(g.k_ss, g.k_tt, g.k_ts, w)
-        assert weighted_mmd_sq(g, w) == pytest.approx(want, abs=1e-14)
+        assert _engine_mmd(s, t, w, 0.8) == pytest.approx(want, abs=1e-14)
 
     def test_explicit_feature_map_oracle(self, rng):
-        # degree-2 polynomial kernel admits an explicit phi; compare the
-        # kernelized quadratic form against the literal embedding difference
+        # degree-2 polynomial kernel admits an explicit phi; the dense
+        # oracle's kernelized quadratic form must equal the literal
+        # embedding difference
         s = rng.standard_normal((7, 3))
         t = rng.standard_normal((5, 3))
         w = rng.uniform(0.2, 2.0, size=7)
-        g = GramSet(poly2_kernel_matrix(s, s), poly2_kernel_matrix(t, t),
-                    poly2_kernel_matrix(t, s), 1.0, check_range=False)
+        got = brute_force_weighted_mmd(poly2_kernel_matrix(s, s),
+                                       poly2_kernel_matrix(t, t),
+                                       poly2_kernel_matrix(t, s), w)
         mu_s = (poly2_features(s) * w[:, None]).mean(axis=0)
         mu_t = poly2_features(t).mean(axis=0)
         want = float(((mu_s - mu_t) ** 2).sum())
-        assert weighted_mmd_sq(g, w) == pytest.approx(want, abs=1e-10)
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_permutation_invariance(self, rng):
         s = rng.standard_normal((6, 2))
         t = rng.standard_normal((4, 2))
         w = rng.uniform(0.0, 2.0, size=6)
-        g = build_gram(s, t, 1.0)
         perm = rng.permutation(6)
-        g2 = build_gram(s[perm], t, 1.0)
-        assert weighted_mmd_sq(g2, w[perm]) == pytest.approx(
-            weighted_mmd_sq(g, w), rel=1e-12)
+        assert _engine_mmd(s[perm], t, w[perm], 1.0) == pytest.approx(
+            _engine_mmd(s, t, w, 1.0), rel=1e-12)
 
     def test_length_mismatch(self, rng):
-        g = build_gram(rng.standard_normal((5, 2)),
-                       rng.standard_normal((4, 2)), 1.0)
+        g = GMatrix(np.eye(4), np.arange(1, 5))
         with pytest.raises(ValueError):
-            weighted_mmd_sq(g, np.ones(4))
+            _MmdProblem(rng.standard_normal((5, 2)),
+                        rng.standard_normal((4, 2)), g, 1.0)
 
     def test_quadratic_term_convex(self, rng):
-        # K_ss / m^2 is PSD, so the map w -> w^T K_ss w / m^2 is convex:
+        # with one class per row and G = I, the engine's alpha-quadratic is
+        # A = K_ss / m^2, which is PSD, so u -> u^T A u is convex: the
         # midpoint value never exceeds the average of endpoint values
         x = rng.standard_normal((10, 2))
-        g = build_gram(x, x, 1.0)
+        a, _, _ = _MmdProblem(x, x, GMatrix(np.eye(10), np.arange(1, 11)),
+                              1.0).terms(None)
         u = rng.standard_normal(10)
         v = rng.standard_normal(10)
-        f = lambda w: float(w @ (g.k_ss @ w)) / 100.0
+        f = lambda w: float(w @ a @ w)
         assert f(0.5 * (u + v)) <= 0.5 * (f(u) + f(v)) + 1e-12
 
 

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import central_difference, dense_grad_w, random_prior, relative_grad_error
+from conftest import (batch_mmd_hidden, brute_force_weighted_mmd, build_gram,
+                      central_difference, dense_grad_w, random_prior,
+                      relative_grad_error)
 import dcic.linear as linear_mod
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
-from dcic.kernels import build_gram, median_bandwidth, weighted_mmd_sq
+from dcic.kernels import median_bandwidth
 from dcic.linear import (GrassmannState, LinearFitConfig, LinearFitResult,
-                         _MmdProblem, alpha_qp_terms, euclidean_grad_w, fit,
+                         _MmdProblem, euclidean_grad_w, fit,
                          grassmann_step, objective, project_simplex,
                          qr_retract, solve_alpha_qp)
 from dcic.noise import build_g_matrix
@@ -49,7 +51,8 @@ class TestObjective:
         w = rng.standard_normal((3, 2))
         alpha = random_prior(rng, 2).p
         grams = build_gram(source.features @ w, target.features @ w, sigma)
-        want = weighted_mmd_sq(grams, g.weights(alpha))
+        want = brute_force_weighted_mmd(grams.k_ss, grams.k_tt, grams.k_ts,
+                                        g.weights(alpha))
         got = objective(w, alpha, source, target, g, sigma)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -75,11 +78,17 @@ class TestObjective:
         assert a == b
 
 
+def _qp_terms(w, source, target, g, sigma):
+    """The engine's alpha-quadratic (A, b) at fixed W."""
+    a, b, _ = _MmdProblem(source.features, target.features, g, sigma).terms(w)
+    return a, b
+
+
 class TestAlphaQpTerms:
     def test_consistent_with_objective(self, rng):
         source, target, g, sigma = _toy_problem(rng)
         w = rng.standard_normal((3, 2))
-        a, b = alpha_qp_terms(w, source, target, g, sigma)
+        a, b = _qp_terms(w, source, target, g, sigma)
         const = objective(w, np.zeros(2), source, target, g, sigma)
         for _ in range(10):
             alpha = random_prior(rng, 2).p
@@ -89,7 +98,7 @@ class TestAlphaQpTerms:
 
     def test_a_symmetric_psd(self, rng):
         source, target, g, sigma = _toy_problem(rng, m=20)
-        a, _ = alpha_qp_terms(np.eye(3), source, target, g, sigma)
+        a, _ = _qp_terms(np.eye(3), source, target, g, sigma)
         assert np.array_equal(a, a.T)
         assert np.linalg.eigvalsh(a).min() >= -1e-10
 
@@ -101,7 +110,7 @@ class TestAlphaQpTerms:
         target = Dataset(rng.standard_normal((5, 2)))
         g = build_g_matrix(symmetric_noise(2, 0.3),
                            ClassPrior(np.array([0.5, 0.5])), labels)
-        a, _ = alpha_qp_terms(np.eye(2), source, target, g, 1.0)
+        a, _ = _qp_terms(np.eye(2), source, target, g, 1.0)
         assert np.linalg.eigvalsh(a).min() >= -1e-10
 
 
@@ -128,7 +137,8 @@ class TestChunkedTerms:
         assert abs(const - want_const) <= 1e-12 * want_const
         for _ in range(5):
             alpha = random_prior(rng, 2).p
-            want = weighted_mmd_sq(grams, g.weights(alpha))
+            want = brute_force_weighted_mmd(grams.k_ss, grams.k_tt,
+                                            grams.k_ts, g.weights(alpha))
             got = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -175,6 +185,44 @@ class TestEngineGradient:
         prob = _MmdProblem(source.features, target.features, g, sigma)
         with pytest.raises(ValueError):
             prob.grad(None, np.array([0.5, 0.5]))
+
+
+class TestRowGrads:
+    """``row_grads`` at an identity W is the joint model's hidden-layer
+    penalty gradient; value and (dS, dT) against the dense oracle, with
+    batches inside one chunk and across the 128-row chunk boundary."""
+
+    @pytest.mark.parametrize("width", [1, 32])
+    @pytest.mark.parametrize("rows", [5, 100, 200])
+    def test_matches_dense_hidden_oracle(self, rng, rows, width):
+        # rectified rows like a hidden layer's, target shifted from source
+        h_s = np.maximum(rng.standard_normal((rows, width)), 0.0)
+        h_t = np.maximum(rng.standard_normal((rows, width)) + 0.5, 0.0)
+        labels = rng.integers(1, 3, size=rows)
+        labels[:2] = [1, 2]
+        g = build_g_matrix(symmetric_noise(2, 0.3),
+                           ClassPrior(np.array([0.4, 0.6])), labels)
+        alpha = random_prior(rng, 2).p
+        sigma = median_bandwidth(np.vstack([h_s, h_t]))
+        prob = _MmdProblem(h_s, h_t, g, sigma)
+        eye = np.eye(width)
+        value = prob.eval(eye, alpha)
+        d_s, d_t = prob.row_grads(eye, alpha)
+        want_val, want_s, want_t = batch_mmd_hidden(h_s, h_t, g.weights(alpha),
+                                                    sigma)
+        assert abs(value - want_val) <= 1e-12 * abs(want_val)
+        assert np.abs(d_s - want_s).max() <= 1e-12 * np.abs(want_s).max()
+        assert np.abs(d_t - want_t).max() <= 1e-12 * np.abs(want_t).max()
+
+    def test_grad_is_chain_rule_over_row_grads(self, rng):
+        source, target, g, sigma = _toy_problem(rng)
+        w = rng.standard_normal((3, 2))
+        alpha = random_prior(rng, 2).p
+        prob = _MmdProblem(source.features, target.features, g, sigma)
+        d_s, d_t = prob.row_grads(w, alpha)
+        assert d_s.shape == (12, 2) and d_t.shape == (9, 2)
+        assert np.array_equal(prob.grad(w, alpha),
+                              source.features.T @ d_s + target.features.T @ d_t)
 
 
 class TestPassCache:
@@ -472,9 +520,7 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             LinearFitConfig(d_prime=1, mode="bogus")
         with pytest.raises(ValueError):
-            LinearFitConfig(d_prime=1, chunk_size=0)
-        with pytest.raises(ValueError):
-            LinearFitConfig(d_prime=1, alpha_tol=0.0)
+            LinearFitConfig(d_prime=1, objective_tol=0.0)
 
 
 class TestFit:

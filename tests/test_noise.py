@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_prior, random_transition
-from dcic.data import ClassPrior, ClassRatio, TransitionMatrix, symmetric_noise
-from dcic.noise import (GammaWeights, GMatrix, beta_from_beta_rho,
-                        beta_rho_from_alpha, build_g_matrix,
+from dcic.data import ClassPrior, TransitionMatrix, symmetric_noise
+from dcic.noise import (GammaWeights, GMatrix, build_g_matrix,
                         clean_prior_from_noisy, estimate_transition_anchor,
                         gamma_weights)
 
@@ -57,27 +56,42 @@ class TestCleanPriorFromNoisy:
 
 
 class TestBetaConversions:
+    """The noisy class ratios beta_rho implied by a target-prior candidate
+    are G's class weights: beta_rho = G_hat alpha."""
+
+    @staticmethod
+    def _beta_rho(q, prior, alpha):
+        labels = np.arange(1, q.n_classes + 1)
+        return build_g_matrix(q, prior, labels).class_weights(alpha)
+
     def test_identity_q(self):
-        q = TransitionMatrix(np.eye(2))
-        out = beta_from_beta_rho(q, ClassRatio(np.array([1.2, 0.8])))
-        assert np.allclose(out.r, [1.2, 0.8])
+        # without noise the noisy ratios are the clean ones, alpha / prior
+        prior = ClassPrior(np.array([0.6, 0.4]))
+        out = self._beta_rho(TransitionMatrix(np.eye(2)), prior, np.array([0.3, 0.7]))
+        assert np.allclose(out, [0.5, 1.75], rtol=0, atol=1e-15)
 
     def test_hand_example(self):
+        # Q^{-1} = [[1.6, -0.6], [-0.4, 1.4]]; clean ratios (1.08, 0.88)
+        # under a uniform prior map back to noisy ratios (1.2, 0.8)
         q = TransitionMatrix(np.array([[0.7, 0.3], [0.2, 0.8]]))
-        out = beta_from_beta_rho(q, ClassRatio(np.array([1.2, 0.8])))
-        assert np.allclose(out.r, [1.08, 0.88], atol=1e-15)
+        prior = ClassPrior(np.array([0.5, 0.5]))
+        out = self._beta_rho(q, prior, np.array([0.54, 0.44]))
+        assert np.allclose(out, [1.2, 0.8], rtol=0, atol=1e-14)
 
     def test_ones_fixed_point(self, rng):
-        # rows sum to one, so the all-ones ratio is invariant under any Q
+        # rows sum to one, so alpha = clean prior (all-ones clean ratio)
+        # gives all-ones noisy ratios under any Q
         for _ in range(10):
-            q = random_transition(rng, int(rng.integers(2, 5)))
-            out = beta_from_beta_rho(q, ClassRatio(np.ones(q.n_classes)))
-            assert np.abs(out.r - 1.0).max() <= 1e-12
+            c = int(rng.integers(2, 5))
+            q = random_transition(rng, c)
+            prior = random_prior(rng, c)
+            out = self._beta_rho(q, prior, prior.p)
+            assert np.abs(out - 1.0).max() <= 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            beta_from_beta_rho(TransitionMatrix(np.eye(3)),
-                               ClassRatio(np.ones(2)))
+            self._beta_rho(TransitionMatrix(np.eye(3)),
+                           ClassPrior(np.array([0.5, 0.5])), np.ones(3))
 
     def test_beta_rho_from_alpha_matches_definition(self, rng):
         for _ in range(10):
@@ -85,7 +99,7 @@ class TestBetaConversions:
             q = random_transition(rng, c)
             prior = random_prior(rng, c)
             alpha = random_prior(rng, c).p
-            got = beta_rho_from_alpha(q, prior, alpha)
+            got = self._beta_rho(q, prior, alpha)
             want = np.linalg.inv(q.q) @ (alpha / prior.p)
             assert np.abs(got - want).max() <= 1e-12
 
@@ -97,7 +111,7 @@ class TestBetaConversions:
             q = random_transition(rng, c)
             prior = random_prior(rng, c)
             alpha = random_prior(rng, c).p
-            back = q.q @ beta_rho_from_alpha(q, prior, alpha)
+            back = q.q @ self._beta_rho(q, prior, alpha)
             assert np.abs(back - alpha / prior.p).max() <= 1e-10
 
     def test_zero_prior_rejected(self):
@@ -105,7 +119,7 @@ class TestBetaConversions:
         bad = ClassPrior.__new__(ClassPrior)
         object.__setattr__(bad, "p", np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            beta_rho_from_alpha(q, bad, np.array([0.5, 0.5]))
+            self._beta_rho(q, bad, np.array([0.5, 0.5]))
 
 
 class TestGMatrix:

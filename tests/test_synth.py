@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from dcic.data import ClassPrior, Dataset, symmetric_noise
 from dcic.synth import (GmmSpec, LocationScale, apply_location_scale,
-                        flip_labels, resample_by_prior, sample_dataset,
-                        sample_gmm_spec, sample_location_scale)
+                        flip_labels, sample_dataset, sample_gmm_spec,
+                        sample_location_scale)
 
 
 class TestGmmSpec:
@@ -38,13 +36,6 @@ class TestGmmSpec:
             draws += 2
         mean_cov = total / draws
         assert np.abs(mean_cov - 14.0 * np.eye(2)).max() / 14.0 < 0.05
-
-    def test_json_roundtrip(self):
-        spec = sample_gmm_spec(2, 2, seed=3)
-        back = GmmSpec.from_json(spec.to_json())
-        assert np.allclose(back.means, spec.means, rtol=0, atol=0)
-        assert np.allclose(back.covariances, spec.covariances, rtol=0, atol=0)
-        assert np.array_equal(back.priors.p, spec.priors.p)
 
     def test_with_priors(self):
         spec = sample_gmm_spec(2, 2, seed=3)
@@ -128,11 +119,6 @@ class TestLocationScale:
             assert np.abs(t.shift).max() <= 0.5
             assert t.scale.min() >= 0.8 and t.scale.max() <= 1.25
 
-    def test_json_roundtrip(self):
-        t = sample_location_scale(2, 3, seed=11)
-        back = LocationScale.from_json(t.to_json())
-        assert np.array_equal(back.shift, t.shift)
-        assert np.array_equal(back.scale, t.scale)
 
 
 class TestFlipLabels:
@@ -180,27 +166,3 @@ class TestFlipLabels:
         a = flip_labels(data, symmetric_noise(2, 0.3), seed=7)
         b = flip_labels(data, symmetric_noise(2, 0.3), seed=7)
         assert np.array_equal(a.labels, b.labels)
-
-
-class TestResampleByPrior:
-    def test_preserves_distribution(self):
-        spec = sample_gmm_spec(2, 2, seed=1)
-        data = sample_dataset(spec, 5000, seed=2)
-        prior = ClassPrior(np.array([np.mean(data.labels == 1),
-                                     np.mean(data.labels == 2)]))
-        out = resample_by_prior(data, prior, 10_000, seed=3)
-        assert abs(np.mean(out.labels == 1) - prior.p[0]) <= 0.02
-
-    def test_target_prior_reached(self):
-        spec = sample_gmm_spec(2, 2, seed=1)
-        data = sample_dataset(spec, 5000, seed=2)
-        out = resample_by_prior(data, ClassPrior(np.array([0.1, 0.9])),
-                                10_000, seed=4)
-        assert abs(np.mean(out.labels == 1) - 0.1) <= 0.02
-
-    def test_missing_class_rejected(self):
-        data = Dataset(np.zeros((4, 2)), np.array([1, 1, 2, 2]), "clean",
-                       n_classes=3)
-        with pytest.raises(ValueError):
-            resample_by_prior(data, ClassPrior(np.array([0.4, 0.3, 0.3])),
-                              10, seed=0)
