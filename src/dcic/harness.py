@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -297,11 +298,24 @@ def run_getars(config: ExperimentConfig) -> list:
     return run_experiment(config)
 
 
+def _json_safe(obj):
+    """``obj`` with every non-finite float replaced by None, so it dumps as
+    RFC 8259 JSON (null) rather than bare NaN / Infinity tokens."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def emit_results(records: list, path: str,
                  config: ExperimentConfig | None = None) -> None:
     """CSV with the fixed column order, plus a JSON sidecar at <path>.json
     holding the config and the full records (including per-record priors
-    and any error tags)."""
+    and any error tags). The CSV writes a failed record's metrics as
+    ``nan``; the sidecar is strict JSON and writes them as null."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -322,6 +336,6 @@ def emit_results(records: list, path: str,
             "records": [asdict(r) for r in records],
         }
         with open(path + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=1)
+            json.dump(_json_safe(sidecar), fh, indent=1, allow_nan=False)
     except OSError as exc:
         raise OSError(f"writing results to {path!r} failed: {exc}") from exc

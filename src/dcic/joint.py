@@ -203,8 +203,10 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
                 except ValueError:
                     sig_full = last_sigma
                 if sig_full is not None:
-                    prob = _MmdProblem(h_s, h_t, g, sig_full)
-                    a_mat, b_vec, _ = prob.terms(None)
+                    # not bound to a name: the problem and its kernel-pass
+                    # buffer are freed before the next epoch's batches
+                    a_mat, b_vec, _ = _MmdProblem(h_s, h_t, g,
+                                                  sig_full).terms(None)
                     alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
                     gamma = floored_gamma_weights(alpha, q, noisy_prior)
     return model, ClassPrior(alpha / alpha.sum()), np.asarray(trace)

@@ -17,21 +17,26 @@ _BLOCK_ENTRIES = 2 ** 15  # float64 values per temporary block (256 KiB)
 
 def squared_distances(a: np.ndarray, b: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """All pairwise ||a_i - b_j||^2 via the inner-product expansion
-    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j.
+    """All pairwise ||a_i - b_j||^2.
 
-    Negative rounding residue is clipped at zero so downstream kernels stay
-    in (0, 1]. ``out``, if given, is a float64 array of shape
-    (len(a), len(b)) that receives the result and is returned. The product
-    a b^T is written straight into it and the rest is done in place, so no
-    other array of that size is allocated; each entry is bit-identical to
-    the plain expression.
+    ``out``, if given, is a float64 array of shape (len(a), len(b)) that
+    receives the result and is returned; no other array of that size is
+    allocated.
 
-    With one feature column the product is the outer product a b^T, which
-    ``np.multiply.outer`` computes faster than a k = 1 BLAS GEMM (about
-    1.5x on a 128 x 500 block with single-threaded OpenBLAS). Each entry is
-    one rounded multiplication either way, so the bits match both the GEMM
-    and the syrk path BLAS takes when ``a is b``.
+    With one feature column (every d' = 1 projection) each entry is the
+    direct difference (a_i - b_j)^2, taken with ``np.subtract.outer`` and
+    squared in place: one correctly rounded subtraction and one product, so
+    it is exact to rounding even where |a_i| and |b_j| are large and close,
+    and faster than the expansion below (a 128 x 500 block: 1.7 against
+    4.3 ns per entry on one OpenBLAS thread).
+
+    With two or more columns it is the inner-product expansion
+    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j: a b^T is written straight into
+    ``out`` by BLAS and the rest is done in place, bit-identical to the
+    plain expression. Negative rounding residue is clipped at zero so
+    downstream kernels stay in (0, 1]. (At two columns a direct difference
+    took 4.3 against the expansion's 3.2 ns per entry, so it is kept to
+    width 1.)
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -43,9 +48,9 @@ def squared_distances(a: np.ndarray, b: np.ndarray,
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}")
     if a.shape[1] == 1:
-        np.multiply.outer(a[:, 0], b[:, 0], out=out)
-    else:
-        np.matmul(a, b.T, out=out)
+        np.subtract.outer(a[:, 0], b[:, 0], out=out)
+        return np.square(out, out=out)
+    np.matmul(a, b.T, out=out)
     a_sq = (a * a).sum(axis=1)
     b_sq = (b * b).sum(axis=1)
     # |a|^2 + |b|^2 goes in a row block at a time, so its temporary stays

@@ -9,10 +9,11 @@ alpha through the flip-rate algebra:
 
 Since rows of G repeat per noisy class, every sum collapses to class-block
 sums, which is how the large-sample paths avoid materializing any full
-Gram matrix. Optimization alternates a simplex-constrained QP in alpha,
-solved by accelerated projected gradient to a KKT residual (KKT_TOL by
-default), not exactly, with conjugate-gradient steps for W on the
-manifold of orthonormal column frames.
+Gram matrix. Optimization alternates a simplex-constrained QP in alpha
+with conjugate-gradient steps for W on the manifold of orthonormal column
+frames. The QP is solved in closed form for two classes (every harness
+cell) and by accelerated projected gradient to a KKT residual (KKT_TOL by
+default) for three or more.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ class _MmdProblem:
     evaluations at one W cost one pass total, whichever array carries it.
 
     A pass walks the rows in chunks of ``chunk_size`` and writes every
-    chunk's kernel block into one reused (chunk, max(m, n)) buffer. For the
+    chunk's kernel block into one (chunk, max(m, n)) buffer, allocated
+    once with the problem and reused by every pass. For the
     symmetric self-blocks K_ss and K_tt it computes only the columns at or
     right of the chunk's first row (the upper block-triangle). The default
     of 128 rows splits m = 500 into four chunks, so a self-Gram costs 10
@@ -159,6 +161,8 @@ class _MmdProblem:
         onehot = np.zeros((m, g.n_classes))
         onehot[np.arange(m), g.labels - 1] = 1.0
         self.onehot = onehot
+        width = max(m, self.t.shape[0])
+        self._buf = np.empty(min(self.chunk, width) * width)
         self._cache_w = None
         self._cache_val = None
         self._rows = None
@@ -177,12 +181,11 @@ class _MmdProblem:
         t = self.t if w is None else self.t @ w
         m, n = s.shape[0], t.shape[0]
         c = self.g.n_classes
-        width = max(m, n)
-        buf = np.empty(min(self.chunk, width) * width)
+        buf = self._buf
 
         def gram(a, b):
-            # a C-contiguous prefix of the shared buffer, so BLAS sees the
-            # same layout as a freshly allocated block
+            # a C-contiguous prefix of the problem's buffer, so BLAS sees
+            # the same layout as a freshly allocated block
             out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
             return gaussian_gram(a, b, self.sigma, out=out)
 
@@ -308,9 +311,14 @@ def solve_alpha_qp(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
                    tol: float = KKT_TOL, max_iters: int = QP_MAX_ITERS) -> ClassPrior:
     """Minimize alpha^T A alpha - 2 b^T alpha over the simplex.
 
-    Accelerated projected gradient with function-value restarts; stops at
-    KKT residual ||x - P(x - grad)||_inf <= tol. A flat objective returns
-    the uniform vector (the documented tie-break). Warm starts never come
+    Two classes are solved exactly: with alpha = (t, 1 - t) the objective
+    is kappa t^2 + 2 lin t + const, kappa = A00 - 2 A01 + A11 and
+    lin = A01 - A11 - b0 + b1, so t = clip(-lin / kappa, 0, 1) when
+    kappa > 0 and the endpoint that the sign of lin selects when the
+    objective is linear in t (``tol`` and ``max_iters`` are unused). Three
+    or more classes take accelerated projected gradient (``_apg_alpha``).
+    A flat objective returns the projected warm start, or the uniform
+    vector without one (the documented tie-break). Warm starts never come
     back worse than where they started.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -323,23 +331,47 @@ def solve_alpha_qp(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
     a = 0.5 * (a + a.T)
     if c == 1:
         return ClassPrior(np.ones(1))
+    x = project_simplex(np.full(c, 1.0 / c) if start is None
+                        else np.asarray(start, dtype=np.float64))
+    if c > 2:
+        return _apg_alpha(a, b, x, tol, max_iters)
+    kappa = a[0, 0] - 2.0 * a[0, 1] + a[1, 1]
+    lin = a[0, 1] - a[1, 1] - b[0] + b[1]
+    if kappa > 0:
+        t = min(max(-lin / kappa, 0.0), 1.0)
+    elif lin != 0:
+        t = 0.0 if lin > 0 else 1.0
+    else:
+        return ClassPrior(x / x.sum())
+    x_new = np.array([t, 1.0 - t])
+    # fp guard: a warm start at the optimum must not come back worse
+    if _qp_value(a, b, x_new) > _qp_value(a, b, x):
+        x_new = x
+    return ClassPrior(x_new / x_new.sum())
 
-    def fval(z):
-        return float(z @ a @ z - 2.0 * (b @ z))
+
+def _qp_value(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
+    return float(z @ a @ z - 2.0 * (b @ z))
+
+
+def _apg_alpha(a: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float,
+               max_iters: int) -> ClassPrior:
+    """``solve_alpha_qp`` for symmetric A from the feasible start x:
+    accelerated projected gradient with function-value restarts, stopped
+    at KKT residual ||x - P(x - grad)||_inf <= tol, so the result sits
+    within about tol of the optimum, not on it."""
 
     def kkt(z):
         return float(np.abs(z - project_simplex(z - 2.0 * (a @ z - b))).max())
 
-    x = project_simplex(np.full(c, 1.0 / c) if start is None
-                        else np.asarray(start, dtype=np.float64))
-    f_start = fval(x)
+    f_start = _qp_value(a, b, x)
     lip = max(2.0 * float(np.linalg.eigvalsh(a).max()), 1e-12)
     best_x, best_f = x.copy(), f_start
     y, tk = x.copy(), 1.0
     f_prev = f_start
     for _ in range(max_iters):
         x_new = project_simplex(y - 2.0 * (a @ y - b) / lip)
-        f_new = fval(x_new)
+        f_new = _qp_value(a, b, x_new)
         if f_new < best_f:
             best_f, best_x = f_new, x_new.copy()
         if kkt(x_new) <= tol:
@@ -451,10 +483,10 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
 
 def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         q: TransitionMatrix) -> LinearFitResult:
-    """Alternating optimization: the simplex QP in alpha (solved to KKT
-    residual KKT_TOL), then up to ``config.w_cg_iters``
-    CG steps for W on the manifold, until the objective change drops
-    below objective_tol.
+    """Alternating optimization: the simplex QP in alpha (exact for two
+    classes, to KKT residual KKT_TOL for more), then up to
+    ``config.w_cg_iters`` CG steps for W on the manifold, until the
+    objective change drops below objective_tol.
 
     A round of W steps ends early when a step finds W stationary (relative
     horizontal gradient at most STATIONARY_RTOL) or its line search

@@ -59,21 +59,6 @@ class GMatrix:
     def n_classes(self) -> int:
         return self.class_rows.shape[0]
 
-    @property
-    def g(self) -> np.ndarray:
-        """The expanded m x c matrix. Fine at small m; avoid at scale."""
-        return self.class_rows[self.labels - 1]
-
-    def weights(self, alpha: np.ndarray) -> np.ndarray:
-        """G alpha: the per-sample source weights realizing the noisy class
-        ratios implied by target prior candidate alpha."""
-        per_class = self.class_rows @ np.asarray(alpha, dtype=np.float64)
-        return per_class[self.labels - 1]
-
-    def class_weights(self, alpha: np.ndarray) -> np.ndarray:
-        """The c distinct values of G alpha, indexed by noisy class."""
-        return self.class_rows @ np.asarray(alpha, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class GammaWeights:

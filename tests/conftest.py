@@ -9,6 +9,13 @@ from dcic.data import ClassPrior, Dataset, TransitionMatrix
 from dcic.kernels import gaussian_gram
 
 
+def expand_weights(g, alpha):
+    """G alpha, the per-sample source weights that target-prior candidate
+    alpha implies: the class rows' weights expanded over the noisy labels."""
+    per_class = g.class_rows @ np.asarray(alpha, dtype=np.float64)
+    return per_class[g.labels - 1]
+
+
 def brute_force_weighted_mmd(k_ss, k_tt, k_ts, weights):
     """Double-loop evaluation of the weighted squared MMD.
 
@@ -121,7 +128,7 @@ def dense_grad_w(w, alpha, source, target, g, sigma):
     w = np.asarray(w, dtype=np.float64)
     xs, xt = source.features, target.features
     m, n = xs.shape[0], xt.shape[0]
-    v = g.weights(np.asarray(alpha, dtype=np.float64))
+    v = expand_weights(g, alpha)
     sp, tp = xs @ w, xt @ w
 
     def pair_scatter(xa, xb, coeff_times_k):

@@ -263,3 +263,18 @@ class TestEmitResults:
         with open(path + ".json") as fh:
             sidecar = json.load(fh)
         assert all(r["error"] for r in sidecar["records"])
+
+    def test_failed_record_sidecar_is_strict_json(self, tmp_path):
+        # RFC 8259 has no NaN: the sidecar writes null, the CSV keeps nan
+        records = run_tars(_tiny_tars(beta_grid=(2.2,), repetitions=1))
+        path = str(tmp_path / "fail.csv")
+        emit_results(records, path)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(path + ".json") as fh:
+            sidecar = json.loads(fh.read(), parse_constant=reject)
+        for r in sidecar["records"]:
+            assert r["beta_error"] is None and r["alpha_error"] is None
+            assert r["error"]

@@ -92,6 +92,21 @@ class TestSquaredDistances:
         b = a + 1e-9
         assert squared_distances(a, b).min() >= 0.0
 
+    def test_width1_direct_difference_exact_under_cancellation(self):
+        # points at 1e4 + k 1e-3: |a|^2 + |b|^2 - 2ab cancels almost every
+        # digit (off by up to about 1.7% relative here), the direct
+        # difference keeps each entry correctly rounded
+        x = (1e4 + np.arange(40) * 1e-3)[:, None]
+        a, b = x[:25], x[5:]
+        want = np.square(a - b.T)
+        assert np.array_equal(squared_distances(a, b), want)
+        assert np.array_equal(squared_distances(x, x), np.square(x - x.T))
+        # the fixture does cancel: the expansion misses by more than 1%
+        nonzero = want > 0
+        expanded = _expanded_squared_distances(a, b)
+        rel = np.abs(expanded - want)[nonzero] / want[nonzero]
+        assert rel.max() > 1e-2
+
     def test_out_shape_checked(self, rng):
         a = rng.standard_normal((4, 2))
         with pytest.raises(ValueError):
@@ -100,16 +115,26 @@ class TestSquaredDistances:
             squared_distances(a, a, out=np.empty((4, 4), dtype=np.float32))
 
 
-def _plain_gaussian_gram(a, b, sigma):
-    """The one-expression Gram the blocked in-place version must reproduce."""
+def _expanded_squared_distances(a, b):
+    """(|a|^2 + |b|^2) - 2ab in one expression, clipped at zero."""
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.exp(np.maximum(sq, 0.0) / (-2.0 * sigma * sigma))
+    return np.maximum(sq, 0.0)
+
+
+def _plain_gaussian_gram(a, b, sigma):
+    """The one-expression Gram the blocked in-place version must reproduce:
+    direct differences for one feature column, the expansion for more."""
+    if a.shape[1] == 1:
+        sq = np.square(np.subtract.outer(a[:, 0], b[:, 0]))
+    else:
+        sq = _expanded_squared_distances(a, b)
+    return np.exp(sq / (-2.0 * sigma * sigma))
 
 
 class TestGaussianGramOut:
     # 300 x 200 spans two row blocks of the in-place pass; a is b takes
-    # BLAS's syrk path; width 1 takes the outer-product path, which must
-    # keep BLAS's bits for a distinct b and for a is b
+    # BLAS's syrk path; width 1 takes the direct-difference path, pinned
+    # to np.subtract.outer's bits for a distinct b and for a is b
     @pytest.mark.parametrize("shape, width", [
         ((7, 5), 3), ((300, 200), 3), ((200, 300), 3),
         ((7, 5), 1), ((300, 200), 1), ((200, 300), 1),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (batch_mmd_hidden, brute_force_weighted_mmd, build_gram,
-                      central_difference, dense_grad_w, random_prior,
-                      relative_grad_error)
+                      central_difference, dense_grad_w, expand_weights,
+                      random_prior, relative_grad_error)
 import dcic.linear as linear_mod
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
 from dcic.kernels import median_bandwidth
@@ -52,7 +52,7 @@ class TestObjective:
         alpha = random_prior(rng, 2).p
         grams = build_gram(source.features @ w, target.features @ w, sigma)
         want = brute_force_weighted_mmd(grams.k_ss, grams.k_tt, grams.k_ts,
-                                        g.weights(alpha))
+                                        expand_weights(g, alpha))
         got = objective(w, alpha, source, target, g, sigma)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -128,7 +128,7 @@ class TestChunkedTerms:
                                   chunk_size=chunk).terms(w)
         assert np.array_equal(a, a.T)
         grams = build_gram(source.features @ w, target.features @ w, sigma)
-        gg = g.g
+        gg = g.class_rows[g.labels - 1]
         want_a = gg.T @ grams.k_ss @ gg / (m * m)
         want_b = (grams.k_ts @ gg).sum(axis=0) / (m * n)
         want_const = grams.k_tt.sum() / (n * n)
@@ -138,7 +138,7 @@ class TestChunkedTerms:
         for _ in range(5):
             alpha = random_prior(rng, 2).p
             want = brute_force_weighted_mmd(grams.k_ss, grams.k_tt,
-                                            grams.k_ts, g.weights(alpha))
+                                            grams.k_ts, expand_weights(g, alpha))
             got = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -208,7 +208,8 @@ class TestRowGrads:
         eye = np.eye(width)
         value = prob.eval(eye, alpha)
         d_s, d_t = prob.row_grads(eye, alpha)
-        want_val, want_s, want_t = batch_mmd_hidden(h_s, h_t, g.weights(alpha),
+        want_val, want_s, want_t = batch_mmd_hidden(h_s, h_t,
+                                                    expand_weights(g, alpha),
                                                     sigma)
         assert abs(value - want_val) <= 1e-12 * abs(want_val)
         assert np.abs(d_s - want_s).max() <= 1e-12 * np.abs(want_s).max()
@@ -272,6 +273,25 @@ class TestPassCache:
         for x, y in zip(after, fresh):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("d_out", [1, 2])
+    def test_owned_buffer_keeps_no_stale_values(self, rng, d_out):
+        # one problem reuses its kernel-pass buffer for every pass; passes
+        # at W1, W2 and W1 again (three chunks of source rows, two of
+        # target rows) must each equal a fresh problem's pass to the bit
+        source, target, g, sigma = _toy_problem(rng, m=300, n=200)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
+        alpha = np.array([0.3, 0.7])
+        w1 = qr_retract(rng.standard_normal((3, d_out)))
+        w2 = qr_retract(rng.standard_normal((3, d_out)))
+        for w in (w1, w2, w1):
+            got = prob.terms(w)
+            got_rows = prob.row_grads(w, alpha)
+            fresh = _MmdProblem(source.features, target.features, g, sigma)
+            for x, y in zip(got, fresh.terms(w)):
+                assert np.array_equal(x, y)
+            for x, y in zip(got_rows, fresh.row_grads(w, alpha)):
+                assert np.array_equal(x, y)
+
 
 class TestProjectSimplex:
     def test_already_on_simplex(self):
@@ -305,8 +325,10 @@ class TestSolveAlphaQp:
         assert np.abs(out.p - [0.6, 0.4]).max() <= 1e-7
 
     def test_vertex_solution(self):
-        out = solve_alpha_qp(np.eye(2), np.array([2.0, -1.0]))
-        assert np.abs(out.p - [1.0, 0.0]).max() <= 1e-7
+        # the closed form's t = -lin / kappa is clipped exactly: 1.5 -> 1
+        # and -0.5 -> 0
+        assert solve_alpha_qp(np.eye(2), np.array([2.0, -1.0])).p.tolist() == [1.0, 0.0]
+        assert solve_alpha_qp(np.eye(2), np.array([-1.0, 2.0])).p.tolist() == [0.0, 1.0]
 
     def test_flat_objective_returns_uniform(self):
         out = solve_alpha_qp(np.zeros((3, 3)), np.zeros(3))
@@ -344,6 +366,67 @@ class TestSolveAlphaQp:
         again = solve_alpha_qp(a, b, start=first).p
         fval = lambda z: float(z @ a @ z - 2.0 * (b @ z))
         assert fval(again) <= fval(first) + 1e-12
+
+    def test_two_class_closed_form_matches_apg(self, rng):
+        # the exact solve against accelerated projected gradient run to a
+        # KKT residual of 1e-15 on random PSD problems, about half of them
+        # with an interior optimum
+        fval = lambda a, b, z: float(z @ a @ z - 2.0 * (b @ z))
+        for _ in range(200):
+            m = rng.standard_normal((2, 2))
+            a = m @ m.T
+            b = rng.standard_normal(2)
+            got = solve_alpha_qp(a, b).p
+            ref = linear_mod._apg_alpha(a, b, np.full(2, 0.5), 1e-15,
+                                        linear_mod.QP_MAX_ITERS).p
+            assert np.abs(got - ref).max() <= 1e-9
+            assert fval(a, b, got) <= fval(a, b, ref) + 1e-15
+
+    def test_two_class_linear_objective_takes_endpoint(self):
+        # A = 11^T: kappa = 0, so the objective is linear in t and the
+        # sign of lin = b1 - b0 picks the vertex
+        a = np.ones((2, 2))
+        assert solve_alpha_qp(a, np.array([0.3, 0.1])).p.tolist() == [1.0, 0.0]
+        assert solve_alpha_qp(a, np.array([0.1, 0.3]),
+                              start=np.array([0.5, 0.5])).p.tolist() == [0.0, 1.0]
+
+    def test_two_class_flat_objective_keeps_start(self):
+        a, b = np.zeros((2, 2)), np.zeros(2)
+        assert solve_alpha_qp(a, b).p.tolist() == [0.5, 0.5]
+        assert solve_alpha_qp(a, b, start=np.array([0.2, 0.8])).p.tolist() == [0.2, 0.8]
+        off = np.array([1.0, 3.0])  # projected onto the simplex first
+        assert np.array_equal(solve_alpha_qp(a, b, start=off).p,
+                              project_simplex(off))
+
+    def test_two_class_warm_start_near_optimum_never_worse(self, rng):
+        # starts a few ulps from the exact optimum can evaluate lower than
+        # the closed form's rounded t; the guard hands them back instead
+        fval = lambda a, b, z: float(z @ a @ z - 2.0 * (b @ z))
+        for _ in range(200):
+            m = rng.standard_normal((2, 2))
+            a = m @ m.T
+            b = rng.standard_normal(2)
+            t = solve_alpha_qp(a, b).p[0]
+            for k in (-3, -1, 1, 3):
+                s0 = min(max(t + k * 2.0 ** -52, 0.0), 1.0)
+                start = np.array([s0, 1.0 - s0])
+                out = solve_alpha_qp(a, b, start=start).p
+                assert fval(a, b, out) <= fval(a, b, start)
+
+    def test_three_classes_take_apg(self, rng, monkeypatch):
+        calls = []
+        real = linear_mod._apg_alpha
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linear_mod, "_apg_alpha", counting)
+        m = rng.standard_normal((3, 3))
+        solve_alpha_qp(m @ m.T, rng.standard_normal(3))
+        assert len(calls) == 1
+        solve_alpha_qp(np.eye(2), np.array([0.6, 0.4]))
+        assert len(calls) == 1
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.3, 1.0]])

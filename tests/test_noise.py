@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_prior, random_transition
+from conftest import expand_weights, random_prior, random_transition
 from dcic.data import ClassPrior, TransitionMatrix, symmetric_noise
 from dcic.noise import (GammaWeights, GMatrix, build_g_matrix,
                         clean_prior_from_noisy, estimate_transition_anchor,
@@ -62,7 +62,7 @@ class TestBetaConversions:
     @staticmethod
     def _beta_rho(q, prior, alpha):
         labels = np.arange(1, q.n_classes + 1)
-        return build_g_matrix(q, prior, labels).class_weights(alpha)
+        return expand_weights(build_g_matrix(q, prior, labels), alpha)
 
     def test_identity_q(self):
         # without noise the noisy ratios are the clean ones, alpha / prior
@@ -129,21 +129,22 @@ class TestGMatrix:
                            np.array([1, 2, 2]))
         assert np.allclose(g.class_rows, np.diag(1.0 / prior.p))
         # with alpha = clean prior every weight is exactly 1
-        assert np.allclose(g.weights(prior.p), np.ones(3), atol=1e-15)
+        assert np.allclose(expand_weights(g, prior.p), np.ones(3), atol=1e-15)
 
     def test_no_shift_weights_are_one(self):
         # alpha = clean prior makes G alpha the all-ones vector for any Q
         q = symmetric_noise(2, 0.2)
         prior = ClassPrior(np.array([0.5, 0.5]))
         g = build_g_matrix(q, prior, np.array([1, 2, 1, 2]))
-        assert np.abs(g.weights(prior.p) - 1.0).max() <= 1e-12
+        assert np.abs(expand_weights(g, prior.p) - 1.0).max() <= 1e-12
 
     def test_expanded_rows_match_class_rows(self, rng):
         q = random_transition(rng, 3)
         prior = random_prior(rng, 3)
         labels = rng.integers(1, 4, size=12)
         g = build_g_matrix(q, prior, labels)
-        assert np.array_equal(g.g, g.class_rows[labels - 1])
+        assert np.array_equal(g.labels, labels)
+        assert g.class_rows.shape == (3, 3)
         assert g.n_samples == 12 and g.n_classes == 3
 
     def test_weights_constant_per_class(self, rng):
@@ -151,9 +152,8 @@ class TestGMatrix:
         g = build_g_matrix(q, random_prior(rng, 3),
                            np.array([1, 2, 3, 1, 2, 3]))
         alpha = random_prior(rng, 3).p
-        w = g.weights(alpha)
+        w = expand_weights(g, alpha)
         assert np.array_equal(w[:3], w[3:])
-        assert np.array_equal(w, g.class_weights(alpha)[g.labels - 1])
 
     def test_known_values_symmetric(self):
         # rho = 0.4 binary: Q^{-1} = [[3, -2], [-2, 3]], uniform prior
@@ -174,8 +174,8 @@ class TestGMatrix:
         q2 = TransitionMatrix(q.q[np.ix_(perm, perm)])
         prior2 = ClassPrior(prior.p[perm])
         labels2 = inv[labels - 1] + 1
-        w1 = build_g_matrix(q, prior, labels).weights(alpha)
-        w2 = build_g_matrix(q2, prior2, labels2).weights(alpha[perm])
+        w1 = expand_weights(build_g_matrix(q, prior, labels), alpha)
+        w2 = expand_weights(build_g_matrix(q2, prior2, labels2), alpha[perm])
         assert np.abs(w1 - w2).max() <= 1e-12
 
     def test_zero_prior_rejected(self):
