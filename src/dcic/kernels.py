@@ -3,16 +3,31 @@ median-distance bandwidth heuristic and Gram blocks written into an
 optional caller buffer. The weighted squared MMD built from these blocks
 lives in one place, the chunked kernel pass of ``linear._MmdProblem``.
 
+The bandwidth takes one of three branches by the pair count P of n rows.
+Up to 10^6 pairs it is exact. Above, it uses a fixed-seed draw of 10^6
+pairs, cached per n for the last two sizes. Up to 4 x 10^6 pairs that
+draw touches at least a quarter of all pairs, and computing every
+distance in cache-sized row blocks and taking the drawn ones by offset
+beats gathering 10^6 difference rows (4 MB per cached plan). Beyond that
+the drawn rows are gathered (8 MB per cached plan).
+
 Convention: k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 MAX_EXACT_PAIRS = 10 ** 6
 _SUBSAMPLE_SEED = 74  # fixed: the heuristic must not depend on caller seeds
 _BLOCK_ENTRIES = 2 ** 15  # float64 values per temporary block (256 KiB)
+_OFFSET_BITS = 15  # a flat offset into one block is below _BLOCK_ENTRIES
+# the blocked dense branch beat the per-pair gather below about 4 M pairs
+# at d = 2, 4.5 M at d = 8 and 5-6 M at d = 32 (warm calls, one BLAS
+# thread); the bound takes the lowest
+_DENSE_PAIRS = 4 * MAX_EXACT_PAIRS
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray,
@@ -47,12 +62,25 @@ def squared_distances(a: np.ndarray, b: np.ndarray,
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}")
+    return _squared_distances_into(a, b, out)
+
+
+def _squared_distances_into(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                            a_sq: np.ndarray | None = None,
+                            b_sq: np.ndarray | None = None) -> np.ndarray:
+    """``squared_distances`` into a checked ``out``. a_sq and b_sq, if
+    given, are the rows' squared norms (x * x).sum(axis=1); a caller that
+    passes the same rows block after block computes them once. A row's sum
+    does not depend on the rows around it, so the result is bit-identical."""
     if a.shape[1] == 1:
         np.subtract.outer(a[:, 0], b[:, 0], out=out)
         return np.square(out, out=out)
     np.matmul(a, b.T, out=out)
-    a_sq = (a * a).sum(axis=1)
-    b_sq = (b * b).sum(axis=1)
+    if a_sq is None:
+        a_sq = (a * a).sum(axis=1)
+    if b_sq is None:
+        b_sq = (b * b).sum(axis=1)
+    shape = out.shape
     # |a|^2 + |b|^2 goes in a row block at a time, so its temporary stays
     # small; -2ab + (|a|^2 + |b|^2) rounds exactly as (|a|^2 + |b|^2) - 2ab
     step = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
@@ -63,65 +91,161 @@ def squared_distances(a: np.ndarray, b: np.ndarray,
     return np.maximum(out, 0.0, out=out)
 
 
+def _row_blocks(x: np.ndarray):
+    """Yield squared_distances(x[lo:hi], x[lo:]) for row blocks [lo, hi)
+    of about _BLOCK_ENTRIES values each, the rows' squared norms taken
+    once. Every block is written into one reused contiguous buffer, so a
+    caller must take what it needs before asking for the next."""
+    n = x.shape[0]
+    step = _block_rows(n)
+    buf = np.empty(min(step, n) * n)
+    norms = (x * x).sum(axis=1)
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n)
+        out = buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        yield _squared_distances_into(x[lo:hi], x[lo:], out,
+                                      norms[lo:hi], norms[lo:])
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of ``_row_blocks``; the dense plan's offsets use it."""
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+@functools.lru_cache(maxsize=2)
+def _subsample_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-seed pair draw for n rows, built once per n.
+
+    Draws i and j with two int64 ``rng.integers`` calls, drops i == j and
+    puts each pair in (min, max) order, which changes no value:
+    (a - b)^2 == (b - a)^2. Above _DENSE_PAIRS pairs it returns (i, j) as
+    int32 (8 MB). At or below, it returns (offsets, counts): the pairs
+    sorted by row block of ``_row_blocks``, each as its flat offset into
+    that block's squared distances, and the pair count of every block
+    (4 MB). Both arrays are read-only, since every call shares them.
+    """
+    rng = np.random.default_rng(_SUBSAMPLE_SEED)
+    i = rng.integers(0, n, size=MAX_EXACT_PAIRS).astype(np.int32)
+    j = rng.integers(0, n, size=MAX_EXACT_PAIRS).astype(np.int32)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    i, j = np.minimum(i, j), np.maximum(i, j, out=j)
+    if n * (n - 1) // 2 > _DENSE_PAIRS:
+        plan = (i, j)
+    else:
+        # pair (i, j) sits in row block b = i // step, which starts at row
+        # lo = b step and is n - lo wide, at flat offset
+        # (i - lo)(n - lo) + (j - lo) < step n <= 2^15; sorting the int32
+        # key b 2^15 + offset in place orders the pairs by block
+        step = _block_rows(n)
+        blk = i // step
+        lo = blk * step
+        i -= lo
+        j -= lo
+        np.subtract(n, lo, out=lo)
+        i *= lo
+        i += j
+        del j, lo  # 8 MB freed before the sort takes its own buffer
+        blk <<= _OFFSET_BITS
+        i += blk
+        i.sort()
+        n_blocks = len(range(0, n - 1, step))
+        counts = np.diff(np.searchsorted(
+            i, np.arange(n_blocks + 1, dtype=np.int32) << _OFFSET_BITS))
+        i &= (1 << _OFFSET_BITS) - 1
+        plan = (i, counts)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def _median_of_roots(sq: np.ndarray) -> float:
+    """np.median(np.sqrt(sq)) to the bit, reordering ``sq`` in place.
+
+    One select at k = size // 2 puts the upper middle value at k and the
+    lower ones before it. sqrt is correctly rounded and monotone, so the
+    roots of those are the middle roots, and np.median averages the two of
+    an even count as (a + b) / 2. All values must be finite: np.median's
+    NaN probe is not made here.
+    """
+    k = sq.size // 2
+    sq.partition(k)
+    hi = float(np.sqrt(sq[k]))
+    if sq.size % 2:
+        return hi
+    return (float(np.sqrt(sq[:k].max())) + hi) / 2.0
+
+
 def median_bandwidth(features: np.ndarray) -> float:
     """Median Euclidean distance over all i < j pairs.
 
-    Exact when the pair count is at most 10^6; beyond that a fixed-seed
-    subsample of 10^6 pairs is used (the heuristic is statistical, exactness
-    buys nothing at that size). Both branches stream squared distances into
-    one vector, a block of about _BLOCK_ENTRIES values at a time through
-    reused buffers of cache size, and take the median of its square roots.
-    The exact branch computes the row block [lo, hi) against rows lo.. and
-    keeps the entries right of its diagonal, the strict upper triangle; the
-    subsample branch gathers its pairs' difference rows. Memory is
-    O(pairs + block), with no n x n or (pairs, d) array. Errors if fewer
-    than 2 rows or the median is zero (duplicated point set).
+    Three branches by the pair count P = n(n - 1) / 2, each streaming
+    squared distances into one vector with no n x n or (pairs, d) array:
+
+    - exact, P <= MAX_EXACT_PAIRS (10^6): the row block [lo, hi) against
+      rows lo.. is computed into one reused buffer of about _BLOCK_ENTRIES
+      values (``_row_blocks``) and the entries right of its diagonal, the
+      strict upper triangle, are kept;
+    - dense subsample, P <= _DENSE_PAIRS (4 x 10^6): a fixed-seed draw of
+      10^6 pairs touches at least a quarter of all pairs, so the same
+      block loop runs and each block's drawn pairs are taken from it by
+      offset. The blocks use the BLAS expansion at d >= 2, so a value can
+      differ from a per-pair difference by rounding (about one ulp of
+      sigma);
+    - sparse subsample, above: the drawn pairs' difference rows are
+      gathered through two reused buffers of about _BLOCK_ENTRIES values.
+
+    The subsample is statistical: exactness buys nothing at that size. Its
+    pair draw depends only on n and is cached per n (``_subsample_plan``,
+    the last two sizes: 4 MB per dense plan, 8 MB per sparse one). The
+    median is one select over the squared distances (``_median_of_roots``),
+    bit-identical to np.median of their square roots. Errors if fewer than
+    2 rows, any feature is not finite, or the median is zero (duplicated
+    point set).
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("median_bandwidth needs at least 2 rows")
+    if not np.isfinite(x).all():
+        raise ValueError("median_bandwidth needs finite features")
     n = x.shape[0]
     n_pairs = n * (n - 1) // 2
     if n_pairs <= MAX_EXACT_PAIRS:
         sq = np.empty(n_pairs)
-        step = max(1, _BLOCK_ENTRIES // n)
-        buf = np.empty(min(step, n) * n)
         at = 0
-        for lo in range(0, n - 1, step):
-            hi = min(lo + step, n)
-            blk = squared_distances(
-                x[lo:hi], x[lo:],
-                out=buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo))
-            for r in range(hi - lo):
+        for blk in _row_blocks(x):
+            for r in range(blk.shape[0]):
                 row = blk[r, r + 1:]
                 sq[at:at + row.size] = row
                 at += row.size
+    elif n_pairs <= _DENSE_PAIRS:
+        offsets, counts = _subsample_plan(n)
+        sq = np.empty(offsets.size)
+        at = 0
+        for blk, cnt in zip(_row_blocks(x), counts):
+            # mode="clip": with the default "raise", numpy gathers into a
+            # temporary and copies it to out; the offsets are in range, so
+            # clipping never changes a value
+            np.take(blk.ravel(), offsets[at:at + cnt], out=sq[at:at + cnt],
+                    mode="clip")
+            at += cnt
     else:
-        rng = np.random.default_rng(_SUBSAMPLE_SEED)
-        i = rng.integers(0, n, size=MAX_EXACT_PAIRS)
-        j = rng.integers(0, n, size=MAX_EXACT_PAIRS)
-        keep = i != j
-        sq = np.empty(int(keep.sum()))
+        i, j = _subsample_plan(n)
+        sq = np.empty(i.size)
         # two (pairs, d) buffers of about _BLOCK_ENTRIES values each, reused
         # for every block: no allocation or page fault inside the loop
-        step = max(1, _BLOCK_ENTRIES // max(1, x.shape[1]))
+        step = max(1, _BLOCK_ENTRIES // x.shape[1])
         diff = np.empty((step, x.shape[1]))
         other = np.empty_like(diff)
-        at = 0
-        for lo in range(0, MAX_EXACT_PAIRS, step):
-            kb = keep[lo:lo + step]
-            ib, jb = i[lo:lo + step][kb], j[lo:lo + step][kb]
+        for lo in range(0, i.size, step):
+            ib, jb = i[lo:lo + step], j[lo:lo + step]
             d, o = diff[:ib.size], other[:ib.size]
-            # mode="clip": with the default "raise", numpy gathers into a
-            # temporary and copies it to out; indices from integers(0, n)
-            # are always in range, so clipping never changes a value
             np.take(x, ib, axis=0, out=d, mode="clip")
             np.take(x, jb, axis=0, out=o, mode="clip")
             d -= o
             d *= d
-            d.sum(axis=1, out=sq[at:at + ib.size])
-            at += ib.size
-    med = float(np.median(np.sqrt(sq, out=sq), overwrite_input=True))
+            d.sum(axis=1, out=sq[lo:lo + ib.size])
+    med = _median_of_roots(sq)
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (identical rows)")
     return med

@@ -319,13 +319,16 @@ def solve_alpha_qp(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
     or more classes take accelerated projected gradient (``_apg_alpha``).
     A flat objective returns the projected warm start, or the uniform
     vector without one (the documented tie-break). Warm starts never come
-    back worse than where they started.
+    back worse than where they started. A non-finite A or b is rejected:
+    every comparison above would pass or fail on NaN without error.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
     c = b.size
     if a.shape != (c, c):
         raise ValueError(f"A must be {c}x{c}, got {a.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
     if np.abs(a - a.T).max() > 1e-8:
         raise ValueError("A is not symmetric within 1e-8")
     a = 0.5 * (a + a.T)

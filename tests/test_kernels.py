@@ -3,8 +3,9 @@ import pytest
 
 from conftest import (brute_force_weighted_mmd, build_gram, poly2_features,
                       poly2_kernel_matrix)
-from dcic.kernels import (_SUBSAMPLE_SEED, MAX_EXACT_PAIRS, gaussian_gram,
-                          gaussian_kernel, median_bandwidth, squared_distances)
+from dcic.kernels import (_DENSE_PAIRS, _SUBSAMPLE_SEED, MAX_EXACT_PAIRS,
+                          _subsample_plan, gaussian_gram, gaussian_kernel,
+                          median_bandwidth, squared_distances)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
 
@@ -41,6 +42,38 @@ class TestMedianBandwidth:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
             median_bandwidth(np.ones((1, 2)))
+
+    # 50 rows run the exact branch; 2000 rows (2 M pairs) the subsample,
+    # whose draw need not touch the bad row
+    @pytest.mark.parametrize("n, bad", [(50, np.nan), (2000, np.inf)],
+                             ids=["50-nan", "2000-inf"])
+    def test_non_finite_rejected(self, rng, n, bad):
+        x = rng.standard_normal((n, 2))
+        x[n // 2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            median_bandwidth(x)
+
+    # at width 1 each squared distance is the direct difference, so the
+    # roots' bits are known: 42 rows give 861 pairs (one middle value), 40
+    # rows 780 (the mean of two)
+    @pytest.mark.parametrize("n", [42, 40], ids=["odd-861", "even-780"])
+    def test_median_tail_bit_identical(self, rng, n):
+        x = rng.standard_normal((n, 1)) * 3.0
+        iu = np.triu_indices(n, 1)
+        want = np.median(np.sqrt(np.square(np.subtract.outer(x[:, 0], x[:, 0])))[iu])
+        assert median_bandwidth(x) == want
+
+    @pytest.mark.parametrize("grid", [(7, 6), (8, 5)], ids=["odd-861", "even-780"])
+    def test_median_tail_ties_on_integer_grid(self, grid):
+        # an integer lattice: every squared distance is a small integer,
+        # computed exactly, and most of them repeat
+        x = np.array([(a, b) for a in range(grid[0]) for b in range(grid[1])],
+                     dtype=float)
+        n = len(x)
+        iu = np.triu_indices(n, 1)
+        sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)[iu]
+        assert np.unique(sq).size < sq.size // 10
+        assert median_bandwidth(x) == np.median(np.sqrt(sq))
 
     # 700 rows stream as 16 row blocks of 46 (32768 // 700), the last one
     # ragged at 10 rows; 40 rows fit in one block
@@ -257,6 +290,23 @@ class TestWeightedMmdSq:
         assert f(0.5 * (u + v)) <= 0.5 * (f(u) + f(v)) + 1e-12
 
 
+def _drawn_squared_norms(x):
+    """||x_i - x_j||^2 over the fixed-seed pair draw with i != j, one pair
+    at a time in draw order (in chunks, so no (10^6, d) array)."""
+    n = len(x)
+    rng = np.random.default_rng(_SUBSAMPLE_SEED)
+    i = rng.integers(0, n, size=MAX_EXACT_PAIRS)
+    j = rng.integers(0, n, size=MAX_EXACT_PAIRS)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    out = np.empty(i.size)
+    step = 2 ** 16
+    for lo in range(0, i.size, step):
+        diff = x[i[lo:lo + step]] - x[j[lo:lo + step]]
+        out[lo:lo + step] = (diff * diff).sum(axis=1)
+    return out
+
+
 class TestLargeMedianPath:
     def test_subsample_close_to_exact_statistic(self):
         # above 10^6 pairs the heuristic subsamples; check it lands near the
@@ -267,19 +317,45 @@ class TestLargeMedianPath:
         sub_med = median_bandwidth(x)           # subsampled path
         assert abs(sub_med - exact_med) / exact_med < 0.05
 
-    @pytest.mark.parametrize("d", [1, 3, 32])
-    def test_streamed_subsample_bit_identical_to_one_shot(self, d):
-        # 1500 rows give 1.12 M pairs, so the subsample path runs; its
-        # blocked squared norms must equal the one-shot gather to the bit
-        # (d sets the pairs per block, 32 is the joint model's hidden width)
-        x = np.random.default_rng(2).standard_normal((1500, d))
-        rng = np.random.default_rng(_SUBSAMPLE_SEED)
-        i = rng.integers(0, 1500, size=MAX_EXACT_PAIRS)
-        j = rng.integers(0, 1500, size=MAX_EXACT_PAIRS)
-        keep = i != j
-        diff = x[i[keep]] - x[j[keep]]
-        want = float(np.median(np.sqrt((diff * diff).sum(axis=1))))
+    # 1500 rows give 1.12 M pairs and run the dense branch: bit-equality
+    # is structural at width 1, and held at widths 3 and 32 for this input.
+    # 3000 rows give 4.5 M pairs and run the sparse branch, whose blocked
+    # squared norms must equal the one-shot gather to the bit (d sets the
+    # pairs per block, 32 is the joint model's hidden width)
+    @pytest.mark.parametrize("n, d", [(1500, 1), (1500, 3), (1500, 32),
+                                      (3000, 1), (3000, 3)],
+                             ids=["1", "3", "32", "3000x1", "3000x3"])
+    def test_streamed_subsample_bit_identical_to_one_shot(self, n, d):
+        x = np.random.default_rng(2).standard_normal((n, d))
+        want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
         assert median_bandwidth(x) == want
+
+    # dense branch: the same pairs from blocks of the BLAS expansion, so
+    # equal to the per-pair norms up to rounding
+    @pytest.mark.parametrize("shape", [(1500, 3), (2000, 32)],
+                             ids=["1500x3", "2000x32"])
+    def test_dense_branch_matches_drawn_pairs(self, shape):
+        n = shape[0]
+        assert MAX_EXACT_PAIRS < n * (n - 1) // 2 <= _DENSE_PAIRS
+        x = np.random.default_rng(3).standard_normal(shape)
+        want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
+        assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
+
+    def test_plan_cached_per_n_and_read_only(self):
+        # the cache holds two sizes: n = 1500 (dense plan) survives a
+        # 3000-row call (sparse plan) and is not drawn again
+        x = np.random.default_rng(4).standard_normal((3000, 2))
+        _subsample_plan.cache_clear()
+        first = [median_bandwidth(x[:1500]), median_bandwidth(x)]
+        again = [median_bandwidth(x[:1500]), median_bandwidth(x)]
+        assert again == first
+        info = _subsample_plan.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        for n in (1500, 3000):
+            for arr in _subsample_plan(n):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(1)

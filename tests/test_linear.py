@@ -437,6 +437,20 @@ class TestSolveAlphaQp:
         with pytest.raises(ValueError):
             solve_alpha_qp(np.eye(3), np.zeros(2))
 
+    # a NaN A at c = 2 used to come back as the vertex (1, 0): kappa = NaN
+    # fails > 0, lin = NaN passes != 0, and the guard compares NaN > NaN
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_non_finite_rejected(self, c, bad, where):
+        a, b = np.eye(c), np.full(c, 0.5)
+        if where == "a":
+            a[0, 0] = bad
+        else:
+            b[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_alpha_qp(a, b)
+
 
 class TestEuclideanGradW:
     def test_matches_finite_differences(self, rng):
