@@ -17,7 +17,7 @@ from .classifier import TrainConfig, predict, predict_proba, train
 from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
                    read_dataset_csv, symmetric_noise)
 from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
-                      run_experiment, run_getars, run_tars)
+                      run_experiment)
 from .linear import LinearFitConfig, fit
 from .noise import (GammaWeights, clean_prior_from_noisy,
                     estimate_transition_anchor, floored_gamma_weights,
@@ -38,6 +38,5 @@ __all__ = [
     "LinearFitConfig", "fit",
     "TrainConfig", "predict", "predict_proba", "train",
     "ExperimentConfig", "emit_results", "estimate_q_mlp", "run_experiment",
-    "run_getars", "run_tars",
     "child_generator", "child_seed",
 ]

@@ -50,18 +50,6 @@ class MlpModel:
             if not np.all(np.isfinite(p)):
                 raise ValueError("model parameters must be finite")
 
-    @property
-    def dim_in(self) -> int:
-        return self.hidden_w.shape[0]
-
-    @property
-    def hidden_units(self) -> int:
-        return self.hidden_w.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.out_w.shape[1]
-
     def to_json(self) -> str:
         return json.dumps({
             "hidden_w": self.hidden_w.tolist(),

@@ -4,8 +4,9 @@ Subcommands: ``tars`` and ``getars`` run experiment sweeps and write the
 CSV plus JSON sidecar; ``fit`` runs one linear fit on CSV datasets;
 ``train`` fits the downstream classifier; ``estimate-q`` estimates a
 flip-rate matrix from noisy data. A JSON config file (--config) overrides
-the corresponding flags, except --seed which always wins; a key the
-subcommand does not take is a configuration error.
+the corresponding flags, except --seed: the file's seed applies only when
+--seed is absent. A key the subcommand does not take is a configuration
+error.
 
 Exit codes: 0 success, 1 when any repetition failed (its record carries
 the error), 2 on configuration errors.
@@ -62,8 +63,8 @@ def _field_names(cls) -> tuple:
 def _merged(args, flags, allowed, rename=None) -> dict:
     """The flags that were given, keyed by config field (``rename`` maps a
     flag to its field where the names differ), with the --config file
-    layered on top; --seed always wins and the file's seed is ignored. A
-    file key outside ``allowed`` raises, so a misspelled key is an error."""
+    layered on top; --seed, when given, wins over the file's seed. A file
+    key outside ``allowed`` raises, so a misspelled key is an error."""
     rename = rename or {}
     out = {rename.get(f, f): getattr(args, f) for f in flags
            if getattr(args, f) is not None}
@@ -72,7 +73,6 @@ def _merged(args, flags, allowed, rename=None) -> dict:
     if unknown:
         raise ValueError(f"{args.config}: unknown config key(s) "
                          f"{', '.join(unknown)} for this subcommand")
-    file_cfg.pop("seed", None)
     out.update(file_cfg)
     if args.seed is not None:
         out["seed"] = args.seed
@@ -140,8 +140,11 @@ def _cmd_train(args) -> int:
     if alpha is None:
         gamma = GammaWeights(np.ones(q.n_classes))
     else:
-        vec = np.asarray(alpha if isinstance(alpha, (list, tuple)) else _floats(alpha))
-        gamma = gamma_weights(ClassPrior(vec), q, noisy_prior)
+        if isinstance(alpha, str):
+            alpha = _floats(alpha)
+        elif not isinstance(alpha, list):
+            raise ValueError("alpha must be comma-separated floats or a list")
+        gamma = gamma_weights(ClassPrior(alpha), q, noisy_prior)
     model = train(data.features, data.labels, q, gamma, TrainConfig(**opts))
     return _write_out(model.to_json(), args.out)
 

@@ -1,5 +1,5 @@
 """Core value types shared by every stage: datasets, flip-rate matrices,
-class priors, and orthonormal projections.
+class priors, and orthonormal projections; and the dataset CSV reader.
 
 Labels are 1-based everywhere in the public API. All types are validated at
 construction and frozen afterwards, so instances can be shared read-only
@@ -20,7 +20,7 @@ LABEL_KINDS = ("clean", "noisy", "unlabeled")
 ROW_SUM_TOL = 1e-9
 PRIOR_SUM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
-DEFAULT_COND_BOUND = 1e6
+COND_BOUND = 1e6
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -101,12 +101,11 @@ class TransitionMatrix:
     that clean class i is observed as class j.
 
     Rejected at construction if rows do not sum to one, entries leave [0, 1],
-    or the condition number exceeds ``cond_bound`` (the pipeline multiplies by
+    or the condition number exceeds COND_BOUND (the pipeline multiplies by
     the inverse, so ill-conditioned matrices would silently amplify noise).
     """
 
     q: np.ndarray
-    cond_bound: float = DEFAULT_COND_BOUND
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
@@ -118,10 +117,10 @@ class TransitionMatrix:
         if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, got {row_sums}")
         cond = np.linalg.cond(q)
-        if not np.isfinite(cond) or cond > self.cond_bound:
+        if not np.isfinite(cond) or cond > COND_BOUND:
             raise ValueError(
                 f"transition matrix is singular or ill-conditioned (cond={cond:.3g}, "
-                f"bound={self.cond_bound:.3g})"
+                f"bound={COND_BOUND:.3g})"
             )
         object.__setattr__(self, "q", _freeze(q))
 
@@ -133,9 +132,6 @@ class TransitionMatrix:
     def diagonally_dominant(self) -> bool:
         """True when every diagonal flip-retention rate exceeds 0.5."""
         return bool(np.all(np.diag(self.q) > 0.5))
-
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.q)
 
     def to_json(self) -> str:
         return json.dumps({"c": self.n_classes, "rows": self.q.tolist()})
@@ -201,17 +197,6 @@ class Projection:
             raise ValueError(f"columns not orthonormal: ||W^T W - I||_F = {err:.3g}")
         object.__setattr__(self, "w", _freeze(w))
 
-    @property
-    def dim_in(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def dim_out(self) -> int:
-        return self.w.shape[1]
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features) @ self.w
-
 
 def empirical_prior(labels: np.ndarray, c: int) -> ClassPrior:
     """Relative class frequencies of a 1-based label vector.
@@ -227,14 +212,14 @@ def empirical_prior(labels: np.ndarray, c: int) -> ClassPrior:
     return ClassPrior(counts / labels.size)
 
 
-def validate_transition(q: np.ndarray, cond_bound: float = DEFAULT_COND_BOUND) -> TransitionMatrix:
+def validate_transition(q: np.ndarray) -> TransitionMatrix:
     """Validate a raw flip-rate matrix.
 
     Warns (UserWarning) when any diagonal entry is <= 0.5: the downstream
     algebra stays valid but the matrix is no longer diagonally dominant, which
     usually signals an estimation problem.
     """
-    tm = TransitionMatrix(np.asarray(q, dtype=np.float64), cond_bound=cond_bound)
+    tm = TransitionMatrix(np.asarray(q, dtype=np.float64))
     if not tm.diagonally_dominant:
         warnings.warn(
             "transition matrix has a diagonal entry <= 0.5 (not diagonally dominant)",
@@ -244,28 +229,10 @@ def validate_transition(q: np.ndarray, cond_bound: float = DEFAULT_COND_BOUND) -
     return tm
 
 
-# ---------------------------------------------------------------------------
-# Dataset CSV format: header f1,...,fd[,label]; label column present iff the
-# dataset is labeled. Floats are written with repr so round-trips are exact.
-# ---------------------------------------------------------------------------
-
-def write_dataset_csv(data: Dataset, path: str) -> None:
-    header = [f"f{i + 1}" for i in range(data.dim)]
-    if data.labels is not None:
-        header.append("label")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n_samples):
-            row = [repr(float(v)) for v in data.features[i]]
-            if data.labels is not None:
-                row.append(str(int(data.labels[i])))
-            writer.writerow(row)
-
-
-def read_dataset_csv(path: str, label_kind: str = "clean",
-                     n_classes: int | None = None) -> Dataset:
-    """Load a dataset written by ``write_dataset_csv``.
+def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
+    """Load a dataset from CSV: a header row ``f1,...,fd[,label]``, then one
+    row per sample of d floats and, under a ``label`` header, a 1-based
+    integer label. The class count is the largest label.
 
     ``label_kind`` applies only when the file has a label column; files
     without one always load as unlabeled.
@@ -288,5 +255,5 @@ def read_dataset_csv(path: str, label_kind: str = "clean",
                 labels.append(int(row[n_feats]))
     features = np.asarray(feats, dtype=np.float64).reshape(-1, n_feats)
     if has_label:
-        return Dataset(features, np.asarray(labels), label_kind, n_classes)
+        return Dataset(features, np.asarray(labels), label_kind)
     return Dataset(features)

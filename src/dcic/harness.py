@@ -59,7 +59,8 @@ class ExperimentConfig:
     anchor points on MLP posteriors. q_override (rows of a fixed matrix)
     bypasses both: data is still generated at each grid rho, but methods
     receive the override. beta1 is the target-to-source ratio of class 1,
-    so the target prior is (0.5 * beta1, 1 - 0.5 * beta1).
+    so the target prior is (0.5 * beta1, 1 - 0.5 * beta1). d_prime is the
+    projection width getars_accuracy fits, from 1 to the input dim DIM.
     """
 
     scenario: str
@@ -90,8 +91,8 @@ class ExperimentConfig:
             rows = tuple(tuple(float(v) for v in row) for row in self.q_override)
             TransitionMatrix(np.asarray(rows))  # validate early
             object.__setattr__(self, "q_override", rows)
-        if self.d_prime < 1:
-            raise ValueError("d_prime must be >= 1")
+        if not 1 <= self.d_prime <= DIM:
+            raise ValueError(f"d_prime must lie in 1..{DIM}, the input dim")
 
 
 def scenario_defaults(scenario: str):
@@ -140,17 +141,16 @@ class MetricRecord:
 
 
 def estimate_q_mlp(features: np.ndarray, noisy_labels: np.ndarray,
-                   n_classes: int, seed: int, percentile: float = 97.0,
-                   train_cfg: TrainConfig | None = None) -> TransitionMatrix:
+                   n_classes: int, seed: int,
+                   percentile: float = 97.0) -> TransitionMatrix:
     """Flip-rate estimate from noisy data alone: fit the classifier with
     plain unweighted cross entropy (so the head approximates noisy-label
     posteriors), then read anchor rows at the given percentile."""
-    if train_cfg is None:
-        train_cfg = TrainConfig(hidden_units=32, learning_rate=0.1, epochs=30,
-                                batch_size=100, l2_coeff=1e-4, seed=seed)
     identity = TransitionMatrix(np.eye(n_classes))
     flat = GammaWeights(np.ones(n_classes))
-    model = train(features, noisy_labels, identity, flat, train_cfg)
+    model = train(features, noisy_labels, identity, flat,
+                  TrainConfig(hidden_units=32, learning_rate=0.1, epochs=30,
+                              batch_size=100, l2_coeff=1e-4, seed=seed))
     return estimate_transition_anchor(predict_proba(model, features), percentile)
 
 
@@ -227,8 +227,8 @@ def _fit_arm(config: ExperimentConfig, method: str, noisy: Dataset,
     s_proj = noisy.features @ res.w.w
     t_proj = target.features @ res.w.w
     gamma = floored_gamma_weights(res.alpha.p, q_used, noisy_prior)
-    train_cfg = TrainConfig(seed=child_seed(seed, 6), **GETARS_TRAIN)
-    model = train(s_proj, noisy.labels, q_used, gamma, train_cfg)
+    model = train(s_proj, noisy.labels, q_used, gamma,
+                  TrainConfig(seed=child_seed(seed, 6), **GETARS_TRAIN))
     return res, float(np.mean(predict(model, t_proj) == target.labels))
 
 
@@ -279,23 +279,6 @@ def run_experiment(config: ExperimentConfig) -> list:
                     records.extend(_run_rep(config, int(n), float(rho),
                                             float(beta1), rep, seed))
     return records
-
-
-def run_tars(config: ExperimentConfig) -> list:
-    """Prior-recovery sweeps: no covariate change across domains, the
-    projection pinned to the identity."""
-    if config.scenario == "getars_accuracy":
-        raise ValueError("use run_getars for the accuracy scenario")
-    return run_experiment(config)
-
-
-def run_getars(config: ExperimentConfig) -> list:
-    """Full pipeline under class-conditional change: fit the invariant
-    projection, train the downstream classifier on projected noisy source,
-    score accuracy on clean-labeled target samples."""
-    if config.scenario != "getars_accuracy":
-        raise ValueError("run_getars expects the getars_accuracy scenario")
-    return run_experiment(config)
 
 
 def _json_safe(obj):

@@ -1,17 +1,17 @@
 """End-to-end training: classification risk plus an invariance penalty on
 the hidden layer plus weight decay,
 
-    loss = R_hat + pi1 * D_hat(hidden features, alpha) + pi2 * Omega,
+    loss = R_hat + pi1 * D_hat(hidden features, alpha) + l2_coeff * Omega,
 
 where D_hat is the weighted squared MMD between reweighted source and
 target hidden responses, and alpha (the target-prior candidate driving the
-weights) is refreshed by the simplex QP on full-data hidden features every
-``alpha_update_every`` batches. Both come from the linear model's kernel
-engine (``linear._MmdProblem``) run on hidden rows: the refresh takes its
+weights) is refreshed by the simplex QP on full-data hidden features after
+every epoch. Both come from the linear model's kernel engine
+(``linear._MmdProblem``) run on hidden rows: the refresh takes its
 alpha-quadratic, the penalty its value and, with an identity W, its row
-gradients, which backpropagate into the hidden layer. With pi1 = 0 the loop degenerates to plain
-corrected-loss training and matches classifier.train bit for bit on the
-same seed.
+gradients, which backpropagate into the hidden layer. With pi1 = 0 the
+loop degenerates to plain corrected-loss training and matches
+classifier.train bit for bit on the same seed.
 """
 
 from __future__ import annotations
@@ -32,29 +32,18 @@ from .rng import child_generator
 
 @dataclass(frozen=True)
 class JointConfig(TrainConfig):
-    """TrainConfig plus the joint-objective knobs.
+    """TrainConfig plus the invariance weight.
 
-    pi1 weights the invariance penalty on the network's one hidden layer.
-    l2_coeff doubles as the regularization tradeoff (exposed as ``pi2``).
-    alpha_update_every counts batches; None means once per epoch. lr_decay
-    switches the fixed rate to r0 * (1 + 1e-4 t)^(-0.75) in the global
-    step t.
+    pi1 weights the invariance penalty on the network's one hidden layer;
+    l2_coeff weights the decay term Omega.
     """
 
     pi1: float = 1.0
-    alpha_update_every: int | None = None
-    lr_decay: bool = False
 
     def __post_init__(self):
         super().__post_init__()
         if self.pi1 < 0:
             raise ValueError("pi1 must be >= 0")
-        if self.alpha_update_every is not None and self.alpha_update_every < 1:
-            raise ValueError("alpha_update_every must be >= 1")
-
-    @property
-    def pi2(self) -> float:
-        return self.l2_coeff
 
 
 def _weight_decay_value(model: MlpModel) -> float:
@@ -92,49 +81,14 @@ def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_rows,
     return loss, grads, sigma_used
 
 
-def joint_loss(model: MlpModel, source_batch: Dataset, target_batch: Dataset,
-               q: TransitionMatrix, alpha, cfg: JointConfig,
-               sigma: float | None = None, noisy_prior=None):
-    """Joint objective on one batch pair: corrected reweighted risk, plus
-    pi1 times the hidden-layer invariance penalty, plus pi2 times the
-    weight-decay term. Returns (loss, LossGrads).
-
-    gamma and the per-class source weights are derived from alpha, q, and
-    ``noisy_prior`` (default: the batch's own label frequencies). Pass
-    ``sigma`` to pin the bandwidth, e.g. for finite-difference probes;
-    by default it is recomputed from the batch's hidden features as a
-    constant.
-    """
-    if source_batch.labels is None:
-        raise ValueError("source batch must carry labels")
-    alpha_vec = alpha.p if isinstance(alpha, ClassPrior) else np.asarray(alpha, dtype=np.float64)
-    c = q.n_classes
-    if noisy_prior is None:
-        noisy_prior = empirical_prior(source_batch.labels, c)
-    gamma = floored_gamma_weights(alpha_vec, q, noisy_prior)
-    clean_prior = clean_prior_from_noisy(noisy_prior, q)
-    g = build_g_matrix(q, clean_prior, source_batch.labels)
-    loss, grads, _ = _joint_batch(
-        model, source_batch.features, source_batch.labels,
-        target_batch.features, q.q, gamma.gamma, g.class_rows, alpha_vec,
-        cfg.pi1, sigma)
-    if cfg.pi2 > 0:
-        loss += cfg.pi2 * _weight_decay_value(model)
-        grads.hidden_w = grads.hidden_w + cfg.pi2 * model.hidden_w
-        grads.out_w = grads.out_w + cfg.pi2 * model.out_w
-    if not np.isfinite(loss):
-        raise RuntimeError(f"non-finite joint loss {loss!r}")
-    return loss, grads
-
-
 def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
               q: TransitionMatrix):
     """Train the network on the joint objective. Returns (model, alpha,
     per-batch loss trace).
 
     alpha starts uniform and is refreshed by the simplex QP on full-data
-    hidden features every alpha_update_every batches; gamma and the source
-    weights follow each refresh. With pi1 = 0 the invariance term and the
+    hidden features after every epoch; gamma and the source weights follow
+    each refresh. With pi1 = 0 the invariance term and the
     alpha refreshes are disabled and the loop reduces to classifier.train.
     """
     if noisy_source.labels is None:
@@ -155,8 +109,6 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     model = init_model(d, cfg.hidden_units, c, child_generator(cfg.seed, INIT_STREAM))
     shuffle_rng = child_generator(cfg.seed, SHUFFLE_STREAM)
     target_rng = child_generator(cfg.seed, TARGET_STREAM)
-    batches_per_epoch = (m + cfg.batch_size - 1) // cfg.batch_size
-    update_every = cfg.alpha_update_every or batches_per_epoch
 
     trace = []
     last_sigma = None
@@ -185,29 +137,26 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite joint loss {loss!r} at epoch {epoch}, step {t_global}")
-            trace.append(float(loss) + cfg.pi2 * _weight_decay_value(model))
+            trace.append(float(loss) + cfg.l2_coeff * _weight_decay_value(model))
 
-            lr = cfg.learning_rate
-            if cfg.lr_decay:
-                lr = cfg.learning_rate * (1.0 + 1e-4 * t_global) ** -0.75
             # decay lives inside the step (not the grads), so the pi1=0 path
             # is arithmetic-identical to classifier.train
-            sgd_step(model, grads, lr, cfg.l2_coeff)
+            sgd_step(model, grads, cfg.learning_rate, cfg.l2_coeff)
             t_global += 1
 
-            if cfg.pi1 > 0 and t_global % update_every == 0:
-                h_s = _forward(model, xs_all)[1]
-                h_t = _forward(model, xt_all)[1]
-                try:
-                    sig_full = median_bandwidth(np.vstack([h_s, h_t]))
-                except ValueError:
-                    sig_full = last_sigma
-                if sig_full is not None:
-                    # not bound to a name: the problem and its kernel-pass
-                    # buffer are freed before the next epoch's batches
-                    a_mat, b_vec, _ = _MmdProblem(h_s, h_t, g,
-                                                  sig_full).terms(None)
-                    alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
-                    gamma = floored_gamma_weights(alpha, q, noisy_prior)
+        if cfg.pi1 > 0:
+            h_s = _forward(model, xs_all)[1]
+            h_t = _forward(model, xt_all)[1]
+            try:
+                sig_full = median_bandwidth(np.vstack([h_s, h_t]))
+            except ValueError:
+                sig_full = last_sigma
+            if sig_full is not None:
+                # not bound to a name: the problem and its kernel-pass
+                # buffer are freed before the next epoch's batches
+                a_mat, b_vec, _ = _MmdProblem(h_s, h_t, g,
+                                              sig_full).terms(None)
+                alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
+                gamma = floored_gamma_weights(alpha, q, noisy_prior)
     return model, ClassPrior(alpha / alpha.sum()), np.asarray(trace)
 

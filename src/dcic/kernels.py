@@ -251,18 +251,6 @@ def median_bandwidth(features: np.ndarray) -> float:
     return med
 
 
-def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for single vectors."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dim mismatch: {x.shape} vs {y.shape}")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    d2 = float(((x - y) ** 2).sum())
-    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
-
-
 def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Dense kernel matrix k(a_i, b_j); the building block of the chunked

@@ -12,8 +12,8 @@ sums, which is how the large-sample paths avoid materializing any full
 Gram matrix. Optimization alternates a simplex-constrained QP in alpha
 with conjugate-gradient steps for W on the manifold of orthonormal column
 frames. The QP is solved in closed form for two classes (every harness
-cell) and by accelerated projected gradient to a KKT residual (KKT_TOL by
-default) for three or more.
+cell) and by accelerated projected gradient to a KKT residual of KKT_TOL
+for three or more.
 """
 
 from __future__ import annotations
@@ -41,18 +41,6 @@ STATIONARY_RTOL = 1e-3  # |horizontal grad| / |grad| at which W counts as statio
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
 MAX_CONSECUTIVE_STALLS = 3
-
-
-def _as_w_matrix(w) -> np.ndarray:
-    if isinstance(w, Projection):
-        return w.w
-    return np.asarray(w, dtype=np.float64)
-
-
-def _as_alpha_vector(alpha) -> np.ndarray:
-    if isinstance(alpha, ClassPrior):
-        return alpha.p
-    return np.asarray(alpha, dtype=np.float64).ravel()
 
 
 @dataclass(frozen=True)
@@ -285,17 +273,6 @@ class _MmdProblem:
         return self.s.T @ d_s + self.t.T @ d_t
 
 
-def objective(w, alpha, source: Dataset, target: Dataset, g: GMatrix,
-              sigma: float) -> float:
-    """The weighted MMD objective at (W, alpha).
-
-    ``w`` may be a Projection or a raw (d, d') array; raw arrays are not
-    required to be orthonormal, which keeps finite-difference probes valid.
-    """
-    prob = _MmdProblem(source.features, target.features, g, sigma)
-    return prob.eval(_as_w_matrix(w), _as_alpha_vector(alpha))
-
-
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex, O(c log c)."""
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -307,16 +284,17 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def solve_alpha_qp(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None,
-                   tol: float = KKT_TOL, max_iters: int = QP_MAX_ITERS) -> ClassPrior:
+def solve_alpha_qp(a: np.ndarray, b: np.ndarray,
+                   start: np.ndarray | None = None) -> ClassPrior:
     """Minimize alpha^T A alpha - 2 b^T alpha over the simplex.
 
     Two classes are solved exactly: with alpha = (t, 1 - t) the objective
     is kappa t^2 + 2 lin t + const, kappa = A00 - 2 A01 + A11 and
     lin = A01 - A11 - b0 + b1, so t = clip(-lin / kappa, 0, 1) when
     kappa > 0 and the endpoint that the sign of lin selects when the
-    objective is linear in t (``tol`` and ``max_iters`` are unused). Three
-    or more classes take accelerated projected gradient (``_apg_alpha``).
+    objective is linear in t. Three or more classes take accelerated
+    projected gradient (``_apg_alpha``) to KKT residual KKT_TOL, at most
+    QP_MAX_ITERS iterations.
     A flat objective returns the projected warm start, or the uniform
     vector without one (the documented tie-break). Warm starts never come
     back worse than where they started. A non-finite A or b is rejected:
@@ -337,7 +315,7 @@ def solve_alpha_qp(a: np.ndarray, b: np.ndarray, start: np.ndarray | None = None
     x = project_simplex(np.full(c, 1.0 / c) if start is None
                         else np.asarray(start, dtype=np.float64))
     if c > 2:
-        return _apg_alpha(a, b, x, tol, max_iters)
+        return _apg_alpha(a, b, x, KKT_TOL, QP_MAX_ITERS)
     kappa = a[0, 0] - 2.0 * a[0, 1] + a[1, 1]
     lin = a[0, 1] - a[1, 1] - b[0] + b[1]
     if kappa > 0:
@@ -392,20 +370,6 @@ def _apg_alpha(a: np.ndarray, b: np.ndarray, x: np.ndarray, tol: float,
     return ClassPrior(best_x / best_x.sum())
 
 
-def euclidean_grad_w(w, alpha, source: Dataset, target: Dataset, g: GMatrix,
-                     sigma: float) -> np.ndarray:
-    """Gradient of the objective with respect to W as an unconstrained
-    (d, d') matrix.
-
-    A thin wrapper over ``_MmdProblem.grad``: one chunked kernel pass at W,
-    then the per-row sums are contracted with alpha and mapped back through
-    the chain rule Xs^T dS + Xt^T dT. ``fit`` calls the engine directly, so
-    its gradients reuse the pass the line search already ran.
-    """
-    prob = _MmdProblem(source.features, target.features, g, sigma)
-    return prob.grad(_as_w_matrix(w), _as_alpha_vector(alpha))
-
-
 def qr_retract(m: np.ndarray) -> np.ndarray:
     """Thin QR with positive R diagonal: the retraction back onto the
     orthonormal frames, deterministic in sign."""
@@ -448,7 +412,7 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
     failed line search (40 halvings) returns W unchanged with
     ``state.stalled`` set.
     """
-    w_mat = _as_w_matrix(w)
+    w_mat = np.asarray(w, dtype=np.float64)
     grad = np.asarray(euclidean_grad, dtype=np.float64)
     horiz = grad - w_mat @ (w_mat.T @ grad)
     state.stalled = False

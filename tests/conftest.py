@@ -1,12 +1,82 @@
 """Shared test helpers: brute-force oracles and random-instance builders."""
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from dcic.data import ClassPrior, Dataset, TransitionMatrix
+from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
+from dcic.joint import _joint_batch, _weight_decay_value
 from dcic.kernels import gaussian_gram
+from dcic.noise import (build_g_matrix, clean_prior_from_noisy,
+                        floored_gamma_weights)
+
+
+def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
+    """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for single vectors: the
+    scalar oracle for the blocked Gram computations."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"dim mismatch: {x.shape} vs {y.shape}")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    d2 = float(((x - y) ** 2).sum())
+    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
+
+
+def joint_loss(model, source_batch: Dataset, target_batch: Dataset,
+               q: TransitionMatrix, alpha, cfg, sigma: float | None = None,
+               noisy_prior=None):
+    """Joint objective on one batch pair: corrected reweighted risk, plus
+    pi1 times the hidden-layer invariance penalty, plus l2_coeff times the
+    weight-decay term. Returns (loss, LossGrads).
+
+    The batch term is ``joint._joint_batch``, the one ``fit_joint`` runs;
+    the decay term is added here as a gradient, where ``fit_joint`` applies
+    it inside the SGD step. gamma and the per-class source weights are
+    derived from alpha, q, and ``noisy_prior`` (default: the batch's own
+    label frequencies). Pass ``sigma`` to pin the bandwidth, e.g. for
+    finite-difference probes; by default it is recomputed from the batch's
+    hidden features as a constant.
+    """
+    if source_batch.labels is None:
+        raise ValueError("source batch must carry labels")
+    alpha_vec = alpha.p if isinstance(alpha, ClassPrior) else np.asarray(alpha, dtype=np.float64)
+    c = q.n_classes
+    if noisy_prior is None:
+        noisy_prior = empirical_prior(source_batch.labels, c)
+    gamma = floored_gamma_weights(alpha_vec, q, noisy_prior)
+    clean_prior = clean_prior_from_noisy(noisy_prior, q)
+    g = build_g_matrix(q, clean_prior, source_batch.labels)
+    loss, grads, _ = _joint_batch(
+        model, source_batch.features, source_batch.labels,
+        target_batch.features, q.q, gamma.gamma, g.class_rows, alpha_vec,
+        cfg.pi1, sigma)
+    if cfg.l2_coeff > 0:
+        loss += cfg.l2_coeff * _weight_decay_value(model)
+        grads.hidden_w = grads.hidden_w + cfg.l2_coeff * model.hidden_w
+        grads.out_w = grads.out_w + cfg.l2_coeff * model.out_w
+    if not np.isfinite(loss):
+        raise RuntimeError(f"non-finite joint loss {loss!r}")
+    return loss, grads
+
+
+def write_dataset_csv(data: Dataset, path) -> None:
+    """Write ``data`` in the CSV layout ``read_dataset_csv`` loads: header
+    f1,...,fd[,label], floats written with repr so round-trips are exact."""
+    header = [f"f{i + 1}" for i in range(data.dim)]
+    if data.labels is not None:
+        header.append("label")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(data.n_samples):
+            row = [repr(float(v)) for v in data.features[i]]
+            if data.labels is not None:
+                row.append(str(int(data.labels[i])))
+            writer.writerow(row)
 
 
 def expand_weights(g, alpha):

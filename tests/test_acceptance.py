@@ -12,15 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import central_difference, relative_grad_error
+from conftest import (central_difference, gaussian_kernel, joint_loss,
+                      relative_grad_error)
 from dcic.classifier import (TrainConfig, batch_loss_grads, init_model,
                              predict, train)
 from dcic.data import (ClassPrior, Dataset, TransitionMatrix,
                        empirical_prior, symmetric_noise)
-from dcic.harness import ExperimentConfig, run_getars, run_tars
-from dcic.joint import JointConfig, joint_loss
-from dcic.kernels import gaussian_kernel, median_bandwidth
-from dcic.linear import LinearFitConfig, euclidean_grad_w, fit, objective
+from dcic.harness import ExperimentConfig, run_experiment
+from dcic.joint import JointConfig
+from dcic.kernels import median_bandwidth
+from dcic.linear import LinearFitConfig, _MmdProblem, fit
 from dcic.noise import (GammaWeights, build_g_matrix,
                         estimate_transition_anchor)
 from dcic.rng import as_generator, child_generator, child_seed
@@ -93,7 +94,7 @@ def dominance_records():
                            sample_sizes=(3200,), rho_grid=(0.4,),
                            beta_grid=(0.4, 0.6, 1.4, 1.6), seed=0)
     t0 = time.perf_counter()
-    records = run_tars(cfg)
+    records = run_experiment(cfg)
     return records, time.perf_counter() - t0
 
 
@@ -103,7 +104,7 @@ def low_noise_records():
     cfg = ExperimentConfig(scenario="tars_rho_sweep", repetitions=20,
                            sample_sizes=(500,), rho_grid=(0.0, 0.1),
                            beta_grid=(1.4,), seed=0)
-    return run_tars(cfg)
+    return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ def size_trend_records():
     cfg = ExperimentConfig(scenario="tars_size_sweep", repetitions=20,
                            sample_sizes=(200, 800, 3200), rho_grid=(0.4,),
                            beta_grid=(1.4,), seed=0)
-    return run_tars(cfg)
+    return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +122,7 @@ def accuracy_records():
                            sample_sizes=(500,), rho_grid=(0.2, 0.3, 0.4),
                            beta_grid=(1.4, 1.6, 1.8), seed=0)
     t0 = time.perf_counter()
-    records = run_getars(cfg)
+    records = run_experiment(cfg)
     return records, time.perf_counter() - t0
 
 
@@ -167,12 +168,10 @@ class TestObjectiveReparametrization:
             alpha = rng.uniform(0.0, 1.0, size=c)
             alpha /= alpha.sum()
             w = rng.standard_normal((d, d_p))
-            source = Dataset(feats_s, labels, "noisy", c)
-            target = Dataset(feats_t)
             sigma = median_bandwidth(np.vstack([feats_s, feats_t]))
             g = build_g_matrix(TransitionMatrix(q_mat), ClassPrior(prior),
                                labels)
-            got = objective(w, alpha, source, target, g, sigma)
+            got = _MmdProblem(feats_s, feats_t, g, sigma).eval(w, alpha)
 
             # oracle: per-sample weights and a triple loop over scalar kernels
             rows = np.linalg.inv(q_mat) / prior[None, :]
@@ -212,9 +211,9 @@ class TestGradientSuite:
             alpha /= alpha.sum()
             sigma = 0.8 + rng.uniform(0.0, 1.0)
             w0 = rng.standard_normal((d, int(rng.integers(1, d + 1))))
-            analytic = euclidean_grad_w(w0, alpha, source, target, g, sigma)
-            numeric = central_difference(
-                lambda w: objective(w, alpha, source, target, g, sigma), w0)
+            prob = _MmdProblem(source.features, target.features, g, sigma)
+            analytic = prob.grad(w0, alpha)
+            numeric = central_difference(lambda w: prob.eval(w, alpha), w0)
             worst["projection"] = max(worst["projection"],
                                       relative_grad_error(analytic, numeric))
 
@@ -477,7 +476,7 @@ class TestFlipRateEstimation:
             rho_grid=(0.4,), beta_grid=(0.4, 0.6, 1.4, 1.6), seed=0,
             q_override=tuple(tuple(row) for row in q_hat.q))
         t0 = time.perf_counter()
-        records = run_tars(cfg)
+        records = run_experiment(cfg)
         assert all(r.error is None for r in records)
         swapped = float(np.mean([r.beta_error for r in records
                                  if r.method == "dcic"]))

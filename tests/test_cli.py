@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import dcic
+from conftest import write_dataset_csv
 from dcic.cli import main
-from dcic.data import Dataset, symmetric_noise, write_dataset_csv
+from dcic.data import Dataset, symmetric_noise
 from dcic.rng import as_generator
 
 
@@ -130,6 +131,24 @@ class TestSweepCommands:
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 2
 
+    def test_config_file_seed_applies_without_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "repetitions": 1, "sample_sizes": [50], "rho_grid": [0.1],
+            "beta_grid": [1.0], "seed": 5}))
+        out = str(tmp_path / "o.csv")
+        assert main(["tars", "--config", str(cfg), "--out", out]) == 0
+        with open(out + ".json") as fh:
+            assert json.load(fh)["config"]["seed"] == 5
+
+    def test_getars_d_prime_above_input_dim_returns_2(self, tmp_path, capsys):
+        out = str(tmp_path / "acc.csv")
+        rc = main(["getars", "--reps", "1", "--sizes", "60", "--rhos", "0.2",
+                   "--betas", "1.4", "--d-prime", "3", "--out", out])
+        assert rc == 2
+        assert "d_prime" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestSingleShotCommands:
     def test_fit_outputs_result_json(self, tmp_path):
@@ -194,6 +213,33 @@ class TestSingleShotCommands:
         q = np.asarray(blob["rows"])
         assert q.shape == (2, 2)
         assert q[0, 0] > q[0, 1] and q[1, 1] > q[1, 0]
+
+    def test_train_config_numeric_alpha_returns_2(self, tmp_path, capsys):
+        src, _, qp = _write_domain_csvs(tmp_path, m=60)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"alpha": 0.7}))
+        out = str(tmp_path / "model.json")
+        rc = main(["train", "--features", src, "--q", qp,
+                   "--config", str(cfg), "--out", out])
+        assert rc == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_estimate_q_config_file_seed_applies_without_flag(self, tmp_path):
+        src, _, _ = _write_domain_csvs(tmp_path, m=200)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        outs = {}
+        for name, extra in (("file", ["--config", str(cfg)]),
+                            ("flag5", ["--seed", "5"]),
+                            ("flag0", ["--seed", "0"])):
+            outs[name] = str(tmp_path / f"{name}.json")
+            rc = main(["estimate-q", "--features", src, *extra,
+                       "--out", outs[name]])
+            assert rc == 0
+        text = {k: open(v).read() for k, v in outs.items()}
+        assert text["file"] == text["flag5"]
+        assert text["file"] != text["flag0"]
 
     @pytest.mark.parametrize("command, key", [
         ("tars", "repetitionz"), ("getars", "rho_grd"), ("fit", "max_outer_iter"),

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import write_dataset_csv
 from dcic.data import (ClassPrior, Dataset, Projection,
                        TransitionMatrix, empirical_prior, read_dataset_csv,
-                       symmetric_noise, validate_transition,
-                       write_dataset_csv)
+                       symmetric_noise, validate_transition)
 
 
 class TestDataset:
@@ -81,14 +81,6 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix(np.ones((2, 3)) / 3.0)
 
-    def test_inverse_roundtrip(self, rng):
-        for _ in range(20):
-            c = int(rng.integers(2, 5))
-            from conftest import random_transition
-            q = random_transition(rng, c)
-            ident = q.inverse() @ q.q
-            assert np.abs(ident - np.eye(c)).max() <= 1e-8
-
     def test_json_roundtrip(self):
         q = TransitionMatrix(np.array([[0.8, 0.2], [0.3, 0.7]]))
         back = TransitionMatrix.from_json(q.to_json())
@@ -156,18 +148,11 @@ class TestProjection:
     def test_orthonormal_accepted(self):
         w = np.array([[1.0], [0.0]])
         proj = Projection(w)
-        assert proj.dim_in == 2
-        assert proj.dim_out == 1
+        assert proj.w.shape == (2, 1)
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
             Projection(np.array([[1.0], [1.0]]))
-
-    def test_apply(self, rng):
-        x = rng.standard_normal((5, 3))
-        w = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        proj = Projection(w)
-        assert np.allclose(proj.apply(x), x @ w)
 
 
 class TestEmpiricalPrior:

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from dcic.data import symmetric_noise
-from dcic.harness import (CSV_COLUMNS, ExperimentConfig, _rep_data,
+from dcic.harness import (CSV_COLUMNS, DIM, ExperimentConfig, _rep_data,
                           emit_results, estimate_q_mlp, resolved_grids,
-                          run_experiment, run_getars, run_tars,
-                          scenario_defaults)
+                          run_experiment, scenario_defaults)
 from dcic.rng import as_generator, child_generator, child_seed
 from dcic.synth import apply_location_scale, sample_location_scale
 
@@ -61,6 +60,9 @@ class TestConfig:
             _tiny_tars(q_override=((0.5, 0.5), (0.5, 0.5)))  # singular
         with pytest.raises(ValueError):
             _tiny_tars(d_prime=0)
+        # wider than the data: every accuracy record would fail at fit time
+        with pytest.raises(ValueError, match="d_prime"):
+            _tiny_tars(scenario="getars_accuracy", d_prime=DIM + 1)
 
     def test_q_override_normalized_to_tuples(self):
         cfg = _tiny_tars(q_override=[[0.8, 0.2], [0.3, 0.7]])
@@ -69,7 +71,7 @@ class TestConfig:
 
 class TestRunTars:
     def test_record_structure(self):
-        records = run_tars(_tiny_tars())
+        records = run_experiment(_tiny_tars())
         assert len(records) == 4  # 2 reps x 2 methods
         assert {r.method for r in records} == {"dcic", "cic"}
         for r in records:
@@ -81,13 +83,13 @@ class TestRunTars:
             assert len(r.objective_trace) >= 2
 
     def test_deterministic_except_wall_time(self):
-        a = run_tars(_tiny_tars())
-        b = run_tars(_tiny_tars())
+        a = run_experiment(_tiny_tars())
+        b = run_experiment(_tiny_tars())
         assert all(_records_equal_except_time(x, y) for x, y in zip(a, b))
 
     def test_metrics_recomputable_from_record(self):
         # beta_error and alpha_error must follow from the stored vectors
-        for r in run_tars(_tiny_tars()):
+        for r in run_experiment(_tiny_tars()):
             beta_est = np.asarray(r.alpha) / np.asarray(r.ratio_prior)
             beta_star = np.asarray(r.beta_star)
             want_b = np.linalg.norm(beta_est - beta_star) / np.linalg.norm(beta_star)
@@ -98,18 +100,11 @@ class TestRunTars:
     def test_infeasible_cell_tags_both_arms(self):
         # beta1 = 2.2 implies a negative target prior entry: the repetition
         # must fail loudly in the records, not crash or disappear
-        records = run_tars(_tiny_tars(beta_grid=(2.2,), repetitions=1))
+        records = run_experiment(_tiny_tars(beta_grid=(2.2,), repetitions=1))
         assert len(records) == 2
         for r in records:
             assert r.error is not None
             assert math.isnan(r.beta_error) and math.isnan(r.alpha_error)
-
-    def test_rejects_getars_scenario(self):
-        cfg = ExperimentConfig(scenario="getars_accuracy", repetitions=1)
-        with pytest.raises(ValueError):
-            run_tars(cfg)
-        with pytest.raises(ValueError):
-            run_getars(_tiny_tars())
 
     def test_run_experiment_dispatch(self):
         records = run_experiment(_tiny_tars(repetitions=1))
@@ -126,7 +121,7 @@ class TestRunGetars:
         return ExperimentConfig(**base)
 
     def test_record_structure(self):
-        records = run_getars(self._cfg())
+        records = run_experiment(self._cfg())
         assert len(records) == 2
         for r in records:
             assert r.error is None
@@ -139,14 +134,14 @@ class TestRunGetars:
     def test_noise_free_arms_coincide(self):
         # at rho = 0 the true flip rates are the identity, so both arms run
         # the same computation and must produce identical numbers
-        records = run_getars(self._cfg(rho_grid=(0.0,), sample_sizes=(150,)))
+        records = run_experiment(self._cfg(rho_grid=(0.0,), sample_sizes=(150,)))
         by_method = {r.method: r for r in records}
         assert by_method["dcic"].accuracy == by_method["cic"].accuracy
         assert by_method["dcic"].alpha == by_method["cic"].alpha
 
     def test_deterministic_except_wall_time(self):
-        a = run_getars(self._cfg())
-        b = run_getars(self._cfg())
+        a = run_experiment(self._cfg())
+        b = run_experiment(self._cfg())
         assert all(_records_equal_except_time(x, y) for x, y in zip(a, b))
 
 
@@ -192,8 +187,8 @@ class TestEstimatedFlipRates:
         # depends on the estimate, and the whole run stays deterministic
         cfg = _tiny_tars(repetitions=1, sample_sizes=(300,),
                          q_source="estimated")
-        a = run_tars(cfg)
-        b = run_tars(cfg)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert len(a) == 2
         assert all(_records_equal_except_time(x, y) for x, y in zip(a, b))
         cic = [r for r in a if r.method == "cic"][0]
@@ -203,9 +198,9 @@ class TestEstimatedFlipRates:
         # identical data; the corrected arm sees the override, and feeding
         # the true matrix as an override matches the true-source run
         base = _tiny_tars(repetitions=1)
-        truth = run_tars(base)
+        truth = run_experiment(base)
         rho_rows = tuple(tuple(row) for row in symmetric_noise(2, 0.2).q)
-        override = run_tars(_tiny_tars(repetitions=1, q_override=rho_rows))
+        override = run_experiment(_tiny_tars(repetitions=1, q_override=rho_rows))
         for x, y in zip(truth, override):
             assert _records_equal_except_time(x, y)
 
@@ -220,7 +215,7 @@ class TestEmitResults:
 
     def test_csv_roundtrip_and_sidecar(self, tmp_path):
         cfg = _tiny_tars(repetitions=1)
-        records = run_tars(cfg)
+        records = run_experiment(cfg)
         path = str(tmp_path / "out.csv")
         emit_results(records, path, config=cfg)
         with open(path) as fh:
@@ -242,8 +237,8 @@ class TestEmitResults:
     def test_repeated_runs_byte_identical_outside_wall_time(self, tmp_path):
         cfg = _tiny_tars(repetitions=1)
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        emit_results(run_tars(cfg), p1)
-        emit_results(run_tars(cfg), p2)
+        emit_results(run_experiment(cfg), p1)
+        emit_results(run_experiment(cfg), p2)
         strip = lambda p: ["," .join(line.split(",")[:-1])
                            for line in open(p).read().splitlines()]
         assert strip(p1) == strip(p2)
@@ -254,7 +249,7 @@ class TestEmitResults:
             emit_results([], bad)
 
     def test_failed_records_serializable(self, tmp_path):
-        records = run_tars(_tiny_tars(beta_grid=(2.2,), repetitions=1))
+        records = run_experiment(_tiny_tars(beta_grid=(2.2,), repetitions=1))
         path = str(tmp_path / "fail.csv")
         emit_results(records, path)
         with open(path) as fh:
@@ -266,7 +261,7 @@ class TestEmitResults:
 
     def test_failed_record_sidecar_is_strict_json(self, tmp_path):
         # RFC 8259 has no NaN: the sidecar writes null, the CSV keeps nan
-        records = run_tars(_tiny_tars(beta_grid=(2.2,), repetitions=1))
+        records = run_experiment(_tiny_tars(beta_grid=(2.2,), repetitions=1))
         path = str(tmp_path / "fail.csv")
         emit_results(records, path)
 

@@ -3,12 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import central_difference, relative_grad_error
+from conftest import central_difference, joint_loss, relative_grad_error
+import dcic.joint as joint_mod
 from dcic.classifier import (TrainConfig, batch_loss_grads, init_model,
                              predict, train)
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
-from dcic.joint import JointConfig, _weight_decay_value, fit_joint, joint_loss
-from dcic.linear import objective
+from dcic.joint import JointConfig, _weight_decay_value, fit_joint
+from dcic.linear import _MmdProblem
 from dcic.noise import GammaWeights, build_g_matrix, clean_prior_from_noisy, gamma_weights
 from dcic.rng import as_generator
 from dcic.synth import GmmSpec, flip_labels, sample_dataset
@@ -43,15 +44,13 @@ class TestJointConfig:
             JointConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             JointConfig(pi1=-0.1)
-        with pytest.raises(ValueError):
-            JointConfig(alpha_update_every=0)
-
-    def test_pi2_aliases_l2(self):
-        cfg = JointConfig(l2_coeff=0.05)
-        assert cfg.pi2 == 0.05
 
 
 class TestJointLoss:
+    """The batch term ``fit_joint`` runs (``joint._joint_batch``), through
+    the reference composition ``conftest.joint_loss``, which adds the decay
+    term as a gradient."""
+
     def test_reduces_to_corrected_loss_when_pi1_zero(self, rng):
         # pi1 = 0: the value is the batch corrected loss plus the decay term
         source, target = _batch_pair(rng)
@@ -83,11 +82,9 @@ class TestJointLoss:
         from dcic.classifier import _forward
         h_s = _forward(model, source.features)[1]
         h_t = _forward(model, target.features)[1]
-        hidden_source = Dataset(h_s, source.labels, "noisy", 2)
-        hidden_target = Dataset(h_t)
         g = build_g_matrix(q, clean_prior_from_noisy(noisy_prior, q),
                            source.labels)
-        want = objective(np.eye(5), alpha, hidden_source, hidden_target, g, sigma)
+        want = _MmdProblem(h_s, h_t, g, sigma).eval(np.eye(5), alpha)
         assert (full - ce) / pi1 == pytest.approx(want, abs=1e-10)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -205,15 +202,21 @@ class TestFitJoint:
             gaps.append(acc_true - acc_ignore)
         assert np.median(gaps) >= 0.0
 
-    def test_lr_decay_changes_trajectory(self):
+    def test_alpha_refreshed_once_per_epoch(self, monkeypatch):
+        calls = []
+        real = joint_mod.solve_alpha_qp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(joint_mod, "solve_alpha_qp", counting)
         source, target, _, q = _domain_pair(seed=11, m=150, n=150)
-        base = JointConfig(pi1=0.5, hidden_units=6, epochs=2, batch_size=50,
-                           seed=12)
-        decay = JointConfig(pi1=0.5, hidden_units=6, epochs=2, batch_size=50,
-                            seed=12, lr_decay=True)
-        _, _, tr_a = fit_joint(base, source, target, q)
-        _, _, tr_b = fit_joint(decay, source, target, q)
-        assert not np.array_equal(tr_a, tr_b)
+        cfg = JointConfig(pi1=0.5, hidden_units=6, epochs=3, batch_size=50,
+                          seed=12)
+        _, _, trace = fit_joint(cfg, source, target, q)
+        assert len(trace) == 9
+        assert len(calls) == 3
 
     def test_unlabeled_source_rejected(self):
         _, target, _, q = _domain_pair(seed=15, m=50, n=50)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import (brute_force_weighted_mmd, build_gram, poly2_features,
-                      poly2_kernel_matrix)
+from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
+                      poly2_features, poly2_kernel_matrix)
 from dcic.kernels import (_DENSE_PAIRS, _SUBSAMPLE_SEED, MAX_EXACT_PAIRS,
-                          _subsample_plan, gaussian_gram, gaussian_kernel,
-                          median_bandwidth, squared_distances)
+                          _subsample_plan, gaussian_gram, median_bandwidth,
+                          squared_distances)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
 
@@ -88,6 +88,8 @@ class TestMedianBandwidth:
 
 
 class TestGaussianKernel:
+    """The scalar reference kernel the Gram oracles are checked against."""
+
     def test_self_is_one(self):
         assert gaussian_kernel([1.0, 2.0], [1.0, 2.0], 0.5) == 1.0
 

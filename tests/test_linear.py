@@ -10,8 +10,7 @@ import dcic.linear as linear_mod
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
 from dcic.kernels import median_bandwidth
 from dcic.linear import (GrassmannState, LinearFitConfig, LinearFitResult,
-                         _MmdProblem, euclidean_grad_w, fit,
-                         grassmann_step, objective, project_simplex,
+                         _MmdProblem, fit, grassmann_step, project_simplex,
                          qr_retract, solve_alpha_qp)
 from dcic.noise import build_g_matrix
 from dcic.synth import flip_labels, sample_dataset, sample_gmm_spec
@@ -30,6 +29,11 @@ def _toy_problem(rng, m=12, n=9, d=3, rho=0.2):
     return source, target, g, sigma
 
 
+def _problem(source, target, g, sigma):
+    """The kernel engine ``fit`` runs, on the pair's raw features."""
+    return _MmdProblem(source.features, target.features, g, sigma)
+
+
 class TestObjective:
     def test_zero_when_source_equals_target(self, rng):
         # identity flip rates and alpha = empirical prior give unit weights,
@@ -41,7 +45,7 @@ class TestObjective:
         target = Dataset(feats)
         prior = empirical_prior(labels, 2)
         g = build_g_matrix(TransitionMatrix(np.eye(2)), prior, labels)
-        val = objective(np.eye(2), prior.p, source, target, g, 1.0)
+        val = _problem(source, target, g, 1.0).eval(np.eye(2), prior.p)
         assert abs(val) <= 1e-10
 
     def test_matches_gram_quadratic_form(self, rng):
@@ -53,7 +57,7 @@ class TestObjective:
         grams = build_gram(source.features @ w, target.features @ w, sigma)
         want = brute_force_weighted_mmd(grams.k_ss, grams.k_tt, grams.k_ts,
                                         expand_weights(g, alpha))
-        got = objective(w, alpha, source, target, g, sigma)
+        got = _problem(source, target, g, sigma).eval(w, alpha)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_scale_invariance(self, rng):
@@ -61,21 +65,12 @@ class TestObjective:
         source, target, g, sigma = _toy_problem(rng)
         w = rng.standard_normal((3, 2))
         alpha = random_prior(rng, 2).p
-        base = objective(w, alpha, source, target, g, sigma)
+        base = _problem(source, target, g, sigma).eval(w, alpha)
         c = 3.7
         s2 = Dataset(source.features * c, source.labels, "noisy", 2)
         t2 = Dataset(target.features * c)
-        scaled = objective(w, alpha, s2, t2, g, sigma * c)
+        scaled = _problem(s2, t2, g, sigma * c).eval(w, alpha)
         assert scaled == pytest.approx(base, rel=1e-10)
-
-    def test_accepts_projection_and_prior_types(self, rng):
-        from dcic.data import Projection
-        source, target, g, sigma = _toy_problem(rng)
-        w = qr_retract(rng.standard_normal((3, 2)))
-        alpha = random_prior(rng, 2)
-        a = objective(Projection(w), alpha, source, target, g, sigma)
-        b = objective(w, alpha.p, source, target, g, sigma)
-        assert a == b
 
 
 def _qp_terms(w, source, target, g, sigma):
@@ -89,10 +84,11 @@ class TestAlphaQpTerms:
         source, target, g, sigma = _toy_problem(rng)
         w = rng.standard_normal((3, 2))
         a, b = _qp_terms(w, source, target, g, sigma)
-        const = objective(w, np.zeros(2), source, target, g, sigma)
+        prob = _problem(source, target, g, sigma)
+        const = prob.eval(w, np.zeros(2))
         for _ in range(10):
             alpha = random_prior(rng, 2).p
-            want = objective(w, alpha, source, target, g, sigma)
+            want = prob.eval(w, alpha)
             got = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -171,14 +167,6 @@ class TestEngineGradient:
         fresh = _MmdProblem(source.features, target.features, g, sigma,
                             chunk_size=7).grad(w, a2)
         assert np.array_equal(reused, fresh)
-
-    def test_wrapper_is_the_engine(self, rng):
-        source, target, g, sigma = _toy_problem(rng)
-        w = rng.standard_normal((3, 2))
-        alpha = random_prior(rng, 2).p
-        prob = _MmdProblem(source.features, target.features, g, sigma)
-        assert np.array_equal(euclidean_grad_w(w, alpha, source, target, g, sigma),
-                              prob.grad(w, alpha))
 
     def test_needs_explicit_w(self, rng):
         source, target, g, sigma = _toy_problem(rng)
@@ -457,9 +445,9 @@ class TestEuclideanGradW:
         source, target, g, sigma = _toy_problem(rng, m=8, n=6)
         alpha = random_prior(rng, 2).p
         w0 = rng.standard_normal((3, 2)) * 0.5
-        analytic = euclidean_grad_w(w0, alpha, source, target, g, sigma)
-        numeric = central_difference(
-            lambda w: objective(w, alpha, source, target, g, sigma), w0)
+        prob = _problem(source, target, g, sigma)
+        analytic = prob.grad(w0, alpha)
+        numeric = central_difference(lambda w: prob.eval(w, alpha), w0)
         assert relative_grad_error(analytic, numeric) <= 1e-5
 
     def test_zero_at_matched_distributions(self, rng):
@@ -472,7 +460,7 @@ class TestEuclideanGradW:
         target = Dataset(feats)
         prior = empirical_prior(labels, 2)
         g = build_g_matrix(TransitionMatrix(np.eye(2)), prior, labels)
-        grad = euclidean_grad_w(np.eye(3), prior.p, source, target, g, 1.0)
+        grad = _problem(source, target, g, 1.0).grad(np.eye(3), prior.p)
         assert np.abs(grad).max() <= 1e-8
 
     def test_duplication_invariance(self, rng):
@@ -481,13 +469,13 @@ class TestEuclideanGradW:
         source, target, g, sigma = _toy_problem(rng, m=8, n=6)
         alpha = random_prior(rng, 2).p
         w0 = rng.standard_normal((3, 2))
-        base = euclidean_grad_w(w0, alpha, source, target, g, sigma)
+        base = _problem(source, target, g, sigma).grad(w0, alpha)
         feats2 = np.vstack([source.features, source.features])
         labels2 = np.concatenate([source.labels, source.labels])
         source2 = Dataset(feats2, labels2, "noisy", 2)
         g2 = build_g_matrix(symmetric_noise(2, 0.2),
                             ClassPrior(np.array([0.5, 0.5])), labels2)
-        dup = euclidean_grad_w(w0, alpha, source2, target, g2, sigma)
+        dup = _problem(source2, target, g2, sigma).grad(w0, alpha)
         assert np.abs(dup - base).max() <= 1e-10
 
 
