@@ -235,7 +235,8 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
     integer label. The class count is the largest label.
 
     ``label_kind`` applies only when the file has a label column; files
-    without one always load as unlabeled.
+    without one always load as unlabeled. A non-blank row whose field
+    count is not the header's raises ValueError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -250,6 +251,9 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
             feats.append([float(v) for v in row[:n_feats]])
             if has_label:
                 labels.append(int(row[n_feats]))

@@ -61,6 +61,8 @@ class ExperimentConfig:
     receive the override. beta1 is the target-to-source ratio of class 1,
     so the target prior is (0.5 * beta1, 1 - 0.5 * beta1). d_prime is the
     projection width getars_accuracy fits, from 1 to the input dim DIM.
+    Every grid rho must give a valid symmetric flip matrix and every beta1
+    a valid prior (0 <= beta1 <= 2), checked at construction.
     """
 
     scenario: str
@@ -87,6 +89,18 @@ class ExperimentConfig:
                 if len(val) == 0:
                     raise ValueError(f"{name} must be nonempty when given")
                 object.__setattr__(self, name, tuple(val))
+        # every grid point must give a valid flip matrix and target prior,
+        # or each of its repetitions would fail as a record
+        for rho in self.rho_grid or ():
+            try:
+                symmetric_noise(N_CLASSES, rho)
+            except ValueError as exc:
+                raise ValueError(f"rho_grid entry {rho!r}: {exc}") from None
+        for beta1 in self.beta_grid or ():
+            try:
+                ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
+            except ValueError as exc:
+                raise ValueError(f"beta_grid entry {beta1!r}: {exc}") from None
         if self.q_override is not None:
             rows = tuple(tuple(float(v) for v in row) for row in self.q_override)
             TransitionMatrix(np.asarray(rows))  # validate early

@@ -121,7 +121,11 @@ class _MmdProblem:
     right of the chunk's first row (the upper block-triangle). The default
     of 128 rows splits m = 500 into four chunks, so a self-Gram costs 10
     of its 16 blocks; with a single chunk the triangle would be the whole
-    square.
+    square. Each block is one ``kernels.gaussian_gram`` call: direct
+    differences at d' = 1, and at width >= 2 one BLAS product of augmented
+    rows shifted to the mean of the block's column rows. The shift differs
+    from block to block but the kernel depends only on differences, so
+    only rounding moves with it.
 
     With ``w=None`` (features used as they are) the pass keeps only the
     class-block sums: the diagonal block counts once and the block right of

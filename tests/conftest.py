@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dcic import harness
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
 from dcic.joint import _joint_batch, _weight_decay_value
 from dcic.kernels import gaussian_gram
@@ -272,3 +273,12 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def failing_rep_data(monkeypatch):
+    """Every sweep repetition's data generation raises ValueError, so a
+    sweep whose config validates still runs its failed-record path."""
+    def fail(*args, **kwargs):
+        raise ValueError("injected data-generation failure")
+    monkeypatch.setattr(harness, "sample_gmm_spec", fail)

@@ -96,10 +96,11 @@ class TestSweepCommands:
         with open(out + ".json") as fh:
             assert json.load(fh)["config"]["scenario"] == "tars_rho_sweep"
 
-    def test_failed_cells_set_exit_code_1(self, tmp_path, capsys):
+    def test_failed_cells_set_exit_code_1(self, tmp_path, capsys,
+                                          failing_rep_data):
         out = str(tmp_path / "fail.csv")
         rc = main(["tars", "--reps", "1", "--sizes", "60", "--rhos", "0.2",
-                   "--betas", "2.2", "--seed", "0", "--out", out])
+                   "--betas", "1.4", "--seed", "0", "--out", out])
         assert rc == 1
         captured = capsys.readouterr()
         assert "(2 failed)" in captured.out
@@ -147,6 +148,17 @@ class TestSweepCommands:
                    "--betas", "1.4", "--d-prime", "3", "--out", out])
         assert rc == 2
         assert "d_prime" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--betas", "2.5", "beta_grid"), ("--rhos", "0.5", "rho_grid")])
+    def test_tars_invalid_grid_point_returns_2(self, tmp_path, capsys,
+                                               flag, value, field):
+        out = str(tmp_path / "bad.csv")
+        args = _sweep_args(out)
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        assert f"{field} entry {value}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
@@ -257,6 +269,16 @@ class TestSingleShotCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err
+        assert not os.path.exists(out)
+
+    def test_train_short_csv_row_returns_2(self, tmp_path, capsys):
+        src, _, qp = _write_domain_csvs(tmp_path, m=40)
+        with open(src, "a") as fh:
+            fh.write("0.3,0.4\n")
+        out = str(tmp_path / "model.json")
+        rc = main(["train", "--features", src, "--q", qp, "--out", out])
+        assert rc == 2
+        assert "line 42" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_fit_missing_input_returns_2(self, tmp_path, capsys):

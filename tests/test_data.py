@@ -194,3 +194,17 @@ class TestCsvRoundTrip:
         back = read_dataset_csv(path)
         assert np.array_equal(back.features, data.features)
         assert back.labels is None
+
+    # a short or long labelled row and a short unlabelled row all name the
+    # file and the line
+    @pytest.mark.parametrize("header, bad", [
+        ("f1,f2,label", "0.3,0.4"),
+        ("f1,f2,label", "0.3,0.4,1,9"),
+        ("f1,f2", "0.3"),
+    ], ids=["labelled-short", "labelled-long", "unlabelled-short"])
+    def test_row_width_must_match_header(self, tmp_path, header, bad):
+        good = "0.1,0.2,2" if header.endswith("label") else "0.1,0.2"
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"{header}\n{good}\n{bad}\n{good}\n")
+        with pytest.raises(ValueError, match=r"ragged\.csv, line 3: "):
+            read_dataset_csv(path)

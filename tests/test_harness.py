@@ -64,6 +64,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="d_prime"):
             _tiny_tars(scenario="getars_accuracy", d_prime=DIM + 1)
 
+    # each would otherwise fail every repetition of its cell as a record
+    @pytest.mark.parametrize("field, value, match", [
+        ("rho_grid", (0.2, -0.1), "rho_grid entry -0.1"),
+        ("rho_grid", (0.5,), "rho_grid entry 0.5"),     # singular Q
+        ("beta_grid", (1.4, 2.5), "beta_grid entry 2.5"),
+        ("beta_grid", (-0.2,), "beta_grid entry -0.2"),
+    ], ids=["rho-negative", "rho-half", "beta-2.5", "beta-negative"])
+    def test_grid_points_validated(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            _tiny_tars(**{field: value})
+
     def test_q_override_normalized_to_tuples(self):
         cfg = _tiny_tars(q_override=[[0.8, 0.2], [0.3, 0.7]])
         assert cfg.q_override == ((0.8, 0.2), (0.3, 0.7))
@@ -97,10 +108,10 @@ class TestRunTars:
             assert r.beta_error == pytest.approx(want_b, abs=1e-12)
             assert r.alpha_error == pytest.approx(want_a, abs=1e-12)
 
-    def test_infeasible_cell_tags_both_arms(self):
-        # beta1 = 2.2 implies a negative target prior entry: the repetition
-        # must fail loudly in the records, not crash or disappear
-        records = run_experiment(_tiny_tars(beta_grid=(2.2,), repetitions=1))
+    def test_infeasible_cell_tags_both_arms(self, failing_rep_data):
+        # a repetition whose data cannot be generated must fail loudly in
+        # the records of both arms, not crash or disappear
+        records = run_experiment(_tiny_tars(repetitions=1))
         assert len(records) == 2
         for r in records:
             assert r.error is not None
@@ -248,8 +259,8 @@ class TestEmitResults:
         with pytest.raises(OSError, match="no_such_dir"):
             emit_results([], bad)
 
-    def test_failed_records_serializable(self, tmp_path):
-        records = run_experiment(_tiny_tars(beta_grid=(2.2,), repetitions=1))
+    def test_failed_records_serializable(self, tmp_path, failing_rep_data):
+        records = run_experiment(_tiny_tars(repetitions=1))
         path = str(tmp_path / "fail.csv")
         emit_results(records, path)
         with open(path) as fh:
@@ -259,9 +270,9 @@ class TestEmitResults:
             sidecar = json.load(fh)
         assert all(r["error"] for r in sidecar["records"])
 
-    def test_failed_record_sidecar_is_strict_json(self, tmp_path):
+    def test_failed_record_sidecar_is_strict_json(self, tmp_path, failing_rep_data):
         # RFC 8259 has no NaN: the sidecar writes null, the CSV keeps nan
-        records = run_experiment(_tiny_tars(beta_grid=(2.2,), repetitions=1))
+        records = run_experiment(_tiny_tars(repetitions=1))
         path = str(tmp_path / "fail.csv")
         emit_results(records, path)
 

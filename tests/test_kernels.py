@@ -158,18 +158,30 @@ def _expanded_squared_distances(a, b):
 
 def _plain_gaussian_gram(a, b, sigma):
     """The one-expression Gram the blocked in-place version must reproduce:
-    direct differences for one feature column, the expansion for more."""
+    direct differences for one feature column; for more, one product of
+    the augmented rows shifted to b's column mean, clipped at zero."""
     if a.shape[1] == 1:
-        sq = np.square(np.subtract.outer(a[:, 0], b[:, 0]))
-    else:
-        sq = _expanded_squared_distances(a, b)
-    return np.exp(sq / (-2.0 * sigma * sigma))
+        return np.exp(np.square(np.subtract.outer(a[:, 0], b[:, 0]))
+                      / (-2.0 * sigma * sigma))
+    shift = b.mean(axis=0)
+    a, b = a - shift, b - shift
+    g = 0.5 / (sigma * sigma)
+    lhs = np.column_stack([a * (2.0 * g), (a * a).sum(axis=1) * -g,
+                           np.ones(len(a))])
+    rhs = np.column_stack([b, np.ones(len(b)), (b * b).sum(axis=1) * -g])
+    return np.exp(np.minimum(lhs @ rhs.T, 0.0))
+
+
+def _direct_gaussian_gram(a, b, sigma):
+    """exp(-sum (a - b)^2 / (2 sigma^2)) from per-pair difference rows."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
 
 
 class TestGaussianGramOut:
-    # 300 x 200 spans two row blocks of the in-place pass; a is b takes
-    # BLAS's syrk path; width 1 takes the direct-difference path, pinned
-    # to np.subtract.outer's bits for a distinct b and for a is b
+    # width 3 takes the shifted augmented product, pinned for a distinct b
+    # and for a is b (the shift is then the mean of a itself); width 1
+    # takes the direct-difference path, pinned to np.subtract.outer's bits
     @pytest.mark.parametrize("shape, width", [
         ((7, 5), 3), ((300, 200), 3), ((200, 300), 3),
         ((7, 5), 1), ((300, 200), 1), ((200, 300), 1),
@@ -180,6 +192,29 @@ class TestGaussianGramOut:
         a, b = x[:shape[0]], x[:shape[1]]
         assert np.array_equal(gaussian_gram(a, b, 0.9), _plain_gaussian_gram(a, b, 0.9))
         assert np.array_equal(gaussian_gram(x, x, 0.9), _plain_gaussian_gram(x, x, 0.9))
+
+    def test_shifted_exact_under_cancellation(self, rng):
+        # 400 points at 1e4 + 1e-3 N(0, I) in d = 2: the unshifted
+        # expansion cancels almost every digit (entries off by about 2%),
+        # the shift to b's mean keeps them at rounding level
+        x = 1e4 + 1e-3 * rng.standard_normal((400, 2))
+        sigma = median_bandwidth(x - x.mean(axis=0))
+        for a, b in [(x[:250], x[150:]), (x, x)]:
+            want = _direct_gaussian_gram(a, b, sigma)
+            got = gaussian_gram(a, b, sigma)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+        # the fixture does cancel: the unshifted expansion misses by > 1%
+        unshifted = np.exp(_expanded_squared_distances(x, x) / (-2.0 * sigma ** 2))
+        want = _direct_gaussian_gram(x, x, sigma)
+        assert (np.abs(unshifted - want) / want).max() > 1e-2
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_bad_sigma_rejected(self, rng, sigma, width):
+        x = rng.standard_normal((4, width))
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_gram(x, x, sigma)
 
     def test_out_reused_and_bit_identical(self, rng):
         # the chunked MMD pass hands in a reshaped prefix of one flat buffer
