@@ -3,12 +3,12 @@ caller buffer, pairwise squared distances and the median-distance
 bandwidth heuristic. The weighted squared MMD built from these blocks
 lives in one place, the chunked kernel pass of ``linear._MmdProblem``.
 
-A Gram block takes one of two paths by feature width. One column (every
-d' = 1 projection) takes direct differences, correctly rounded. Two or
-more take one BLAS product of augmented operands, shifted first to the
-column mean of ``b``: the kernel depends only on a - b, and the shift
-keeps the expansion from cancelling when the points sit far from the
-origin.
+A Gram block or a block of squared distances takes one of two paths by
+feature width. One column (every d' = 1 projection) takes direct
+differences, correctly rounded. Two or more take one BLAS product of
+augmented operands (``_augmented``), shifted first to a column mean: the
+kernel and the distance depend only on a - b, and the shift keeps the
+product from cancelling when the points sit far from the origin.
 
 The bandwidth takes one of three branches by the pair count P of n rows.
 Up to 10^6 pairs it is exact. Above, it uses a fixed-seed draw of 10^6
@@ -16,8 +16,7 @@ pairs, cached per n for the last two sizes. Up to 4 x 10^6 pairs that
 draw touches at least a quarter of all pairs, and computing every
 distance in cache-sized row blocks and taking the drawn ones by offset
 beats gathering 10^6 difference rows (4 MB per cached plan). Beyond that
-the drawn rows are gathered (8 MB per cached plan). Its squared
-distances at width >= 2 are the unshifted inner-product expansion.
+the drawn rows are gathered (8 MB per cached plan).
 
 Convention: k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 """
@@ -26,13 +25,17 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 MAX_EXACT_PAIRS = 10 ** 6
 _SUBSAMPLE_SEED = 74  # fixed: the heuristic must not depend on caller seeds
-_BLOCK_ENTRIES = 2 ** 15  # float64 values per temporary block (256 KiB)
-_OFFSET_BITS = 15  # a flat offset into one block is below _BLOCK_ENTRIES
+_GATHER_ENTRIES = 2 ** 15  # values per sparse-branch gather buffer (256 KiB)
+# a row block of all distances holds at most 2^_OFFSET_BITS values (512 KiB),
+# so a flat offset into one fits in _OFFSET_BITS bits; 2^16 beat 2^15 on a
+# 2000 x 32 dense call (4.7 against 5.5 ms, one OpenBLAS thread)
+_OFFSET_BITS = 16
 # the blocked dense branch beat the per-pair gather below about 4 M pairs
 # at d = 2, 4.5 M at d = 8 and 5-6 M at d = 32 (warm calls, one BLAS
 # thread); the bound takes the lowest
@@ -41,8 +44,8 @@ _DENSE_PAIRS = 4 * MAX_EXACT_PAIRS
 
 def squared_distances(a: np.ndarray, b: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """All pairwise ||a_i - b_j||^2: the width-1 Gram blocks of
-    ``gaussian_gram`` and, through ``_row_blocks``, the bandwidth.
+    """All pairwise ||a_i - b_j||^2; the width-1 Gram blocks of
+    ``gaussian_gram``.
 
     ``out``, if given, is a float64 array of shape (len(a), len(b)) that
     receives the result and is returned; no other array of that size is
@@ -51,20 +54,24 @@ def squared_distances(a: np.ndarray, b: np.ndarray,
     With one feature column (every d' = 1 projection) each entry is the
     direct difference (a_i - b_j)^2, taken with ``np.subtract.outer`` and
     squared in place: one correctly rounded subtraction and one product, so
-    it is exact to rounding even where |a_i| and |b_j| are large and close,
-    and faster than the expansion below (a 128 x 500 block: 1.7 against
-    4.3 ns per entry on one OpenBLAS thread).
+    it is exact to rounding even where |a_i| and |b_j| are large and close.
 
-    With two or more columns it is the inner-product expansion
-    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j: a b^T is written straight into
-    ``out`` by BLAS and the rest is done in place, bit-identical to the
-    plain expression. Negative rounding residue is clipped at zero. The
-    expansion is not shifted, so it loses digits when the points sit far
-    from the origin relative to their spread. (At two columns a direct
-    difference took 4.3 against the expansion's 3.2 ns per entry, so it is
-    kept to width 1.)
+    With two or more columns both operands are shifted to the column mean
+    of ``b`` and one BLAS product of augmented rows (``_augmented`` with
+    g = -1),
+
+        [-2a, |a|^2, 1] . [b, 1, |b|^2]^T = ||a - b||^2,
+
+    is written into ``out``, its negative rounding residue clipped at zero.
+    Two identical rows need not give exactly zero: see ``_row_blocks``.
     """
-    return _squared_distances_into(*_operands(a, b, out))
+    a, b, out = _operands(a, b, out)
+    if a.shape[1] == 1:
+        np.subtract.outer(a[:, 0], b[:, 0], out=out)
+        return np.square(out, out=out)
+    lhs, rhs = _augmented(a, b, -1.0)
+    np.matmul(lhs, rhs.T, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _operands(a, b, out):
@@ -82,51 +89,75 @@ def _operands(a, b, out):
     return a, b, out
 
 
-def _squared_distances_into(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                            a_sq: np.ndarray | None = None,
-                            b_sq: np.ndarray | None = None) -> np.ndarray:
-    """``squared_distances`` into a checked ``out``. a_sq and b_sq, if
-    given, are the rows' squared norms (x * x).sum(axis=1); a caller that
-    passes the same rows block after block computes them once. A row's sum
-    does not depend on the rows around it, so the result is bit-identical."""
-    if a.shape[1] == 1:
-        np.subtract.outer(a[:, 0], b[:, 0], out=out)
-        return np.square(out, out=out)
-    np.matmul(a, b.T, out=out)
-    if a_sq is None:
-        a_sq = (a * a).sum(axis=1)
-    if b_sq is None:
-        b_sq = (b * b).sum(axis=1)
-    shape = out.shape
-    # |a|^2 + |b|^2 goes in a row block at a time, so its temporary stays
-    # small; -2ab + (|a|^2 + |b|^2) rounds exactly as (|a|^2 + |b|^2) - 2ab
-    step = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
-    for lo in range(0, shape[0], step):
-        blk = out[lo:lo + step]
-        blk *= -2.0
-        blk += np.add.outer(a_sq[lo:lo + step], b_sq)
-    return np.maximum(out, 0.0, out=out)
+def _augmented(a: np.ndarray, b: np.ndarray,
+               g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Augmented operands (lhs, rhs) with lhs @ rhs.T = -g ||a_i - b_j||^2.
+
+    Both are shifted to the column mean of ``b`` first, then
+
+        lhs = [2g a, -g |a|^2, 1],  rhs = [b, 1, -g |b|^2].
+
+    g = 1 / (2 sigma^2) gives the Gaussian exponent, g = -1 the squared
+    distance. Both depend only on a - b, so the shift changes no value in
+    exact arithmetic; it keeps the product from cancelling when the points
+    sit far from the origin relative to their spread (``a - mean`` is exact
+    for points within a factor of two of the mean). An empty ``b`` has no
+    mean to take, and its product is empty whatever the shift.
+    """
+    shift = b.mean(axis=0) if len(b) else 0.0
+    a = a - shift
+    b = b - shift
+    lhs = np.column_stack([a * (2.0 * g), (a * a).sum(axis=1) * -g,
+                           np.ones(a.shape[0])])
+    rhs = np.column_stack([b, np.ones(b.shape[0]), (b * b).sum(axis=1) * -g])
+    return lhs, rhs
 
 
-def _row_blocks(x: np.ndarray):
-    """Yield squared_distances(x[lo:hi], x[lo:]) for row blocks [lo, hi)
-    of about _BLOCK_ENTRIES values each, the rows' squared norms taken
-    once. Every block is written into one reused contiguous buffer, so a
-    caller must take what it needs before asking for the next."""
-    n = x.shape[0]
+def _row_blocks(x: np.ndarray) -> tuple[Iterator[np.ndarray], float]:
+    """(blocks, floor): the squared distances of rows [lo, hi) to rows
+    lo.. for row blocks of at most 2^_OFFSET_BITS values each, and the
+    largest value rounding can give two identical rows. Every block is
+    written into one reused contiguous buffer, so a caller must take what
+    it needs before asking for the next.
+
+    At width 1 a block is ``squared_distances``' direct differences, and
+    identical rows give exactly zero: floor is 0. At two or more the rows
+    are shifted to their column mean and augmented once per call
+    (``_augmented`` with g = -1); a block is then one BLAS product of
+    slices of those operands, not clipped, so an entry can hold a rounding
+    residue of either sign. For two identical shifted rows a with rounded
+    squared norm s, the entry's exact value is 2 (s - |a|^2), at most
+    2 gamma_d |a|^2, and summing its d + 2 terms, of total size at most
+    4 |a|^2 (1 + gamma_d), adds at most gamma_{d+2} times that
+    (gamma_k = k u / (1 - k u), u = eps / 2): below about 3 (d + 2) eps
+    |a|^2 together, so floor = 4 (d + 2) eps max |a|^2. Random trials at
+    d = 2 to 64 reached 0.62 (d + 2) eps |a|^2.
+    """
+    n, d = x.shape
     step = _block_rows(n)
-    buf = np.empty(min(step, n) * n)
-    norms = (x * x).sum(axis=1)
-    for lo in range(0, n - 1, step):
-        hi = min(lo + step, n)
-        out = buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-        yield _squared_distances_into(x[lo:hi], x[lo:], out,
-                                      norms[lo:hi], norms[lo:])
+    if d == 1:
+        floor = 0.0
+    else:
+        lhs, rhs = _augmented(x, x, -1.0)
+        eps = np.finfo(np.float64).eps
+        floor = 4.0 * (d + 2) * eps * float(rhs[:, -1].max())
+
+    def blocks():
+        buf = np.empty(min(step, n) * n)
+        for lo in range(0, n - 1, step):
+            hi = min(lo + step, n)
+            out = buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            if d == 1:
+                yield squared_distances(x[lo:hi], x[lo:], out)
+            else:
+                yield np.matmul(lhs[lo:hi], rhs[lo:].T, out=out)
+
+    return blocks(), floor
 
 
 def _block_rows(n: int) -> int:
     """Rows per block of ``_row_blocks``; the dense plan's offsets use it."""
-    return max(1, _BLOCK_ENTRIES // n)
+    return max(1, (1 << _OFFSET_BITS) // n)
 
 
 @functools.lru_cache(maxsize=2)
@@ -152,8 +183,8 @@ def _subsample_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         # pair (i, j) sits in row block b = i // step, which starts at row
         # lo = b step and is n - lo wide, at flat offset
-        # (i - lo)(n - lo) + (j - lo) < step n <= 2^15; sorting the int32
-        # key b 2^15 + offset in place orders the pairs by block
+        # (i - lo)(n - lo) + (j - lo) < step n <= 2^16; sorting the int32
+        # key b 2^16 + offset in place orders the pairs by block
         step = _block_rows(n)
         blk = i // step
         lo = blk * step
@@ -176,21 +207,26 @@ def _subsample_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     return plan
 
 
-def _median_of_roots(sq: np.ndarray) -> float:
-    """np.median(np.sqrt(sq)) to the bit, reordering ``sq`` in place.
+def _median_of_roots(sq: np.ndarray, floor: float) -> float:
+    """np.median(np.sqrt(np.where(sq > floor, sq, 0))) to the bit,
+    reordering ``sq`` in place; ``floor`` >= 0.
 
     One select at k = size // 2 puts the upper middle value at k and the
-    lower ones before it. sqrt is correctly rounded and monotone, so the
-    roots of those are the middle roots, and np.median averages the two of
-    an even count as (a + b) / 2. All values must be finite: np.median's
-    NaN probe is not made here.
+    lower ones before it. Zeroing every value at or below ``floor`` is
+    monotone, and sqrt is correctly rounded and monotone, so the roots of
+    those two are the middle roots: rounding residue (a product block's
+    negative entries, or identical rows' entries up to ``_row_blocks``'
+    floor) needs no pass over ``sq``. np.median averages the two of an
+    even count as (a + b) / 2. All values must be finite: np.median's NaN
+    probe is not made here.
     """
     k = sq.size // 2
     sq.partition(k)
-    hi = float(np.sqrt(sq[k]))
+    hi = float(np.sqrt(sq[k])) if sq[k] > floor else 0.0
     if sq.size % 2:
         return hi
-    return (float(np.sqrt(sq[:k].max())) + hi) / 2.0
+    lo = sq[:k].max()
+    return ((float(np.sqrt(lo)) if lo > floor else 0.0) + hi) / 2.0
 
 
 def median_bandwidth(features: np.ndarray) -> float:
@@ -200,25 +236,34 @@ def median_bandwidth(features: np.ndarray) -> float:
     squared distances into one vector with no n x n or (pairs, d) array:
 
     - exact, P <= MAX_EXACT_PAIRS (10^6): the row block [lo, hi) against
-      rows lo.. is computed into one reused buffer of about _BLOCK_ENTRIES
-      values (``_row_blocks``) and the entries right of its diagonal, the
-      strict upper triangle, are kept;
+      rows lo.. is computed into one reused buffer of at most
+      2^_OFFSET_BITS values (``_row_blocks``) and the entries right of its
+      diagonal, the strict upper triangle, are kept;
     - dense subsample, P <= _DENSE_PAIRS (4 x 10^6): a fixed-seed draw of
       10^6 pairs touches at least a quarter of all pairs, so the same
       block loop runs and each block's drawn pairs are taken from it by
-      offset. The blocks use the BLAS expansion at d >= 2, so a value can
-      differ from a per-pair difference by rounding (about one ulp of
-      sigma);
+      offset;
     - sparse subsample, above: the drawn pairs' difference rows are
-      gathered through two reused buffers of about _BLOCK_ENTRIES values.
+      gathered through two reused buffers of about _GATHER_ENTRIES values.
+
+    At width 1 every squared distance is a direct difference. At two or
+    more the exact and dense blocks are one BLAS product each of the rows
+    shifted to their column mean, so a value can differ from a per-pair
+    difference by rounding (about one ulp of sigma), at any offset of the
+    points from the origin. Identical rows there get a residue of either
+    sign up to 4 (d + 2) eps times the largest squared norm of a shifted
+    row (``_row_blocks``' floor), and every value at or below that floor
+    counts as zero. A 2000 x 32 dense call took 4.9 against the unshifted
+    expansion's 8.3 ms on one OpenBLAS 0.3.31 thread of a 2-CPU Xeon.
 
     The subsample is statistical: exactness buys nothing at that size. Its
     pair draw depends only on n and is cached per n (``_subsample_plan``,
     the last two sizes: 4 MB per dense plan, 8 MB per sparse one). The
     median is one select over the squared distances (``_median_of_roots``),
-    bit-identical to np.median of their square roots. Errors if fewer than
-    2 rows, any feature is not finite, or the median is zero (duplicated
-    point set).
+    bit-identical to np.median of their square roots with the floor
+    applied. Errors if fewer than 2 rows, any feature is not finite, or the
+    median is zero (duplicated point set, such as the all-zero hidden rows
+    of a dead ReLU layer making up most rows).
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -228,18 +273,20 @@ def median_bandwidth(features: np.ndarray) -> float:
     n = x.shape[0]
     n_pairs = n * (n - 1) // 2
     if n_pairs <= MAX_EXACT_PAIRS:
+        blocks, floor = _row_blocks(x)
         sq = np.empty(n_pairs)
         at = 0
-        for blk in _row_blocks(x):
+        for blk in blocks:
             for r in range(blk.shape[0]):
                 row = blk[r, r + 1:]
                 sq[at:at + row.size] = row
                 at += row.size
     elif n_pairs <= _DENSE_PAIRS:
         offsets, counts = _subsample_plan(n)
+        blocks, floor = _row_blocks(x)
         sq = np.empty(offsets.size)
         at = 0
-        for blk, cnt in zip(_row_blocks(x), counts):
+        for blk, cnt in zip(blocks, counts):
             # mode="clip": with the default "raise", numpy gathers into a
             # temporary and copies it to out; the offsets are in range, so
             # clipping never changes a value
@@ -249,9 +296,10 @@ def median_bandwidth(features: np.ndarray) -> float:
     else:
         i, j = _subsample_plan(n)
         sq = np.empty(i.size)
-        # two (pairs, d) buffers of about _BLOCK_ENTRIES values each, reused
+        floor = 0.0  # direct differences: identical rows give exactly zero
+        # two (pairs, d) buffers of about _GATHER_ENTRIES values each, reused
         # for every block: no allocation or page fault inside the loop
-        step = max(1, _BLOCK_ENTRIES // x.shape[1])
+        step = max(1, _GATHER_ENTRIES // x.shape[1])
         diff = np.empty((step, x.shape[1]))
         other = np.empty_like(diff)
         for lo in range(0, i.size, step):
@@ -262,7 +310,7 @@ def median_bandwidth(features: np.ndarray) -> float:
             d -= o
             d *= d
             d.sum(axis=1, out=sq[lo:lo + ib.size])
-    med = _median_of_roots(sq)
+    med = _median_of_roots(sq, floor)
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (identical rows)")
     return med
@@ -281,11 +329,8 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
     One feature column: ``squared_distances``' direct differences, divided
     by -2 sigma^2 and exponentiated in ``out``.
 
-    Two or more: both operands are shifted by the column mean of ``b``,
-    which changes no kernel value in exact arithmetic and keeps the
-    expansion below from cancelling when the points sit far from the
-    origin (``a - mean`` is exact for points within a factor of two of the
-    mean). With g = 1 / (2 sigma^2) and shifted rows, one BLAS product
+    Two or more: with g = 1 / (2 sigma^2), one BLAS product of the
+    operands shifted to the column mean of ``b`` (``_augmented``)
 
         [2g a, -g |a|^2, 1] . [b, 1, -g |b|^2]^T = -g ||a - b||^2
 
@@ -302,13 +347,7 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
         k = squared_distances(a, b, out=out)
         k /= -2.0 * sigma * sigma
         return np.exp(k, out=k)
-    shift = b.mean(axis=0)
-    a = a - shift
-    b = b - shift
-    g = 0.5 / (sigma * sigma)
-    lhs = np.column_stack([a * (2.0 * g), (a * a).sum(axis=1) * -g,
-                           np.ones(a.shape[0])])
-    rhs = np.column_stack([b, np.ones(b.shape[0]), (b * b).sum(axis=1) * -g])
+    lhs, rhs = _augmented(a, b, 0.5 / (sigma * sigma))
     np.matmul(lhs, rhs.T, out=out)
     np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)

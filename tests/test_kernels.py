@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,53 @@ class TestMedianBandwidth:
         with pytest.raises(ValueError):
             median_bandwidth(np.ones((1, 2)))
 
+    # one point repeated n times: every distance, so the median, is zero.
+    # For each of these points the unshifted expansion left a positive
+    # rounding residue (sigma 1e-11 to 1e-3 instead of the error); 1500
+    # rows run the dense branch
+    @pytest.mark.parametrize("d, n, scale, seed", [
+        (2, 3, 1e-3, 3), (2, 40, 1.0, 23), (2, 1500, 1e4, 0),
+        (3, 3, 1e-3, 0), (3, 40, 1.0, 4), (3, 1500, 1e4, 9),
+        (32, 3, 1e-3, 8), (32, 40, 1.0, 4), (32, 1500, 1e4, 1),
+    ], ids=lambda v: str(v))
+    def test_duplicated_point_set_rejected(self, d, n, scale, seed):
+        v = np.random.default_rng(seed).standard_normal(d) * scale
+        with pytest.raises(ValueError, match="identical rows"):
+            median_bandwidth(np.tile(v, (n, 1)))
+
+    # 4 in 5 rows at one point make 64% of the pairs identical, so the
+    # median is zero. The other rows move the column mean, so the shifted
+    # copies are not zero, and without a rounding floor each of these drew
+    # a positive residue (sigma 8e-11 to 9e-5). Zero rows are a dead ReLU
+    # layer's hidden rows, which ``joint`` passes in; 1500 rows run the
+    # dense branch
+    @pytest.mark.parametrize("kind, d, n, seed", [
+        ("zero-rows", 2, 50, 9), ("zero-rows", 3, 200, 7),
+        ("zero-rows", 32, 200, 0), ("zero-rows", 32, 1500, 0),
+        ("repeated-point", 2, 50, 16), ("repeated-point", 3, 200, 2),
+        ("repeated-point", 32, 200, 0), ("repeated-point", 32, 1500, 0),
+    ], ids=lambda v: str(v))
+    def test_mostly_duplicated_rows_rejected(self, kind, d, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        if kind == "zero-rows":
+            x = np.maximum(x, 0.0)
+            x[:4 * n // 5] = 0.0
+        else:
+            x = x * 10.0 ** rng.uniform(-3, 4)
+            x[:4 * n // 5] = x[-1] * 3.0
+        with pytest.raises(ValueError, match="identical rows"):
+            median_bandwidth(x)
+
+    def test_exact_far_from_origin(self):
+        # 400 points at 1e4 + 1e-3 N(0, I_2): the unshifted expansion
+        # cancelled almost every digit and put sigma 0.25% off
+        x = 1e4 + 1e-3 * np.random.default_rng(1234).standard_normal((400, 2))
+        iu = np.triu_indices(400, 1)
+        diff = x[:, None, :] - x[None, :, :]
+        want = np.median(np.sqrt((diff * diff).sum(axis=2)[iu]))
+        assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
+
     # 50 rows run the exact branch; 2000 rows (2 M pairs) the subsample,
     # whose draw need not touch the bad row
     @pytest.mark.parametrize("n, bad", [(50, np.nan), (2000, np.inf)],
@@ -75,8 +124,8 @@ class TestMedianBandwidth:
         assert np.unique(sq).size < sq.size // 10
         assert median_bandwidth(x) == np.median(np.sqrt(sq))
 
-    # 700 rows stream as 16 row blocks of 46 (32768 // 700), the last one
-    # ragged at 10 rows; 40 rows fit in one block
+    # 700 rows stream as 8 row blocks of 93 (65536 // 700), the last one
+    # ragged at 49 rows; 40 rows fit in one block
     @pytest.mark.parametrize("shape", [(40, 3), (700, 1), (700, 3)],
                              ids=["40x3", "700x1", "700x3"])
     def test_matches_brute_force(self, rng, shape):
@@ -141,6 +190,17 @@ class TestSquaredDistances:
         expanded = _expanded_squared_distances(a, b)
         rel = np.abs(expanded - want)[nonzero] / want[nonzero]
         assert rel.max() > 1e-2
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("rows", [(0, 4), (4, 0)], ids=["empty-a", "empty-b"])
+    def test_empty_operand_without_warning(self, rng, rows, width):
+        a = rng.standard_normal((rows[0], width))
+        b = rng.standard_normal((rows[1], width))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = squared_distances(a, b)
+            gram = gaussian_gram(a, b, 1.0)
+        assert dist.shape == gram.shape == rows
 
     def test_out_shape_checked(self, rng):
         a = rng.standard_normal((4, 2))
@@ -367,14 +427,21 @@ class TestLargeMedianPath:
         want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
         assert median_bandwidth(x) == want
 
-    # dense branch: the same pairs from blocks of the BLAS expansion, so
-    # equal to the per-pair norms up to rounding
+    # dense branch: the same pairs from blocks of one shifted BLAS product
+    # each, so equal to the per-pair norms up to rounding
     @pytest.mark.parametrize("shape", [(1500, 3), (2000, 32)],
                              ids=["1500x3", "2000x32"])
     def test_dense_branch_matches_drawn_pairs(self, shape):
         n = shape[0]
         assert MAX_EXACT_PAIRS < n * (n - 1) // 2 <= _DENSE_PAIRS
         x = np.random.default_rng(3).standard_normal(shape)
+        want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
+        assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
+
+    def test_dense_branch_exact_far_from_origin(self):
+        # 1500 points at 1e4 + 1e-3 N(0, I_3): each direct difference is
+        # exact, and the shifted blocks stay at rounding level
+        x = 1e4 + 1e-3 * np.random.default_rng(1234).standard_normal((1500, 3))
         want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
         assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
 
