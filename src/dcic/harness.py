@@ -163,8 +163,7 @@ def estimate_q_mlp(features: np.ndarray, noisy_labels: np.ndarray,
     identity = TransitionMatrix(np.eye(n_classes))
     flat = GammaWeights(np.ones(n_classes))
     model = train(features, noisy_labels, identity, flat,
-                  TrainConfig(hidden_units=32, learning_rate=0.1, epochs=30,
-                              batch_size=100, l2_coeff=1e-4, seed=seed))
+                  TrainConfig(seed=seed, **GETARS_TRAIN))
     return estimate_transition_anchor(predict_proba(model, features), percentile)
 
 

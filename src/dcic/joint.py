@@ -52,15 +52,29 @@ def _weight_decay_value(model: MlpModel) -> float:
                   + float((model.out_w ** 2).sum()))
 
 
+def _bandwidth(h_s: np.ndarray, h_t: np.ndarray,
+               last_sigma: float | None) -> float:
+    """Median pairwise distance of the stacked hidden rows. For a degenerate
+    set (identical hidden rows) it is the last bandwidth, or, when there is
+    none yet, ``median_bandwidth``'s error."""
+    try:
+        return median_bandwidth(np.vstack([h_s, h_t]))
+    except ValueError:
+        if last_sigma is None:
+            raise
+        return last_sigma
+
+
 def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_rows,
-                 alpha, pi1: float, sigma: float | None):
+                 alpha, pi1: float, sigma: float | None,
+                 last_sigma: float | None = None):
     """Corrected risk plus pi1 times the invariance penalty on one batch
     pair, without the decay term (the caller owns that, so the training
     step can apply decay exactly the way classifier.train does).
 
-    Returns (loss, LossGrads, sigma_used). sigma None means: median
-    pairwise distance of the stacked hidden rows, treated as a constant
-    (no gradient through the bandwidth).
+    Returns (loss, LossGrads, sigma_used). sigma None means: the batch's
+    ``_bandwidth`` with fallback ``last_sigma``, treated as a constant (no
+    gradient through the bandwidth).
     """
     z1s, a1s, f = _forward(model, xs)
     loss, grads = _ce_grads_from_forward(model, xs, z1s, a1s, f, ys, q_mat,
@@ -69,7 +83,7 @@ def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_rows,
     if pi1 > 0:
         z1t, a1t, _ = _forward(model, xt)
         if sigma_used is None:
-            sigma_used = median_bandwidth(np.vstack([a1s, a1t]))
+            sigma_used = _bandwidth(a1s, a1t, last_sigma)
         prob = _MmdProblem(a1s, a1t, GMatrix(class_rows, ys), sigma_used)
         eye = np.eye(a1s.shape[1])  # a1 @ I == a1 exactly
         loss += pi1 * prob.eval(eye, alpha)
@@ -123,17 +137,9 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
             tidx = t_order[t_ptr:t_ptr + cfg.batch_size]
             t_ptr += cfg.batch_size
 
-            try:
-                loss, grads, last_sigma = _joint_batch(
-                    model, xs_all[idx], labels_all[idx], xt_all[tidx],
-                    q.q, gamma.gamma, g.class_rows, alpha, cfg.pi1, None)
-            except ValueError:
-                # degenerate batch (identical hidden rows): reuse the last bandwidth
-                if last_sigma is None:
-                    raise
-                loss, grads, _ = _joint_batch(
-                    model, xs_all[idx], labels_all[idx], xt_all[tidx],
-                    q.q, gamma.gamma, g.class_rows, alpha, cfg.pi1, last_sigma)
+            loss, grads, last_sigma = _joint_batch(
+                model, xs_all[idx], labels_all[idx], xt_all[tidx], q.q,
+                gamma.gamma, g.class_rows, alpha, cfg.pi1, None, last_sigma)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite joint loss {loss!r} at epoch {epoch}, step {t_global}")
@@ -147,16 +153,11 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
         if cfg.pi1 > 0:
             h_s = _forward(model, xs_all)[1]
             h_t = _forward(model, xt_all)[1]
-            try:
-                sig_full = median_bandwidth(np.vstack([h_s, h_t]))
-            except ValueError:
-                sig_full = last_sigma
-            if sig_full is not None:
-                # not bound to a name: the problem and its kernel-pass
-                # buffer are freed before the next epoch's batches
-                a_mat, b_vec, _ = _MmdProblem(h_s, h_t, g,
-                                              sig_full).terms(None)
-                alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
-                gamma = floored_gamma_weights(alpha, q, noisy_prior)
+            # not bound to a name: the problem and its kernel-pass buffer
+            # are freed before the next epoch's batches
+            a_mat, b_vec, _ = _MmdProblem(
+                h_s, h_t, g, _bandwidth(h_s, h_t, last_sigma)).terms(None)
+            alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
+            gamma = floored_gamma_weights(alpha, q, noisy_prior)
     return model, ClassPrior(alpha / alpha.sum()), np.asarray(trace)
 

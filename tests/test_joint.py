@@ -222,3 +222,66 @@ class TestFitJoint:
         _, target, _, q = _domain_pair(seed=15, m=50, n=50)
         with pytest.raises(ValueError):
             fit_joint(JointConfig(), target, target, q)
+
+
+def _dead_rows_on(monkeypatch, dead):
+    """Hand ``fit_joint``'s bandwidth all-zero hidden rows (a dead ReLU
+    layer) on the calls numbered in ``dead`` (from 1); returns the list that
+    collects the sigma of every penalty problem it then builds."""
+    real_bandwidth = joint_mod.median_bandwidth
+    real_problem = joint_mod._MmdProblem
+    calls, sigmas = [], []
+
+    def bandwidth(rows):
+        calls.append(1)
+        return real_bandwidth(np.zeros_like(rows) if len(calls) in dead
+                              else rows)
+
+    def problem(h_s, h_t, g, sigma):
+        sigmas.append(sigma)
+        return real_problem(h_s, h_t, g, sigma)
+
+    monkeypatch.setattr(joint_mod, "median_bandwidth", bandwidth)
+    monkeypatch.setattr(joint_mod, "_MmdProblem", problem)
+    return sigmas
+
+
+class TestDegenerateBandwidth:
+    """A batch whose hidden rows are all identical has no median distance:
+    ``fit_joint`` reuses the last bandwidth, and raises when there is none."""
+
+    CFG = JointConfig(pi1=0.5, hidden_units=6, epochs=1, batch_size=50, seed=14)
+
+    def test_first_batch_raises(self, monkeypatch):
+        source, target, _, q = _domain_pair(seed=13, m=150, n=150)
+        sigmas = _dead_rows_on(monkeypatch, {1})
+        with pytest.raises(ValueError, match="identical rows"):
+            fit_joint(self.CFG, source, target, q)
+        assert sigmas == []
+
+    def test_later_batch_reuses_previous_sigma(self, monkeypatch):
+        source, target, _, q = _domain_pair(seed=13, m=150, n=150)
+        sigmas = _dead_rows_on(monkeypatch, {2})
+        fit_joint(self.CFG, source, target, q)
+        # three batches, then the epoch's alpha refresh
+        assert len(sigmas) == 4
+        assert sigmas[1] == sigmas[0]
+        assert len(set(sigmas)) == 3
+
+    def test_other_value_error_propagates(self, monkeypatch):
+        # only the bandwidth falls back: an error in the penalty itself is
+        # not a degenerate batch, and the batch is not run again
+        source, target, _, q = _domain_pair(seed=13, m=150, n=150)
+        real = joint_mod._MmdProblem
+        calls = []
+
+        def problem(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("penalty failed")
+            return real(*args)
+
+        monkeypatch.setattr(joint_mod, "_MmdProblem", problem)
+        with pytest.raises(ValueError, match="penalty failed"):
+            fit_joint(self.CFG, source, target, q)
+        assert len(calls) == 2

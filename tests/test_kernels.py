@@ -5,9 +5,8 @@ import pytest
 
 from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
                       poly2_features, poly2_kernel_matrix)
-from dcic.kernels import (_DENSE_PAIRS, _SUBSAMPLE_SEED, MAX_EXACT_PAIRS,
-                          _subsample_plan, gaussian_gram, median_bandwidth,
-                          squared_distances)
+from dcic.kernels import (_SUBSAMPLE_SEED, _augmented, gaussian_gram,
+                          median_bandwidth)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
 
@@ -48,7 +47,7 @@ class TestMedianBandwidth:
     # one point repeated n times: every distance, so the median, is zero.
     # For each of these points the unshifted expansion left a positive
     # rounding residue (sigma 1e-11 to 1e-3 instead of the error); 1500
-    # rows run the dense branch
+    # rows run the 1414-row subset
     @pytest.mark.parametrize("d, n, scale, seed", [
         (2, 3, 1e-3, 3), (2, 40, 1.0, 23), (2, 1500, 1e4, 0),
         (3, 3, 1e-3, 0), (3, 40, 1.0, 4), (3, 1500, 1e4, 9),
@@ -64,7 +63,7 @@ class TestMedianBandwidth:
     # copies are not zero, and without a rounding floor each of these drew
     # a positive residue (sigma 8e-11 to 9e-5). Zero rows are a dead ReLU
     # layer's hidden rows, which ``joint`` passes in; 1500 rows run the
-    # dense branch
+    # 1414-row subset
     @pytest.mark.parametrize("kind, d, n, seed", [
         ("zero-rows", 2, 50, 9), ("zero-rows", 3, 200, 7),
         ("zero-rows", 32, 200, 0), ("zero-rows", 32, 1500, 0),
@@ -92,8 +91,8 @@ class TestMedianBandwidth:
         want = np.median(np.sqrt((diff * diff).sum(axis=2)[iu]))
         assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
 
-    # 50 rows run the exact branch; 2000 rows (2 M pairs) the subsample,
-    # whose draw need not touch the bad row
+    # 50 rows use every pair; 2000 rows (2 M pairs) the 1414-row subset,
+    # which need not hold the bad row
     @pytest.mark.parametrize("n, bad", [(50, np.nan), (2000, np.inf)],
                              ids=["50-nan", "2000-inf"])
     def test_non_finite_rejected(self, rng, n, bad):
@@ -161,20 +160,17 @@ class TestGaussianKernel:
 
 
 class TestSquaredDistances:
-    def test_brute_force(self, rng):
-        a = rng.standard_normal((6, 3))
-        b = rng.standard_normal((4, 3))
-        got = squared_distances(a, b)
-        for i in range(6):
-            for j in range(4):
-                want = ((a[i] - b[j]) ** 2).sum()
-                assert got[i, j] == pytest.approx(want, abs=1e-12)
+    """The squared distances in ``gaussian_gram``'s exponent, checked
+    through the Gram: direct differences at one feature column, a shifted
+    augmented product clipped at zero at two or more."""
 
-    def test_nonnegative_under_rounding(self, rng):
-        # near-duplicate rows can produce tiny negative residue pre-clip
-        a = rng.standard_normal((1, 5)) * 1e4
-        b = a + 1e-9
-        assert squared_distances(a, b).min() >= 0.0
+    def test_nonnegative_under_rounding(self):
+        # rows far from their mean: the unclipped product leaves a positive
+        # residue on the diagonal, which the clip turns into exp(0) = 1
+        x = np.random.default_rng(2).standard_normal((20, 5)) * 1e4
+        lhs, rhs = _augmented(x, x, 0.5)
+        assert np.diag(lhs @ rhs.T).max() > 0.0
+        assert gaussian_gram(x, x, 1.0).max() <= 1.0
 
     def test_width1_direct_difference_exact_under_cancellation(self):
         # points at 1e4 + k 1e-3: |a|^2 + |b|^2 - 2ab cancels almost every
@@ -183,8 +179,10 @@ class TestSquaredDistances:
         x = (1e4 + np.arange(40) * 1e-3)[:, None]
         a, b = x[:25], x[5:]
         want = np.square(a - b.T)
-        assert np.array_equal(squared_distances(a, b), want)
-        assert np.array_equal(squared_distances(x, x), np.square(x - x.T))
+        scale = -2.0 * 0.01 * 0.01
+        assert np.array_equal(gaussian_gram(a, b, 0.01), np.exp(want / scale))
+        assert np.array_equal(gaussian_gram(x, x, 0.01),
+                              np.exp(np.square(x - x.T) / scale))
         # the fixture does cancel: the expansion misses by more than 1%
         nonzero = want > 0
         expanded = _expanded_squared_distances(a, b)
@@ -198,16 +196,15 @@ class TestSquaredDistances:
         b = rng.standard_normal((rows[1], width))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dist = squared_distances(a, b)
             gram = gaussian_gram(a, b, 1.0)
-        assert dist.shape == gram.shape == rows
+        assert gram.shape == rows
 
     def test_out_shape_checked(self, rng):
         a = rng.standard_normal((4, 2))
         with pytest.raises(ValueError):
-            squared_distances(a, a, out=np.empty((4, 3)))
+            gaussian_gram(a, a, 1.0, out=np.empty((4, 3)))
         with pytest.raises(ValueError):
-            squared_distances(a, a, out=np.empty((4, 4), dtype=np.float32))
+            gaussian_gram(a, a, 1.0, out=np.empty((4, 4), dtype=np.float32))
 
 
 def _expanded_squared_distances(a, b):
@@ -387,21 +384,18 @@ class TestWeightedMmdSq:
         assert f(0.5 * (u + v)) <= 0.5 * (f(u) + f(v)) + 1e-12
 
 
-def _drawn_squared_norms(x):
-    """||x_i - x_j||^2 over the fixed-seed pair draw with i != j, one pair
-    at a time in draw order (in chunks, so no (10^6, d) array)."""
-    n = len(x)
+def _pair_median(x):
+    """np.median of ||x_i - x_j|| over all i < j, one row of differences at
+    a time (no (pairs, d) array)."""
+    dists = [np.sqrt(np.square(x[i + 1:] - x[i]).sum(axis=1))
+             for i in range(len(x) - 1)]
+    return float(np.median(np.concatenate(dists)))
+
+
+def _subset_median(x):
+    """``_pair_median`` over the fixed-seed subset of 1414 rows."""
     rng = np.random.default_rng(_SUBSAMPLE_SEED)
-    i = rng.integers(0, n, size=MAX_EXACT_PAIRS)
-    j = rng.integers(0, n, size=MAX_EXACT_PAIRS)
-    keep = i != j
-    i, j = i[keep], j[keep]
-    out = np.empty(i.size)
-    step = 2 ** 16
-    for lo in range(0, i.size, step):
-        diff = x[i[lo:lo + step]] - x[j[lo:lo + step]]
-        out[lo:lo + step] = (diff * diff).sum(axis=1)
-    return out
+    return _pair_median(x[np.sort(rng.choice(len(x), 1414, replace=False))])
 
 
 class TestLargeMedianPath:
@@ -414,52 +408,31 @@ class TestLargeMedianPath:
         sub_med = median_bandwidth(x)           # subsampled path
         assert abs(sub_med - exact_med) / exact_med < 0.05
 
-    # 1500 rows give 1.12 M pairs and run the dense branch: bit-equality
-    # is structural at width 1, and held at widths 3 and 32 for this input.
-    # 3000 rows give 4.5 M pairs and run the sparse branch, whose blocked
-    # squared norms must equal the one-shot gather to the bit (d sets the
-    # pairs per block, 32 is the joint model's hidden width)
-    @pytest.mark.parametrize("n, d", [(1500, 1), (1500, 3), (1500, 32),
-                                      (3000, 1), (3000, 3)],
-                             ids=["1", "3", "32", "3000x1", "3000x3"])
-    def test_streamed_subsample_bit_identical_to_one_shot(self, n, d):
-        x = np.random.default_rng(2).standard_normal((n, d))
-        want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
-        assert median_bandwidth(x) == want
+    # above 10^6 pairs the median is the exact one over the fixed-seed
+    # subset: to the bit at width 1 (direct differences), to rounding at
+    # widths 3 and 32 (shifted products; 32 is the joint model's hidden
+    # width), also for points at 1e4 + 1e-3 N(0, I_3), where an unshifted
+    # expansion would cancel almost every digit
+    @pytest.mark.parametrize("n, d, offset, scale", [
+        (1415, 1, 0.0, 1.0), (1415, 3, 0.0, 1.0), (1415, 32, 0.0, 1.0),
+        (3000, 1, 0.0, 1.0), (3000, 3, 0.0, 1.0), (3000, 32, 0.0, 1.0),
+        (1500, 3, 1e4, 1e-3),
+    ], ids=["1415x1", "1415x3", "1415x32", "3000x1", "3000x3", "3000x32",
+            "far-1500x3"])
+    def test_subset_matches_brute_force(self, n, d, offset, scale):
+        x = offset + scale * np.random.default_rng(2).standard_normal((n, d))
+        want = _subset_median(x)
+        if d == 1:
+            assert median_bandwidth(x) == want
+        else:
+            assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
 
-    # dense branch: the same pairs from blocks of one shifted BLAS product
-    # each, so equal to the per-pair norms up to rounding
-    @pytest.mark.parametrize("shape", [(1500, 3), (2000, 32)],
-                             ids=["1500x3", "2000x32"])
-    def test_dense_branch_matches_drawn_pairs(self, shape):
-        n = shape[0]
-        assert MAX_EXACT_PAIRS < n * (n - 1) // 2 <= _DENSE_PAIRS
-        x = np.random.default_rng(3).standard_normal(shape)
-        want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
-        assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
-
-    def test_dense_branch_exact_far_from_origin(self):
-        # 1500 points at 1e4 + 1e-3 N(0, I_3): each direct difference is
-        # exact, and the shifted blocks stay at rounding level
-        x = 1e4 + 1e-3 * np.random.default_rng(1234).standard_normal((1500, 3))
-        want = float(np.median(np.sqrt(_drawn_squared_norms(x))))
-        assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
-
-    def test_plan_cached_per_n_and_read_only(self):
-        # the cache holds two sizes: n = 1500 (dense plan) survives a
-        # 3000-row call (sparse plan) and is not drawn again
-        x = np.random.default_rng(4).standard_normal((3000, 2))
-        _subsample_plan.cache_clear()
-        first = [median_bandwidth(x[:1500]), median_bandwidth(x)]
-        again = [median_bandwidth(x[:1500]), median_bandwidth(x)]
-        assert again == first
-        info = _subsample_plan.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
-        for n in (1500, 3000):
-            for arr in _subsample_plan(n):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[0] = 0
+    def test_1414_rows_use_every_pair(self):
+        # 1414 rows give 998,991 pairs, the most at or below 10^6; 1415 give
+        # 1,000,405 and drop one row, which moves the median
+        x = np.random.default_rng(5).standard_normal((1415, 1))
+        assert median_bandwidth(x[:1414]) == _pair_median(x[:1414])
+        assert median_bandwidth(x) == _subset_median(x) != _pair_median(x)
 
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(1)
