@@ -415,10 +415,11 @@ class TestLargeMedianPath:
     # expansion would cancel almost every digit
     @pytest.mark.parametrize("n, d, offset, scale", [
         (1415, 1, 0.0, 1.0), (1415, 3, 0.0, 1.0), (1415, 32, 0.0, 1.0),
+        (1500, 3, 0.0, 1.0),
         (3000, 1, 0.0, 1.0), (3000, 3, 0.0, 1.0), (3000, 32, 0.0, 1.0),
         (1500, 3, 1e4, 1e-3),
-    ], ids=["1415x1", "1415x3", "1415x32", "3000x1", "3000x3", "3000x32",
-            "far-1500x3"])
+    ], ids=["1415x1", "1415x3", "1415x32", "1500x3", "3000x1", "3000x3",
+            "3000x32", "far-1500x3"])
     def test_subset_matches_brute_force(self, n, d, offset, scale):
         x = offset + scale * np.random.default_rng(2).standard_normal((n, d))
         want = _subset_median(x)
