@@ -158,10 +158,17 @@ def median_bandwidth(features: np.ndarray) -> float:
             _direct_squares(x[lo:hi], x[lo:], blk)
         else:
             np.matmul(lhs[lo:hi], rhs[lo:].T, out=blk)
-        for k in range(hi - lo):
-            row = blk[k, k + 1:]
-            sq[at:at + row.size] = row
-            at += row.size
+        # the strict upper triangle of the block's h x h diagonal part by a
+        # mask, then the rectangle right of it; the select is order-free.
+        # ~tri builds the mask in about 40% of np.triu(ones)'s time, which
+        # made a 200 x 32 call slower than the row loop
+        h = hi - lo
+        tri = blk[:, :h][~np.tri(h, dtype=bool)]
+        sq[at:at + tri.size] = tri
+        at += tri.size
+        rect = sq[at:at + h * (n - hi)].reshape(h, n - hi)
+        rect[...] = blk[:, h:]
+        at += rect.size
     med = _median_of_roots(sq, floor)
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (identical rows)")

@@ -14,11 +14,23 @@ with conjugate-gradient steps for W on the manifold of orthonormal column
 frames. The QP is solved in closed form for two classes (every harness
 cell) and by accelerated projected gradient to a KKT residual of KKT_TOL
 for three or more.
+
+The kernel pass is a list of row-chunk tasks whose contributions are added
+in chunk order. Passes of at least _SPLIT_ENTRIES (2^22) kernel entries
+split their tasks between the caller and one helper thread, started and
+joined inside the pass, when the process may use two CPUs and the BLAS runs
+on one thread; threads and not processes, because numpy releases the
+interpreter lock in the products and exponentials that fill a pass. The
+order of the adds and the chunk rows do not depend on the worker count, so
+neither does any bit of the result.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,6 +46,37 @@ MODES = ("dcic", "cic_baseline", "tars_fixed_w")
 # so the self-Grams' upper block-triangle computes about 62% of each square
 # (10 of 16 blocks), and a 128 x max(m, n) buffer stays cache-sized.
 DEFAULT_CHUNK = 128
+# A pass of at least this many kernel entries, about (m + n)^2 / 2, takes
+# chunks of half the rows on up to _WORKERS threads. Smaller passes, such as
+# every pass of a GeTarS repetition at n = 500 (about 2^19 entries) or of the
+# joint model at m = n = 1000 (at most about 2^21), stay inline with their
+# chunk rows and bits unchanged; from 2^22 on a pass takes milliseconds,
+# against about 0.1 ms to start and join a thread.
+_SPLIT_ENTRIES = 2 ** 22
+
+
+def _worker_count() -> int:
+    """Threads a large kernel pass runs on: 2 when the process may use two
+    or more CPUs and numpy's BLAS runs on one thread, else 1.
+
+    The BLAS counts as one-threaded when the first of the variables
+    OpenBLAS reads its thread count from that is set says 1. A
+    multi-threaded OpenBLAS already spreads each product over the CPUs,
+    and there a helper thread slows the pass: with two OpenBLAS threads,
+    5000 x 5000 passes took a median 284-318 ms on two workers against
+    225-300 ms on one, over three runs of nine (2-CPU Xeon, OpenBLAS
+    0.3.31).
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value:
+            return min(2, cpus) if value == "1" else 1
+    return 1
+
+
+_WORKERS = _worker_count()
 KKT_TOL = 1e-7
 QP_MAX_ITERS = 20000
 ARMIJO_C1 = 1e-4
@@ -93,12 +136,70 @@ class LinearFitResult:
         })
 
 
-def _add_symmetric_rows(rows, k, rhs, lo, hi):
-    """rows += K @ rhs for a symmetric K given as its row block [lo, hi) from
-    column lo on: the block itself feeds rows lo..hi, and its part right of
-    the diagonal block, transposed, feeds the later rows."""
-    rows[lo:hi] += k @ rhs[lo:]
-    rows[hi:] += k[:, hi - lo:].T @ rhs[lo:hi]
+def _symmetric_rows(k, rhs, lo, hi):
+    """The two parts of K @ rhs that a symmetric K's row block [lo, hi),
+    given from column lo on, contributes: the block itself to rows lo..hi,
+    and its part right of the diagonal block, transposed, to the rows from
+    hi on."""
+    return k @ rhs[lo:], k[:, hi - lo:].T @ rhs[lo:hi]
+
+
+def _run_in_order(tasks, run, add, bufs):
+    """add(task, run(task, buf)) for every task, the adds in task order.
+
+    With one buffer the tasks run inline, each contribution added as soon
+    as it is produced. With more, the caller and one helper thread per
+    further buffer take tasks from one queue (``deque.popleft`` is atomic),
+    each into its own buffer, and the caller adds a contribution once every
+    earlier one is in: the accumulators see the same additions in the same
+    order as inline, whichever thread ran a task. The helpers are joined
+    before this returns. An exception raised in a helper is re-raised here;
+    one raised in the caller empties the queue, so the helpers stop after
+    their current task.
+    """
+    if len(bufs) == 1:
+        for task in tasks:
+            add(task, run(task, bufs[0]))
+        return
+    todo = deque(enumerate(tasks))
+    done = {}  # task index -> contribution; helpers only insert, the caller pops
+    failed = []
+    added = 0
+
+    def add_ready():
+        nonlocal added
+        while added in done:
+            add(tasks[added], done.pop(added))
+            added += 1
+
+    def work(buf, after_each):
+        while True:
+            try:
+                i, task = todo.popleft()
+            except IndexError:
+                return
+            done[i] = run(task, buf)
+            after_each()
+
+    def helper(buf):
+        try:
+            work(buf, lambda: None)
+        except BaseException as exc:  # handed to the caller, which re-raises
+            failed.append(exc)
+            todo.clear()
+
+    threads = [threading.Thread(target=helper, args=(buf,)) for buf in bufs[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(bufs[0], add_ready)
+    finally:
+        todo.clear()
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
+    add_ready()
 
 
 class _MmdProblem:
@@ -114,18 +215,33 @@ class _MmdProblem:
     compared with ``np.array_equal``; ``None`` is its own key), so repeated
     evaluations at one W cost one pass total, whichever array carries it.
 
-    A pass walks the rows in chunks of ``chunk_size`` and writes every
-    chunk's kernel block into one (chunk, max(m, n)) buffer, allocated
-    once with the problem and reused by every pass. For the
-    symmetric self-blocks K_ss and K_tt it computes only the columns at or
-    right of the chunk's first row (the upper block-triangle). The default
-    of 128 rows splits m = 500 into four chunks, so a self-Gram costs 10
-    of its 16 blocks; with a single chunk the triangle would be the whole
-    square. Each block is one ``kernels.gaussian_gram`` call: direct
-    differences at d' = 1, and at width >= 2 one BLAS product of augmented
-    rows shifted to the mean of the block's column rows. The shift differs
-    from block to block but the kernel depends only on differences, so
-    only rounding moves with it.
+    A pass is a list of tasks, one per row chunk: every source chunk (its
+    K_ss rows), then every target chunk (its K_ts and K_tt rows). A task
+    writes its kernel blocks into a (chunk, max(m, n)) buffer, allocated
+    once with the problem and reused by every pass, and contracts them
+    into a contribution, which ``_run_in_order`` adds into the pass's sums
+    in chunk order. For the symmetric self-blocks K_ss and K_tt a task
+    computes only the columns at or right of the chunk's first row (the
+    upper block-triangle). Each block is one ``kernels.gaussian_gram``
+    call: direct differences at d' = 1, and at width >= 2 one BLAS product
+    of augmented rows shifted to the mean of the block's column rows. The
+    shift differs from block to block but the kernel depends only on
+    differences, so only rounding moves with it.
+
+    A pass of fewer than _SPLIT_ENTRIES (2^22) kernel entries, about
+    (m + n)^2 / 2, runs inline in chunks of ``chunk_size`` rows (128 by
+    default: m = 500 splits into four chunks, so a self-Gram costs 10 of
+    its 16 blocks). A larger pass takes chunks of half that height, split
+    between the caller and one helper thread when the process may use two
+    CPUs and the BLAS runs on one thread (``_worker_count``); each has its
+    own buffer, so together they hold what one full-height buffer would.
+    The chunk rows depend only on m, n and ``chunk_size``, never on the
+    worker count, and the sums are added in chunk order, so the result is
+    bit-identical for any worker count.
+    Threads, not processes: numpy releases the interpreter lock in
+    ``matmul``, ``minimum`` and ``exp``, which hold almost all of a pass's
+    time, and a thread reads the rows and hands back its contributions
+    without copying them or paying a process start.
 
     With ``w=None`` (features used as they are) the pass keeps only the
     class-block sums: the diagonal block counts once and the block right of
@@ -146,15 +262,18 @@ class _MmdProblem:
         self.t = np.asarray(target_feats, dtype=np.float64)
         self.g = g
         self.sigma = float(sigma)
-        self.chunk = int(chunk_size)
-        m = self.s.shape[0]
+        m, n = self.s.shape[0], self.t.shape[0]
         if g.n_samples != m:
             raise ValueError("G rows must match the source sample count")
         onehot = np.zeros((m, g.n_classes))
         onehot[np.arange(m), g.labels - 1] = 1.0
         self.onehot = onehot
-        width = max(m, self.t.shape[0])
-        self._buf = np.empty(min(self.chunk, width) * width)
+        self.chunk, workers = int(chunk_size), 1
+        if (m + n) ** 2 // 2 >= _SPLIT_ENTRIES:
+            self.chunk, workers = max(1, self.chunk // 2), _WORKERS
+        width = max(m, n)
+        self._bufs = [np.empty(min(self.chunk, width) * width)
+                      for _ in range(workers)]
         self._cache_w = None
         self._cache_val = None
         self._rows = None
@@ -173,45 +292,67 @@ class _MmdProblem:
         t = self.t if w is None else self.t @ w
         m, n = s.shape[0], t.shape[0]
         c = self.g.n_classes
-        buf = self._buf
+        oh = self.onehot
+        step = self.chunk
+        # (source chunk?, lo, hi): every source chunk, then every target chunk
+        tasks = ([(True, lo, min(lo + step, m)) for lo in range(0, m, step)]
+                 + [(False, lo, min(lo + step, n)) for lo in range(0, n, step)])
 
-        def gram(a, b):
-            # a C-contiguous prefix of the problem's buffer, so BLAS sees
+        def gram(a, b, buf):
+            # a C-contiguous prefix of the worker's buffer, so BLAS sees
             # the same layout as a freshly allocated block
             out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
             return gaussian_gram(a, b, self.sigma, out=out)
 
-        oh = self.onehot
-        if w is not None:
+        if w is None:
+            block, cross_by_class, tt_total = np.zeros((c, c)), np.zeros(c), 0.0
+
+            def run(task, buf):
+                source, lo, hi = task
+                if source:
+                    k = gram(s[lo:hi], s[lo:], buf)
+                    return (oh[lo:hi].T @ (k[:, :hi - lo] @ oh[lo:hi]),
+                            oh[lo:hi].T @ (k[:, hi - lo:] @ oh[hi:]))
+                cross = (gram(t[lo:hi], s, buf) @ oh).sum(axis=0)
+                k = gram(t[lo:hi], t[lo:], buf)
+                return cross, k[:, :hi - lo].sum() + 2.0 * k[:, hi - lo:].sum()
+
+            def add(task, part):
+                nonlocal block, cross_by_class, tt_total
+                if task[0]:
+                    block += part[0]
+                    block += part[1] + part[1].T
+                else:
+                    cross_by_class += part[0]
+                    tt_total += part[1]
+        else:
             p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
             p_t = np.hstack([np.ones((n, 1)), t])
             r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
             r_st, r_tt = np.zeros((m, p_t.shape[1])), np.zeros((n, p_t.shape[1]))
-        block = np.zeros((c, c))
-        cross_by_class = np.zeros(c)
-        tt_total = 0.0
-        for lo in range(0, m, self.chunk):
-            hi = min(lo + self.chunk, m)
-            k = gram(s[lo:hi], s[lo:])
-            if w is None:
-                block += oh[lo:hi].T @ (k[:, :hi - lo] @ oh[lo:hi])
-                off = oh[lo:hi].T @ (k[:, hi - lo:] @ oh[hi:])
-                block += off + off.T
-            else:
-                _add_symmetric_rows(r_ss, k, p_s, lo, hi)
-        for lo in range(0, n, self.chunk):
-            hi = min(lo + self.chunk, n)
-            k_ts = gram(t[lo:hi], s)
-            if w is None:
-                cross_by_class += (k_ts @ oh).sum(axis=0)
-            else:
-                r_ts[lo:hi] = k_ts @ p_s
-                r_st += k_ts.T @ p_t[lo:hi]
-            k = gram(t[lo:hi], t[lo:])
-            if w is None:
-                tt_total += k[:, :hi - lo].sum() + 2.0 * k[:, hi - lo:].sum()
-            else:
-                _add_symmetric_rows(r_tt, k, p_t, lo, hi)
+
+            def run(task, buf):
+                source, lo, hi = task
+                if source:
+                    return _symmetric_rows(gram(s[lo:hi], s[lo:], buf), p_s, lo, hi)
+                k_ts = gram(t[lo:hi], s, buf)
+                cross = (k_ts @ p_s, k_ts.T @ p_t[lo:hi])
+                return cross + _symmetric_rows(gram(t[lo:hi], t[lo:], buf),
+                                               p_t, lo, hi)
+
+            def add(task, part):
+                nonlocal r_st
+                source, lo, hi = task
+                if source:
+                    r_ss[lo:hi] += part[0]
+                    r_ss[hi:] += part[1]
+                else:
+                    r_ts[lo:hi] = part[0]
+                    r_st += part[1]
+                    r_tt[lo:hi] += part[2]
+                    r_tt[hi:] += part[3]
+
+        _run_in_order(tasks, run, add, self._bufs)
         if w is not None:
             block = oh.T @ r_ss[:, :c]
             cross_by_class = r_ts[:, :c].sum(axis=0)

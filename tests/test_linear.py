@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -279,6 +282,121 @@ class TestPassCache:
                 assert np.array_equal(x, y)
             for x, y in zip(got_rows, fresh.row_grads(w, alpha)):
                 assert np.array_equal(x, y)
+
+
+class TestSplitPass:
+    """A pass of at least ``_SPLIT_ENTRIES`` kernel entries takes half-height
+    chunks on up to ``_WORKERS`` threads and adds their contributions in
+    chunk order, so its bits must not depend on the worker count. The
+    threshold is patched down so that small problems split."""
+
+    @staticmethod
+    def _split(monkeypatch, workers):
+        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+
+    @staticmethod
+    def _pass_results(prob, w, alpha):
+        return [*prob.terms(None), *prob.terms(w), *prob.row_grads(w, alpha),
+                prob.grad(w, alpha)]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("m, n", [(301, 200), (200, 301)])
+    def test_bit_identical_for_any_worker_count(self, rng, monkeypatch,
+                                                m, n, workers):
+        # chunk_size 29 halves to 14 rows, so both sides end in a ragged
+        # chunk; 4 workers (more than most test machines have CPUs) and a
+        # short switch interval stress the in-order adds
+        source, target, g, sigma = _toy_problem(rng, m=m, n=n)
+        w = qr_retract(rng.standard_normal((3, 2)))
+        alpha = np.array([0.3, 0.7])
+        threads = set()
+        real = linear_mod.gaussian_gram
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            time.sleep(1e-4)  # lets the helpers claim tasks as well
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linear_mod, "gaussian_gram", recording)
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, workers):
+                self._split(monkeypatch, count)
+                prob = _MmdProblem(source.features, target.features, g, sigma,
+                                   chunk_size=29)
+                assert prob.chunk == 14 and len(prob._bufs) == count
+                got[count] = self._pass_results(prob, w, alpha)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1  # helpers ran tasks
+        for x, y in zip(got[1], got[workers], strict=True):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("in_helper", [True, False])
+    def test_failure_is_raised_and_threads_joined(self, rng, monkeypatch,
+                                                  in_helper):
+        source, target, g, sigma = _toy_problem(rng, m=301, n=200)
+        self._split(monkeypatch, 2)
+        prob = _MmdProblem(source.features, target.features, g, sigma,
+                           chunk_size=29)
+        real = linear_mod.gaussian_gram
+        calls = []
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) != in_helper:
+                calls.append(1)
+                if len(calls) == 3:
+                    raise RuntimeError("third gram call failed")
+            time.sleep(1e-4)
+            return real(*args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(linear_mod, "gaussian_gram", failing)
+        with pytest.raises(RuntimeError, match="third gram call failed"):
+            prob.terms(None)
+        assert threading.active_count() == before
+        # the failed pass left no cached value behind
+        monkeypatch.setattr(linear_mod, "gaussian_gram", real)
+        fresh = _MmdProblem(source.features, target.features, g, sigma,
+                            chunk_size=29)
+        for x, y in zip(prob.terms(None), fresh.terms(None), strict=True):
+            assert np.array_equal(x, y)
+
+    def test_buffers_total_one_full_height_chunk(self, monkeypatch):
+        monkeypatch.setattr(linear_mod, "_WORKERS", 2)
+
+        def problem(rows):
+            labels = np.tile([1, 2], rows // 2)
+            g = build_g_matrix(symmetric_noise(2, 0.2),
+                               ClassPrior(np.array([0.5, 0.5])), labels)
+            return _MmdProblem(np.zeros((rows, 2)), np.zeros((rows, 2)), g, 1.0)
+
+        large = problem(5000)
+        assert large.chunk == 64 and len(large._bufs) == 2
+        assert sum(buf.size for buf in large._bufs) <= 128 * 5000
+        # a GeTarS-sized pass keeps one buffer of 128-row chunks, inline
+        small = problem(500)
+        assert small.chunk == 128 and len(small._bufs) == 1
+
+    @pytest.mark.parametrize("env, cpus, want", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+        ({}, 2, 1),
+    ])
+    def test_helper_only_beside_a_one_thread_blas(self, monkeypatch, env,
+                                                  cpus, want):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(linear_mod.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert linear_mod._worker_count() == want
 
 
 class TestProjectSimplex:

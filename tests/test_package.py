@@ -1,5 +1,7 @@
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,3 +107,17 @@ class TestPublicApi:
         assert len(defs) > 50
         unused = sorted(q for q, name in defs if name not in used)
         assert not unused, f"only tests call: {', '.join(unused)}"
+
+
+def test_import_starts_no_thread_and_loads_no_pool_module():
+    # set-up time is a benchmark metric: importing the package must stay
+    # free of executor and process-pool machinery, and of started threads
+    code = ("import sys, threading, dcic; "
+            "pools = {'concurrent.futures', 'multiprocessing'}; "
+            "print(sorted(pools & set(sys.modules)), threading.active_count())")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(PACKAGE), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == ["[]", "1"]
