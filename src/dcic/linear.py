@@ -15,14 +15,7 @@ frames. The QP is solved in closed form for two classes (every harness
 cell) and by accelerated projected gradient to a KKT residual of KKT_TOL
 for three or more.
 
-The kernel pass is a list of row-chunk tasks whose contributions are added
-in chunk order. Passes of at least _SPLIT_ENTRIES (2^22) kernel entries
-split their tasks between the caller and one helper thread, started and
-joined inside the pass, when the process may use two CPUs and the BLAS runs
-on one thread; threads and not processes, because numpy releases the
-interpreter lock in the products and exponentials that fill a pass. The
-order of the adds and the chunk rows do not depend on the worker count, so
-neither does any bit of the result.
+Large kernel passes may split across two threads (see ``_MmdProblem``).
 """
 
 from __future__ import annotations
@@ -46,33 +39,29 @@ MODES = ("dcic", "cic_baseline", "tars_fixed_w")
 # so the self-Grams' upper block-triangle computes about 62% of each square
 # (10 of 16 blocks), and a 128 x max(m, n) buffer stays cache-sized.
 DEFAULT_CHUNK = 128
-# A pass of at least this many kernel entries, about (m + n)^2 / 2, takes
-# chunks of half the rows on up to _WORKERS threads. Smaller passes, such as
-# every pass of a GeTarS repetition at n = 500 (about 2^19 entries) or of the
-# joint model at m = n = 1000 (at most about 2^21), stay inline with their
-# chunk rows and bits unchanged; from 2^22 on a pass takes milliseconds,
-# against about 0.1 ms to start and join a thread.
+# From about 2^22 kernel entries a pass takes milliseconds, against about
+# 0.1 ms to start and join a thread; every GeTarS pass at n = 500 (2^19) and
+# joint pass at m = n = 1000 (at most 2^21) stays below and inline.
 _SPLIT_ENTRIES = 2 ** 22
 
 
 def _worker_count() -> int:
-    """Threads a large kernel pass runs on: 2 when the process may use two
-    or more CPUs and numpy's BLAS runs on one thread, else 1.
-
-    The BLAS counts as one-threaded when the first of the variables
-    OpenBLAS reads its thread count from that is set says 1. A
-    multi-threaded OpenBLAS already spreads each product over the CPUs,
-    and there a helper thread slows the pass: with two OpenBLAS threads,
-    5000 x 5000 passes took a median 284-318 ms on two workers against
-    225-300 ms on one, over three runs of nine (2-CPU Xeon, OpenBLAS
-    0.3.31).
+    """2 when the process may use two or more CPUs and OpenBLAS runs on one
+    thread, else 1. Only OpenBLAS's variables are read, in its order, and
+    like OpenBLAS a value that is not a positive integer is skipped. Beside
+    a multi-threaded BLAS a helper slows the pass: with two OpenBLAS
+    threads, 5000 x 5000 passes took a median 284-318 ms on two workers
+    against 225-300 ms on one (2-CPU Xeon, OpenBLAS 0.3.31).
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value:
-            return min(2, cpus) if value == "1" else 1
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(2, cpus) if threads == 1 else 1
     return 1
 
 
@@ -147,17 +136,16 @@ def _symmetric_rows(k, rhs, lo, hi):
 def _run_in_order(tasks, run, add, bufs):
     """add(task, run(task, buf)) for every task, the adds in task order.
 
-    With one buffer the tasks run inline, each contribution added as soon
-    as it is produced. With more, the caller and one helper thread per
-    further buffer take tasks from one queue (``deque.popleft`` is atomic),
-    each into its own buffer, and the caller adds a contribution once every
-    earlier one is in: the accumulators see the same additions in the same
-    order as inline, whichever thread ran a task. The helpers are joined
-    before this returns. An exception raised in a helper is re-raised here;
-    one raised in the caller empties the queue, so the helpers stop after
-    their current task.
+    The caller and one helper thread per further buffer take tasks from one
+    queue (``deque.popleft`` is atomic), each into its own buffer, and the
+    caller adds a contribution once every earlier one is in. The helpers
+    are joined before this returns. An exception raised in a helper is
+    re-raised here; one raised in the caller empties the queue, so the
+    helpers stop after their current task.
     """
     if len(bufs) == 1:
+        # the same adds in the same order; the queue would cost about 45 us
+        # of a 2.8 ms pass at m = n = 500 (one OpenBLAS thread, 2-CPU Xeon)
         for task in tasks:
             add(task, run(task, bufs[0]))
         return
@@ -228,20 +216,20 @@ class _MmdProblem:
     shift differs from block to block but the kernel depends only on
     differences, so only rounding moves with it.
 
-    A pass of fewer than _SPLIT_ENTRIES (2^22) kernel entries, about
-    (m + n)^2 / 2, runs inline in chunks of ``chunk_size`` rows (128 by
-    default: m = 500 splits into four chunks, so a self-Gram costs 10 of
-    its 16 blocks). A larger pass takes chunks of half that height, split
-    between the caller and one helper thread when the process may use two
-    CPUs and the BLAS runs on one thread (``_worker_count``); each has its
-    own buffer, so together they hold what one full-height buffer would.
-    The chunk rows depend only on m, n and ``chunk_size``, never on the
-    worker count, and the sums are added in chunk order, so the result is
-    bit-identical for any worker count.
+    A pass of fewer than _SPLIT_ENTRIES kernel entries, about (m + n)^2 / 2,
+    runs inline in chunks of ``chunk_size`` rows (128 by default: m = 500
+    splits into four chunks, so a self-Gram costs 10 of its 16 blocks). A
+    larger pass takes chunks of half that height, split between the caller
+    and one helper thread (``_worker_count``), each with its own buffer, so
+    together they hold what one full-height buffer would. The chunk rows
+    depend only on m, n and ``chunk_size`` and the contributions are added
+    in chunk order, so the result is bit-identical for any worker count.
     Threads, not processes: numpy releases the interpreter lock in
     ``matmul``, ``minimum`` and ``exp``, which hold almost all of a pass's
-    time, and a thread reads the rows and hands back its contributions
-    without copying them or paying a process start.
+    time, and a thread shares the rows without copies or a process start.
+    A ``gaussian_gram`` wrapped with ``functools.wraps``, as perfbench's
+    tracer wraps it, keeps the pass on the caller's thread: that tracer
+    keeps one span stack for all threads.
 
     With ``w=None`` (features used as they are) the pass keeps only the
     class-block sums: the diagonal block counts once and the block right of
@@ -352,7 +340,8 @@ class _MmdProblem:
                     r_tt[lo:hi] += part[2]
                     r_tt[hi:] += part[3]
 
-        _run_in_order(tasks, run, add, self._bufs)
+        traced = hasattr(gaussian_gram, "__wrapped__")
+        _run_in_order(tasks, run, add, self._bufs[:1] if traced else self._bufs)
         if w is not None:
             block = oh.T @ r_ss[:, :c]
             cross_by_class = r_ts[:, :c].sum(axis=0)

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import sys
 import threading
 import time
@@ -17,6 +19,8 @@ from dcic.linear import (GrassmannState, LinearFitConfig, LinearFitResult,
                          qr_retract, solve_alpha_qp)
 from dcic.noise import build_g_matrix
 from dcic.synth import flip_labels, sample_dataset, sample_gmm_spec
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _toy_problem(rng, m=12, n=9, d=3, rho=0.2):
@@ -381,11 +385,53 @@ class TestSplitPass:
         small = problem(500)
         assert small.chunk == 128 and len(small._bufs) == 1
 
+    def test_traced_pass_stays_on_the_callers_thread(self, rng, monkeypatch):
+        # perfbench's tracer keeps one span stack for all threads, so a pass
+        # it wraps runs inline: one thread, no nested or overlapping spans
+        spec = importlib.util.spec_from_file_location(
+            "tracing", os.path.join(REPO, "perfbench", "tracing.py"))
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        source, target, g, sigma = _toy_problem(rng, m=301, n=200)
+        w = qr_retract(rng.standard_normal((3, 2)))
+        self._split(monkeypatch, 2)
+        threads = set()
+        real = linear_mod.gaussian_gram
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            time.sleep(1e-4)  # would let a helper claim tasks
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linear_mod, "gaussian_gram", recording)
+        untraced = _MmdProblem(source.features, target.features, g, sigma,
+                               chunk_size=29)
+        want = [*untraced.terms(None), *untraced.terms(w)]
+        assert len(threads) > 1
+        threads.clear()
+        prob = _MmdProblem(source.features, target.features, g, sigma,
+                           chunk_size=29)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            got = [*prob.terms(None), *prob.terms(w)]
+        finally:
+            tracer.uninstall()
+        assert threads == {threading.get_ident()}
+        assert all(span is not None and span[3] == -1 for span in tracer.spans)
+        times = sorted(span[1:3] for span in tracer.spans)
+        assert all(end <= start for (_, end), (start, _) in zip(times, times[1:]))
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(x, y)
+
     @pytest.mark.parametrize("env, cpus, want", [
         ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
         ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
         ({"OMP_NUM_THREADS": "1"}, 2, 2),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+        # OpenBLAS skips a value that is not a positive integer
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "auto", "OMP_NUM_THREADS": "2"}, 2, 1),
         ({}, 2, 1),
     ])
     def test_helper_only_beside_a_one_thread_blas(self, monkeypatch, env,
