@@ -8,7 +8,10 @@ Both take squared distances one of two ways by feature width. One column
 (``_direct_squares``). Two or more take one BLAS product of augmented
 operands (``_augmented``), shifted first to a column mean: the kernel and
 the distance depend only on a - b, and the shift keeps the product from
-cancelling when the points sit far from the origin.
+cancelling when the points sit far from the origin. The operands are built
+once per row set and shift, not once per block: once per call in
+``median_bandwidth``, and once per pass in the kernel pass, which hands
+``gaussian_gram`` row slices of them.
 
 The bandwidth is the median distance over all pairs of rows up to 10^6
 pairs, and above that over all pairs of a fixed-seed subset of 1414 rows,
@@ -42,28 +45,26 @@ def _direct_squares(a: np.ndarray, b: np.ndarray,
     return np.square(out, out=out)
 
 
-def _augmented(a: np.ndarray, b: np.ndarray,
+def _augmented(x: np.ndarray, shift: np.ndarray | float,
                g: float) -> tuple[np.ndarray, np.ndarray]:
-    """Augmented operands (lhs, rhs) with lhs @ rhs.T = -g ||a_i - b_j||^2.
+    """Augmented operands (lhs, rhs) of one row set x, shifted first:
 
-    Both are shifted to the column mean of ``b`` first, then
+        lhs = [2g (x - shift), -g |x - shift|^2, 1],
+        rhs = [x - shift, 1, -g |x - shift|^2],
 
-        lhs = [2g a, -g |a|^2, 1],  rhs = [b, 1, -g |b|^2].
-
-    g = 1 / (2 sigma^2) gives the Gaussian exponent, g = -1 the squared
-    distance. Both depend only on a - b, so the shift changes no value in
-    exact arithmetic; it keeps the product from cancelling when the points
-    sit far from the origin relative to their spread (``a - mean`` is exact
-    for points within a factor of two of the mean). An empty ``b`` has no
-    mean to take, and its product is empty whatever the shift.
+    so that a's lhs @ b's rhs.T = -g ||a_i - b_j||^2 for two row sets
+    built with the same shift. g = 1 / (2 sigma^2) gives the Gaussian
+    exponent, g = -1 the squared distance. Both depend only on a - b, so
+    the shift changes no value in exact arithmetic; shifting to the column
+    mean of b keeps the product from cancelling when the points sit far
+    from the origin relative to their spread (``x - mean`` is exact for
+    points within a factor of two of the mean).
     """
-    shift = b.mean(axis=0) if len(b) else 0.0
-    a = a - shift
-    b = b - shift
-    lhs = np.column_stack([a * (2.0 * g), (a * a).sum(axis=1) * -g,
-                           np.ones(a.shape[0])])
-    rhs = np.column_stack([b, np.ones(b.shape[0]), (b * b).sum(axis=1) * -g])
-    return lhs, rhs
+    x = x - shift
+    sq = (x * x).sum(axis=1) * -g
+    ones = np.ones(x.shape[0])
+    return (np.column_stack([x * (2.0 * g), sq, ones]),
+            np.column_stack([x, ones, sq]))
 
 
 def _median_of_roots(sq: np.ndarray, floor: float) -> float:
@@ -144,7 +145,7 @@ def median_bandwidth(features: np.ndarray) -> float:
         # (gamma_k = k u / (1 - k u), u = eps / 2): below about
         # 3 (d + 2) eps |a|^2 together, so floor = 4 (d + 2) eps max |a|^2.
         # Random trials at d = 2 to 64 reached 0.62 (d + 2) eps |a|^2
-        lhs, rhs = _augmented(x, x, -1.0)
+        lhs, rhs = _augmented(x, x.mean(axis=0), -1.0)
         eps = np.finfo(np.float64).eps
         floor = 4.0 * (d + 2) * eps * float(rhs[:, -1].max())
     step = max(1, _BLOCK_ENTRIES // n)
@@ -176,7 +177,9 @@ def median_bandwidth(features: np.ndarray) -> float:
 
 
 def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  operands: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
     """Dense kernel matrix k(a_i, b_j); the building block of the chunked
     kernel pass, which never holds a full Gram.
 
@@ -188,16 +191,17 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
     One feature column: ``_direct_squares``, divided by -2 sigma^2 and
     exponentiated in ``out``.
 
-    Two or more: with g = 1 / (2 sigma^2), one BLAS product of the
-    operands shifted to the column mean of ``b`` (``_augmented``)
+    Two or more: with g = 1 / (2 sigma^2), one BLAS product of augmented
+    operands (``_augmented``)
 
         [2g a, -g |a|^2, 1] . [b, 1, -g |b|^2]^T = -g ||a - b||^2
 
     is written into ``out``, clipped at zero (rounding residue) and
-    exponentiated in place: no further pass over the block. A 128-row
-    block took 1.7 against the unshifted expansion's 2.8 ns per entry at
-    d = 2 (5000 columns) and 2.7 against 3.9 at d = 32 (2000 columns), on
-    one OpenBLAS 0.3.31 thread of a 2-CPU Xeon.
+    exponentiated in place: no further pass over the block. The operands
+    are a's lhs and b's rhs, both shifted to the column mean of ``b``,
+    unless ``operands`` hands in (lhs, rhs) already built with g and one
+    shared shift, one row per row of a and of b: the kernel pass builds
+    them once per pass and passes row slices.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
@@ -214,7 +218,15 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
         _direct_squares(a, b, out)
         out /= -2.0 * sigma * sigma
     else:
-        lhs, rhs = _augmented(a, b, 0.5 / (sigma * sigma))
+        if operands is None:
+            g = 0.5 / (sigma * sigma)
+            # an empty b has no mean, and its product is empty whatever the shift
+            shift = b.mean(axis=0) if len(b) else 0.0
+            lhs, rhs = _augmented(a, shift, g)[0], _augmented(b, shift, g)[1]
+        else:
+            lhs, rhs = operands
+            if (len(lhs), len(rhs)) != shape:
+                raise ValueError(f"operands must have {shape} rows")
         np.matmul(lhs, rhs.T, out=out)
         np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)

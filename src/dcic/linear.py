@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import ClassPrior, Dataset, Projection, TransitionMatrix, empirical_prior
-from .kernels import gaussian_gram, median_bandwidth
+from .kernels import _augmented, gaussian_gram, median_bandwidth
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
@@ -107,19 +107,31 @@ class LinearFitConfig:
 
 @dataclass(frozen=True)
 class LinearFitResult:
+    """A fit's W, alpha and objective trace, and why it stopped
+    (``stop_reason``): "converged" (objective change below objective_tol),
+    "max_iters" (max_outer_iters rounds ran), or, after
+    MAX_CONSECUTIVE_STALLS rounds in a row without an accepted W step,
+    "stalled" when the last round's line search failed and "stationary"
+    when it found W stationary (STATIONARY_RTOL)."""
+
     w: Projection
     alpha: ClassPrior
     objective_trace: np.ndarray
-    converged: bool
+    stop_reason: str
     config: LinearFitConfig
     sigma: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def to_json(self) -> str:
         return json.dumps({
             "alpha": self.alpha.p.tolist(),
             "w": self.w.w.tolist(),
             "objective_trace": np.asarray(self.objective_trace).tolist(),
-            "converged": bool(self.converged),
+            "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "sigma": self.sigma,
             "config": asdict(self.config),
         })
@@ -212,9 +224,12 @@ class _MmdProblem:
     computes only the columns at or right of the chunk's first row (the
     upper block-triangle). Each block is one ``kernels.gaussian_gram``
     call: direct differences at d' = 1, and at width >= 2 one BLAS product
-    of augmented rows shifted to the mean of the block's column rows. The
-    shift differs from block to block but the kernel depends only on
-    differences, so only rounding moves with it.
+    of row slices of augmented operands (``kernels._augmented``) that the
+    pass builds before its tasks run, which only read them: s and t each
+    shifted to its own column mean, for K_ss and K_tt, and t shifted to s's
+    mean for the K_ts rows. Every block is thus shifted to the mean of the
+    set its columns come from, so its product does not cancel even when the
+    two sets sit far apart, where one shared shift would.
 
     A pass of fewer than _SPLIT_ENTRIES kernel entries, about (m + n)^2 / 2,
     runs inline in chunks of ``chunk_size`` rows (128 by default: m = 500
@@ -286,11 +301,22 @@ class _MmdProblem:
         tasks = ([(True, lo, min(lo + step, m)) for lo in range(0, m, step)]
                  + [(False, lo, min(lo + step, n)) for lo in range(0, n, step)])
 
-        def gram(a, b, buf):
-            # a C-contiguous prefix of the worker's buffer, so BLAS sees
-            # the same layout as a freshly allocated block
+        if s.shape[1] == 1:
+            ss = ts = tt = None  # direct differences take no operands
+        else:
+            g = 0.5 / (self.sigma * self.sigma)
+            mu_s = s.mean(axis=0)
+            ss, tt = _augmented(s, mu_s, g), _augmented(t, t.mean(axis=0), g)
+            ts = (_augmented(t, mu_s, g)[0], ss[1])
+
+        def gram(x, y, ops, lo, hi, col, buf):
+            # K(x[lo:hi], y[col:]) in a C-contiguous prefix of the worker's
+            # buffer, so BLAS sees the same layout as a freshly allocated block
+            a, b = x[lo:hi], y[col:]
             out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-            return gaussian_gram(a, b, self.sigma, out=out)
+            if ops is not None:
+                ops = (ops[0][lo:hi], ops[1][col:])
+            return gaussian_gram(a, b, self.sigma, out=out, operands=ops)
 
         if w is None:
             block, cross_by_class, tt_total = np.zeros((c, c)), np.zeros(c), 0.0
@@ -298,11 +324,11 @@ class _MmdProblem:
             def run(task, buf):
                 source, lo, hi = task
                 if source:
-                    k = gram(s[lo:hi], s[lo:], buf)
+                    k = gram(s, s, ss, lo, hi, lo, buf)
                     return (oh[lo:hi].T @ (k[:, :hi - lo] @ oh[lo:hi]),
                             oh[lo:hi].T @ (k[:, hi - lo:] @ oh[hi:]))
-                cross = (gram(t[lo:hi], s, buf) @ oh).sum(axis=0)
-                k = gram(t[lo:hi], t[lo:], buf)
+                cross = (gram(t, s, ts, lo, hi, 0, buf) @ oh).sum(axis=0)
+                k = gram(t, t, tt, lo, hi, lo, buf)
                 return cross, k[:, :hi - lo].sum() + 2.0 * k[:, hi - lo:].sum()
 
             def add(task, part):
@@ -322,10 +348,11 @@ class _MmdProblem:
             def run(task, buf):
                 source, lo, hi = task
                 if source:
-                    return _symmetric_rows(gram(s[lo:hi], s[lo:], buf), p_s, lo, hi)
-                k_ts = gram(t[lo:hi], s, buf)
+                    return _symmetric_rows(gram(s, s, ss, lo, hi, lo, buf),
+                                           p_s, lo, hi)
+                k_ts = gram(t, s, ts, lo, hi, 0, buf)
                 cross = (k_ts @ p_s, k_ts.T @ p_t[lo:hi])
-                return cross + _symmetric_rows(gram(t[lo:hi], t[lo:], buf),
+                return cross + _symmetric_rows(gram(t, t, tt, lo, hi, lo, buf),
                                                p_t, lo, hi)
 
             def add(task, part):
@@ -594,7 +621,8 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     stalls; the step length carries over between rounds. The bandwidth
     is the median pairwise distance of the stacked raw features, fixed
     before optimization. cic_baseline replaces q with the identity;
-    tars_fixed_w pins W to the identity and skips W updates.
+    tars_fixed_w pins W to the identity and skips W updates. The result's
+    ``stop_reason`` names the exit taken.
     """
     if noisy_source.labels is None:
         raise ValueError("source dataset must carry labels")
@@ -627,7 +655,7 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     trace = [prob.eval(w_key, alpha)]
     step_memory = 1.0
     stall_streak = 0
-    converged = False
+    stop_reason = "max_iters"
 
     for _ in range(config.max_outer_iters):
         a, b, const = prob.terms(w_key)
@@ -656,10 +684,13 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
 
         trace.append(f_now)
         if abs(trace[-2] - trace[-1]) < config.objective_tol:
-            converged = True
+            stop_reason = "converged"
             break
         if stall_streak >= MAX_CONSECUTIVE_STALLS:
+            # the round accepted no step: its first one stalled or found W
+            # stationary
+            stop_reason = "stalled" if state.stalled else "stationary"
             break
 
     return LinearFitResult(Projection(w_mat), ClassPrior(alpha / alpha.sum()),
-                           np.asarray(trace), converged, config, sigma)
+                           np.asarray(trace), stop_reason, config, sigma)

@@ -174,6 +174,8 @@ class TestSingleShotCommands:
         assert len(blob["alpha"]) == 2
         assert abs(sum(blob["alpha"]) - 1.0) <= 1e-9
         assert blob["config"]["mode"] == "tars_fixed_w"
+        assert blob["stop_reason"] in ("converged", "max_iters")
+        assert blob["converged"] == (blob["stop_reason"] == "converged")
 
     def test_fit_prints_to_stdout_without_out(self, tmp_path, capsys):
         src, tgt, qp = _write_domain_csvs(tmp_path, m=80)

@@ -168,7 +168,7 @@ class TestSquaredDistances:
         # rows far from their mean: the unclipped product leaves a positive
         # residue on the diagonal, which the clip turns into exp(0) = 1
         x = np.random.default_rng(2).standard_normal((20, 5)) * 1e4
-        lhs, rhs = _augmented(x, x, 0.5)
+        lhs, rhs = _augmented(x, x.mean(axis=0), 0.5)
         assert np.diag(lhs @ rhs.T).max() > 0.0
         assert gaussian_gram(x, x, 1.0).max() <= 1.0
 
@@ -272,6 +272,16 @@ class TestGaussianGramOut:
         x = rng.standard_normal((4, width))
         with pytest.raises(ValueError, match="sigma"):
             gaussian_gram(x, x, sigma)
+
+    def test_prebuilt_operands(self, rng):
+        # the kernel pass's path: row slices of operands built once; built at
+        # b's column mean they give the direct call's bits
+        x = rng.standard_normal((50, 3))
+        lhs, rhs = _augmented(x, x[10:].mean(axis=0), 0.5 / (1.3 * 1.3))
+        got = gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:20], rhs[10:]))
+        assert np.array_equal(got, gaussian_gram(x[:20], x[10:], 1.3))
+        with pytest.raises(ValueError, match="operands"):
+            gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:19], rhs[10:]))
 
     def test_out_reused_and_bit_identical(self, rng):
         # the chunked MMD pass hands in a reshaped prefix of one flat buffer

@@ -12,7 +12,8 @@ from conftest import (batch_mmd_hidden, brute_force_weighted_mmd, build_gram,
                       central_difference, dense_grad_w, expand_weights,
                       random_prior, relative_grad_error)
 import dcic.linear as linear_mod
-from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
+from dcic.data import (ClassPrior, Dataset, Projection, TransitionMatrix,
+                       empirical_prior, symmetric_noise)
 from dcic.kernels import median_bandwidth
 from dcic.linear import (GrassmannState, LinearFitConfig, LinearFitResult,
                          _MmdProblem, fit, grassmann_step, project_simplex,
@@ -144,6 +145,79 @@ class TestChunkedTerms:
                                             grams.k_ts, expand_weights(g, alpha))
             got = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["w-none", "w-2d"])
+    def test_far_apart_clouds_keep_their_digits(self, rng, rotate):
+        # source at +3e3, target at -3e3, sigma = 1: each self-Gram must be
+        # shifted by its own set's mean. A shift by the stacked mean leaves
+        # both clouds 3e3 from the origin, and the product then loses about
+        # six digits (A about 1e-10 off); direct differences are the truth
+        m, n = 40, 30
+        source, target, g, _ = _toy_problem(rng, m=m, n=n, d=2)
+        s = source.features + 3e3
+        t = target.features - 3e3
+        w = qr_retract(rng.standard_normal((2, 2))) if rotate else None
+        a, b, const = _MmdProblem(s, t, g, 1.0, chunk_size=16).terms(w)
+        sp, tp = (s, t) if w is None else (s @ w, t @ w)
+
+        def direct(x, y):
+            diff = x[:, None, :] - y[None, :, :]
+            return np.exp(-0.5 * (diff * diff).sum(axis=2))
+
+        gg = g.class_rows[g.labels - 1]
+        want_a = gg.T @ direct(sp, sp) @ gg / (m * m)
+        want_b = (direct(tp, sp) @ gg).sum(axis=0) / (m * n)
+        want_const = direct(tp, tp).sum() / (n * n)
+        assert np.abs(a - want_a).max() <= 1e-12 * np.abs(want_a).max()
+        assert np.abs(b - want_b).max() <= 1e-12 * np.abs(want_b).max()
+        assert abs(const - want_const) <= 1e-12 * want_const
+
+
+class TestPassOperands:
+    """At width >= 2 a pass builds its augmented operands once, before its
+    tasks run: s and t each at its own mean, and t at s's mean for the
+    cross rows. Direct differences (d' = 1) and cache hits build none."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = linear_mod._augmented
+
+        def counting(x, shift, g):
+            calls.append((len(x), tuple(np.broadcast_to(shift, x.shape[1]))))
+            return real(x, shift, g)
+
+        monkeypatch.setattr(linear_mod, "_augmented", counting)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_operand_set_built_once_per_pass(self, rng, monkeypatch,
+                                                  workers):
+        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+        source, target, g, sigma = _toy_problem(rng, m=61, n=47)
+        prob = _MmdProblem(source.features, target.features, g, sigma,
+                           chunk_size=8)
+        calls = self._counted(monkeypatch)
+        w = qr_retract(rng.standard_normal((3, 2)))
+        for key in (None, w):
+            prob.terms(key)
+            sp = source.features if key is None else source.features @ key
+            tp = target.features if key is None else target.features @ key
+            mu_s, mu_t = tuple(sp.mean(axis=0)), tuple(tp.mean(axis=0))
+            assert calls == [(61, mu_s), (47, mu_t), (47, mu_s)]
+            calls.clear()
+            prob.terms(None if key is None else w.copy())  # cache hit
+            assert calls == []
+
+    def test_width1_pass_builds_none(self, rng, monkeypatch):
+        source, target, g, sigma = _toy_problem(rng, m=61, n=47)
+        prob = _MmdProblem(source.features, target.features, g, sigma,
+                           chunk_size=8)
+        calls = self._counted(monkeypatch)
+        prob.terms(qr_retract(rng.standard_normal((3, 1))))
+        assert calls == []
 
 
 class TestEngineGradient:
@@ -854,6 +928,48 @@ class TestFit:
         assert np.allclose(blob["w"], res.w.w, atol=0)
         assert blob["config"]["mode"] == "dcic"
         assert LinearFitConfig(**blob["config"]) == cfg
+        assert blob["stop_reason"] == res.stop_reason
+        assert blob["converged"] is res.converged
+
+    def test_stop_reason_converged_or_max_iters(self):
+        source, target, q = self._shifted_pair(seed=23)
+        done = fit(LinearFitConfig(d_prime=2, mode="tars_fixed_w"),
+                   source, target, q)
+        assert done.stop_reason == "converged" and done.converged
+        capped = fit(LinearFitConfig(d_prime=1, max_outer_iters=1, seed=1),
+                     source, target, q)
+        assert capped.stop_reason == "max_iters" and not capped.converged
+        assert len(capped.objective_trace) == 2
+
+    @staticmethod
+    def _alternating_alpha(monkeypatch):
+        # an alpha that never settles, so only a W exit can end the fit
+        priors = iter(np.tile([0.3, 0.6], 20))
+        monkeypatch.setattr(linear_mod, "solve_alpha_qp",
+                            lambda a, b, start=None: ClassPrior(
+                                np.array([p := next(priors), 1.0 - p])))
+
+    def test_stop_reason_stationary(self, monkeypatch):
+        # d' = d: W is square, so every horizontal gradient is zero and each
+        # round's first step finds W stationary
+        source, target, q = self._shifted_pair(seed=23)
+        self._alternating_alpha(monkeypatch)
+        res = fit(LinearFitConfig(d_prime=2), source, target, q)
+        assert res.stop_reason == "stationary" and not res.converged
+        assert len(res.objective_trace) == 1 + linear_mod.MAX_CONSECUTIVE_STALLS
+
+    def test_stop_reason_stalled(self, monkeypatch):
+        source, target, q = self._shifted_pair(seed=23)
+        self._alternating_alpha(monkeypatch)
+
+        def failed_line_search(w, grad, state):
+            state.stalled = True
+            return Projection(w), state
+
+        monkeypatch.setattr(linear_mod, "grassmann_step", failed_line_search)
+        res = fit(LinearFitConfig(d_prime=1), source, target, q)
+        assert res.stop_reason == "stalled" and not res.converged
+        assert len(res.objective_trace) == 1 + linear_mod.MAX_CONSECUTIVE_STALLS
 
     def test_input_validation(self):
         source, target, q = self._shifted_pair(seed=29, m=40, n=40)
