@@ -44,9 +44,8 @@ def main():
     identity = TransitionMatrix(np.eye(2))
     unlabeled = Dataset(target.features)
 
-    for name, q_used, mode in (("noise-corrected", q, "dcic"),
-                               ("noise-ignorant", identity, "cic_baseline")):
-        res = fit(LinearFitConfig(d_prime=1, mode=mode, seed=0),
+    for name, q_used in (("noise-corrected", q), ("noise-ignorant", identity)):
+        res = fit(LinearFitConfig(d_prime=1, seed=0),
                   noisy_source, unlabeled, q_used)
         gamma = gamma_weights(res.alpha, q_used, noisy_prior)
         model = train(noisy_source.features @ res.w.w, noisy_source.labels,

@@ -13,8 +13,9 @@ Run: python3 demos/prior_recovery.py
 
 import numpy as np
 
-from dcic import (ClassPrior, Dataset, GmmSpec, LinearFitConfig, fit,
-                  flip_labels, sample_dataset, symmetric_noise)
+from dcic import (ClassPrior, Dataset, GmmSpec, LinearFitConfig,
+                  TransitionMatrix, fit, flip_labels, sample_dataset,
+                  symmetric_noise)
 
 M_SOURCE = 4000
 N_TARGET = 4000
@@ -40,9 +41,7 @@ def main():
 
     cfg = LinearFitConfig(d_prime=2, mode="tars_fixed_w", seed=0)
     corrected = fit(cfg, noisy_source, target, q)
-
-    cfg_ignore = LinearFitConfig(d_prime=2, mode="cic_baseline", seed=0)
-    ignorant = fit(cfg_ignore, noisy_source, target, q)
+    ignorant = fit(cfg, noisy_source, target, TransitionMatrix(np.eye(2)))
 
     for name, result in (("noise-corrected", corrected),
                          ("noise-ignorant", ignorant)):

@@ -151,7 +151,7 @@ def _ce_grads_from_forward(model: MlpModel, x, z1, a1, f, labels, q_mat,
 def batch_loss_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray,
                      q: TransitionMatrix, gamma: GammaWeights):
     """(mean loss, LossGrads) of a batch under the corrected, reweighted
-    loss. Shared by training here and by the joint objective."""
+    loss; ``train`` steps on it."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     z1, a1, f = _forward(model, x)

@@ -25,7 +25,7 @@ from .classifier import TrainConfig, train
 from .data import TransitionMatrix, empirical_prior, read_dataset_csv
 from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
                       run_experiment)
-from .linear import LinearFitConfig, fit
+from .linear import MODES, LinearFitConfig, fit
 from .noise import GammaWeights, gamma_weights
 from .data import ClassPrior
 
@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--source", help="noisy labeled source CSV")
     p_fit.add_argument("--target", help="target CSV (labels ignored)")
     p_fit.add_argument("--q", help="flip-rate matrix JSON")
-    p_fit.add_argument("--mode", choices=("dcic", "cic_baseline", "tars_fixed_w"), default=None)
+    p_fit.add_argument("--mode", choices=MODES, default=None)
     p_fit.add_argument("--d-prime", dest="d_prime", type=int, default=None)
     p_fit.set_defaults(func=_cmd_fit)
 

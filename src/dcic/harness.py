@@ -223,18 +223,17 @@ def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
     return noisy, target, target_prior, q_method, noisy_prior
 
 
-def _fit_arm(config: ExperimentConfig, method: str, noisy: Dataset,
-             target: Dataset, q_used: TransitionMatrix,
-             noisy_prior: ClassPrior, seed: int):
-    """(fit result, accuracy) of one method. Prior recovery pins W to the
+def _fit_arm(config: ExperimentConfig, noisy: Dataset, target: Dataset,
+             q_used: TransitionMatrix, noisy_prior: ClassPrior, seed: int):
+    """(fit result, accuracy) of the method that q_used stands for (the
+    noise-ignorant arm's is the identity). Prior recovery pins W to the
     identity and scores no accuracy; getars_accuracy fits the projection,
     trains the downstream classifier on the projected noisy source and
     scores it on the projected target."""
     if config.scenario != "getars_accuracy":
         cfg = LinearFitConfig(d_prime=DIM, mode="tars_fixed_w", seed=seed)
         return fit(cfg, noisy, target, q_used), None
-    mode = "dcic" if method == "dcic" else "cic_baseline"
-    fit_cfg = LinearFitConfig(d_prime=config.d_prime, mode=mode,
+    fit_cfg = LinearFitConfig(d_prime=config.d_prime, mode="dcic",
                               seed=child_seed(seed, 5), **GETARS_FIT)
     res = fit(fit_cfg, noisy, target, q_used)
     s_proj = noisy.features @ res.w.w
@@ -264,7 +263,7 @@ def _run_rep(config: ExperimentConfig, n: int, rho: float, beta1: float,
         q_used = q_method if method == "dcic" else identity
         t0 = time.perf_counter()
         try:
-            res, accuracy = _fit_arm(config, method, noisy, target, q_used,
+            res, accuracy = _fit_arm(config, noisy, target, q_used,
                                      noisy_prior, seed)
             b_err, a_err, ratio_prior, beta_star = _beta_metrics(
                 res.alpha.p, q_used, noisy_prior, target_prior)

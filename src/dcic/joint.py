@@ -25,8 +25,9 @@ from .classifier import (INIT_STREAM, SHUFFLE_STREAM, TARGET_STREAM, MlpModel,
                          init_model, sgd_step)
 from .data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
 from .kernels import median_bandwidth
-from .noise import GMatrix, clean_prior_from_noisy, floored_gamma_weights
-from .linear import _MmdProblem, build_g_matrix, solve_alpha_qp
+from .noise import (GMatrix, build_g_matrix, clean_prior_from_noisy,
+                    floored_gamma_weights)
+from .linear import _MmdProblem, solve_alpha_qp
 from .rng import child_generator
 
 

@@ -185,6 +185,33 @@ class TestSingleShotCommands:
         blob = json.loads(capsys.readouterr().out)
         assert "objective_trace" in blob
 
+    def test_fit_three_classes(self, tmp_path):
+        # c = 3 takes the support-enumeration QP inside every outer round
+        rng = as_generator(3)
+        centres = np.array([[-2.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+        labels = np.repeat([1, 2, 3], 40)
+        src, tgt = str(tmp_path / "source.csv"), str(tmp_path / "target.csv")
+        write_dataset_csv(Dataset(centres[labels - 1]
+                                  + rng.standard_normal((120, 2)),
+                                  labels, "noisy", 3), src)
+        tgt_labels = np.repeat([1, 2, 3], [60, 30, 30])
+        write_dataset_csv(Dataset(centres[tgt_labels - 1]
+                                  + rng.standard_normal((120, 2))), tgt)
+        qp = str(tmp_path / "q.json")
+        with open(qp, "w") as fh:
+            fh.write(symmetric_noise(3, 0.2).to_json())
+        out = str(tmp_path / "fit.json")
+        rc = main(["fit", "--source", src, "--target", tgt, "--q", qp,
+                   "--out", out])
+        assert rc == 0
+        with open(out) as fh:
+            blob = json.load(fh)
+        alpha = np.asarray(blob["alpha"])
+        assert blob["config"]["mode"] == "dcic"
+        assert alpha.shape == (3,)
+        assert alpha.min() >= 0.0
+        assert abs(alpha.sum() - 1.0) <= 1e-12
+
     def test_train_outputs_model_json(self, tmp_path):
         src, _, qp = _write_domain_csvs(tmp_path)
         out = str(tmp_path / "model.json")
