@@ -9,6 +9,15 @@ sample, 2 label flips, 3 target sample, 4 location-scale draw (and the
 flip-rate estimation seed), 5 fit seed, 6 classifier seed. Records carry
 the derived seed, the fitted prior, and the priors used for the ratio, so
 every reported number is recomputable.
+
+A sweep is a list of tasks, one per (cell, repetition, arm) in grid order,
+each regenerating its repetition's data from the seed, so a task needs
+nothing from another. When ``linear._WORKERS`` is above 1 (OpenBLAS on one
+thread and at least two CPUs, the rule the split kernel pass follows) the
+tasks run in that many forked worker processes, whose own passes stay on
+one thread, and their records come back in task order: the records are
+those of the serial run, bit for bit, outside ``wall_time_s``. See
+``run_experiment`` for when a sweep stays in this process.
 """
 
 from __future__ import annotations
@@ -16,11 +25,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import linear
 from .classifier import TrainConfig, predict, predict_proba, train
 from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
                    symmetric_noise)
@@ -149,6 +161,7 @@ class MetricRecord:
     beta_star: list | None = None
     target_prior: list | None = None
     converged: bool | None = None
+    stop_reason: str | None = None      # LinearFitResult.stop_reason
     w: list | None = None               # fitted projection, rows = input dims
     objective_trace: list | None = None
     error: str | None = None
@@ -203,10 +216,10 @@ def _failed_record(scenario, rep, seed, rho, beta1, n, method, msg,
 def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
               seed: int):
     """One repetition's data from its child streams, in the order of the
-    module docstring: (noisy source, target, target prior, the flip rates
-    handed to the corrected method, noisy-label prior). Every scenario
-    draws the same source and clean target; only getars_accuracy moves
-    the target by the stream-4 location-scale draw."""
+    module docstring: (noisy source, target, target prior, true flip rates,
+    noisy-label prior). Every scenario draws the same source and clean
+    target; only getars_accuracy moves the target by the stream-4
+    location-scale draw."""
     q_true = symmetric_noise(N_CLASSES, rho)
     spec = sample_gmm_spec(N_CLASSES, DIM, child_generator(seed, 0))
     clean = sample_dataset(spec.with_priors(ClassPrior(SOURCE_PRIOR)), n,
@@ -218,9 +231,8 @@ def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
     if config.scenario == "getars_accuracy":
         shift = sample_location_scale(N_CLASSES, DIM, child_generator(seed, 4))
         target = apply_location_scale(target, shift)
-    q_method = _method_q(config, noisy, seed, q_true)
     noisy_prior = empirical_prior(noisy.labels, N_CLASSES)
-    return noisy, target, target_prior, q_method, noisy_prior
+    return noisy, target, target_prior, q_true, noisy_prior
 
 
 def _fit_arm(config: ExperimentConfig, noisy: Dataset, target: Dataset,
@@ -244,53 +256,76 @@ def _fit_arm(config: ExperimentConfig, noisy: Dataset, target: Dataset,
     return res, float(np.mean(predict(model, t_proj) == target.labels))
 
 
-def _run_rep(config: ExperimentConfig, n: int, rho: float, beta1: float,
-             rep: int, seed: int) -> list:
-    """Two records, one per method, on identical data. A failure tags the
-    record it hits (both, when data generation fails) instead of raising."""
+def _run_arm(task: tuple) -> MetricRecord:
+    """The record of one task (config, n, rho, beta1, rep, seed, method):
+    one method on one repetition. Only the noise-corrected arm reads (and,
+    for q_source 'estimated', estimates) the flip rates. A failure tags the
+    record instead of raising: a failed data generation tags both arms of
+    the repetition, a failed estimate only 'dcic'."""
+    config, n, rho, beta1, rep, seed, method = task
     scen = config.scenario
-    with_accuracy = scen == "getars_accuracy"
     try:
-        noisy, target, target_prior, q_method, noisy_prior = _rep_data(
+        noisy, target, target_prior, q_true, noisy_prior = _rep_data(
             config, n, rho, beta1, seed)
-    except Exception as exc:
-        return [_failed_record(scen, rep, seed, rho, beta1, n, m, str(exc),
-                               with_accuracy) for m in METHODS]
-
-    identity = TransitionMatrix(np.eye(N_CLASSES))
-    records = []
-    for method in METHODS:
-        q_used = q_method if method == "dcic" else identity
+        if method == "dcic":
+            q_used = _method_q(config, noisy, seed, q_true)
+        else:
+            q_used = TransitionMatrix(np.eye(N_CLASSES))
         t0 = time.perf_counter()
-        try:
-            res, accuracy = _fit_arm(config, noisy, target, q_used,
-                                     noisy_prior, seed)
-            b_err, a_err, ratio_prior, beta_star = _beta_metrics(
-                res.alpha.p, q_used, noisy_prior, target_prior)
-            records.append(MetricRecord(
-                scen, rep, seed, rho, beta1, n, n, method, b_err, a_err,
-                accuracy, time.perf_counter() - t0, alpha=res.alpha.p.tolist(),
-                ratio_prior=ratio_prior.p.tolist(), beta_star=beta_star.tolist(),
-                target_prior=target_prior.p.tolist(), converged=res.converged,
-                w=res.w.w.tolist(), objective_trace=list(res.objective_trace)))
-        except Exception as exc:
-            records.append(_failed_record(scen, rep, seed, rho, beta1, n,
-                                          method, str(exc), with_accuracy))
-    return records
+        res, accuracy = _fit_arm(config, noisy, target, q_used, noisy_prior,
+                                 seed)
+        b_err, a_err, ratio_prior, beta_star = _beta_metrics(
+            res.alpha.p, q_used, noisy_prior, target_prior)
+    except Exception as exc:
+        return _failed_record(scen, rep, seed, rho, beta1, n, method, str(exc),
+                              scen == "getars_accuracy")
+    return MetricRecord(
+        scen, rep, seed, rho, beta1, n, n, method, b_err, a_err, accuracy,
+        time.perf_counter() - t0, alpha=res.alpha.p.tolist(),
+        ratio_prior=ratio_prior.p.tolist(), beta_star=beta_star.tolist(),
+        target_prior=target_prior.p.tolist(), converged=res.converged,
+        stop_reason=res.stop_reason, w=res.w.w.tolist(),
+        objective_trace=list(res.objective_trace))
+
+
+def _init_worker() -> None:
+    # keep the worker's kernel passes inline: processes x threads stays
+    # within the CPUs that set the worker count
+    linear._WORKERS = 1
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Every cell x repetition of the sweep, in grid order."""
+    """Every cell x repetition x method of the sweep, in grid order ('dcic'
+    before 'cic' within a repetition).
+
+    With ``linear._WORKERS`` > 1 the (cell, rep, method) tasks run in a pool
+    of that many forked processes (no more than there are tasks), shut down
+    before this returns. Fork, not spawn: a spawned worker re-imports numpy
+    and the package, and a spawned pool of two took about 330 ms to start
+    and stop against 13 ms forked (2-CPU Xeon), more than a serial GeTarS
+    repetition at n = 500 takes. The sweep runs in this process, one task
+    at a time, without ``os.fork``, while another thread runs (a fork
+    copies no other thread, and a lock one holds would stay held in the
+    child), or when ``fit`` is wrapped with ``functools.wraps``
+    (perfbench's tracer, whose spans a child would keep to itself).
+    """
     sizes, rhos, betas = resolved_grids(config)
-    records = []
-    for si, n in enumerate(sizes):
-        for ri, rho in enumerate(rhos):
-            for bi, beta1 in enumerate(betas):
-                for rep in range(config.repetitions):
-                    seed = child_seed(config.seed, si, ri, bi, rep)
-                    records.extend(_run_rep(config, int(n), float(rho),
-                                            float(beta1), rep, seed))
-    return records
+    tasks = [(config, int(n), float(rho), float(beta1), rep,
+              child_seed(config.seed, si, ri, bi, rep), method)
+             for si, n in enumerate(sizes)
+             for ri, rho in enumerate(rhos)
+             for bi, beta1 in enumerate(betas)
+             for rep in range(config.repetitions)
+             for method in METHODS]
+    workers = min(linear._WORKERS, len(tasks))
+    if (workers < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1 or hasattr(fit, "__wrapped__")):
+        return [_run_arm(task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_init_worker) as pool:
+        return list(pool.map(_run_arm, tasks))
 
 
 def _json_safe(obj):

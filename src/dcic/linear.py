@@ -239,9 +239,11 @@ class _MmdProblem:
     together they hold what one full-height buffer would. The chunk rows
     depend only on m, n and ``chunk_size`` and the contributions are added
     in chunk order, so the result is bit-identical for any worker count.
-    Threads, not processes: numpy releases the interpreter lock in
-    ``matmul``, ``minimum`` and ``exp``, which hold almost all of a pass's
-    time, and a thread shares the rows without copies or a process start.
+    Within a pass, threads, not processes: numpy releases the interpreter
+    lock in ``matmul``, ``minimum`` and ``exp``, which hold almost all of a
+    pass's time, and a thread shares the rows without copies or a process
+    start. (Whole harness arms, whose Python glue holds the lock between
+    small numpy calls, run in processes instead; see ``dcic.harness``.)
     A ``gaussian_gram`` wrapped with ``functools.wraps``, as perfbench's
     tracer wraps it, keeps the pass on the caller's thread: that tracer
     keeps one span stack for all threads.

@@ -1,12 +1,16 @@
 import csv
+import functools
 import json
 import math
+import multiprocessing
 import os
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from dcic import harness, linear
 from dcic.data import symmetric_noise
 from dcic.harness import (CSV_COLUMNS, DIM, ExperimentConfig, _rep_data,
                           emit_results, estimate_q_mlp, resolved_grids,
@@ -92,6 +96,9 @@ class TestRunTars:
             assert r.seed == child_seed(0, 0, 0, 0, r.rep)
             assert np.asarray(r.w).shape == (2, 2)
             assert len(r.objective_trace) >= 2
+            assert r.stop_reason in ("converged", "max_iters", "stalled",
+                                     "stationary")
+            assert r.converged == (r.stop_reason == "converged")
 
     def test_deterministic_except_wall_time(self):
         a = run_experiment(_tiny_tars())
@@ -205,6 +212,19 @@ class TestEstimatedFlipRates:
         cic = [r for r in a if r.method == "cic"][0]
         assert cic.error is None
 
+    def test_failed_estimate_tags_only_the_corrected_arm(self, monkeypatch):
+        # the noise-ignorant arm never reads the estimate, so a failing
+        # estimator must leave its record intact
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected estimation failure")
+        monkeypatch.setattr(harness, "estimate_q_mlp", fail)
+        records = run_experiment(_tiny_tars(repetitions=1,
+                                            q_source="estimated"))
+        by_method = {r.method: r for r in records}
+        assert by_method["dcic"].error == "injected estimation failure"
+        assert by_method["cic"].error is None
+        assert math.isfinite(by_method["cic"].beta_error)
+
     def test_q_override_bypasses_truth(self):
         # identical data; the corrected arm sees the override, and feeding
         # the true matrix as an override matches the true-source run
@@ -244,6 +264,10 @@ class TestEmitResults:
             "shift_range", "scale_low", "scale_high"}
         assert len(sidecar["records"]) == len(records)
         assert sidecar["records"][0]["alpha"] == records[0].alpha
+        assert [r["stop_reason"] for r in sidecar["records"]] == [
+            r.stop_reason for r in records]
+        # the CSV keeps its columns: stop_reason is a sidecar field only
+        assert "stop_reason" not in rows[0]
 
     def test_repeated_runs_byte_identical_outside_wall_time(self, tmp_path):
         cfg = _tiny_tars(repetitions=1)
@@ -284,3 +308,101 @@ class TestEmitResults:
         for r in sidecar["records"]:
             assert r["beta_error"] is None and r["alpha_error"] is None
             assert r["error"]
+
+
+def _getars_tiny():
+    return ExperimentConfig(scenario="getars_accuracy", repetitions=2,
+                            sample_sizes=(120,), rho_grid=(0.2, 0.4),
+                            beta_grid=(1.4,), seed=3)
+
+
+def _estimated_tars():
+    return _tiny_tars(repetitions=2, sample_sizes=(200,), q_source="estimated")
+
+
+def _strip_wall_time(path):
+    with open(path) as fh:
+        csv_lines = [line.rsplit(",", 1)[0] for line in fh.read().splitlines()]
+    with open(path + ".json") as fh:
+        sidecar = json.load(fh)
+    for r in sidecar["records"]:
+        r.pop("wall_time_s")
+    return csv_lines, sidecar
+
+
+def _pid_and_workers(*args, **kwargs):
+    raise RuntimeError(f"{os.getpid()} {linear._WORKERS}")
+
+
+class TestWorkerProcesses:
+    """Sweeps with ``linear._WORKERS`` at 2, as on a 2-CPU host with BLAS on
+    one thread, run their arms in forked workers."""
+
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(linear, "_WORKERS", 2)
+
+    @pytest.mark.parametrize("make_config", [_getars_tiny, _estimated_tars],
+                             ids=["getars", "tars-estimated"])
+    def test_same_records_csv_and_sidecar_as_serial(self, make_config,
+                                                    monkeypatch, tmp_path):
+        cfg = make_config()
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(linear, "_WORKERS", 2)
+        forked = run_experiment(cfg)
+        assert len(forked) == len(serial) > 2
+        assert all(_records_equal_except_time(x, y)
+                   for x, y in zip(serial, forked))
+        assert all(r.error is None for r in forked)
+        p1, p2 = str(tmp_path / "serial.csv"), str(tmp_path / "forked.csv")
+        emit_results(serial, p1, config=cfg)
+        emit_results(forked, p2, config=cfg)
+        assert _strip_wall_time(p1) == _strip_wall_time(p2)
+
+    def test_failed_data_tags_both_arms(self, two_workers, failing_rep_data):
+        records = run_experiment(_tiny_tars(repetitions=2))
+        assert [r.method for r in records] == ["dcic", "cic"] * 2
+        for r in records:
+            assert r.error == "injected data-generation failure"
+            assert math.isnan(r.beta_error)
+
+    def test_no_process_or_thread_outlives_the_sweep(self, two_workers):
+        # the pool's manager and queue threads are joined on shutdown too,
+        # so the next sweep may fork again
+        run_experiment(_tiny_tars(repetitions=1))
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+
+    def test_worker_passes_run_inline(self, two_workers, monkeypatch):
+        # each task runs in a child process that sees one pass worker
+        monkeypatch.setattr(harness, "fit", _pid_and_workers)
+        records = run_experiment(_tiny_tars(repetitions=2))
+        assert len(records) == 4
+        for r in records:
+            pid, workers = r.error.split()
+            assert int(pid) != os.getpid()
+            assert workers == "1"
+        assert linear._WORKERS == 2
+
+    def test_running_thread_keeps_the_sweep_in_process(self, two_workers,
+                                                       monkeypatch):
+        monkeypatch.setattr(harness, "fit", _pid_and_workers)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(30,))
+        other.start()
+        try:
+            records = run_experiment(_tiny_tars(repetitions=1))
+        finally:
+            stop.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert {r.error for r in records} == {f"{os.getpid()} 2"}
+
+    def test_wrapped_fit_keeps_the_sweep_in_process(self, two_workers,
+                                                    monkeypatch):
+        # a traced fit records its spans in this process's tracer only
+        wrapped = functools.wraps(linear.fit)(
+            lambda *args, **kwargs: _pid_and_workers(*args, **kwargs))
+        monkeypatch.setattr(harness, "fit", wrapped)
+        records = run_experiment(_tiny_tars(repetitions=1))
+        assert {r.error for r in records} == {f"{os.getpid()} 2"}
