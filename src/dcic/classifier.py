@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TransitionMatrix
+from .data import TransitionMatrix, int_field
 from .noise import GammaWeights
 from .rng import child_generator
 
@@ -75,6 +75,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("hidden_units", "epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("counts must be >= 1")
         if self.learning_rate <= 0:

@@ -22,7 +22,8 @@ from dataclasses import fields
 import numpy as np
 
 from .classifier import TrainConfig, train
-from .data import TransitionMatrix, empirical_prior, read_dataset_csv
+from .data import (TransitionMatrix, empirical_prior, int_field,
+                   read_dataset_csv)
 from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
                       run_experiment)
 from .linear import MODES, LinearFitConfig, fit
@@ -81,7 +82,7 @@ def _merged(args, flags, allowed, rename=None) -> dict:
 
 def _read_q(path: str) -> TransitionMatrix:
     with open(path) as fh:
-        return TransitionMatrix.from_json(fh.read())
+        return TransitionMatrix.from_json(fh.read(), path)
 
 
 def _write_out(text: str, path: str | None) -> int:
@@ -126,7 +127,7 @@ def _cmd_fit(args) -> int:
     source = read_dataset_csv(opts.pop("source"), label_kind="noisy")
     target = read_dataset_csv(opts.pop("target"))
     q = _read_q(opts.pop("q"))
-    cfg = LinearFitConfig(d_prime=int(opts.pop("d_prime", 1)), **opts)
+    cfg = LinearFitConfig(**{"d_prime": 1, **opts})
     return _write_out(fit(cfg, source, target, q).to_json(), args.out)
 
 
@@ -154,7 +155,7 @@ def _cmd_estimate_q(args) -> int:
                    ("features", "percentile", "seed"))
     data = read_dataset_csv(opts.pop("features"), label_kind="noisy")
     q_hat = estimate_q_mlp(data.features, data.labels, data.n_classes,
-                           seed=int(opts.get("seed", 0)),
+                           seed=int_field("seed", opts.get("seed", 0)),
                            percentile=float(opts.pop("percentile", 97.0)))
     return _write_out(q_hat.to_json(), args.out)
 

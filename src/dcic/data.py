@@ -23,6 +23,15 @@ ORTHONORMAL_TOL = 1e-8
 COND_BOUND = 1e6
 
 
+def int_field(name: str, value) -> int:
+    """A config field's integer value, as an int. A bool, a float (even an
+    integral one such as 60.0) or any other non-integer raises ValueError:
+    truncating it would run a different config than the one given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -137,8 +146,14 @@ class TransitionMatrix:
         return json.dumps({"c": self.n_classes, "rows": self.q.tolist()})
 
     @staticmethod
-    def from_json(text: str) -> "TransitionMatrix":
+    def from_json(text: str, source: str = "flip-rate JSON") -> "TransitionMatrix":
+        """The matrix that ``to_json`` wrote; ``source`` names the text's
+        origin (a file path) in the error for a missing key."""
         obj = json.loads(text)
+        missing = [k for k in ("c", "rows")
+                   if not isinstance(obj, dict) or k not in obj]
+        if missing:
+            raise ValueError(f"{source}: missing key(s) {', '.join(missing)}")
         rows = np.asarray(obj["rows"], dtype=np.float64)
         if rows.shape != (obj["c"], obj["c"]):
             raise ValueError("rows do not match declared class count")

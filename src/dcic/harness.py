@@ -35,7 +35,7 @@ import numpy as np
 from . import linear
 from .classifier import TrainConfig, predict, predict_proba, train
 from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
-                   symmetric_noise)
+                   int_field, symmetric_noise)
 from .linear import LinearFitConfig, fit
 from .noise import (GammaWeights, clean_prior_from_noisy,
                     estimate_transition_anchor, floored_gamma_weights)
@@ -91,6 +91,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
+        for name in ("repetitions", "d_prime", "seed"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.q_source not in Q_SOURCES:
@@ -101,6 +103,10 @@ class ExperimentConfig:
                 if len(val) == 0:
                     raise ValueError(f"{name} must be nonempty when given")
                 object.__setattr__(self, name, tuple(val))
+        if self.sample_sizes is not None:
+            object.__setattr__(self, "sample_sizes", tuple(
+                int_field("sample_sizes entry", n)
+                for n in self.sample_sizes))
         # every grid point must give a valid flip matrix and target prior,
         # or each of its repetitions would fail as a record
         for rho in self.rho_grid or ():
@@ -310,7 +316,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     (perfbench's tracer, whose spans a child would keep to itself).
     """
     sizes, rhos, betas = resolved_grids(config)
-    tasks = [(config, int(n), float(rho), float(beta1), rep,
+    tasks = [(config, n, float(rho), float(beta1), rep,
               child_seed(config.seed, si, ri, bi, rep), method)
              for si, n in enumerate(sizes)
              for ri, rho in enumerate(rhos)

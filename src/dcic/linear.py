@@ -29,8 +29,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ClassPrior, Dataset, Projection, TransitionMatrix, empirical_prior
-from .kernels import _augmented, gaussian_gram, median_bandwidth
+from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
+                   empirical_prior, int_field)
+from .kernels import _augmented, _differences, gaussian_gram, median_bandwidth
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
@@ -95,6 +96,8 @@ class LinearFitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_prime", "max_outer_iters", "w_cg_iters", "seed"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
         if self.d_prime < 1:
             raise ValueError("d_prime must be >= 1")
         if self.max_outer_iters < 1 or self.w_cg_iters < 1:
@@ -223,13 +226,16 @@ class _MmdProblem:
     in chunk order. For the symmetric self-blocks K_ss and K_tt a task
     computes only the columns at or right of the chunk's first row (the
     upper block-triangle). Each block is one ``kernels.gaussian_gram``
-    call: direct differences at d' = 1, and at width >= 2 one BLAS product
-    of row slices of augmented operands (``kernels._augmented``) that the
-    pass builds before its tasks run, which only read them: s and t each
-    shifted to its own column mean, for K_ss and K_tt, and t shifted to s's
-    mean for the K_ts rows. Every block is thus shifted to the mean of the
-    set its columns come from, so its product does not cancel even when the
-    two sets sit far apart, where one shared shift would.
+    call, one BLAS product of row slices of operands that the pass builds
+    before its tasks run, which only read them: (lhs, rhs) of s for K_ss,
+    of t for K_tt, and t's lhs with s's rhs for the K_ts rows. At d' = 1
+    they are difference operands (``kernels._differences``), exact and
+    unshifted. At width >= 2 they are augmented operands
+    (``kernels._augmented``): s and t each shifted to its own column mean,
+    and t's lhs for K_ts shifted to s's mean. Every block is thus shifted
+    to the mean of the set its columns come from, so its product does not
+    cancel even when the two sets sit far apart, where one shared shift
+    would.
 
     A pass of fewer than _SPLIT_ENTRIES kernel entries, about (m + n)^2 / 2,
     runs inline in chunks of ``chunk_size`` rows (128 by default: m = 500
@@ -304,7 +310,8 @@ class _MmdProblem:
                  + [(False, lo, min(lo + step, n)) for lo in range(0, n, step)])
 
         if s.shape[1] == 1:
-            ss = ts = tt = None  # direct differences take no operands
+            ss, tt = _differences(s), _differences(t)
+            ts = (tt[0], ss[1])
         else:
             g = 0.5 / (self.sigma * self.sigma)
             mu_s = s.mean(axis=0)
@@ -316,9 +323,8 @@ class _MmdProblem:
             # buffer, so BLAS sees the same layout as a freshly allocated block
             a, b = x[lo:hi], y[col:]
             out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-            if ops is not None:
-                ops = (ops[0][lo:hi], ops[1][col:])
-            return gaussian_gram(a, b, self.sigma, out=out, operands=ops)
+            return gaussian_gram(a, b, self.sigma, out=out,
+                                 operands=(ops[0][lo:hi], ops[1][col:]))
 
         if w is None:
             block, cross_by_class, tt_total = np.zeros((c, c)), np.zeros(c), 0.0

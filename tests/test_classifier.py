@@ -242,6 +242,14 @@ class TestSgdAndTrain:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("field", ["hidden_units", "epochs", "batch_size",
+                                       "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True])
+    def test_non_integer_counts_rejected(self, field, value):
+        # a bool used to run (epochs=True trained one epoch)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
 
 class TestPredict:
     def test_argmax_and_tie_break(self):

@@ -71,6 +71,35 @@ class TestArgHandling:
         assert proc.returncode == 0
         assert "tars" in proc.stdout and "estimate-q" in proc.stdout
 
+    # refused before any work: some of these were truncated (fit ran
+    # d' = 1), others passed the config and failed every repetition as a
+    # record (exit 1)
+    @pytest.mark.parametrize("command, key, value", [
+        ("getars", "d_prime", 1.5), ("getars", "sample_sizes", [60.5]),
+        ("tars", "repetitions", 1.0), ("tars", "repetitions", True),
+        ("fit", "d_prime", 1.5), ("fit", "max_outer_iters", 2.5),
+        ("fit", "seed", 0.5), ("estimate-q", "seed", 1.5),
+        ("train", "epochs", True)],
+        ids=["getars-d_prime", "getars-sample_sizes", "tars-repetitions-float",
+             "tars-repetitions-bool", "fit-d_prime", "fit-max_outer_iters",
+             "fit-seed", "estimate-q-seed", "train-epochs-bool"])
+    def test_non_integer_config_field_returns_2(self, tmp_path, capsys,
+                                                command, key, value):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = str(tmp_path / "out")
+        inputs = {"tars": _sweep_args(out)[1:], "getars": _sweep_args(out)[3:],
+                  "fit": ["--source", src, "--target", tgt, "--q", qp,
+                          "--out", out],
+                  "estimate-q": ["--features", src, "--out", out],
+                  "train": ["--features", src, "--q", qp, "--out", out]}[command]
+        rc = main([command, *inputs, "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "must be an integer" in err
+        assert not os.path.exists(out)
+
 
 class TestSweepCommands:
     def test_tars_writes_csv_and_sidecar(self, tmp_path, capsys):
@@ -308,6 +337,22 @@ class TestSingleShotCommands:
         rc = main(["train", "--features", src, "--q", qp, "--out", out])
         assert rc == 2
         assert "line 42" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key", ["c", "rows"])
+    def test_flip_rate_json_missing_key_returns_2(self, tmp_path, capsys, key):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        with open(qp) as fh:
+            obj = json.load(fh)
+        del obj[key]
+        with open(qp, "w") as fh:
+            json.dump(obj, fh)
+        out = str(tmp_path / "fit.json")
+        rc = main(["fit", "--source", src, "--target", tgt, "--q", qp,
+                   "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{qp}: missing key(s) {key}" in err
         assert not os.path.exists(out)
 
     def test_fit_missing_input_returns_2(self, tmp_path, capsys):

@@ -81,6 +81,13 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix(np.ones((2, 3)) / 3.0)
 
+    @pytest.mark.parametrize("text, missing", [
+        ('{"rows": [[1.0, 0.0], [0.0, 1.0]]}', "c"), ('{"c": 2}', "rows"),
+        ('[]', "c, rows")])
+    def test_from_json_names_missing_key(self, text, missing):
+        with pytest.raises(ValueError, match=rf"q\.json: missing key\(s\) {missing}$"):
+            TransitionMatrix.from_json(text, "q.json")
+
     def test_json_roundtrip(self):
         q = TransitionMatrix(np.array([[0.8, 0.2], [0.3, 0.7]]))
         back = TransitionMatrix.from_json(q.to_json())

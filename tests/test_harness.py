@@ -79,6 +79,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             _tiny_tars(**{field: value})
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("d_prime", 1.5, "d_prime must be"),
+        ("repetitions", 2.0, "repetitions must be"),
+        ("repetitions", True, "repetitions must be"),
+        ("seed", 0.5, "seed must be"),
+        ("sample_sizes", (60, 60.5), "sample_sizes entry must be"),
+        ("sample_sizes", (False,), "sample_sizes entry must be"),
+    ], ids=["d_prime", "repetitions-float", "repetitions-bool", "seed",
+            "sample_sizes-float", "sample_sizes-bool"])
+    def test_integer_fields_reject_non_integers(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            _tiny_tars(**{field: value})
+
+    def test_integer_fields_stored_as_int(self):
+        cfg = _tiny_tars(sample_sizes=[np.int64(60)], repetitions=np.int32(2))
+        assert cfg.sample_sizes == (60,) and type(cfg.sample_sizes[0]) is int
+        assert type(cfg.repetitions) is int
+
     def test_q_override_normalized_to_tuples(self):
         cfg = _tiny_tars(q_override=[[0.8, 0.2], [0.3, 0.7]])
         assert cfg.q_override == ((0.8, 0.2), (0.3, 0.7))

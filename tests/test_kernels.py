@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
                       poly2_features, poly2_kernel_matrix)
-from dcic.kernels import (_SUBSAMPLE_SEED, _augmented, gaussian_gram,
-                          median_bandwidth)
+from dcic.kernels import (_SUBSAMPLE_SEED, _augmented, _differences,
+                          gaussian_gram, median_bandwidth)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
 
@@ -207,6 +207,40 @@ class TestSquaredDistances:
             gaussian_gram(a, a, 1.0, out=np.empty((4, 4), dtype=np.float32))
 
 
+class TestDifferenceOperands:
+    """[a, 1] . [1, -b] has two exact products per entry and one rounding,
+    so the product is np.subtract.outer to the bit (array_equal: a zero's
+    sign may differ, and is squared away). Pinned as the kernel pass runs
+    it: one BLAS product of row slices into a reused buffer's prefix."""
+
+    @pytest.mark.parametrize("rows", [
+        (1, 1), (7, 5), (128, 500), (500, 128), (64, 5000), (0, 9), (9, 0),
+    ], ids=lambda r: f"{r[0]}x{r[1]}")
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e12])
+    def test_product_is_subtract_outer(self, rng, rows, offset):
+        buf = np.full(max(1, rows[0] * rows[1]), np.nan)
+        for scale in (1e-9, 1e-3, 1.0, 1e3):
+            a = offset + scale * rng.standard_normal((rows[0], 1))
+            b = offset + scale * rng.standard_normal((rows[1], 1))
+            if len(a) and len(b):
+                # duplicated rows: equal values across and within the sets
+                a[rng.integers(len(a), size=len(a) // 3)] = b[0]
+                b[rng.integers(len(b), size=len(b) // 3)] = a[-1]
+            lhs, rhs = _differences(a)[0], _differences(b)[1]
+            assert np.array_equal(lhs @ rhs.T,
+                                  np.subtract.outer(a[:, 0], b[:, 0]))
+            lo = len(a) // 4
+            out = buf[:(len(a) - lo) * len(b)].reshape(len(a) - lo, len(b))
+            np.matmul(lhs[lo:], rhs.T, out=out)
+            assert np.array_equal(out, np.subtract.outer(a[lo:, 0], b[:, 0]))
+
+    def test_duplicated_rows_give_exact_zero(self):
+        x = np.full((6, 1), 1e12 + 0.5)
+        lhs, rhs = _differences(x)
+        assert not (lhs @ rhs.T).any()
+        assert np.array_equal(gaussian_gram(x, x, 1e-6), np.ones((6, 6)))
+
+
 def _expanded_squared_distances(a, b):
     """(|a|^2 + |b|^2) - 2ab in one expression, clipped at zero."""
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
@@ -282,6 +316,13 @@ class TestGaussianGramOut:
         assert np.array_equal(got, gaussian_gram(x[:20], x[10:], 1.3))
         with pytest.raises(ValueError, match="operands"):
             gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:19], rhs[10:]))
+
+    def test_prebuilt_difference_operands(self, rng):
+        x = rng.standard_normal((50, 1))
+        lhs, rhs = _differences(x)
+        got = gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:20], rhs[10:]))
+        assert np.array_equal(got, gaussian_gram(x[:20], x[10:], 1.3))
+        assert np.array_equal(got, _plain_gaussian_gram(x[:20], x[10:], 1.3))
 
     def test_out_reused_and_bit_identical(self, rng):
         # the chunked MMD pass hands in a reshaped prefix of one flat buffer

@@ -175,9 +175,10 @@ class TestChunkedTerms:
 
 
 class TestPassOperands:
-    """At width >= 2 a pass builds its augmented operands once, before its
-    tasks run: s and t each at its own mean, and t at s's mean for the
-    cross rows. Direct differences (d' = 1) and cache hits build none."""
+    """A pass builds its operands once, before its tasks run. At width >= 2
+    they are augmented: s and t each at its own mean, and t at s's mean for
+    the cross rows. At d' = 1 they are difference operands of s and of t,
+    and no augmented ones. Cache hits build none."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -189,6 +190,18 @@ class TestPassOperands:
             return real(x, shift, g)
 
         monkeypatch.setattr(linear_mod, "_augmented", counting)
+        return calls
+
+    @staticmethod
+    def _counted_differences(monkeypatch):
+        calls = []
+        real = linear_mod._differences
+
+        def counting(x):
+            calls.append(len(x))
+            return real(x)
+
+        monkeypatch.setattr(linear_mod, "_differences", counting)
         return calls
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -211,13 +224,24 @@ class TestPassOperands:
             prob.terms(None if key is None else w.copy())  # cache hit
             assert calls == []
 
-    def test_width1_pass_builds_none(self, rng, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_width1_operands_built_once_per_pass(self, rng, monkeypatch,
+                                                 workers):
+        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(linear_mod, "_WORKERS", workers)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma,
                            chunk_size=8)
-        calls = self._counted(monkeypatch)
-        prob.terms(qr_retract(rng.standard_normal((3, 1))))
-        assert calls == []
+        augmented = self._counted(monkeypatch)
+        calls = self._counted_differences(monkeypatch)
+        w1, w2 = (qr_retract(rng.standard_normal((3, 1))) for _ in range(2))
+        for w in (w1, w2):
+            prob.terms(w)
+            assert calls == [61, 47]
+            calls.clear()
+            prob.terms(w.copy())  # cache hit
+            assert calls == []
+        assert augmented == []
 
 
 class TestEngineGradient:
@@ -864,6 +888,17 @@ class TestFitConfig:
             LinearFitConfig(d_prime=1, mode="bogus")
         with pytest.raises(ValueError):
             LinearFitConfig(d_prime=1, objective_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["d_prime", "max_outer_iters",
+                                       "w_cg_iters", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            LinearFitConfig(**{"d_prime": 1, field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = LinearFitConfig(d_prime=np.int64(2), seed=np.uint32(7))
+        assert type(cfg.d_prime) is int and type(cfg.seed) is int
 
 
 class TestFit:
