@@ -80,6 +80,14 @@ def _merged(args, flags, allowed, rename=None) -> dict:
     return out
 
 
+def _required(opts: dict, key: str):
+    """Pop a required input, naming both its flag (--key) and its config
+    key when neither gave it."""
+    if key not in opts:
+        raise ValueError(f"missing --{key} (config key {key!r})")
+    return opts.pop(key)
+
+
 def _read_q(path: str) -> TransitionMatrix:
     with open(path) as fh:
         return TransitionMatrix.from_json(fh.read(), path)
@@ -124,9 +132,9 @@ def _cmd_getars(args) -> int:
 def _cmd_fit(args) -> int:
     opts = _merged(args, ("source", "target", "q", "mode", "d_prime"),
                    ("source", "target", "q") + _field_names(LinearFitConfig))
-    source = read_dataset_csv(opts.pop("source"), label_kind="noisy")
-    target = read_dataset_csv(opts.pop("target"))
-    q = _read_q(opts.pop("q"))
+    source = read_dataset_csv(_required(opts, "source"), label_kind="noisy")
+    target = read_dataset_csv(_required(opts, "target"))
+    q = _read_q(_required(opts, "q"))
     cfg = LinearFitConfig(**{"d_prime": 1, **opts})
     return _write_out(fit(cfg, source, target, q).to_json(), args.out)
 
@@ -134,8 +142,8 @@ def _cmd_fit(args) -> int:
 def _cmd_train(args) -> int:
     opts = _merged(args, ("features", "q", "alpha"),
                    ("features", "q", "alpha") + _field_names(TrainConfig))
-    data = read_dataset_csv(opts.pop("features"), label_kind="noisy")
-    q = _read_q(opts.pop("q"))
+    data = read_dataset_csv(_required(opts, "features"), label_kind="noisy")
+    q = _read_q(_required(opts, "q"))
     alpha = opts.pop("alpha", None)
     noisy_prior = empirical_prior(data.labels, q.n_classes)
     if alpha is None:
@@ -153,10 +161,13 @@ def _cmd_train(args) -> int:
 def _cmd_estimate_q(args) -> int:
     opts = _merged(args, ("features", "percentile"),
                    ("features", "percentile", "seed"))
-    data = read_dataset_csv(opts.pop("features"), label_kind="noisy")
+    data = read_dataset_csv(_required(opts, "features"), label_kind="noisy")
+    percentile = opts.get("percentile", 97.0)
+    if isinstance(percentile, bool) or not isinstance(percentile, (int, float)):
+        raise ValueError(f"percentile must be a number, got {percentile!r}")
     q_hat = estimate_q_mlp(data.features, data.labels, data.n_classes,
                            seed=int_field("seed", opts.get("seed", 0)),
-                           percentile=float(opts.pop("percentile", 97.0)))
+                           percentile=float(percentile))
     return _write_out(q_hat.to_json(), args.out)
 
 

@@ -107,6 +107,9 @@ class ExperimentConfig:
             object.__setattr__(self, "sample_sizes", tuple(
                 int_field("sample_sizes entry", n)
                 for n in self.sample_sizes))
+            for n in self.sample_sizes:
+                if n < 1:
+                    raise ValueError(f"sample_sizes entry {n}: need n >= 1")
         # every grid point must give a valid flip matrix and target prior,
         # or each of its repetitions would fail as a record
         for rho in self.rho_grid or ():

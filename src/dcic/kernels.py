@@ -4,17 +4,13 @@ squared MMD built from these blocks lives in one place, the chunked kernel
 pass of ``linear._MmdProblem``.
 
 Both take each block of squared distances, or of the Gaussian exponent,
-as one BLAS product of slices of per-row operands. One feature column
-(every d' = 1 projection) takes difference operands (``_differences``):
-[a, 1] . [1, -b] = a - b, two exact products and one rounding, so the
-product is the correctly rounded difference, the bits of
-``np.subtract.outer``, and is then squared. Two or more take augmented
-operands (``_augmented``), shifted first to a column mean: the kernel and
-the distance depend only on a - b, and the shift keeps the product from
-cancelling when the points sit far from the origin. The operands are built
-once per row set (and shift), not once per block: once per call in
-``median_bandwidth``, and once per pass in the kernel pass, which hands
-``gaussian_gram`` row slices of them.
+as one BLAS product of slices of per-row augmented operands
+(``_augmented``), at every width, shifted first to a column mean: the
+kernel and the distance depend only on a - b, and the shift keeps the
+product from cancelling when the points sit far from the origin. The
+operands are built once per row set (and shift), not once per block: once
+per call in ``median_bandwidth``, and once per pass in the kernel pass,
+which hands ``gaussian_gram`` row slices of them.
 
 The bandwidth is the median distance over all pairs of rows up to 10^6
 pairs, and above that over all pairs of a fixed-seed subset of 1414 rows,
@@ -36,21 +32,6 @@ _SUBSAMPLE_SEED = 74  # fixed: the heuristic must not depend on caller seeds
 # beat 2^15 streaming all pairs of 2000 x 32 rows (4.7 against 5.5 ms, one
 # OpenBLAS thread)
 _BLOCK_ENTRIES = 2 ** 16
-
-
-def _differences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Difference operands (lhs, rhs) of one single-column row set x:
-
-        lhs = [x, 1],    rhs = [1, -x],
-
-    so that a's lhs @ b's rhs.T = a_i - b_j for any two row sets. Both
-    products in each entry are exact, so the sum is rounded once: the
-    correctly rounded difference, bit-identical to ``np.subtract.outer``
-    (up to the sign of a zero) even where |a_i| and |b_j| are large and
-    close. Needs no shift.
-    """
-    ones = np.ones((x.shape[0], 1))
-    return np.hstack([x, ones]), np.hstack([ones, -x])
 
 
 def _augmented(x: np.ndarray, shift: np.ndarray | float,
@@ -114,15 +95,12 @@ def median_bandwidth(features: np.ndarray) -> float:
     block at a time into one reused buffer of at most _BLOCK_ENTRIES values,
     and the entries right of the block's diagonal, the strict upper
     triangle, are kept: no n x n array. A block is one BLAS product of
-    slices of operands built once per call. At width 1 they are difference
-    operands (``_differences``), and the block, squared in place, holds the
-    correctly rounded differences squared: identical rows give exactly
-    zero. At two or more the rows are shifted to their column mean and
-    augmented (``_augmented`` with g = -1), so a value can differ from a
-    per-pair difference by rounding (about one ulp of sigma), at any offset
-    of the points from the origin. Identical rows there get a residue of
-    either sign up to a floor (below), and every value at or below it
-    counts as zero.
+    slices of operands built once per call: the rows shifted to their
+    column mean and augmented (``_augmented`` with g = -1), so a value can
+    differ from a per-pair difference by rounding (about one ulp of sigma),
+    at any offset of the points from the origin. Identical rows get a
+    residue of either sign up to a floor (below), and every value at or
+    below it counts as zero.
 
     The median is one select (``_median_of_roots``), bit-identical to
     np.median of the square roots with the floor applied. A 10000 x 2 call
@@ -145,20 +123,16 @@ def median_bandwidth(features: np.ndarray) -> float:
         keep.sort()
         x = x[keep]
     n, d = x.shape
-    if d == 1:
-        lhs, rhs = _differences(x)
-        floor = 0.0
-    else:
-        # for two identical shifted rows a with rounded squared norm s, the
-        # entry's exact value is 2 (s - |a|^2), at most 2 gamma_d |a|^2,
-        # and summing its d + 2 terms, of total size at most
-        # 4 |a|^2 (1 + gamma_d), adds at most gamma_{d+2} times that
-        # (gamma_k = k u / (1 - k u), u = eps / 2): below about
-        # 3 (d + 2) eps |a|^2 together, so floor = 4 (d + 2) eps max |a|^2.
-        # Random trials at d = 2 to 64 reached 0.62 (d + 2) eps |a|^2
-        lhs, rhs = _augmented(x, x.mean(axis=0), -1.0)
-        eps = np.finfo(np.float64).eps
-        floor = 4.0 * (d + 2) * eps * float(rhs[:, -1].max())
+    # for two identical shifted rows a with rounded squared norm s, the
+    # entry's exact value is 2 (s - |a|^2), at most 2 gamma_d |a|^2, and
+    # summing its d + 2 terms, of total size at most 4 |a|^2 (1 + gamma_d),
+    # adds at most gamma_{d+2} times that (gamma_k = k u / (1 - k u),
+    # u = eps / 2): below about 3 (d + 2) eps |a|^2 together, so
+    # floor = 4 (d + 2) eps max |a|^2. Random trials at d = 2 to 64 reached
+    # 0.62 (d + 2) eps |a|^2, and 3000 at d = 1 left no residue
+    lhs, rhs = _augmented(x, x.mean(axis=0), -1.0)
+    eps = np.finfo(np.float64).eps
+    floor = 4.0 * (d + 2) * eps * float(rhs[:, -1].max())
     step = max(1, _BLOCK_ENTRIES // n)
     buf = np.empty(min(step, n) * n)
     sq = np.empty(n * (n - 1) // 2)
@@ -167,8 +141,6 @@ def median_bandwidth(features: np.ndarray) -> float:
         hi = min(lo + step, n)
         blk = buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
         np.matmul(lhs[lo:hi], rhs[lo:].T, out=blk)
-        if d == 1:
-            np.square(blk, out=blk)
         # the strict upper triangle of the block's h x h diagonal part by a
         # mask, then the rectangle right of it; the select is order-free.
         # ~tri builds the mask in about 40% of np.triu(ones)'s time, which
@@ -199,20 +171,16 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
     array of that size is allocated. ``sigma`` must be finite and positive.
 
     Either way one BLAS product of a's lhs and b's rhs operands is written
-    into ``out`` and finished in place. One feature column: the difference
-    operands (``_differences``) give a - b correctly rounded, the bits of
-    ``np.subtract.outer``, which is squared, divided by -2 sigma^2 and
-    exponentiated. Two or more: with g = 1 / (2 sigma^2), the augmented
-    operands (``_augmented``)
+    into ``out`` and finished in place. With g = 1 / (2 sigma^2), the
+    augmented operands (``_augmented``)
 
         [2g a, -g |a|^2, 1] . [b, 1, -g |b|^2]^T = -g ||a - b||^2,
 
     both shifted to the column mean of ``b``, give the exponent, which is
     clipped at zero (rounding residue) and exponentiated. ``operands``, if
-    given, hands in (lhs, rhs) already built, one row per row of a and of
-    b: difference operands at one column, augmented operands built with g
-    and one shared shift at more. The kernel pass builds them once per pass
-    and passes row slices.
+    given, hands in (lhs, rhs) already built with g and one shared shift,
+    one row per row of a and of b. The kernel pass builds them once per
+    pass and passes row slices.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
@@ -225,22 +193,15 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}")
-    width1 = a.shape[1] == 1
     if operands is not None:
         lhs, rhs = operands
         if (len(lhs), len(rhs)) != shape:
             raise ValueError(f"operands must have {shape} rows")
-    elif width1:
-        lhs, rhs = _differences(a)[0], _differences(b)[1]
     else:
         g = 0.5 / (sigma * sigma)
         # an empty b has no mean, and its product is empty whatever the shift
         shift = b.mean(axis=0) if len(b) else 0.0
         lhs, rhs = _augmented(a, shift, g)[0], _augmented(b, shift, g)[1]
     np.matmul(lhs, rhs.T, out=out)
-    if width1:
-        np.square(out, out=out)
-        out /= -2.0 * sigma * sigma
-    else:
-        np.minimum(out, 0.0, out=out)
+    np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
                    empirical_prior, int_field)
-from .kernels import _augmented, _differences, gaussian_gram, median_bandwidth
+from .kernels import _augmented, gaussian_gram, median_bandwidth
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
@@ -228,14 +228,12 @@ class _MmdProblem:
     upper block-triangle). Each block is one ``kernels.gaussian_gram``
     call, one BLAS product of row slices of operands that the pass builds
     before its tasks run, which only read them: (lhs, rhs) of s for K_ss,
-    of t for K_tt, and t's lhs with s's rhs for the K_ts rows. At d' = 1
-    they are difference operands (``kernels._differences``), exact and
-    unshifted. At width >= 2 they are augmented operands
-    (``kernels._augmented``): s and t each shifted to its own column mean,
-    and t's lhs for K_ts shifted to s's mean. Every block is thus shifted
-    to the mean of the set its columns come from, so its product does not
-    cancel even when the two sets sit far apart, where one shared shift
-    would.
+    of t for K_tt, and t's lhs with s's rhs for the K_ts rows. At every
+    width they are augmented operands (``kernels._augmented``): s and t
+    each shifted to its own column mean, and t's lhs for K_ts shifted to
+    s's mean. Every block is thus shifted to the mean of the set its
+    columns come from, so its product does not cancel even when the two
+    sets sit far apart, where one shared shift would.
 
     A pass of fewer than _SPLIT_ENTRIES kernel entries, about (m + n)^2 / 2,
     runs inline in chunks of ``chunk_size`` rows (128 by default: m = 500
@@ -309,14 +307,10 @@ class _MmdProblem:
         tasks = ([(True, lo, min(lo + step, m)) for lo in range(0, m, step)]
                  + [(False, lo, min(lo + step, n)) for lo in range(0, n, step)])
 
-        if s.shape[1] == 1:
-            ss, tt = _differences(s), _differences(t)
-            ts = (tt[0], ss[1])
-        else:
-            g = 0.5 / (self.sigma * self.sigma)
-            mu_s = s.mean(axis=0)
-            ss, tt = _augmented(s, mu_s, g), _augmented(t, t.mean(axis=0), g)
-            ts = (_augmented(t, mu_s, g)[0], ss[1])
+        g = 0.5 / (self.sigma * self.sigma)
+        mu_s = s.mean(axis=0)
+        ss, tt = _augmented(s, mu_s, g), _augmented(t, t.mean(axis=0), g)
+        ts = (_augmented(t, mu_s, g)[0], ss[1])
 
         def gram(x, y, ops, lo, hi, col, buf):
             # K(x[lo:hi], y[col:]) in a C-contiguous prefix of the worker's

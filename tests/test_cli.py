@@ -179,6 +179,16 @@ class TestSweepCommands:
         assert "d_prime" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_tars_size_below_one_returns_2(self, tmp_path, capsys, size):
+        out = str(tmp_path / "size.csv")
+        rc = main(["tars", "--sweep", "size", "--reps", "1", "--sizes",
+                   f"60,{size}", "--rhos", "0.2", "--betas", "1.4",
+                   "--out", out])
+        assert rc == 2
+        assert f"sample_sizes entry {size}: need n >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--betas", "2.5", "beta_grid"), ("--rhos", "0.5", "rho_grid")])
     def test_tars_invalid_grid_point_returns_2(self, tmp_path, capsys,
@@ -353,6 +363,37 @@ class TestSingleShotCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{qp}: missing key(s) {key}" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--source"), ("fit", "--target"), ("fit", "--q"),
+        ("train", "--features"), ("train", "--q"),
+        ("estimate-q", "--features")])
+    def test_missing_required_input_returns_2(self, tmp_path, capsys,
+                                              command, flag):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        given = {"fit": {"--source": src, "--target": tgt, "--q": qp},
+                 "train": {"--features": src, "--q": qp},
+                 "estimate-q": {"--features": src}}[command]
+        out = str(tmp_path / "out")
+        args = [v for f, path in given.items() if f != flag for v in (f, path)]
+        assert main([command, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"missing {flag} (config key '{flag[2:]}')" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", [True, "97", None],
+                             ids=["bool", "string", "null"])
+    def test_estimate_q_non_numeric_percentile_returns_2(self, tmp_path,
+                                                         capsys, value):
+        src, _, _ = _write_domain_csvs(tmp_path, m=40)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"percentile": value}))
+        out = str(tmp_path / "q_hat.json")
+        rc = main(["estimate-q", "--features", src, "--config", str(cfg),
+                   "--out", out])
+        assert rc == 2
+        assert "percentile must be a number" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_fit_missing_input_returns_2(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
                       poly2_features, poly2_kernel_matrix)
-from dcic.kernels import (_SUBSAMPLE_SEED, _augmented, _differences,
-                          gaussian_gram, median_bandwidth)
+from dcic.kernels import (_SUBSAMPLE_SEED, _augmented, gaussian_gram,
+                          median_bandwidth)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
 
@@ -101,14 +101,18 @@ class TestMedianBandwidth:
         with pytest.raises(ValueError, match="finite"):
             median_bandwidth(x)
 
-    # at width 1 each squared distance is the direct difference, so the
-    # roots' bits are known: 42 rows give 861 pairs (one middle value), 40
-    # rows 780 (the mean of two)
+    # rows this few stream as one block, so the squared distances are the
+    # bits of one product of the shifted augmented operands (g = -1), and
+    # the select must give np.median of their roots, with the rounding
+    # floor applied, to the bit: 42 rows give 861 pairs (one middle value),
+    # 40 rows 780 (the mean of two)
     @pytest.mark.parametrize("n", [42, 40], ids=["odd-861", "even-780"])
     def test_median_tail_bit_identical(self, rng, n):
         x = rng.standard_normal((n, 1)) * 3.0
-        iu = np.triu_indices(n, 1)
-        want = np.median(np.sqrt(np.square(np.subtract.outer(x[:, 0], x[:, 0])))[iu])
+        lhs, rhs = _augmented(x, x.mean(axis=0), -1.0)
+        sq = (lhs @ rhs.T)[np.triu_indices(n, 1)]
+        floor = 4.0 * 3 * np.finfo(np.float64).eps * rhs[:, -1].max()
+        want = np.median(np.sqrt(np.where(sq > floor, sq, 0.0)))
         assert median_bandwidth(x) == want
 
     @pytest.mark.parametrize("grid", [(7, 6), (8, 5)], ids=["odd-861", "even-780"])
@@ -161,8 +165,7 @@ class TestGaussianKernel:
 
 class TestSquaredDistances:
     """The squared distances in ``gaussian_gram``'s exponent, checked
-    through the Gram: direct differences at one feature column, a shifted
-    augmented product clipped at zero at two or more."""
+    through the Gram: a shifted augmented product clipped at zero."""
 
     def test_nonnegative_under_rounding(self):
         # rows far from their mean: the unclipped product leaves a positive
@@ -171,23 +174,6 @@ class TestSquaredDistances:
         lhs, rhs = _augmented(x, x.mean(axis=0), 0.5)
         assert np.diag(lhs @ rhs.T).max() > 0.0
         assert gaussian_gram(x, x, 1.0).max() <= 1.0
-
-    def test_width1_direct_difference_exact_under_cancellation(self):
-        # points at 1e4 + k 1e-3: |a|^2 + |b|^2 - 2ab cancels almost every
-        # digit (off by up to about 1.7% relative here), the direct
-        # difference keeps each entry correctly rounded
-        x = (1e4 + np.arange(40) * 1e-3)[:, None]
-        a, b = x[:25], x[5:]
-        want = np.square(a - b.T)
-        scale = -2.0 * 0.01 * 0.01
-        assert np.array_equal(gaussian_gram(a, b, 0.01), np.exp(want / scale))
-        assert np.array_equal(gaussian_gram(x, x, 0.01),
-                              np.exp(np.square(x - x.T) / scale))
-        # the fixture does cancel: the expansion misses by more than 1%
-        nonzero = want > 0
-        expanded = _expanded_squared_distances(a, b)
-        rel = np.abs(expanded - want)[nonzero] / want[nonzero]
-        assert rel.max() > 1e-2
 
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("rows", [(0, 4), (4, 0)], ids=["empty-a", "empty-b"])
@@ -207,40 +193,6 @@ class TestSquaredDistances:
             gaussian_gram(a, a, 1.0, out=np.empty((4, 4), dtype=np.float32))
 
 
-class TestDifferenceOperands:
-    """[a, 1] . [1, -b] has two exact products per entry and one rounding,
-    so the product is np.subtract.outer to the bit (array_equal: a zero's
-    sign may differ, and is squared away). Pinned as the kernel pass runs
-    it: one BLAS product of row slices into a reused buffer's prefix."""
-
-    @pytest.mark.parametrize("rows", [
-        (1, 1), (7, 5), (128, 500), (500, 128), (64, 5000), (0, 9), (9, 0),
-    ], ids=lambda r: f"{r[0]}x{r[1]}")
-    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e12])
-    def test_product_is_subtract_outer(self, rng, rows, offset):
-        buf = np.full(max(1, rows[0] * rows[1]), np.nan)
-        for scale in (1e-9, 1e-3, 1.0, 1e3):
-            a = offset + scale * rng.standard_normal((rows[0], 1))
-            b = offset + scale * rng.standard_normal((rows[1], 1))
-            if len(a) and len(b):
-                # duplicated rows: equal values across and within the sets
-                a[rng.integers(len(a), size=len(a) // 3)] = b[0]
-                b[rng.integers(len(b), size=len(b) // 3)] = a[-1]
-            lhs, rhs = _differences(a)[0], _differences(b)[1]
-            assert np.array_equal(lhs @ rhs.T,
-                                  np.subtract.outer(a[:, 0], b[:, 0]))
-            lo = len(a) // 4
-            out = buf[:(len(a) - lo) * len(b)].reshape(len(a) - lo, len(b))
-            np.matmul(lhs[lo:], rhs.T, out=out)
-            assert np.array_equal(out, np.subtract.outer(a[lo:, 0], b[:, 0]))
-
-    def test_duplicated_rows_give_exact_zero(self):
-        x = np.full((6, 1), 1e12 + 0.5)
-        lhs, rhs = _differences(x)
-        assert not (lhs @ rhs.T).any()
-        assert np.array_equal(gaussian_gram(x, x, 1e-6), np.ones((6, 6)))
-
-
 def _expanded_squared_distances(a, b):
     """(|a|^2 + |b|^2) - 2ab in one expression, clipped at zero."""
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
@@ -249,11 +201,8 @@ def _expanded_squared_distances(a, b):
 
 def _plain_gaussian_gram(a, b, sigma):
     """The one-expression Gram the blocked in-place version must reproduce:
-    direct differences for one feature column; for more, one product of
-    the augmented rows shifted to b's column mean, clipped at zero."""
-    if a.shape[1] == 1:
-        return np.exp(np.square(np.subtract.outer(a[:, 0], b[:, 0]))
-                      / (-2.0 * sigma * sigma))
+    one product of the augmented rows shifted to b's column mean, clipped
+    at zero."""
     shift = b.mean(axis=0)
     a, b = a - shift, b - shift
     g = 0.5 / (sigma * sigma)
@@ -270,9 +219,9 @@ def _direct_gaussian_gram(a, b, sigma):
 
 
 class TestGaussianGramOut:
-    # width 3 takes the shifted augmented product, pinned for a distinct b
-    # and for a is b (the shift is then the mean of a itself); width 1
-    # takes the direct-difference path, pinned to np.subtract.outer's bits
+    # the shifted augmented product at widths 3 and 1, pinned for a
+    # distinct b and for a is b (the shift is then the mean of a itself),
+    # and within 1e-12 relative of the per-pair direct Gram
     @pytest.mark.parametrize("shape, width", [
         ((7, 5), 3), ((300, 200), 3), ((200, 300), 3),
         ((7, 5), 1), ((300, 200), 1), ((200, 300), 1),
@@ -283,12 +232,16 @@ class TestGaussianGramOut:
         a, b = x[:shape[0]], x[:shape[1]]
         assert np.array_equal(gaussian_gram(a, b, 0.9), _plain_gaussian_gram(a, b, 0.9))
         assert np.array_equal(gaussian_gram(x, x, 0.9), _plain_gaussian_gram(x, x, 0.9))
+        for p, q in [(a, b), (x, x)]:
+            want = _direct_gaussian_gram(p, q, 0.9)
+            assert np.all(np.abs(gaussian_gram(p, q, 0.9) - want) <= 1e-12 * want)
 
-    def test_shifted_exact_under_cancellation(self, rng):
-        # 400 points at 1e4 + 1e-3 N(0, I) in d = 2: the unshifted
-        # expansion cancels almost every digit (entries off by about 2%),
-        # the shift to b's mean keeps them at rounding level
-        x = 1e4 + 1e-3 * rng.standard_normal((400, 2))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shifted_exact_under_cancellation(self, rng, d):
+        # 400 points at 1e4 + 1e-3 N(0, I_d): the unshifted expansion
+        # cancels almost every digit (entries off by percents), the shift
+        # to b's mean keeps them at rounding level
+        x = 1e4 + 1e-3 * rng.standard_normal((400, d))
         sigma = median_bandwidth(x - x.mean(axis=0))
         for a, b in [(x[:250], x[150:]), (x, x)]:
             want = _direct_gaussian_gram(a, b, sigma)
@@ -317,12 +270,10 @@ class TestGaussianGramOut:
         with pytest.raises(ValueError, match="operands"):
             gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:19], rhs[10:]))
 
-    def test_prebuilt_difference_operands(self, rng):
-        x = rng.standard_normal((50, 1))
-        lhs, rhs = _differences(x)
-        got = gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:20], rhs[10:]))
-        assert np.array_equal(got, gaussian_gram(x[:20], x[10:], 1.3))
-        assert np.array_equal(got, _plain_gaussian_gram(x[:20], x[10:], 1.3))
+    def test_identical_rows_give_exact_one(self):
+        # far from the origin, identical rows shift to exactly zero
+        x = np.full((6, 1), 1e12 + 0.5)
+        assert np.array_equal(gaussian_gram(x, x, 1e-6), np.ones((6, 6)))
 
     def test_out_reused_and_bit_identical(self, rng):
         # the chunked MMD pass hands in a reshaped prefix of one flat buffer
@@ -460,10 +411,10 @@ class TestLargeMedianPath:
         assert abs(sub_med - exact_med) / exact_med < 0.05
 
     # above 10^6 pairs the median is the exact one over the fixed-seed
-    # subset: to the bit at width 1 (direct differences), to rounding at
-    # widths 3 and 32 (shifted products; 32 is the joint model's hidden
-    # width), also for points at 1e4 + 1e-3 N(0, I_3), where an unshifted
-    # expansion would cancel almost every digit
+    # subset, to rounding (shifted products) at widths 1, 3 and 32 (32 is
+    # the joint model's hidden width), also for points at
+    # 1e4 + 1e-3 N(0, I_3), where an unshifted expansion would cancel
+    # almost every digit
     @pytest.mark.parametrize("n, d, offset, scale", [
         (1415, 1, 0.0, 1.0), (1415, 3, 0.0, 1.0), (1415, 32, 0.0, 1.0),
         (1500, 3, 0.0, 1.0),
@@ -473,18 +424,18 @@ class TestLargeMedianPath:
             "3000x32", "far-1500x3"])
     def test_subset_matches_brute_force(self, n, d, offset, scale):
         x = offset + scale * np.random.default_rng(2).standard_normal((n, d))
-        want = _subset_median(x)
-        if d == 1:
-            assert median_bandwidth(x) == want
-        else:
-            assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
+        assert median_bandwidth(x) == pytest.approx(_subset_median(x),
+                                                    rel=1e-12)
 
     def test_1414_rows_use_every_pair(self):
         # 1414 rows give 998,991 pairs, the most at or below 10^6; 1415 give
         # 1,000,405 and drop one row, which moves the median
         x = np.random.default_rng(5).standard_normal((1415, 1))
-        assert median_bandwidth(x[:1414]) == _pair_median(x[:1414])
-        assert median_bandwidth(x) == _subset_median(x) != _pair_median(x)
+        assert median_bandwidth(x[:1414]) == pytest.approx(
+            _pair_median(x[:1414]), rel=1e-12)
+        assert median_bandwidth(x) == pytest.approx(_subset_median(x),
+                                                    rel=1e-12)
+        assert _subset_median(x) != _pair_median(x)
 
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(1)
