@@ -177,7 +177,7 @@ class TestChunkedTerms:
 class TestPassOperands:
     """A pass builds its augmented operands once, before its tasks run: s
     and t each at its own mean, and t at s's mean for the cross rows, at
-    every width. Cache hits build none."""
+    every width, d' = 1 included. Cache hits build none."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -200,16 +200,34 @@ class TestPassOperands:
         prob = _MmdProblem(source.features, target.features, g, sigma,
                            chunk_size=8)
         calls = self._counted(monkeypatch)
-        keys = [None] + [qr_retract(rng.standard_normal((3, k)))
-                         for k in (2, 1, 1)]
-        for key in keys:
+        w = qr_retract(rng.standard_normal((3, 2)))
+        for key in (None, w):
             prob.terms(key)
             sp = source.features if key is None else source.features @ key
             tp = target.features if key is None else target.features @ key
             mu_s, mu_t = tuple(sp.mean(axis=0)), tuple(tp.mean(axis=0))
             assert calls == [(61, mu_s), (47, mu_t), (47, mu_s)]
             calls.clear()
-            prob.terms(None if key is None else key.copy())  # cache hit
+            prob.terms(None if key is None else w.copy())  # cache hit
+            assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_width1_operands_built_once_per_pass(self, rng, monkeypatch,
+                                                 workers):
+        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
+        monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+        source, target, g, sigma = _toy_problem(rng, m=61, n=47)
+        prob = _MmdProblem(source.features, target.features, g, sigma,
+                           chunk_size=8)
+        calls = self._counted(monkeypatch)
+        w1, w2 = (qr_retract(rng.standard_normal((3, 1))) for _ in range(2))
+        for w in (w1, w2):
+            prob.terms(w)
+            mu_s = tuple((source.features @ w).mean(axis=0))
+            mu_t = tuple((target.features @ w).mean(axis=0))
+            assert calls == [(61, mu_s), (47, mu_t), (47, mu_s)]
+            calls.clear()
+            prob.terms(w.copy())  # cache hit
             assert calls == []
 
 
