@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TransitionMatrix, int_field
+from .data import TransitionMatrix, float_field, int_field
 from .noise import GammaWeights
 from .rng import child_generator
 
@@ -77,6 +77,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("hidden_units", "epochs", "batch_size", "seed"):
             object.__setattr__(self, name, int_field(name, getattr(self, name)))
+        for name in ("learning_rate", "l2_coeff"):
+            object.__setattr__(self, name, float_field(name, getattr(self, name)))
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("counts must be >= 1")
         if self.learning_rate <= 0:

@@ -22,12 +22,12 @@ from dataclasses import fields
 import numpy as np
 
 from .classifier import TrainConfig, train
-from .data import (TransitionMatrix, empirical_prior, int_field,
+from .data import (TransitionMatrix, empirical_prior, float_field, int_field,
                    read_dataset_csv)
 from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
                       run_experiment)
 from .linear import MODES, LinearFitConfig, fit
-from .noise import GammaWeights, gamma_weights
+from .noise import DEFAULT_ANCHOR_PERCENTILE, GammaWeights, gamma_weights
 from .data import ClassPrior
 
 CONFIG_ERRORS = (ValueError, OSError, KeyError, TypeError,
@@ -162,12 +162,10 @@ def _cmd_estimate_q(args) -> int:
     opts = _merged(args, ("features", "percentile"),
                    ("features", "percentile", "seed"))
     data = read_dataset_csv(_required(opts, "features"), label_kind="noisy")
-    percentile = opts.get("percentile", 97.0)
-    if isinstance(percentile, bool) or not isinstance(percentile, (int, float)):
-        raise ValueError(f"percentile must be a number, got {percentile!r}")
+    percentile = opts.get("percentile", DEFAULT_ANCHOR_PERCENTILE)
     q_hat = estimate_q_mlp(data.features, data.labels, data.n_classes,
                            seed=int_field("seed", opts.get("seed", 0)),
-                           percentile=float(percentile))
+                           percentile=float_field("percentile", percentile))
     return _write_out(q_hat.to_json(), args.out)
 
 

@@ -32,6 +32,18 @@ def int_field(name: str, value) -> int:
     return int(value)
 
 
+def float_field(name: str, value) -> float:
+    """A config field's real value, as a float. A bool, a non-number or a
+    non-finite value (JSON configs may hold NaN and Infinity) raises
+    ValueError: JSON's true would otherwise run as 1.0, and a NaN tolerance
+    would never be met."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)

@@ -35,10 +35,11 @@ import numpy as np
 from . import linear
 from .classifier import TrainConfig, predict, predict_proba, train
 from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
-                   int_field, symmetric_noise)
+                   float_field, int_field, symmetric_noise)
 from .linear import LinearFitConfig, fit
-from .noise import (GammaWeights, clean_prior_from_noisy,
-                    estimate_transition_anchor, floored_gamma_weights)
+from .noise import (DEFAULT_ANCHOR_PERCENTILE, GammaWeights,
+                    clean_prior_from_noisy, estimate_transition_anchor,
+                    floored_gamma_weights)
 from .rng import child_generator, child_seed
 from .synth import (SCALE_HIGH, SCALE_LOW, SHIFT_RANGE, apply_location_scale,
                     flip_labels, sample_dataset, sample_gmm_spec,
@@ -97,19 +98,18 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.q_source not in Q_SOURCES:
             raise ValueError(f"q_source must be one of {Q_SOURCES}")
-        for name in ("sample_sizes", "rho_grid", "beta_grid"):
+        for name, entry in (("sample_sizes", int_field),
+                            ("rho_grid", float_field),
+                            ("beta_grid", float_field)):
             val = getattr(self, name)
             if val is not None:
                 if len(val) == 0:
                     raise ValueError(f"{name} must be nonempty when given")
-                object.__setattr__(self, name, tuple(val))
-        if self.sample_sizes is not None:
-            object.__setattr__(self, "sample_sizes", tuple(
-                int_field("sample_sizes entry", n)
-                for n in self.sample_sizes))
-            for n in self.sample_sizes:
-                if n < 1:
-                    raise ValueError(f"sample_sizes entry {n}: need n >= 1")
+                object.__setattr__(self, name, tuple(
+                    entry(f"{name} entry", v) for v in val))
+        for n in self.sample_sizes or ():
+            if n < 1:
+                raise ValueError(f"sample_sizes entry {n}: need n >= 1")
         # every grid point must give a valid flip matrix and target prior,
         # or each of its repetitions would fail as a record
         for rho in self.rho_grid or ():
@@ -123,7 +123,8 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"beta_grid entry {beta1!r}: {exc}") from None
         if self.q_override is not None:
-            rows = tuple(tuple(float(v) for v in row) for row in self.q_override)
+            rows = tuple(tuple(float_field("q_override entry", v) for v in row)
+                         for row in self.q_override)
             TransitionMatrix(np.asarray(rows))  # validate early
             object.__setattr__(self, "q_override", rows)
         if not 1 <= self.d_prime <= DIM:
@@ -178,7 +179,8 @@ class MetricRecord:
 
 def estimate_q_mlp(features: np.ndarray, noisy_labels: np.ndarray,
                    n_classes: int, seed: int,
-                   percentile: float = 97.0) -> TransitionMatrix:
+                   percentile: float = DEFAULT_ANCHOR_PERCENTILE
+                   ) -> TransitionMatrix:
     """Flip-rate estimate from noisy data alone: fit the classifier with
     plain unweighted cross entropy (so the head approximates noisy-label
     posteriors), then read anchor rows at the given percentile."""

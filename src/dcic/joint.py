@@ -23,7 +23,8 @@ import numpy as np
 from .classifier import (INIT_STREAM, SHUFFLE_STREAM, TARGET_STREAM, MlpModel,
                          TrainConfig, _ce_grads_from_forward, _forward,
                          init_model, sgd_step)
-from .data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
+from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
+                   float_field)
 from .kernels import median_bandwidth
 from .noise import (GMatrix, build_g_matrix, clean_prior_from_noisy,
                     floored_gamma_weights)
@@ -43,6 +44,7 @@ class JointConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "pi1", float_field("pi1", self.pi1))
         if self.pi1 < 0:
             raise ValueError("pi1 must be >= 0")
 

@@ -11,9 +11,10 @@ Since rows of G repeat per noisy class, every sum collapses to class-block
 sums, which is how the large-sample paths avoid materializing any full
 Gram matrix. Optimization alternates a simplex-constrained QP in alpha
 with conjugate-gradient steps for W on the manifold of orthonormal column
-frames. The QP is solved exactly: in closed form for two classes (every
-harness cell), and for three or more by enumerating the supports of the
-optimum, at a cost that grows as 2^c.
+frames. The QP is solved exactly for every class count, by enumerating
+the 2^c - 1 supports of its optimum. The fit ends on the first round that
+leaves W where it was: with A and b unchanged, another exact QP would only
+repeat the last one.
 
 Large kernel passes may split across two threads (see ``_MmdProblem``).
 """
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
-                   empirical_prior, int_field)
+                   empirical_prior, float_field, int_field)
 from .kernels import _augmented, gaussian_gram, median_bandwidth
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
@@ -72,7 +73,6 @@ ARMIJO_C1 = 1e-4
 STATIONARY_RTOL = 1e-3  # |horizontal grad| / |grad| at which W counts as stationary
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
-MAX_CONSECUTIVE_STALLS = 3
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ class LinearFitConfig:
     def __post_init__(self):
         for name in ("d_prime", "max_outer_iters", "w_cg_iters", "seed"):
             object.__setattr__(self, name, int_field(name, getattr(self, name)))
+        object.__setattr__(self, "objective_tol",
+                           float_field("objective_tol", self.objective_tol))
         if self.d_prime < 1:
             raise ValueError("d_prime must be >= 1")
         if self.max_outer_iters < 1 or self.w_cg_iters < 1:
@@ -111,11 +113,11 @@ class LinearFitConfig:
 @dataclass(frozen=True)
 class LinearFitResult:
     """A fit's W, alpha and objective trace, and why it stopped
-    (``stop_reason``): "converged" (objective change below objective_tol),
-    "max_iters" (max_outer_iters rounds ran), or, after
-    MAX_CONSECUTIVE_STALLS rounds in a row without an accepted W step,
-    "stalled" when the last round's line search failed and "stationary"
-    when it found W stationary (STATIONARY_RTOL)."""
+    (``stop_reason``): "converged" (objective change below objective_tol,
+    or, with W pinned, its one exact QP done), "max_iters" (max_outer_iters
+    rounds ran), or, after the first round that accepted no W step,
+    "stalled" when that round's line search failed and "stationary" when
+    it found W stationary (STATIONARY_RTOL)."""
 
     w: Projection
     alpha: ClassPrior
@@ -449,18 +451,23 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 
 def solve_alpha_qp(a: np.ndarray, b: np.ndarray,
                    start: np.ndarray | None = None) -> ClassPrior:
-    """Minimize alpha^T A alpha - 2 b^T alpha over the simplex, exactly.
+    """Minimize alpha^T A alpha - 2 b^T alpha over the simplex, exactly, by
+    enumerating the 2^c - 1 supports of the optimum.
 
-    Two classes take a closed form: with alpha = (t, 1 - t) the objective
-    is kappa t^2 + 2 lin t + const, kappa = A00 - 2 A01 + A11 and
-    lin = A01 - A11 - b0 + b1, so t = clip(-lin / kappa, 0, 1) when
-    kappa > 0 and the endpoint that the sign of lin selects when the
-    objective is linear in t. Three or more classes enumerate the supports
-    of the optimum (``_support_enumeration``), at a cost that grows as 2^c.
-    A flat objective returns the projected warm start, or the uniform
-    vector without one (the documented tie-break), and no result is worse
-    than its start. A non-finite A or b is rejected: every comparison above
-    would pass or fail on NaN without error.
+    The candidates are the warm start projected onto the simplex (the
+    uniform vector without one), each vertex, and for each larger support
+    S the solution of the KKT system [2 A_SS, s 1; s 1^T, 0] (the
+    constraint row scaled by s, the largest |entry| of A and b, to
+    condition it like A_SS), solved by least squares so that a
+    rank-deficient A works, and projected onto the simplex. Some optimum
+    is a vertex or the unique KKT point of its own support, so the lowest
+    candidate is optimal to rounding. Candidates are compared as they are
+    returned, normalised to sum to one, and the projected start is kept
+    unless one is strictly lower, so a flat objective returns it and no
+    result is worse than it. A solve took about 0.13 ms at c = 2,
+    0.3 ms at c = 3 and 60 ms at c = 10 (2-CPU Xeon, one OpenBLAS thread).
+    A non-finite A or b is rejected: every comparison would pass or fail on
+    NaN without error.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -472,44 +479,10 @@ def solve_alpha_qp(a: np.ndarray, b: np.ndarray,
     if np.abs(a - a.T).max() > 1e-8:
         raise ValueError("A is not symmetric within 1e-8")
     a = 0.5 * (a + a.T)
-    if c == 1:
-        return ClassPrior(np.ones(1))
-    x = project_simplex(np.full(c, 1.0 / c) if start is None
-                        else np.asarray(start, dtype=np.float64))
-    if c > 2:
-        return ClassPrior(_support_enumeration(a, b, x))
-    kappa = a[0, 0] - 2.0 * a[0, 1] + a[1, 1]
-    lin = a[0, 1] - a[1, 1] - b[0] + b[1]
-    if kappa > 0:
-        t = min(max(-lin / kappa, 0.0), 1.0)
-    elif lin != 0:
-        t = 0.0 if lin > 0 else 1.0
-    else:
-        return ClassPrior(x / x.sum())
-    x_new = np.array([t, 1.0 - t])
-    # fp guard: a warm start at the optimum must not come back worse
-    if _qp_value(a, b, x_new) > _qp_value(a, b, x):
-        x_new = x
-    return ClassPrior(x_new / x_new.sum())
-
-
-def _qp_value(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
-    return float(z @ a @ z - 2.0 * (b @ z))
-
-
-def _support_enumeration(a: np.ndarray, b: np.ndarray,
-                         x: np.ndarray) -> np.ndarray:
-    """``solve_alpha_qp`` for symmetric A from the feasible start x. The
-    candidates are x, each vertex, and for each larger support S the
-    solution of the KKT system [2 A_SS, s 1; s 1^T, 0] (the constraint row
-    scaled by s, the largest |entry| of A and b, to condition it like A_SS),
-    solved by least squares so that a rank-deficient A works, and projected
-    onto the simplex. Some optimum is a vertex or the unique KKT point of
-    its own support, so the first candidate of lowest value, x on a tie, is
-    optimal to rounding. The 2^c - 1 supports took about 0.6 ms at c = 3
-    and 90 ms at c = 10 (2-CPU Xeon)."""
-    c = b.size
-    best, best_f = x, _qp_value(a, b, x)
+    best = project_simplex(np.full(c, 1.0 / c) if start is None
+                           else np.asarray(start, dtype=np.float64))
+    best /= best.sum()
+    best_f = _qp_value(a, b, best)
     scale = max(np.abs(a).max(), np.abs(b).max()) or 1.0
     for size in range(1, c + 1):
         for support in itertools.combinations(range(c), size):
@@ -524,10 +497,15 @@ def _support_enumeration(a: np.ndarray, b: np.ndarray,
                 rhs = np.append(2.0 * b[idx], scale)
                 z[idx] = project_simplex(
                     np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size])
+                z /= z.sum()
             f = _qp_value(a, b, z)
             if f < best_f:
                 best, best_f = z, f
-    return best / best.sum()
+    return ClassPrior(best)
+
+
+def _qp_value(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
+    return float(z @ a @ z - 2.0 * (b @ z))
 
 
 def qr_retract(m: np.ndarray) -> np.ndarray:
@@ -611,16 +589,20 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
 def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         q: TransitionMatrix) -> LinearFitResult:
     """Alternating optimization: the simplex QP in alpha, solved exactly
-    (``solve_alpha_qp``; its cost grows as 2^c from three classes on), then
-    up to ``config.w_cg_iters`` CG steps for W on the manifold, until the
-    objective change drops below objective_tol.
+    (``solve_alpha_qp``; its cost grows as 2^c), then up to
+    ``config.w_cg_iters`` CG steps for W on the manifold, until the
+    objective change drops below objective_tol or a round leaves W where it
+    was.
 
     A round of W steps ends early when a step finds W stationary (relative
     horizontal gradient at most STATIONARY_RTOL) or its line search
-    stalls; the step length carries over between rounds. The bandwidth
-    is the median pairwise distance of the stacked raw features, fixed
-    before optimization. tars_fixed_w pins W to the identity and skips W
-    updates. The result's ``stop_reason`` names the exit taken.
+    stalls; the step length carries over between rounds. A round that
+    accepted no W step ends the fit, since W, A and b are then as the round
+    found them and the next round's exact QP could only repeat its own.
+    tars_fixed_w pins W to the identity and skips W updates, so it ends
+    after one round. The bandwidth is the median pairwise distance of the
+    stacked raw features, fixed before optimization. The result's
+    ``stop_reason`` names the exit taken.
     """
     if noisy_source.labels is None:
         raise ValueError("source dataset must carry labels")
@@ -651,42 +633,36 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     alpha = np.full(c, 1.0 / c)
     trace = [prob.eval(w_key, alpha)]
     step_memory = 1.0
-    stall_streak = 0
     stop_reason = "max_iters"
 
     for _ in range(config.max_outer_iters):
         a, b, _ = prob.terms(w_key)
         alpha = solve_alpha_qp(a, b, start=alpha).p
         f_now = prob.eval(w_key, alpha)
+        w_before = w_mat
 
-        if fixed_w:
-            stall_streak = 0
-        else:
-            alpha_fixed = alpha
+        if not fixed_w:
             state = GrassmannState(
-                objective_fn=lambda m_, al=alpha_fixed: prob.eval(m_, al),
+                objective_fn=lambda m_, al=alpha: prob.eval(m_, al),
                 f_current=f_now, step=step_memory)
-            accepted_any = False
             for _ in range(config.w_cg_iters):
                 grad = prob.grad(w_mat, alpha)  # W's pass is cached
                 proj, state = grassmann_step(w_mat, grad, state)
                 if state.stalled or proj.w is w_mat:
                     break  # line search failed, or W already stationary
-                accepted_any = True
                 w_mat = proj.w
             step_memory = min(state.step, 1e6)
             f_now = state.f_current
             w_key = w_mat
-            stall_streak = 0 if accepted_any else stall_streak + 1
 
         trace.append(f_now)
+        if w_mat is w_before:
+            # pinned, or the round's first step stalled or found W stationary
+            stop_reason = ("converged" if fixed_w
+                           else "stalled" if state.stalled else "stationary")
+            break
         if abs(trace[-2] - trace[-1]) < config.objective_tol:
             stop_reason = "converged"
-            break
-        if stall_streak >= MAX_CONSECUTIVE_STALLS:
-            # the round accepted no step: its first one stalled or found W
-            # stationary
-            stop_reason = "stalled" if state.stalled else "stationary"
             break
 
     return LinearFitResult(Projection(w_mat), ClassPrior(alpha / alpha.sum()),

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Seed = "int | np.random.Generator"
-
-
 def as_generator(seed) -> np.random.Generator:
     """Return a Generator from an int seed, passing Generators through."""
     if isinstance(seed, np.random.Generator):

@@ -100,6 +100,32 @@ class TestArgHandling:
         assert key in err and "must be an integer" in err
         assert not os.path.exists(out)
 
+    # refused before any work: JSON's true and false would have run as
+    # beta = 1, rho = 0 and an identity Q for the corrected arm
+    @pytest.mark.parametrize("command, key, value", [
+        ("getars", "beta_grid", [True]), ("tars", "rho_grid", [False]),
+        ("getars", "q_override", [[True, False], [False, True]]),
+        ("fit", "objective_tol", True), ("fit", "objective_tol", float("nan")),
+        ("train", "learning_rate", "0.1"), ("train", "l2_coeff", False)],
+        ids=["getars-beta_grid", "tars-rho_grid", "getars-q_override",
+             "fit-objective_tol", "fit-objective_tol-nan", "train-learning_rate",
+             "train-l2_coeff"])
+    def test_non_numeric_config_field_returns_2(self, tmp_path, capsys,
+                                                command, key, value):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = str(tmp_path / "out")
+        inputs = {"tars": _sweep_args(out)[1:], "getars": _sweep_args(out)[3:],
+                  "fit": ["--source", src, "--target", tgt, "--q", qp,
+                          "--out", out],
+                  "train": ["--features", src, "--q", qp, "--out", out]}[command]
+        rc = main([command, *inputs, "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "must be a number" in err
+        assert not os.path.exists(out)
+
 
 class TestSweepCommands:
     def test_tars_writes_csv_and_sidecar(self, tmp_path, capsys):

@@ -97,6 +97,18 @@ class TestConfig:
         assert cfg.sample_sizes == (60,) and type(cfg.sample_sizes[0]) is int
         assert type(cfg.repetitions) is int
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("rho_grid", (0.2, True), "rho_grid entry must be"),
+        ("rho_grid", (float("inf"),), "rho_grid entry must be"),
+        ("beta_grid", ("1.4",), "beta_grid entry must be"),
+        ("q_override", [[True, False], [False, True]],
+         "q_override entry must be"),
+    ], ids=["rho_grid-bool", "rho_grid-inf", "beta_grid-string",
+            "q_override-bool"])
+    def test_real_entries_reject_non_numbers(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            _tiny_tars(**{field: value})
+
     def test_q_override_normalized_to_tuples(self):
         cfg = _tiny_tars(q_override=[[0.8, 0.2], [0.3, 0.7]])
         assert cfg.q_override == ((0.8, 0.2), (0.3, 0.7))

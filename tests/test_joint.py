@@ -44,6 +44,8 @@ class TestJointConfig:
             JointConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             JointConfig(pi1=-0.1)
+        with pytest.raises(ValueError, match="pi1 must be a number"):
+            JointConfig(pi1=True)
 
 
 class TestJointLoss:
