@@ -47,7 +47,7 @@ def main():
     for name, q_used in (("noise-corrected", q), ("noise-ignorant", identity)):
         res = fit(LinearFitConfig(d_prime=1, seed=0),
                   noisy_source, unlabeled, q_used)
-        gamma = gamma_weights(res.alpha, q_used, noisy_prior)
+        gamma = gamma_weights(res.alpha.p, q_used, noisy_prior)
         model = train(noisy_source.features @ res.w.w, noisy_source.labels,
                       q_used, gamma, TrainConfig(seed=0))
         pred = predict(model, target.features @ res.w.w)

@@ -20,8 +20,7 @@ from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
                       run_experiment)
 from .linear import LinearFitConfig, fit
 from .noise import (GammaWeights, clean_prior_from_noisy,
-                    estimate_transition_anchor, floored_gamma_weights,
-                    gamma_weights)
+                    estimate_transition_anchor, gamma_weights)
 from .rng import child_generator, child_seed
 from .synth import (GmmSpec, apply_location_scale, flip_labels,
                     sample_dataset, sample_gmm_spec, sample_location_scale)
@@ -34,7 +33,7 @@ __all__ = [
     "GmmSpec", "apply_location_scale", "flip_labels", "sample_dataset",
     "sample_gmm_spec", "sample_location_scale",
     "GammaWeights", "clean_prior_from_noisy", "estimate_transition_anchor",
-    "floored_gamma_weights", "gamma_weights",
+    "gamma_weights",
     "LinearFitConfig", "fit",
     "TrainConfig", "predict", "predict_proba", "train",
     "ExperimentConfig", "emit_results", "estimate_q_mlp", "run_experiment",

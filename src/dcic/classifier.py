@@ -89,14 +89,12 @@ class TrainConfig:
 
 @dataclass
 class LossGrads:
-    """Parameter gradients of one loss evaluation, plus the clamp flag
-    (set when a corrected probability had to be floored at 1e-12)."""
+    """Parameter gradients of one loss evaluation."""
 
     hidden_w: np.ndarray
     hidden_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
-    clamped: bool = False
 
 
 def init_model(dim_in: int, hidden_units: int, n_classes: int, rng) -> MlpModel:
@@ -134,7 +132,6 @@ def _ce_grads_from_forward(model: MlpModel, x, z1, a1, f, labels, q_mat,
     yi = labels - 1
     p = f @ q_mat                      # row k = Q^T f(x_k)
     p_y = p[np.arange(bsz), yi]
-    clamped = bool(np.any(p_y < PROB_CLAMP))
     p_safe = np.maximum(p_y, PROB_CLAMP)
     gam = gamma_vec[yi]
     loss = float(np.mean(-gam * np.log(p_safe)))
@@ -149,7 +146,7 @@ def _ce_grads_from_forward(model: MlpModel, x, z1, a1, f, labels, q_mat,
     dz1 = da1 * (z1 > 0)
     d_hidden_w = x.T @ dz1
     d_hidden_b = dz1.sum(axis=0)
-    return loss, LossGrads(d_hidden_w, d_hidden_b, d_out_w, d_out_b, clamped)
+    return loss, LossGrads(d_hidden_w, d_hidden_b, d_out_w, d_out_b)
 
 
 def batch_loss_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray,

@@ -28,7 +28,6 @@ from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
                       run_experiment)
 from .linear import MODES, LinearFitConfig, fit
 from .noise import DEFAULT_ANCHOR_PERCENTILE, GammaWeights, gamma_weights
-from .data import ClassPrior
 
 CONFIG_ERRORS = (ValueError, OSError, KeyError, TypeError,
                  json.JSONDecodeError)
@@ -88,6 +87,16 @@ def _required(opts: dict, key: str):
     return opts.pop(key)
 
 
+def _labeled_csv(path: str):
+    """The noisy labelled dataset in a CSV file; a file without a label
+    column raises, naming it."""
+    data = read_dataset_csv(path, label_kind="noisy")
+    if data.labels is None:
+        raise ValueError(f"{path}: no 'label' column; the dataset must "
+                         f"carry labels")
+    return data
+
+
 def _read_q(path: str) -> TransitionMatrix:
     with open(path) as fh:
         return TransitionMatrix.from_json(fh.read(), path)
@@ -132,7 +141,7 @@ def _cmd_getars(args) -> int:
 def _cmd_fit(args) -> int:
     opts = _merged(args, ("source", "target", "q", "mode", "d_prime"),
                    ("source", "target", "q") + _field_names(LinearFitConfig))
-    source = read_dataset_csv(_required(opts, "source"), label_kind="noisy")
+    source = _labeled_csv(_required(opts, "source"))
     target = read_dataset_csv(_required(opts, "target"))
     q = _read_q(_required(opts, "q"))
     cfg = LinearFitConfig(**{"d_prime": 1, **opts})
@@ -142,7 +151,7 @@ def _cmd_fit(args) -> int:
 def _cmd_train(args) -> int:
     opts = _merged(args, ("features", "q", "alpha"),
                    ("features", "q", "alpha") + _field_names(TrainConfig))
-    data = read_dataset_csv(_required(opts, "features"), label_kind="noisy")
+    data = _labeled_csv(_required(opts, "features"))
     q = _read_q(_required(opts, "q"))
     alpha = opts.pop("alpha", None)
     noisy_prior = empirical_prior(data.labels, q.n_classes)
@@ -153,7 +162,8 @@ def _cmd_train(args) -> int:
             alpha = _floats(alpha)
         elif not isinstance(alpha, list):
             raise ValueError("alpha must be comma-separated floats or a list")
-        gamma = gamma_weights(ClassPrior(alpha), q, noisy_prior)
+        gamma = gamma_weights([float_field("alpha entry", a) for a in alpha],
+                              q, noisy_prior)
     model = train(data.features, data.labels, q, gamma, TrainConfig(**opts))
     return _write_out(model.to_json(), args.out)
 
@@ -161,7 +171,7 @@ def _cmd_train(args) -> int:
 def _cmd_estimate_q(args) -> int:
     opts = _merged(args, ("features", "percentile"),
                    ("features", "percentile", "seed"))
-    data = read_dataset_csv(_required(opts, "features"), label_kind="noisy")
+    data = _labeled_csv(_required(opts, "features"))
     percentile = opts.get("percentile", DEFAULT_ANCHOR_PERCENTILE)
     q_hat = estimate_q_mlp(data.features, data.labels, data.n_classes,
                            seed=int_field("seed", opts.get("seed", 0)),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,25 +148,22 @@ class TransitionMatrix:
     def n_classes(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def diagonally_dominant(self) -> bool:
-        """True when every diagonal flip-retention rate exceeds 0.5."""
-        return bool(np.all(np.diag(self.q) > 0.5))
-
     def to_json(self) -> str:
         return json.dumps({"c": self.n_classes, "rows": self.q.tolist()})
 
     @staticmethod
     def from_json(text: str, source: str = "flip-rate JSON") -> "TransitionMatrix":
         """The matrix that ``to_json`` wrote; ``source`` names the text's
-        origin (a file path) in the error for a missing key."""
+        origin (a file path) in the errors for a missing key and a
+        non-integer ``c``."""
         obj = json.loads(text)
         missing = [k for k in ("c", "rows")
                    if not isinstance(obj, dict) or k not in obj]
         if missing:
             raise ValueError(f"{source}: missing key(s) {', '.join(missing)}")
+        c = int_field(f"{source}: c", obj["c"])
         rows = np.asarray(obj["rows"], dtype=np.float64)
-        if rows.shape != (obj["c"], obj["c"]):
+        if rows.shape != (c, c):
             raise ValueError("rows do not match declared class count")
         return TransitionMatrix(rows)
 
@@ -237,23 +233,6 @@ def empirical_prior(labels: np.ndarray, c: int) -> ClassPrior:
         raise ValueError(f"labels must lie in 1..{c}")
     counts = np.bincount(labels.astype(np.int64) - 1, minlength=c).astype(np.float64)
     return ClassPrior(counts / labels.size)
-
-
-def validate_transition(q: np.ndarray) -> TransitionMatrix:
-    """Validate a raw flip-rate matrix.
-
-    Warns (UserWarning) when any diagonal entry is <= 0.5: the downstream
-    algebra stays valid but the matrix is no longer diagonally dominant, which
-    usually signals an estimation problem.
-    """
-    tm = TransitionMatrix(np.asarray(q, dtype=np.float64))
-    if not tm.diagonally_dominant:
-        warnings.warn(
-            "transition matrix has a diagonal entry <= 0.5 (not diagonally dominant)",
-            UserWarning,
-            stacklevel=2,
-        )
-    return tm
 
 
 def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:

@@ -39,7 +39,7 @@ from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
 from .linear import LinearFitConfig, fit
 from .noise import (DEFAULT_ANCHOR_PERCENTILE, GammaWeights,
                     clean_prior_from_noisy, estimate_transition_anchor,
-                    floored_gamma_weights)
+                    gamma_weights)
 from .rng import child_generator, child_seed
 from .synth import (SCALE_HIGH, SCALE_LOW, SHIFT_RANGE, apply_location_scale,
                     flip_labels, sample_dataset, sample_gmm_spec,
@@ -129,6 +129,9 @@ class ExperimentConfig:
             object.__setattr__(self, "q_override", rows)
         if not 1 <= self.d_prime <= DIM:
             raise ValueError(f"d_prime must lie in 1..{DIM}, the input dim")
+        # open() takes an int as a file descriptor to write into and close
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
 
 
 def scenario_defaults(scenario: str):
@@ -261,7 +264,7 @@ def _fit_arm(config: ExperimentConfig, noisy: Dataset, target: Dataset,
     res = fit(fit_cfg, noisy, target, q_used)
     s_proj = noisy.features @ res.w.w
     t_proj = target.features @ res.w.w
-    gamma = floored_gamma_weights(res.alpha.p, q_used, noisy_prior)
+    gamma = gamma_weights(res.alpha.p, q_used, noisy_prior)
     model = train(s_proj, noisy.labels, q_used, gamma,
                   TrainConfig(seed=child_seed(seed, 6), **GETARS_TRAIN))
     return res, float(np.mean(predict(model, t_proj) == target.labels))

@@ -27,7 +27,7 @@ from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
                    float_field)
 from .kernels import median_bandwidth
 from .noise import (GMatrix, build_g_matrix, clean_prior_from_noisy,
-                    floored_gamma_weights)
+                    gamma_weights)
 from .linear import _MmdProblem, solve_alpha_qp
 from .rng import child_generator
 
@@ -121,7 +121,7 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     clean_prior = clean_prior_from_noisy(noisy_prior, q)
     g = build_g_matrix(q, clean_prior, labels_all)
     alpha = np.full(c, 1.0 / c)
-    gamma = floored_gamma_weights(alpha, q, noisy_prior)
+    gamma = gamma_weights(alpha, q, noisy_prior)
 
     model = init_model(d, cfg.hidden_units, c, child_generator(cfg.seed, INIT_STREAM))
     shuffle_rng = child_generator(cfg.seed, SHUFFLE_STREAM)
@@ -161,6 +161,6 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
             a_mat, b_vec, _ = _MmdProblem(
                 h_s, h_t, g, _bandwidth(h_s, h_t, last_sigma)).terms(None)
             alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
-            gamma = floored_gamma_weights(alpha, q, noisy_prior)
+            gamma = gamma_weights(alpha, q, noisy_prior)
     return model, ClassPrior(alpha / alpha.sum()), np.asarray(trace)
 

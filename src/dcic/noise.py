@@ -1,6 +1,8 @@
 """Flip-rate algebra: recovering the clean prior from the noisy one, the
-per-sample weight matrix G, importance weights gamma, and an anchor-point
-estimator for the flip-rate matrix itself.
+per-sample weight matrix G, the importance weights gamma of the noisy
+classes under a target prior (one function, ``gamma_weights``, for every
+caller), and an anchor-point estimator for the flip-rate matrix itself,
+which warns when its estimate is not diagonally dominant.
 
 Notation. Q is the row-stochastic flip-rate matrix; alpha is a candidate
 target class prior. G alpha gives the noisy class ratios beta_rho that
@@ -9,11 +11,12 @@ alpha implies; the clean ratios are beta = Q beta_rho.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassPrior, TransitionMatrix, validate_transition
+from .data import ClassPrior, TransitionMatrix
 
 NEGATIVE_PRIOR_TOL = 1e-6
 ALPHA_FLOOR = 1e-9  # keeps gamma strictly positive at simplex vertices
@@ -112,28 +115,24 @@ def build_g_matrix(q: TransitionMatrix, clean_prior: ClassPrior,
     return GMatrix(class_rows, np.asarray(noisy_labels))
 
 
-def gamma_weights(alpha: ClassPrior, q: TransitionMatrix,
+def gamma_weights(alpha: np.ndarray, q: TransitionMatrix,
                   noisy_prior: ClassPrior) -> GammaWeights:
     """gamma_i = (alpha^T Q_{:i}) / noisy_prior_i, the ratio of target to
-    source noisy-label frequency under target prior alpha.
+    source noisy-label frequency under target prior vector alpha.
 
-    Satisfies sum_i gamma_i * noisy_prior_i = 1 by construction.
+    alpha is raised to ALPHA_FLOOR and renormalized first: a QP solution
+    can sit exactly on a simplex vertex, where gamma would have a zero
+    entry; the floor nudges it inside. Satisfies
+    sum_i gamma_i * noisy_prior_i = 1 by construction.
     """
+    a = np.maximum(ClassPrior(alpha).p, ALPHA_FLOOR)
+    a /= a.sum()
     c = q.n_classes
-    if alpha.n_classes != c or noisy_prior.n_classes != c:
+    if a.size != c or noisy_prior.n_classes != c:
         raise ValueError("class count mismatch")
     if np.any(noisy_prior.p <= 0):
         raise ValueError("noisy prior must be strictly positive")
-    return GammaWeights((q.q.T @ alpha.p) / noisy_prior.p)
-
-
-def floored_gamma_weights(alpha: np.ndarray, q: TransitionMatrix,
-                          noisy_prior: ClassPrior) -> GammaWeights:
-    """gamma_weights of a fitted prior vector raised to ALPHA_FLOOR and
-    renormalized: a QP solution can sit exactly on a simplex vertex, where
-    gamma would have a zero entry; the floor nudges it inside."""
-    a = np.maximum(alpha, ALPHA_FLOOR)
-    return gamma_weights(ClassPrior(a / a.sum()), q, noisy_prior)
+    return GammaWeights((q.q.T @ a) / noisy_prior.p)
 
 
 def estimate_transition_anchor(posteriors: np.ndarray,
@@ -147,7 +146,9 @@ def estimate_transition_anchor(posteriors: np.ndarray,
     that sample's posterior vector, renormalized.
 
     A degenerate estimate (near-identical rows) fails transition-matrix
-    validation and raises.
+    validation and raises. A diagonal entry <= 0.5 warns (UserWarning):
+    the algebra stays valid, but an estimate that is not diagonally
+    dominant usually signals an estimation problem.
     """
     p = np.asarray(posteriors, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 1:
@@ -164,4 +165,8 @@ def estimate_transition_anchor(posteriors: np.ndarray,
         rows[i] = p[order[rank]]
     rows = np.maximum(rows, 0.0)
     rows /= rows.sum(axis=1, keepdims=True)
-    return validate_transition(rows)
+    q = TransitionMatrix(rows)
+    if np.any(np.diag(q.q) <= 0.5):
+        warnings.warn("estimated transition matrix has a diagonal entry <= 0.5 "
+                      "(not diagonally dominant)", UserWarning, stacklevel=2)
+    return q

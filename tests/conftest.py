@@ -11,7 +11,7 @@ from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
 from dcic.joint import _joint_batch, _weight_decay_value
 from dcic.kernels import gaussian_gram
 from dcic.noise import (build_g_matrix, clean_prior_from_noisy,
-                        floored_gamma_weights)
+                        gamma_weights)
 
 
 def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -48,7 +48,7 @@ def joint_loss(model, source_batch: Dataset, target_batch: Dataset,
     c = q.n_classes
     if noisy_prior is None:
         noisy_prior = empirical_prior(source_batch.labels, c)
-    gamma = floored_gamma_weights(alpha_vec, q, noisy_prior)
+    gamma = gamma_weights(alpha_vec, q, noisy_prior)
     clean_prior = clean_prior_from_noisy(noisy_prior, q)
     g = build_g_matrix(q, clean_prior, source_batch.labels)
     loss, grads, _ = _joint_batch(

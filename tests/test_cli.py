@@ -106,10 +106,11 @@ class TestArgHandling:
         ("getars", "beta_grid", [True]), ("tars", "rho_grid", [False]),
         ("getars", "q_override", [[True, False], [False, True]]),
         ("fit", "objective_tol", True), ("fit", "objective_tol", float("nan")),
-        ("train", "learning_rate", "0.1"), ("train", "l2_coeff", False)],
+        ("train", "learning_rate", "0.1"), ("train", "l2_coeff", False),
+        ("train", "alpha", [True, False])],
         ids=["getars-beta_grid", "tars-rho_grid", "getars-q_override",
              "fit-objective_tol", "fit-objective_tol-nan", "train-learning_rate",
-             "train-l2_coeff"])
+             "train-l2_coeff", "train-alpha"])
     def test_non_numeric_config_field_returns_2(self, tmp_path, capsys,
                                                 command, key, value):
         src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
@@ -125,6 +126,17 @@ class TestArgHandling:
         err = capsys.readouterr().err
         assert key in err and "must be a number" in err
         assert not os.path.exists(out)
+
+    # refused before the sweep: open() takes an int as a file descriptor
+    # to write the CSV into and close
+    def test_non_string_out_returns_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 999}))
+        rc = main(_sweep_args(str(tmp_path / "o.csv"))[:-2]
+                  + ["--config", str(cfg)])
+        assert rc == 2
+        assert "out must be a path string, got 999" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o.csv")
 
 
 class TestSweepCommands:
@@ -319,6 +331,30 @@ class TestSingleShotCommands:
         q = np.asarray(blob["rows"])
         assert q.shape == (2, 2)
         assert q[0, 0] > q[0, 1] and q[1, 1] > q[1, 0]
+
+    def test_train_vertex_alpha_identity_q(self, tmp_path):
+        # gamma of a vertex prior under an identity Q has a zero entry
+        # unless alpha is floored first
+        src, _, qp = _write_domain_csvs(tmp_path, m=60)
+        with open(qp, "w") as fh:
+            fh.write(symmetric_noise(2, 0.0).to_json())
+        out = str(tmp_path / "model.json")
+        rc = main(["train", "--features", src, "--q", qp, "--alpha", "1,0",
+                   "--seed", "1", "--out", out])
+        assert rc == 0
+        assert os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["fit", "train", "estimate-q"])
+    def test_unlabeled_csv_returns_2(self, tmp_path, capsys, command):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        inputs = {"fit": ["--source", tgt, "--target", src, "--q", qp],
+                  "train": ["--features", tgt, "--q", qp],
+                  "estimate-q": ["--features", tgt]}[command]
+        out = str(tmp_path / "out")
+        assert main([command, *inputs, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{tgt}: no 'label' column; the dataset must carry labels" in err
+        assert not os.path.exists(out)
 
     def test_train_config_numeric_alpha_returns_2(self, tmp_path, capsys):
         src, _, qp = _write_domain_csvs(tmp_path, m=60)

@@ -61,7 +61,7 @@ class TestJointLoss:
         cfg = JointConfig(pi1=0.0, l2_coeff=0.01)
         alpha = np.array([0.6, 0.4])
         noisy_prior = empirical_prior(source.labels, 2)
-        gam = gamma_weights(ClassPrior(alpha), q, noisy_prior)
+        gam = gamma_weights(alpha, q, noisy_prior)
         ce, _ = batch_loss_grads(model, source.features, source.labels, q, gam)
         want = ce + 0.01 * _weight_decay_value(model)
         got, _ = joint_loss(model, source, target, q, alpha, cfg)
@@ -77,7 +77,7 @@ class TestJointLoss:
         sigma = 1.3
         pi1 = 2.5
         noisy_prior = empirical_prior(source.labels, 2)
-        gam = gamma_weights(ClassPrior(alpha), q, noisy_prior)
+        gam = gamma_weights(alpha, q, noisy_prior)
         ce, _ = batch_loss_grads(model, source.features, source.labels, q, gam)
         full, _ = joint_loss(model, source, target, q, alpha,
                              JointConfig(pi1=pi1, l2_coeff=0.0), sigma=sigma)
@@ -145,8 +145,7 @@ class TestFitJoint:
         model_j, alpha, trace = fit_joint(cfg, source, target, q)
         noisy_prior = empirical_prior(source.labels, 2)
         clean = clean_prior_from_noisy(noisy_prior, q)
-        gam = gamma_weights(ClassPrior(np.maximum(np.full(2, 0.5), 1e-9)),
-                            q, noisy_prior)
+        gam = gamma_weights(np.full(2, 0.5), q, noisy_prior)
         model_p = train(source.features, source.labels, q, gam,
                         TrainConfig(hidden_units=8, epochs=3, seed=4,
                                     learning_rate=cfg.learning_rate,

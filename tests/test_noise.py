@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,11 +199,11 @@ class TestGammaWeights:
             q = random_transition(rng, c)
             clean = random_prior(rng, c)
             noisy = ClassPrior(q.q.T @ clean.p)
-            out = gamma_weights(clean, q, noisy)
+            out = gamma_weights(clean.p, q, noisy)
             assert np.abs(out.gamma - 1.0).max() <= 1e-12
 
     def test_identity_q_hand_example(self):
-        out = gamma_weights(ClassPrior(np.array([0.3, 0.7])),
+        out = gamma_weights(np.array([0.3, 0.7]),
                             TransitionMatrix(np.eye(2)),
                             ClassPrior(np.array([0.5, 0.5])))
         assert np.allclose(out.gamma, [0.6, 1.4], atol=1e-15)
@@ -213,14 +215,26 @@ class TestGammaWeights:
             q = random_transition(rng, c)
             noisy = random_prior(rng, c)
             alpha = random_prior(rng, c)
-            out = gamma_weights(alpha, q, noisy)
+            out = gamma_weights(alpha.p, q, noisy)
             assert float(out.gamma @ noisy.p) == pytest.approx(1.0, abs=1e-10)
+
+    def test_vertex_alpha_floored_to_positive_gamma(self):
+        # a QP solution on a simplex vertex would give gamma a zero entry
+        out = gamma_weights(np.array([1.0, 0.0]), TransitionMatrix(np.eye(2)),
+                            ClassPrior(np.array([0.5, 0.5])))
+        assert out.gamma[1] == pytest.approx(2e-9, rel=1e-6)
+        assert out.gamma[0] == pytest.approx(2.0, rel=1e-8)
+
+    def test_off_simplex_alpha_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            gamma_weights(np.array([2.0, 3.0]), TransitionMatrix(np.eye(2)),
+                          ClassPrior(np.array([0.5, 0.5])))
 
     def test_zero_noisy_prior_rejected(self):
         bad = ClassPrior.__new__(ClassPrior)
         object.__setattr__(bad, "p", np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            gamma_weights(ClassPrior(np.array([0.5, 0.5])),
+            gamma_weights(np.array([0.5, 0.5]),
                           TransitionMatrix(np.eye(2)), bad)
 
     def test_nonpositive_gamma_rejected(self):
@@ -264,8 +278,30 @@ class TestAnchorEstimator:
     def test_identical_rows_rejected(self):
         # every anchor lands on the same posterior: singular estimate
         p = np.full((20, 2), 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="singular or ill-conditioned"):
             estimate_transition_anchor(p)
+
+    def test_singular_raises(self):
+        # both anchors are the same posterior, so the estimate is singular
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="singular or ill-conditioned"):
+            estimate_transition_anchor(p, percentile=100.0)
+
+    @pytest.mark.parametrize("rows", [np.eye(2), [[0.6, 0.4], [0.4, 0.6]]],
+                             ids=["identity", "symmetric"])
+    def test_dominant_diagonal_no_warning(self, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = estimate_transition_anchor(np.asarray(rows), percentile=100.0)
+        assert np.array_equal(q.q, rows)
+
+    def test_weak_diagonal_warns(self):
+        # no sample puts more than 0.45 on class 1, so anchor row 1 does not
+        # retain its class
+        p = np.array([[0.45, 0.55], [0.1, 0.9]])
+        with pytest.warns(UserWarning, match="not diagonally dominant"):
+            q = estimate_transition_anchor(p, percentile=100.0)
+        assert np.array_equal(q.q, p)
 
     def test_non_simplex_rejected(self):
         with pytest.raises(ValueError):
