@@ -40,7 +40,7 @@ def main():
     print(f"max entry error {np.abs(q_hat.q - q_true.q).max():.3f}")
     print()
 
-    cfg = LinearFitConfig(d_prime=2, mode="tars_fixed_w", seed=0)
+    cfg = LinearFitConfig(d_prime=2)  # d' = d pins W = I: the prior alone
     for name, q_used in (("known rates", q_true), ("estimated rates", q_hat)):
         est = fit(cfg, noisy_source, target, q_used).alpha.p
         err = np.abs(est - TARGET_PRIOR).sum()

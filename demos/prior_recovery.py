@@ -39,7 +39,7 @@ def main():
     print(f"target: {N_TARGET} unlabeled points, true prior {TARGET_PRIOR}")
     print()
 
-    cfg = LinearFitConfig(d_prime=2, mode="tars_fixed_w", seed=0)
+    cfg = LinearFitConfig(d_prime=2)  # d' = d pins W = I: the prior alone
     corrected = fit(cfg, noisy_source, target, q)
     ignorant = fit(cfg, noisy_source, target, TransitionMatrix(np.eye(2)))
 

@@ -26,7 +26,7 @@ from .data import (TransitionMatrix, empirical_prior, float_field, int_field,
                    read_dataset_csv)
 from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
                       run_experiment)
-from .linear import MODES, LinearFitConfig, fit
+from .linear import LinearFitConfig, fit
 from .noise import DEFAULT_ANCHOR_PERCENTILE, GammaWeights, gamma_weights
 
 CONFIG_ERRORS = (ValueError, OSError, KeyError, TypeError,
@@ -139,8 +139,9 @@ def _cmd_getars(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    opts = _merged(args, ("source", "target", "q", "mode", "d_prime"),
-                   ("source", "target", "q") + _field_names(LinearFitConfig))
+    opts = _merged(args, ("source", "target", "q", "d_prime"),
+                   ("source", "target", "q", "d_prime", "max_outer_iters",
+                    "seed"))
     source = _labeled_csv(_required(opts, "source"))
     target = read_dataset_csv(_required(opts, "target"))
     q = _read_q(_required(opts, "q"))
@@ -210,8 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--source", help="noisy labeled source CSV")
     p_fit.add_argument("--target", help="target CSV (labels ignored)")
     p_fit.add_argument("--q", help="flip-rate matrix JSON")
-    p_fit.add_argument("--mode", choices=MODES, default=None)
-    p_fit.add_argument("--d-prime", dest="d_prime", type=int, default=None)
+    p_fit.add_argument("--d-prime", dest="d_prime", type=int, default=None,
+                       help="projection width; the input dim pins W = I")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_train = sub.add_parser("train", help="train the corrected classifier")

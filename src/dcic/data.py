@@ -153,19 +153,25 @@ class TransitionMatrix:
 
     @staticmethod
     def from_json(text: str, source: str = "flip-rate JSON") -> "TransitionMatrix":
-        """The matrix that ``to_json`` wrote; ``source`` names the text's
-        origin (a file path) in the errors for a missing key and a
-        non-integer ``c``."""
+        """The matrix that ``to_json`` wrote; every error it raises names
+        ``source``, the text's origin (a file path)."""
         obj = json.loads(text)
         missing = [k for k in ("c", "rows")
                    if not isinstance(obj, dict) or k not in obj]
         if missing:
             raise ValueError(f"{source}: missing key(s) {', '.join(missing)}")
         c = int_field(f"{source}: c", obj["c"])
-        rows = np.asarray(obj["rows"], dtype=np.float64)
-        if rows.shape != (c, c):
-            raise ValueError("rows do not match declared class count")
-        return TransitionMatrix(rows)
+        try:
+            rows = np.asarray(obj["rows"], dtype=np.float64)
+        except (ValueError, TypeError):  # ragged, or not numbers
+            rows = None
+        if rows is None or rows.shape != (c, c):
+            raise ValueError(f"{source}: rows must be c = {c} lists of {c} "
+                             f"numbers each")
+        try:
+            return TransitionMatrix(rows)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
 
 def symmetric_noise(c: int, rho: float) -> TransitionMatrix:

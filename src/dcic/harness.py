@@ -58,7 +58,7 @@ CSV_COLUMNS = ("scenario", "rep", "seed", "rho", "beta1", "n_source",
                "n_target", "method", "beta_error", "alpha_error", "accuracy",
                "wall_time_s")
 
-GETARS_FIT = dict(max_outer_iters=10, w_cg_iters=5, objective_tol=1e-9)
+FIT_OUTER_ITERS = 10  # a sweep fit's round cap; a pinned (d' = DIM) fit needs one
 GETARS_TRAIN = dict(hidden_units=32, learning_rate=0.1, epochs=30,
                     batch_size=100, l2_coeff=1e-4)
 
@@ -73,7 +73,8 @@ class ExperimentConfig:
     bypasses both: data is still generated at each grid rho, but methods
     receive the override. beta1 is the target-to-source ratio of class 1,
     so the target prior is (0.5 * beta1, 1 - 0.5 * beta1). d_prime is the
-    projection width getars_accuracy fits, from 1 to the input dim DIM.
+    projection width getars_accuracy fits, from 1 to the input dim DIM;
+    d_prime = DIM is the identity-W arm (``linear.fit`` pins a square W).
     Every grid rho must give a valid symmetric flip matrix and every beta1
     a valid prior (0 <= beta1 <= 2), checked at construction.
     """
@@ -252,16 +253,17 @@ def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
 def _fit_arm(config: ExperimentConfig, noisy: Dataset, target: Dataset,
              q_used: TransitionMatrix, noisy_prior: ClassPrior, seed: int):
     """(fit result, accuracy) of the method that q_used stands for (the
-    noise-ignorant arm's is the identity). Prior recovery pins W to the
-    identity and scores no accuracy; getars_accuracy fits the projection,
-    trains the downstream classifier on the projected noisy source and
-    scores it on the projected target."""
-    if config.scenario != "getars_accuracy":
-        cfg = LinearFitConfig(d_prime=DIM, mode="tars_fixed_w", seed=seed)
-        return fit(cfg, noisy, target, q_used), None
-    fit_cfg = LinearFitConfig(d_prime=config.d_prime, mode="dcic",
-                              seed=child_seed(seed, 5), **GETARS_FIT)
-    res = fit(fit_cfg, noisy, target, q_used)
+    noise-ignorant arm's is the identity). Prior recovery fits at
+    d_prime = DIM, which pins W = I, and scores no accuracy;
+    getars_accuracy fits at config.d_prime, trains the downstream
+    classifier on the projected noisy source and scores it on the
+    projected target."""
+    getars = config.scenario == "getars_accuracy"
+    res = fit(LinearFitConfig(d_prime=config.d_prime if getars else DIM,
+                              max_outer_iters=FIT_OUTER_ITERS,
+                              seed=child_seed(seed, 5)), noisy, target, q_used)
+    if not getars:
+        return res, None
     s_proj = noisy.features @ res.w.w
     t_proj = target.features @ res.w.w
     gamma = gamma_weights(res.alpha.p, q_used, noisy_prior)

@@ -31,12 +31,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
-                   empirical_prior, float_field, int_field)
+                   empirical_prior, int_field)
 from .kernels import _augmented, gaussian_gram, median_bandwidth
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
-
-MODES = ("dcic", "tars_fixed_w")
 
 # Rows per block of the kernel pass. At m = 500 this gives four row blocks,
 # so the self-Grams' upper block-triangle computes about 62% of each square
@@ -71,49 +69,41 @@ def _worker_count() -> int:
 _WORKERS = _worker_count()
 ARMIJO_C1 = 1e-4
 STATIONARY_RTOL = 1e-3  # |horizontal grad| / |grad| at which W counts as stationary
+W_CG_ITERS = 5  # W steps per round at most
+OBJECTIVE_TOL = 1e-9  # objective change between rounds that ends a fit
 BACKTRACK = 0.5
 MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
 class LinearFitConfig:
-    """Knobs for the alternating fit.
+    """Knobs for the alternating fit: the projection width d_prime, the
+    outer-round cap and the seed of W's random start. A d_prime equal to
+    the input dim pins W to the identity (see ``fit``). The noise-ignorant
+    baseline is the same fit with an identity flip-rate matrix.
 
-    mode:
-        dcic          - full model: noise-corrected weights, W optimized.
-        tars_fixed_w  - prior estimation only: W pinned to the identity
-                        (d_prime is overridden to the input dim).
-
-    The noise-ignorant baseline of either mode is the same fit with an
-    identity flip-rate matrix.
+    ``mode`` is a retired alias kept for the benchmark's prior workload:
+    "tars_fixed_w" fits at d_prime = input dim whatever d_prime says.
     """
 
     d_prime: int
     max_outer_iters: int = 12
-    w_cg_iters: int = 5
-    objective_tol: float = 1e-9
-    mode: str = "dcic"
     seed: int = 0
+    mode: str = "dcic"
 
     def __post_init__(self):
-        for name in ("d_prime", "max_outer_iters", "w_cg_iters", "seed"):
+        for name in ("d_prime", "max_outer_iters", "seed"):
             object.__setattr__(self, name, int_field(name, getattr(self, name)))
-        object.__setattr__(self, "objective_tol",
-                           float_field("objective_tol", self.objective_tol))
-        if self.d_prime < 1:
-            raise ValueError("d_prime must be >= 1")
-        if self.max_outer_iters < 1 or self.w_cg_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if self.objective_tol <= 0:
-            raise ValueError("objective_tol must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        if self.d_prime < 1 or self.max_outer_iters < 1:
+            raise ValueError("d_prime and max_outer_iters must be >= 1")
+        if self.mode not in ("dcic", "tars_fixed_w"):
+            raise ValueError("mode must be 'dcic' or 'tars_fixed_w'")
 
 
 @dataclass(frozen=True)
 class LinearFitResult:
     """A fit's W, alpha and objective trace, and why it stopped
-    (``stop_reason``): "converged" (objective change below objective_tol,
+    (``stop_reason``): "converged" (objective change below OBJECTIVE_TOL,
     or, with W pinned, its one exact QP done), "max_iters" (max_outer_iters
     rounds ran), or, after the first round that accepted no W step,
     "stalled" when that round's line search failed and "stationary" when
@@ -589,20 +579,20 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
 def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         q: TransitionMatrix) -> LinearFitResult:
     """Alternating optimization: the simplex QP in alpha, solved exactly
-    (``solve_alpha_qp``; its cost grows as 2^c), then up to
-    ``config.w_cg_iters`` CG steps for W on the manifold, until the
-    objective change drops below objective_tol or a round leaves W where it
-    was.
+    (``solve_alpha_qp``; its cost grows as 2^c), then up to W_CG_ITERS CG
+    steps for W on the manifold, until the objective change drops below
+    OBJECTIVE_TOL or a round leaves W where it was.
 
     A round of W steps ends early when a step finds W stationary (relative
     horizontal gradient at most STATIONARY_RTOL) or its line search
     stalls; the step length carries over between rounds. A round that
     accepted no W step ends the fit, since W, A and b are then as the round
     found them and the next round's exact QP could only repeat its own.
-    tars_fixed_w pins W to the identity and skips W updates, so it ends
-    after one round. The bandwidth is the median pairwise distance of the
-    stacked raw features, fixed before optimization. The result's
-    ``stop_reason`` names the exit taken.
+    A d_prime equal to the input dim pins W = I and ends "converged" after
+    one round: the kernel sees only distances, which every square
+    orthonormal W keeps, so no such W moves the objective. The bandwidth
+    is the median pairwise distance of the stacked raw features, fixed
+    before optimization. The result's ``stop_reason`` names the exit taken.
     """
     if noisy_source.labels is None:
         raise ValueError("source dataset must carry labels")
@@ -612,6 +602,9 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     c = q.n_classes
     if noisy_source.n_classes != c:
         raise ValueError("source class count does not match the flip-rate matrix")
+    d_prime = d if config.mode == "tars_fixed_w" else config.d_prime
+    if d_prime > d:
+        raise ValueError("d_prime must not exceed the input dim")
 
     noisy_prior = empirical_prior(noisy_source.labels, c)
     clean_prior = clean_prior_from_noisy(noisy_prior, q)
@@ -619,17 +612,12 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     sigma = median_bandwidth(
         np.vstack([noisy_source.features, target.features]))
 
-    fixed_w = config.mode == "tars_fixed_w"
-    if fixed_w:
-        w_mat = np.eye(d)
-    else:
-        if config.d_prime > d:
-            raise ValueError("d_prime must not exceed the input dim")
-        rng = as_generator(config.seed)
-        w_mat = qr_retract(rng.standard_normal((d, config.d_prime)))
+    pinned = d_prime == d
+    w_mat = (np.eye(d) if pinned else qr_retract(
+        as_generator(config.seed).standard_normal((d, d_prime))))
 
     prob = _MmdProblem(noisy_source.features, target.features, g, sigma)
-    w_key = None if fixed_w else w_mat
+    w_key = None if pinned else w_mat
     alpha = np.full(c, 1.0 / c)
     trace = [prob.eval(w_key, alpha)]
     step_memory = 1.0
@@ -641,11 +629,11 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         f_now = prob.eval(w_key, alpha)
         w_before = w_mat
 
-        if not fixed_w:
+        if not pinned:
             state = GrassmannState(
                 objective_fn=lambda m_, al=alpha: prob.eval(m_, al),
                 f_current=f_now, step=step_memory)
-            for _ in range(config.w_cg_iters):
+            for _ in range(W_CG_ITERS):
                 grad = prob.grad(w_mat, alpha)  # W's pass is cached
                 proj, state = grassmann_step(w_mat, grad, state)
                 if state.stalled or proj.w is w_mat:
@@ -658,10 +646,10 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         trace.append(f_now)
         if w_mat is w_before:
             # pinned, or the round's first step stalled or found W stationary
-            stop_reason = ("converged" if fixed_w
+            stop_reason = ("converged" if pinned
                            else "stalled" if state.stalled else "stationary")
             break
-        if abs(trace[-2] - trace[-1]) < config.objective_tol:
+        if abs(trace[-2] - trace[-1]) < OBJECTIVE_TOL:
             stop_reason = "converged"
             break
 

@@ -8,6 +8,7 @@ heavy sweeps are shared across tests through module-scoped fixtures.
 
 import copy
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def prior_recovery_fits():
     seeds: it is variance, not bias."""
     q = symmetric_noise(2, 0.4)
     spec_s, spec_t = _separated_spec(), _separated_spec(target=True)
-    cfg = LinearFitConfig(d_prime=2, mode="tars_fixed_w", seed=0)
+    cfg = LinearFitConfig(d_prime=2)
     results, errs = [], []
     t0 = time.perf_counter()
     for rep in range(20):
@@ -344,6 +345,25 @@ class TestCorrectionDominance:
         pretty = " ".join(f"rho{k}:{v:.4f}" for k, v in gaps.items())
         _announce(capsys, "mild-noise-closeness", ok,
                   f"mean error gaps {pretty} (tol 0.05)")
+        assert ok
+
+    def test_noise_free_cell_gives_both_arms_one_fit(self, low_noise_records,
+                                                     capsys):
+        # at rho = 0 both arms receive the identity Q, so the closeness gap
+        # there is 0 by construction; what the cell can test is that the
+        # two arms' records agree in every field but the arm and its time
+        skip = {"method", "wall_time_s"}
+        pairs = {}
+        for rec in low_noise_records:
+            if rec.rho == 0.0:
+                pairs.setdefault(rec.rep, {})[rec.method] = {
+                    k: v for k, v in asdict(rec).items() if k not in skip}
+        differ = [rep for rep, arms in pairs.items()
+                  if arms["dcic"] != arms["cic"]]
+        ok = len(pairs) == 20 and not differ
+        _announce(capsys, "noise-free-cell", ok,
+                  f"{len(pairs) - len(differ)}/{len(pairs)} reps with equal "
+                  f"dcic and cic records at rho 0")
         assert ok
 
 

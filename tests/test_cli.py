@@ -105,12 +105,10 @@ class TestArgHandling:
     @pytest.mark.parametrize("command, key, value", [
         ("getars", "beta_grid", [True]), ("tars", "rho_grid", [False]),
         ("getars", "q_override", [[True, False], [False, True]]),
-        ("fit", "objective_tol", True), ("fit", "objective_tol", float("nan")),
         ("train", "learning_rate", "0.1"), ("train", "l2_coeff", False),
         ("train", "alpha", [True, False])],
         ids=["getars-beta_grid", "tars-rho_grid", "getars-q_override",
-             "fit-objective_tol", "fit-objective_tol-nan", "train-learning_rate",
-             "train-l2_coeff", "train-alpha"])
+             "train-learning_rate", "train-l2_coeff", "train-alpha"])
     def test_non_numeric_config_field_returns_2(self, tmp_path, capsys,
                                                 command, key, value):
         src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
@@ -118,8 +116,6 @@ class TestArgHandling:
         cfg.write_text(json.dumps({key: value}))
         out = str(tmp_path / "out")
         inputs = {"tars": _sweep_args(out)[1:], "getars": _sweep_args(out)[3:],
-                  "fit": ["--source", src, "--target", tgt, "--q", qp,
-                          "--out", out],
                   "train": ["--features", src, "--q", qp, "--out", out]}[command]
         rc = main([command, *inputs, "--config", str(cfg)])
         assert rc == 2
@@ -241,23 +237,24 @@ class TestSweepCommands:
 
 class TestSingleShotCommands:
     def test_fit_outputs_result_json(self, tmp_path):
+        # --d-prime at the input dim pins W = I and ends after one round
         src, tgt, qp = _write_domain_csvs(tmp_path)
         out = str(tmp_path / "fit.json")
         rc = main(["fit", "--source", src, "--target", tgt, "--q", qp,
-                   "--mode", "tars_fixed_w", "--out", out])
+                   "--d-prime", "2", "--out", out])
         assert rc == 0
         with open(out) as fh:
             blob = json.load(fh)
         assert len(blob["alpha"]) == 2
         assert abs(sum(blob["alpha"]) - 1.0) <= 1e-9
-        assert blob["config"]["mode"] == "tars_fixed_w"
-        assert blob["stop_reason"] in ("converged", "max_iters")
-        assert blob["converged"] == (blob["stop_reason"] == "converged")
+        assert blob["config"]["d_prime"] == 2
+        assert blob["w"] == np.eye(2).tolist()
+        assert blob["stop_reason"] == "converged" and blob["converged"]
 
     def test_fit_prints_to_stdout_without_out(self, tmp_path, capsys):
         src, tgt, qp = _write_domain_csvs(tmp_path, m=80)
         rc = main(["fit", "--source", src, "--target", tgt, "--q", qp,
-                   "--mode", "tars_fixed_w"])
+                   "--d-prime", "2"])
         assert rc == 0
         blob = json.loads(capsys.readouterr().out)
         assert "objective_trace" in blob
@@ -284,7 +281,8 @@ class TestSingleShotCommands:
         with open(out) as fh:
             blob = json.load(fh)
         alpha = np.asarray(blob["alpha"])
-        assert blob["config"]["mode"] == "dcic"
+        assert blob["config"]["d_prime"] == 1
+        assert np.asarray(blob["w"]).shape == (2, 1)
         assert alpha.shape == (3,)
         assert alpha.min() >= 0.0
         assert abs(alpha.sum() - 1.0) <= 1e-12
@@ -426,6 +424,41 @@ class TestSingleShotCommands:
         err = capsys.readouterr().err
         assert f"{qp}: missing key(s) {key}" in err
         assert not os.path.exists(out)
+
+    def test_flip_rate_json_bad_rows_returns_2(self, tmp_path, capsys):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        with open(qp, "w") as fh:
+            json.dump({"c": 2, "rows": [[0.9, 0.2], [0.2, 0.8]]}, fh)
+        out = str(tmp_path / "fit.json")
+        rc = main(["fit", "--source", src, "--target", tgt, "--q", qp,
+                   "--out", out])
+        assert rc == 2
+        assert f"{qp}: rows must sum to 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    # the retired fit knobs: --mode (d' = d pins W) and the W-step count
+    # and objective tolerance, now fixed constants of the fit
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "dcic"), ("w_cg_iters", 5), ("objective_tol", 1e-9)],
+        ids=["mode", "w_cg_iters", "objective_tol"])
+    def test_retired_fit_config_key_returns_2(self, tmp_path, capsys, key,
+                                              value):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = str(tmp_path / "fit.json")
+        rc = main(["fit", "--source", src, "--target", tgt, "--q", qp,
+                   "--config", str(cfg), "--out", out])
+        assert rc == 2
+        assert f"unknown config key(s) {key}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_fit_mode_flag_exits_2(self, tmp_path):
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--source", src, "--target", tgt, "--q", qp,
+                  "--mode", "dcic"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("command, flag", [
         ("fit", "--source"), ("fit", "--target"), ("fit", "--q"),

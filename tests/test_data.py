@@ -92,6 +92,17 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError, match=r"q\.json: c must be an integer"):
             TransitionMatrix.from_json(f'{{"c": {c}, "rows": [[1.0]]}}', "q.json")
 
+    # rows of the wrong count, ragged rows, and rows the matrix rejects
+    @pytest.mark.parametrize("text", [
+        '{"c": 3, "rows": [[1.0]]}', '{"c": 2, "rows": [[1.0, 0.0], [1.0]]}',
+        '{"c": 2, "rows": [[0.9, 0.2], [0.2, 0.8]]}',
+        '{"c": 2, "rows": [[1.5, -0.5], [0.0, 1.0]]}',
+        '{"c": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]}'],
+        ids=["count", "ragged", "row-sum", "entries", "singular"])
+    def test_from_json_errors_name_the_source(self, text):
+        with pytest.raises(ValueError, match=r"^q\.json: "):
+            TransitionMatrix.from_json(text, "q.json")
+
     def test_json_roundtrip(self):
         q = TransitionMatrix(np.array([[0.8, 0.2], [0.3, 0.7]]))
         back = TransitionMatrix.from_json(q.to_json())

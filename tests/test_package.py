@@ -1,8 +1,12 @@
 import ast
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dcic
@@ -97,6 +101,19 @@ class TestPublicApi:
         used = _names_imported_from_dcic(_readme_python_blocks())
         assert used, "README quick start imports nothing from dcic"
         assert used <= set(dcic.__all__), sorted(used - set(dcic.__all__))
+
+    def test_readme_quick_start_runs_as_written(self):
+        # the README's Python, its quick start, run as a reader would paste
+        # it; the prior its print comment states must be the fit's to two
+        # decimals
+        block = _readme_python_blocks()
+        stated = re.search(r"print\(res\.alpha\)\s*# ~ \[([^\]]*)\]", block)
+        assert stated, "quick start no longer states the fitted prior"
+        scope = {}
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, "README.md", "exec"), scope)
+        want = [float(v) for v in stated.group(1).split(",")]
+        assert np.round(scope["res"].alpha.p, 2).tolist() == want
 
     def test_every_public_definition_has_a_caller(self):
         # the public API is what the package's own modules, the demos and
