@@ -168,8 +168,7 @@ def sgd_step(model: MlpModel, grads: LossGrads, lr: float, l2: float) -> None:
 
 
 def train(features: np.ndarray, noisy_labels: np.ndarray, q: TransitionMatrix,
-          gamma: GammaWeights, cfg: TrainConfig,
-          loss_history: list | None = None) -> MlpModel:
+          gamma: GammaWeights, cfg: TrainConfig) -> MlpModel:
     """Mini-batch SGD on the corrected, reweighted loss.
 
     Deterministic given cfg.seed: one child stream initializes weights,
@@ -192,7 +191,6 @@ def train(features: np.ndarray, noisy_labels: np.ndarray, q: TransitionMatrix,
     m = x.shape[0]
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(m)
-        epoch_losses = []
         for lo in range(0, m, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             loss, grads = batch_loss_grads(model, x[idx], labels[idx], q, gamma)
@@ -200,9 +198,6 @@ def train(features: np.ndarray, noisy_labels: np.ndarray, q: TransitionMatrix,
                 raise RuntimeError(
                     f"non-finite loss {loss!r} at epoch {epoch}, batch {lo // cfg.batch_size}")
             sgd_step(model, grads, cfg.learning_rate, cfg.l2_coeff)
-            epoch_losses.append(loss)
-        if loss_history is not None:
-            loss_history.append(float(np.mean(epoch_losses)))
     return model
 
 

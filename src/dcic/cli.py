@@ -6,7 +6,7 @@ CSV plus JSON sidecar; ``fit`` runs one linear fit on CSV datasets;
 flip-rate matrix from noisy data. A JSON config file (--config) overrides
 the corresponding flags, except --seed: the file's seed applies only when
 --seed is absent. A key the subcommand does not take is a configuration
-error.
+error, as is an output path in a missing directory (checked before work).
 
 Exit codes: 0 success, 1 when any repetition failed (its record carries
 the error), 2 on configuration errors.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -102,6 +103,17 @@ def _read_q(path: str) -> TransitionMatrix:
         return TransitionMatrix.from_json(fh.read(), path)
 
 
+def _checked_out(path):
+    """``path``, refused unless it is a string in an existing directory."""
+    # open() takes an int as a file descriptor to write into and close
+    if path is not None and not isinstance(path, str):
+        raise ValueError(f"out must be a path string, got {path!r}")
+    parent = os.path.dirname(path or "") or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"output {path!r}: directory {parent!r} does not exist")
+    return path
+
+
 def _write_out(text: str, path: str | None) -> int:
     """Write a result document to ``path``, or print it without one."""
     if path:
@@ -113,13 +125,14 @@ def _write_out(text: str, path: str | None) -> int:
 
 
 def _run_sweep(args, scenario: str) -> int:
+    # the subcommand names the scenario; a config file may not
+    allowed = [f for f in _field_names(ExperimentConfig) if f != "scenario"]
     opts = _merged(args, ("reps", "out", "sizes", "rhos", "betas", "q_source",
-                          "d_prime"),
-                   _field_names(ExperimentConfig), _SWEEP_RENAME)
-    config = ExperimentConfig(**{"scenario": scenario, **opts})
+                          "d_prime"), allowed + ["out"], _SWEEP_RENAME)
+    out = _checked_out(opts.pop("out", None)) or f"{scenario}.csv"
+    config = ExperimentConfig(scenario=scenario, **opts)
 
     records = run_experiment(config)
-    out = config.out or f"{config.scenario}.csv"
     emit_results(records, out, config)
     failed = [r for r in records if r.error is not None]
     print(f"{len(records)} records -> {out} ({len(failed)} failed)")
@@ -235,6 +248,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _checked_out(args.out)  # a sweep also checks its config file's out
         return args.func(args)
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

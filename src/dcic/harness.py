@@ -88,7 +88,6 @@ class ExperimentConfig:
     q_override: tuple | None = None
     d_prime: int = 1
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -130,9 +129,6 @@ class ExperimentConfig:
             object.__setattr__(self, "q_override", rows)
         if not 1 <= self.d_prime <= DIM:
             raise ValueError(f"d_prime must lie in 1..{DIM}, the input dim")
-        # open() takes an int as a file descriptor to write into and close
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
 
 
 def scenario_defaults(scenario: str):
@@ -174,7 +170,6 @@ class MetricRecord:
     ratio_prior: list | None = None  # denominator prior behind beta_est
     beta_star: list | None = None
     target_prior: list | None = None
-    converged: bool | None = None
     stop_reason: str | None = None      # LinearFitResult.stop_reason
     w: list | None = None               # fitted projection, rows = input dims
     objective_trace: list | None = None
@@ -299,9 +294,8 @@ def _run_arm(task: tuple) -> MetricRecord:
         scen, rep, seed, rho, beta1, n, n, method, b_err, a_err, accuracy,
         time.perf_counter() - t0, alpha=res.alpha.p.tolist(),
         ratio_prior=ratio_prior.p.tolist(), beta_star=beta_star.tolist(),
-        target_prior=target_prior.p.tolist(), converged=res.converged,
-        stop_reason=res.stop_reason, w=res.w.w.tolist(),
-        objective_trace=list(res.objective_trace))
+        target_prior=target_prior.p.tolist(), stop_reason=res.stop_reason,
+        w=res.w.w.tolist(), objective_trace=list(res.objective_trace))
 
 
 def _init_worker() -> None:
@@ -356,8 +350,7 @@ def _json_safe(obj):
     return obj
 
 
-def emit_results(records: list, path: str,
-                 config: ExperimentConfig | None = None) -> None:
+def emit_results(records: list, path: str, config: ExperimentConfig) -> None:
     """CSV with the fixed column order, plus a JSON sidecar at <path>.json
     holding the config and the full records (including per-record priors
     and any error tags). The CSV writes a failed record's metrics as
@@ -375,7 +368,7 @@ def emit_results(records: list, path: str,
                     repr(float(r.wall_time_s)),
                 ])
         sidecar = {
-            "config": None if config is None else asdict(config),
+            "config": asdict(config),
             "location_scale_law": {"shift_range": SHIFT_RANGE,
                                    "scale_low": SCALE_LOW,
                                    "scale_high": SCALE_HIGH},

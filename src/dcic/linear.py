@@ -26,7 +26,7 @@ import json
 import os
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,9 @@ class LinearFitResult:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "sigma": self.sigma,
-            "config": asdict(self.config),
+            "config": {"d_prime": self.w.w.shape[1],  # the width fitted
+                       "max_outer_iters": self.config.max_outer_iters,
+                       "seed": self.config.seed},
         })
 
 
@@ -228,13 +230,13 @@ class _MmdProblem:
     sets sit far apart, where one shared shift would.
 
     A pass of fewer than _SPLIT_ENTRIES kernel entries, about (m + n)^2 / 2,
-    runs inline in chunks of ``chunk_size`` rows (128 by default: m = 500
-    splits into four chunks, so a self-Gram costs 10 of its 16 blocks). A
-    larger pass takes chunks of half that height, split between the caller
-    and one helper thread (``_worker_count``), each with its own buffer, so
-    together they hold what one full-height buffer would. The chunk rows
-    depend only on m, n and ``chunk_size`` and the contributions are added
-    in chunk order, so the result is bit-identical for any worker count.
+    runs inline in chunks of DEFAULT_CHUNK rows, read at construction (at
+    m = 500 a self-Gram costs 10 of its 16 blocks). A larger pass takes
+    chunks of half that height, split between the caller and one helper
+    thread (``_worker_count``), each with its own buffer, so together they
+    hold what one full-height buffer would. The chunk rows depend only on
+    m, n and DEFAULT_CHUNK and the contributions are added in chunk order,
+    so the result is bit-identical for any worker count.
     Within a pass, threads, not processes: numpy releases the interpreter
     lock in ``matmul``, ``minimum`` and ``exp``, which hold almost all of a
     pass's time, and a thread shares the rows without copies or a process
@@ -258,7 +260,7 @@ class _MmdProblem:
     """
 
     def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
-                 g: GMatrix, sigma: float, chunk_size: int = DEFAULT_CHUNK):
+                 g: GMatrix, sigma: float):
         self.s = np.asarray(source_feats, dtype=np.float64)
         self.t = np.asarray(target_feats, dtype=np.float64)
         self.g = g
@@ -269,7 +271,7 @@ class _MmdProblem:
         onehot = np.zeros((m, g.n_classes))
         onehot[np.arange(m), g.labels - 1] = 1.0
         self.onehot = onehot
-        self.chunk, workers = int(chunk_size), 1
+        self.chunk, workers = DEFAULT_CHUNK, 1
         if (m + n) ** 2 // 2 >= _SPLIT_ENTRIES:
             self.chunk, workers = max(1, self.chunk // 2), _WORKERS
         width = max(m, n)

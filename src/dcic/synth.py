@@ -99,21 +99,16 @@ def _wishart(d: int, rng: np.random.Generator) -> np.ndarray:
     return WISHART_SCALE * (a @ a.T)
 
 
-def sample_gmm_spec(c: int, d: int, seed,
-                    priors: ClassPrior | None = None) -> GmmSpec:
+def sample_gmm_spec(c: int, d: int, seed) -> GmmSpec:
     """Random mixture: means uniform in [-0.25, 0.25]^d, covariances Wishart
-    with scale 2*I_d and d + 5 degrees of freedom.
-
-    ``priors`` defaults to uniform; the harness swaps them per domain.
-    """
+    with scale 2*I_d and d + 5 degrees of freedom, uniform priors (the
+    harness swaps them per domain with ``GmmSpec.with_priors``)."""
     if c < 2 or d < 1:
         raise ValueError("need c >= 2 components and d >= 1 dimensions")
     rng = as_generator(seed)
     means = rng.uniform(-MEAN_RANGE, MEAN_RANGE, size=(c, d))
     covs = np.stack([_wishart(d, rng) for _ in range(c)])
-    if priors is None:
-        priors = ClassPrior(np.full(c, 1.0 / c))
-    return GmmSpec(means, covs, priors)
+    return GmmSpec(means, covs, ClassPrior(np.full(c, 1.0 / c)))
 
 
 def _chol_factor(cov: np.ndarray) -> np.ndarray:

@@ -204,27 +204,32 @@ class TestSgdAndTrain:
                       TrainConfig(hidden_units=8, epochs=100, batch_size=50,
                                   learning_rate=1e6, seed=9))
 
-    def test_loss_history_recorded_and_decreasing(self):
+    @staticmethod
+    def _full_data_losses(x, labels, q, gamma, epoch_counts, **cfg):
+        """Corrected loss on all of (x, labels) of the model ``train``
+        returns after each epoch count; one seed, so each model continues
+        the one before it."""
+        return [batch_loss_grads(train(x, labels, q, gamma,
+                                       TrainConfig(epochs=k, **cfg)),
+                                 x, labels, q, gamma)[0]
+                for k in epoch_counts]
+
+    def test_more_epochs_lower_full_data_loss(self):
         x, labels, _ = _separable(seed=10)
-        q = TransitionMatrix(np.eye(2))
-        hist = []
-        train(x, labels, q, GammaWeights(np.ones(2)),
-              TrainConfig(hidden_units=8, epochs=10, seed=11),
-              loss_history=hist)
-        assert len(hist) == 10
-        assert hist[-1] < hist[0]
+        first, last = self._full_data_losses(
+            x, labels, TransitionMatrix(np.eye(2)), GammaWeights(np.ones(2)),
+            (1, 10), hidden_units=8, seed=11)
+        assert last < first
 
     def test_full_batch_loss_non_increasing(self):
         # batch size >= m makes each epoch one exact gradient step; at a
         # small rate the loss sequence is monotone
         x, labels, _ = _separable(seed=12, m=80)
-        q = TransitionMatrix(np.eye(2))
-        hist = []
-        train(x, labels, q, GammaWeights(np.ones(2)),
-              TrainConfig(hidden_units=6, epochs=15, batch_size=80,
-                          learning_rate=0.01, l2_coeff=0.0, seed=13),
-              loss_history=hist)
-        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+        losses = self._full_data_losses(
+            x, labels, TransitionMatrix(np.eye(2)), GammaWeights(np.ones(2)),
+            range(1, 16), hidden_units=6, batch_size=80, learning_rate=0.01,
+            l2_coeff=0.0, seed=13)
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_input_validation(self):
         q = symmetric_noise(2, 0.2)

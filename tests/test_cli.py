@@ -9,6 +9,7 @@ import pytest
 
 import dcic
 from conftest import write_dataset_csv
+from dcic import cli
 from dcic.cli import main
 from dcic.data import Dataset, symmetric_noise
 from dcic.rng import as_generator
@@ -134,6 +135,45 @@ class TestArgHandling:
         assert "out must be a path string, got 999" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o.csv")
 
+    # the subcommand names the scenario: a file's scenario would have run
+    # another sweep under it
+    def test_scenario_config_key_returns_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "getars_accuracy"}))
+        out = str(tmp_path / "o.csv")
+        rc = main(_sweep_args(out) + ["--config", str(cfg)])
+        assert rc == 2
+        assert "unknown config key(s) scenario" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    # refused before any work, so that a long sweep or fit cannot end on
+    # an output path it cannot open
+    @pytest.mark.parametrize("command", ["tars", "tars-config", "getars",
+                                         "fit", "train", "estimate-q"])
+    def test_missing_out_directory_returns_2_before_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("work ran before --out was checked")
+
+        for name in ("run_experiment", "fit", "train", "estimate_q_mlp"):
+            monkeypatch.setattr(cli, name, never)
+        src, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        out = str(tmp_path / "missing" / "x")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": out}))
+        argv = {"tars": _sweep_args(out),
+                "tars-config": _sweep_args(out)[:-2] + ["--config", str(cfg)],
+                "getars": ["getars", *_sweep_args(out)[3:]],
+                "fit": ["fit", "--source", src, "--target", tgt, "--q", qp,
+                        "--out", out],
+                "train": ["train", "--features", src, "--q", qp,
+                          "--out", out],
+                "estimate-q": ["estimate-q", "--features", src,
+                               "--out", out]}[command]
+        assert main(argv) == 2
+        assert f"output {out!r}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "missing")
+
 
 class TestSweepCommands:
     def test_tars_writes_csv_and_sidecar(self, tmp_path, capsys):
@@ -247,7 +287,8 @@ class TestSingleShotCommands:
             blob = json.load(fh)
         assert len(blob["alpha"]) == 2
         assert abs(sum(blob["alpha"]) - 1.0) <= 1e-9
-        assert blob["config"]["d_prime"] == 2
+        assert blob["config"] == {"d_prime": 2, "max_outer_iters": 12,
+                                  "seed": 0}
         assert blob["w"] == np.eye(2).tolist()
         assert blob["stop_reason"] == "converged" and blob["converged"]
 

@@ -124,12 +124,13 @@ class TestChunkedTerms:
 
     @pytest.mark.parametrize("m, n", [(23, 17), (17, 23)])
     @pytest.mark.parametrize("chunk", [1, 3, 7, "m", "m+5"])
-    def test_matches_dense_oracle(self, rng, m, n, chunk):
+    def test_matches_dense_oracle(self, rng, monkeypatch, m, n, chunk):
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
-        chunk = {"m": m, "m+5": m + 5}.get(chunk, chunk)
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK",
+                            {"m": m, "m+5": m + 5}.get(chunk, chunk))
         w = rng.standard_normal((3, 2))
-        a, b, const = _MmdProblem(source.features, target.features, g, sigma,
-                                  chunk_size=chunk).terms(w)
+        a, b, const = _MmdProblem(source.features, target.features, g,
+                                  sigma).terms(w)
         assert np.array_equal(a, a.T)
         grams = build_gram(source.features @ w, target.features @ w, sigma)
         gg = g.class_rows[g.labels - 1]
@@ -148,7 +149,8 @@ class TestChunkedTerms:
 
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["w-none", "w-2d"])
-    def test_far_apart_clouds_keep_their_digits(self, rng, rotate):
+    def test_far_apart_clouds_keep_their_digits(self, rng, monkeypatch,
+                                                rotate):
         # source at +3e3, target at -3e3, sigma = 1: each self-Gram must be
         # shifted by its own set's mean. A shift by the stacked mean leaves
         # both clouds 3e3 from the origin, and the product then loses about
@@ -158,7 +160,8 @@ class TestChunkedTerms:
         s = source.features + 3e3
         t = target.features - 3e3
         w = qr_retract(rng.standard_normal((2, 2))) if rotate else None
-        a, b, const = _MmdProblem(s, t, g, 1.0, chunk_size=16).terms(w)
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 16)
+        a, b, const = _MmdProblem(s, t, g, 1.0).terms(w)
         sp, tp = (s, t) if w is None else (s @ w, t @ w)
 
         def direct(x, y):
@@ -196,9 +199,9 @@ class TestPassOperands:
                                                   workers):
         monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
         monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 8)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
-        prob = _MmdProblem(source.features, target.features, g, sigma,
-                           chunk_size=8)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
         calls = self._counted(monkeypatch)
         w = qr_retract(rng.standard_normal((3, 2)))
         for key in (None, w):
@@ -216,9 +219,9 @@ class TestPassOperands:
                                                  workers):
         monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
         monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 8)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
-        prob = _MmdProblem(source.features, target.features, g, sigma,
-                           chunk_size=8)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
         calls = self._counted(monkeypatch)
         w1, w2 = (qr_retract(rng.standard_normal((3, 1))) for _ in range(2))
         for w in (w1, w2):
@@ -238,26 +241,29 @@ class TestEngineGradient:
     @pytest.mark.parametrize("d_out", [1, 2])
     @pytest.mark.parametrize("m, n", [(23, 17), (17, 23)])
     @pytest.mark.parametrize("chunk", [1, 3, 7, "m", "m+5"])
-    def test_matches_dense_oracle(self, rng, m, n, chunk, d_out):
+    def test_matches_dense_oracle(self, rng, monkeypatch, m, n, chunk,
+                                  d_out):
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
-        chunk = {"m": m, "m+5": m + 5}.get(chunk, chunk)
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK",
+                            {"m": m, "m+5": m + 5}.get(chunk, chunk))
         w = rng.standard_normal((3, d_out))
         alpha = random_prior(rng, 2).p
-        got = _MmdProblem(source.features, target.features, g, sigma,
-                          chunk_size=chunk).grad(w, alpha)
+        got = _MmdProblem(source.features, target.features, g,
+                          sigma).grad(w, alpha)
         want = dense_grad_w(w, alpha, source, target, g, sigma)
         assert got.shape == (3, d_out)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_second_alpha_from_cached_pass(self, rng):
+    def test_second_alpha_from_cached_pass(self, rng, monkeypatch):
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 7)
         source, target, g, sigma = _toy_problem(rng, m=23, n=17)
         w = rng.standard_normal((3, 2))
         a1, a2 = random_prior(rng, 2).p, random_prior(rng, 2).p
-        prob = _MmdProblem(source.features, target.features, g, sigma, chunk_size=7)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
         prob.grad(w, a1)
         reused = prob.grad(w, a2)
-        fresh = _MmdProblem(source.features, target.features, g, sigma,
-                            chunk_size=7).grad(w, a2)
+        fresh = _MmdProblem(source.features, target.features, g,
+                            sigma).grad(w, a2)
         assert np.array_equal(reused, fresh)
 
     def test_needs_explicit_w(self, rng):
@@ -377,12 +383,14 @@ class TestSplitPass:
     """A pass of at least ``_SPLIT_ENTRIES`` kernel entries takes half-height
     chunks on up to ``_WORKERS`` threads and adds their contributions in
     chunk order, so its bits must not depend on the worker count. The
-    threshold is patched down so that small problems split."""
+    threshold is patched down so that small problems split, and the chunk
+    height to 29, which halves to 14 rows."""
 
     @staticmethod
     def _split(monkeypatch, workers):
         monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
         monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 29)
 
     @staticmethod
     def _pass_results(prob, w, alpha):
@@ -393,9 +401,9 @@ class TestSplitPass:
     @pytest.mark.parametrize("m, n", [(301, 200), (200, 301)])
     def test_bit_identical_for_any_worker_count(self, rng, monkeypatch,
                                                 m, n, workers):
-        # chunk_size 29 halves to 14 rows, so both sides end in a ragged
-        # chunk; 4 workers (more than most test machines have CPUs) and a
-        # short switch interval stress the in-order adds
+        # 14-row chunks leave both sides a ragged last chunk; 4 workers
+        # (more than most test machines have CPUs) and a short switch
+        # interval stress the in-order adds
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
         w = qr_retract(rng.standard_normal((3, 2)))
         alpha = np.array([0.3, 0.7])
@@ -414,8 +422,7 @@ class TestSplitPass:
         try:
             for count in (1, workers):
                 self._split(monkeypatch, count)
-                prob = _MmdProblem(source.features, target.features, g, sigma,
-                                   chunk_size=29)
+                prob = _MmdProblem(source.features, target.features, g, sigma)
                 assert prob.chunk == 14 and len(prob._bufs) == count
                 got[count] = self._pass_results(prob, w, alpha)
         finally:
@@ -429,8 +436,7 @@ class TestSplitPass:
                                                   in_helper):
         source, target, g, sigma = _toy_problem(rng, m=301, n=200)
         self._split(monkeypatch, 2)
-        prob = _MmdProblem(source.features, target.features, g, sigma,
-                           chunk_size=29)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
         real = linear_mod.gaussian_gram
         calls = []
 
@@ -449,8 +455,7 @@ class TestSplitPass:
         assert threading.active_count() == before
         # the failed pass left no cached value behind
         monkeypatch.setattr(linear_mod, "gaussian_gram", real)
-        fresh = _MmdProblem(source.features, target.features, g, sigma,
-                            chunk_size=29)
+        fresh = _MmdProblem(source.features, target.features, g, sigma)
         for x, y in zip(prob.terms(None), fresh.terms(None), strict=True):
             assert np.array_equal(x, y)
 
@@ -489,13 +494,11 @@ class TestSplitPass:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(linear_mod, "gaussian_gram", recording)
-        untraced = _MmdProblem(source.features, target.features, g, sigma,
-                               chunk_size=29)
+        untraced = _MmdProblem(source.features, target.features, g, sigma)
         want = [*untraced.terms(None), *untraced.terms(w)]
         assert len(threads) > 1
         threads.clear()
-        prob = _MmdProblem(source.features, target.features, g, sigma,
-                           chunk_size=29)
+        prob = _MmdProblem(source.features, target.features, g, sigma)
         tracer = tracing.Tracer()
         tracer.install()
         try:

@@ -1,5 +1,7 @@
 import ast
 import contextlib
+import ctypes
+import glob
 import io
 import os
 import re
@@ -9,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import conftest
 import dcic
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -138,3 +141,22 @@ def test_import_starts_no_thread_and_loads_no_pool_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split() == ["[]", "1"]
+
+
+def test_suite_runs_blas_on_one_thread():
+    # conftest pins OpenBLAS to one thread before numpy loads, as the
+    # benchmark does, so the suite forks sweep workers and splits large
+    # kernel passes the way a benchmark run does
+    if not conftest.BLAS_PINNED_HERE:
+        pytest.skip("OPENBLAS_NUM_THREADS was set before the suite started")
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "lib*openblas*.so*"))
+    getters = [getattr(ctypes.CDLL(path), sym, None) for path in libs
+               for sym in ("scipy_openblas_get_num_threads64_",
+                           "openblas_get_num_threads64_",
+                           "openblas_get_num_threads")]
+    getters = [fn for fn in getters if fn is not None]
+    if not getters:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+    getters[0].restype = ctypes.c_int
+    assert getters[0]() == 1

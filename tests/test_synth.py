@@ -51,8 +51,8 @@ class TestGmmSpec:
 
 class TestSampleDataset:
     def test_degenerate_prior(self):
-        spec = sample_gmm_spec(2, 2, seed=1,
-                               priors=ClassPrior(np.array([1.0, 0.0])))
+        spec = sample_gmm_spec(2, 2, seed=1).with_priors(
+            ClassPrior(np.array([1.0, 0.0])))
         data = sample_dataset(spec, 100, seed=2)
         assert np.all(data.labels == 1)
         assert data.label_kind == "clean"
