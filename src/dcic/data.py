@@ -248,7 +248,8 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
 
     ``label_kind`` applies only when the file has a label column; files
     without one always load as unlabeled. A non-blank row whose field
-    count is not the header's raises ValueError naming the file and line.
+    count is not the header's, or a field that does not parse, raises
+    ValueError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -266,9 +267,13 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{path}, line {reader.line_num}: {len(row)} "
                                  f"fields, the header has {len(header)}")
-            feats.append([float(v) for v in row[:n_feats]])
-            if has_label:
-                labels.append(int(row[n_feats]))
+            try:
+                feats.append([float(v) for v in row[:n_feats]])
+                if has_label:
+                    labels.append(int(row[n_feats]))
+            except ValueError as exc:  # a feature or label that does not parse
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {exc}") from None
     features = np.asarray(feats, dtype=np.float64).reshape(-1, n_feats)
     if has_label:
         return Dataset(features, np.asarray(labels), label_kind)

@@ -76,7 +76,8 @@ class ExperimentConfig:
     projection width getars_accuracy fits, from 1 to the input dim DIM;
     d_prime = DIM is the identity-W arm (``linear.fit`` pins a square W).
     Every grid rho must give a valid symmetric flip matrix and every beta1
-    a valid prior (0 <= beta1 <= 2), checked at construction.
+    a valid prior (0 <= beta1 <= 2), checked at construction. Grids are
+    lists or tuples, and q_override a list of equal-length rows.
     """
 
     scenario: str
@@ -103,8 +104,10 @@ class ExperimentConfig:
                             ("beta_grid", float_field)):
             val = getattr(self, name)
             if val is not None:
-                if len(val) == 0:
-                    raise ValueError(f"{name} must be nonempty when given")
+                # a string would be read one character at a time
+                if not isinstance(val, (list, tuple)) or len(val) == 0:
+                    raise ValueError(f"{name} must be a nonempty list, "
+                                     f"got {val!r}")
                 object.__setattr__(self, name, tuple(
                     entry(f"{name} entry", v) for v in val))
         for n in self.sample_sizes or ():
@@ -122,9 +125,15 @@ class ExperimentConfig:
                 ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
             except ValueError as exc:
                 raise ValueError(f"beta_grid entry {beta1!r}: {exc}") from None
-        if self.q_override is not None:
+        q = self.q_override
+        if q is not None:
+            if (not isinstance(q, (list, tuple)) or not q
+                    or any(not isinstance(row, (list, tuple))
+                           or len(row) != len(q[0]) for row in q)):
+                raise ValueError(f"q_override must be a list of rows of "
+                                 f"equal length, got {q!r}")
             rows = tuple(tuple(float_field("q_override entry", v) for v in row)
-                         for row in self.q_override)
+                         for row in q)
             TransitionMatrix(np.asarray(rows))  # validate early
             object.__setattr__(self, "q_override", rows)
         if not 1 <= self.d_prime <= DIM:

@@ -246,17 +246,20 @@ class _MmdProblem:
     tracer wraps it, keeps the pass on the caller's thread: that tracer
     keeps one span stack for all threads.
 
-    With ``w=None`` (features used as they are) the pass keeps only the
-    class-block sums: the diagonal block counts once and the block right of
-    it twice. With a W it keeps the per-row sums the W gradient needs,
-    O((m + n) c (1 + d')) values: with S' = Xs W, T' = Xt W, one-hot noisy
-    labels oh and P = [oh, oh (x) S'] (class-split projected rows),
+    Every pass keeps per-row sums, one contraction for every W: with
+    one-hot noisy labels oh, source columns P_s, target columns P_t and
+    columns P_st for the transposed cross rows, it forms
 
-        K_ss P, K_ts P, K_ts^T [1, T'], K_tt [1, T'].
+        K_ss P_s, K_ts P_s, K_ts^T P_st, K_tt P_t.
 
-    The class-block sums are the first c columns of K_ss P and K_ts P and the
-    first column of K_tt [1, T'], so the value needs no further kernel work,
-    and ``row_grads`` contracts the rows with any alpha.
+    With a W, S' = Xs W and T' = Xt W, the columns are P_s = [oh, oh (x) S']
+    (class-split projected rows) and P_t = P_st = [1, T'], the
+    O((m + n) c (1 + d')) values the W gradient needs. With ``w=None``
+    (features used as they are) they are P_s = oh, P_t = [1] and no P_st
+    columns: only ``row_grads`` reads K_ts^T P_st, and it refuses
+    ``w=None``. The class-block sums are the first c columns of K_ss P_s and
+    K_ts P_s and the first column of K_tt P_t, so the value needs no further
+    kernel work, and ``row_grads`` contracts the rows with any alpha.
     """
 
     def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
@@ -314,61 +317,41 @@ class _MmdProblem:
             return gaussian_gram(a, b, self.sigma, out=out,
                                  operands=(ops[0][lo:hi], ops[1][col:]))
 
-        if w is None:
-            block, cross_by_class, tt_total = np.zeros((c, c)), np.zeros(c), 0.0
-
-            def run(task, buf):
-                source, lo, hi = task
-                if source:
-                    k = gram(s, s, ss, lo, hi, lo, buf)
-                    return (oh[lo:hi].T @ (k[:, :hi - lo] @ oh[lo:hi]),
-                            oh[lo:hi].T @ (k[:, hi - lo:] @ oh[hi:]))
-                cross = (gram(t, s, ts, lo, hi, 0, buf) @ oh).sum(axis=0)
-                k = gram(t, t, tt, lo, hi, lo, buf)
-                return cross, k[:, :hi - lo].sum() + 2.0 * k[:, hi - lo:].sum()
-
-            def add(task, part):
-                nonlocal block, cross_by_class, tt_total
-                if task[0]:
-                    block += part[0]
-                    block += part[1] + part[1].T
-                else:
-                    cross_by_class += part[0]
-                    tt_total += part[1]
+        if w is None:  # the value reads only the class-block sums
+            p_s, p_t, p_st = oh, np.ones((n, 1)), np.empty((n, 0))
         else:
             p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
-            p_t = np.hstack([np.ones((n, 1)), t])
-            r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
-            r_st, r_tt = np.zeros((m, p_t.shape[1])), np.zeros((n, p_t.shape[1]))
+            p_t = p_st = np.hstack([np.ones((n, 1)), t])
+        r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
+        r_st, r_tt = np.zeros((m, p_st.shape[1])), np.zeros((n, p_t.shape[1]))
 
-            def run(task, buf):
-                source, lo, hi = task
-                if source:
-                    return _symmetric_rows(gram(s, s, ss, lo, hi, lo, buf),
-                                           p_s, lo, hi)
-                k_ts = gram(t, s, ts, lo, hi, 0, buf)
-                cross = (k_ts @ p_s, k_ts.T @ p_t[lo:hi])
-                return cross + _symmetric_rows(gram(t, t, tt, lo, hi, lo, buf),
-                                               p_t, lo, hi)
+        def run(task, buf):
+            source, lo, hi = task
+            if source:
+                return _symmetric_rows(gram(s, s, ss, lo, hi, lo, buf),
+                                       p_s, lo, hi)
+            k_ts = gram(t, s, ts, lo, hi, 0, buf)
+            cross = (k_ts @ p_s, k_ts.T @ p_st[lo:hi])
+            return cross + _symmetric_rows(gram(t, t, tt, lo, hi, lo, buf),
+                                           p_t, lo, hi)
 
-            def add(task, part):
-                nonlocal r_st
-                source, lo, hi = task
-                if source:
-                    r_ss[lo:hi] += part[0]
-                    r_ss[hi:] += part[1]
-                else:
-                    r_ts[lo:hi] = part[0]
-                    r_st += part[1]
-                    r_tt[lo:hi] += part[2]
-                    r_tt[hi:] += part[3]
+        def add(task, part):
+            nonlocal r_st
+            source, lo, hi = task
+            if source:
+                r_ss[lo:hi] += part[0]
+                r_ss[hi:] += part[1]
+            else:
+                r_ts[lo:hi] = part[0]
+                r_st += part[1]
+                r_tt[lo:hi] += part[2]
+                r_tt[hi:] += part[3]
 
         traced = hasattr(gaussian_gram, "__wrapped__")
         _run_in_order(tasks, run, add, self._bufs[:1] if traced else self._bufs)
-        if w is not None:
-            block = oh.T @ r_ss[:, :c]
-            cross_by_class = r_ts[:, :c].sum(axis=0)
-            tt_total = r_tt[:, 0].sum()
+        block = oh.T @ r_ss[:, :c]
+        cross_by_class = r_ts[:, :c].sum(axis=0)
+        tt_total = r_tt[:, 0].sum()
         ghat = self.g.class_rows
         a = ghat.T @ block @ ghat / (m * m)
         a = 0.5 * (a + a.T)
@@ -376,7 +359,7 @@ class _MmdProblem:
         const = tt_total / (n * n)
         self._cache_w = w
         self._cache_val = (a, b, const)
-        self._rows = None if w is None else (s, t, r_ss, r_ts, r_st, r_tt)
+        self._rows = (s, t, r_ss, r_ts, r_st, r_tt)
         return self._cache_val
 
     def eval(self, w: np.ndarray | None, alpha: np.ndarray) -> float:

@@ -124,6 +124,18 @@ class TestArgHandling:
         assert key in err and "must be a number" in err
         assert not os.path.exists(out)
 
+    # refused before any work, naming the field: the string was read one
+    # character at a time, as sizes 6 and 0
+    def test_string_grid_config_field_returns_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample_sizes": "60"}))
+        out = str(tmp_path / "o.csv")
+        rc = main(_sweep_args(out) + ["--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sample_sizes must be a nonempty list, got '60'" in err
+        assert not os.path.exists(out)
+
     # refused before the sweep: open() takes an int as a file descriptor
     # to write the CSV into and close
     def test_non_string_out_returns_2(self, tmp_path, capsys):

@@ -209,3 +209,14 @@ class TestCsvRoundTrip:
         path.write_text(f"{header}\n{good}\n{bad}\n{good}\n")
         with pytest.raises(ValueError, match=r"ragged\.csv, line 3: "):
             read_dataset_csv(path)
+
+    # a feature or label that does not parse names the file and the line
+    @pytest.mark.parametrize("bad, what", [
+        ("abc,0.4,1", "could not convert string to float: 'abc'"),
+        ("0.3,0.4,2.0", "invalid literal for int"),
+    ], ids=["feature", "label"])
+    def test_unparsed_field_names_line(self, tmp_path, bad, what):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,f2,label\n0.1,0.2,2\n{bad}\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv, line 3: {what}"):
+            read_dataset_csv(path)

@@ -109,6 +109,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             _tiny_tars(**{field: value})
 
+    # each would otherwise fail with a message that names no field, or run
+    # a string grid one character at a time
+    @pytest.mark.parametrize("field, value, match", [
+        ("rho_grid", 0.2, "rho_grid must be a nonempty list, got 0.2"),
+        ("sample_sizes", "60", "sample_sizes must be a nonempty list, "
+                               "got '60'"),
+        ("q_override", 5, "q_override must be a list of rows"),
+        ("q_override", [[0.8, 0.2], [0.3]],
+         "q_override must be a list of rows"),
+    ], ids=["rho_grid-number", "sample_sizes-string", "q_override-number",
+            "q_override-ragged"])
+    def test_misshapen_fields_named(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            _tiny_tars(**{field: value})
+
     def test_q_override_normalized_to_tuples(self):
         cfg = _tiny_tars(q_override=[[0.8, 0.2], [0.3, 0.7]])
         assert cfg.q_override == ((0.8, 0.2), (0.3, 0.7))

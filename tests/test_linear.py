@@ -122,17 +122,24 @@ class TestChunkedTerms:
     """The chunked pass (one reused buffer, upper block-triangle of the
     self-Grams) against the dense Gram oracle, with ragged last chunks."""
 
-    @pytest.mark.parametrize("m, n", [(23, 17), (17, 23)])
-    @pytest.mark.parametrize("chunk", [1, 3, 7, "m", "m+5"])
-    def test_matches_dense_oracle(self, rng, monkeypatch, m, n, chunk):
+    # ids chunk-m-n for a 3 x 2 W, with -w-none for the pass at W = None
+    @pytest.mark.parametrize("chunk, m, n, w_free", [
+        pytest.param(chunk, m, n, w_free,
+                     id=f"{chunk}-{m}-{n}" + ("-w-none" if w_free else ""))
+        for w_free in (False, True) for chunk in (1, 3, 7, "m", "m+5")
+        for m, n in ((23, 17), (17, 23))])
+    def test_matches_dense_oracle(self, rng, monkeypatch, chunk, m, n,
+                                  w_free):
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK",
                             {"m": m, "m+5": m + 5}.get(chunk, chunk))
-        w = rng.standard_normal((3, 2))
+        w = None if w_free else rng.standard_normal((3, 2))
         a, b, const = _MmdProblem(source.features, target.features, g,
                                   sigma).terms(w)
         assert np.array_equal(a, a.T)
-        grams = build_gram(source.features @ w, target.features @ w, sigma)
+        sp, tp = ((source.features, target.features) if w_free
+                  else (source.features @ w, target.features @ w))
+        grams = build_gram(sp, tp, sigma)
         gg = g.class_rows[g.labels - 1]
         want_a = gg.T @ grams.k_ss @ gg / (m * m)
         want_b = (grams.k_ts @ gg).sum(axis=0) / (m * n)
