@@ -77,7 +77,8 @@ class ExperimentConfig:
     d_prime = DIM is the identity-W arm (``linear.fit`` pins a square W).
     Every grid rho must give a valid symmetric flip matrix and every beta1
     a valid prior (0 <= beta1 <= 2), checked at construction. Grids are
-    lists or tuples, and q_override a list of equal-length rows.
+    lists or tuples, and q_override a list of N_CLASSES rows of N_CLASSES
+    entries.
     """
 
     scenario: str
@@ -127,11 +128,14 @@ class ExperimentConfig:
                 raise ValueError(f"beta_grid entry {beta1!r}: {exc}") from None
         q = self.q_override
         if q is not None:
-            if (not isinstance(q, (list, tuple)) or not q
+            # the harness's data has N_CLASSES classes; any other shape
+            # would fail every dcic record of the sweep
+            if (not isinstance(q, (list, tuple)) or len(q) != N_CLASSES
                     or any(not isinstance(row, (list, tuple))
-                           or len(row) != len(q[0]) for row in q)):
-                raise ValueError(f"q_override must be a list of rows of "
-                                 f"equal length, got {q!r}")
+                           or len(row) != N_CLASSES for row in q)):
+                raise ValueError(f"q_override must be a list of rows making "
+                                 f"a {N_CLASSES} x {N_CLASSES} matrix, "
+                                 f"got {q!r}")
             rows = tuple(tuple(float_field("q_override entry", v) for v in row)
                          for row in q)
             TransitionMatrix(np.asarray(rows))  # validate early

@@ -16,13 +16,17 @@ the 2^c - 1 supports of its optimum. The fit ends on the first round that
 leaves W where it was: with A and b unchanged, another exact QP would only
 repeat the last one.
 
-Large kernel passes may split across two threads (see ``_MmdProblem``).
+A kernel pass at projected width 1 or 2 may take the Chebyshev low-rank
+producer, and a large direct pass may split across two threads (see
+``_MmdProblem``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import os
 import threading
 from collections import deque
@@ -32,7 +36,8 @@ import numpy as np
 
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
                    empirical_prior, int_field)
-from .kernels import _augmented, gaussian_gram, median_bandwidth
+from .kernels import (_augmented, chebyshev_axes, chebyshev_sums,
+                      gaussian_gram, median_bandwidth)
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
@@ -44,6 +49,13 @@ DEFAULT_CHUNK = 128
 # 0.1 ms to start and join a thread; every GeTarS pass at n = 500 (2^19) and
 # joint pass at m = n = 1000 (at most 2^21) stays below and inline.
 _SPLIT_ENTRIES = 2 ** 22
+# The cost model that picks a pass's producer (``_MmdProblem``), in units
+# of one row-node-column multiply-add of the low-rank pass (about 0.125 ns):
+# a direct kernel entry (product, clip, exp and contraction) took about
+# 2.5 ns and one Lagrange weight about 7 ns, on one OpenBLAS thread of a
+# 2-CPU Xeon, at m = n = 50 to 2000 and widths 1 and 2
+_ENTRY_COST = 20
+_WEIGHT_COST = 56
 
 
 def _worker_count() -> int:
@@ -212,10 +224,30 @@ class _MmdProblem:
     compared with ``np.array_equal``; ``None`` is its own key), so repeated
     evaluations at one W cost one pass total, whichever array carries it.
 
-    A pass is a list of tasks, one per row chunk: every source chunk (its
-    K_ss rows), then every target chunk (its K_ts and K_tt rows). A task
-    writes its kernel blocks into a (chunk, max(m, n)) buffer, allocated
-    once with the problem and reused by every pass, and contracts them
+    A pass has two producers of its per-row sums (below), chosen before
+    any kernel work from the projected rows alone (``_low_rank_axes``).
+    At width 1 or 2 the low-rank producer (``kernels.chebyshev_sums``)
+    interpolates the Gaussian at r Chebyshev points per axis, r the fewest
+    whose Bernstein-ellipse bound reaches 1e-15 at the axis's span / sigma
+    (``kernels.chebyshev_nodes``: 16 at 1 sigma, 34 at 5, 64 at 12.7). It
+    runs when every axis needs at most 64 points and its cost model,
+    (m + n) (sum_axes r * _WEIGHT_COST + prod_axes r * columns), is below
+    the direct blocks' (m + n)^2 / 2 * _ENTRY_COST. Its sums are within
+    about 1e-14 of the direct ones, relative to the sum of |P| over each
+    column. Every other pass (width >= 3, wide spans, outliers, far-apart
+    clouds, and passes too small to repay the interpolation) takes the
+    direct blocks. At m = n = 5000 and width 2 the low-rank pass took
+    about 15 ms against the direct pass's 100 ms on two threads, and at
+    m = n = 500 and width 1 about 0.5 against 2 ms (one OpenBLAS thread,
+    2-CPU Xeon). The choice depends on neither the worker count nor a
+    tracer, and each producer is deterministic, so a pass's bits depend
+    on neither.
+
+    The direct pass is a list of tasks, one per row chunk: every source
+    chunk (its K_ss rows), then every target chunk (its K_ts and K_tt
+    rows). A task writes its kernel blocks into a (chunk, max(m, n))
+    buffer, allocated by the problem's first direct pass and reused by
+    every later one, and contracts them
     into a contribution, which ``_run_in_order`` adds into the pass's sums
     in chunk order. For the symmetric self-blocks K_ss and K_tt a task
     computes only the columns at or right of the chunk's first row (the
@@ -229,14 +261,19 @@ class _MmdProblem:
     columns come from, so its product does not cancel even when the two
     sets sit far apart, where one shared shift would.
 
-    A pass of fewer than _SPLIT_ENTRIES kernel entries, about (m + n)^2 / 2,
-    runs inline in chunks of DEFAULT_CHUNK rows, read at construction (at
-    m = 500 a self-Gram costs 10 of its 16 blocks). A larger pass takes
-    chunks of half that height, split between the caller and one helper
-    thread (``_worker_count``), each with its own buffer, so together they
-    hold what one full-height buffer would. The chunk rows depend only on
-    m, n and DEFAULT_CHUNK and the contributions are added in chunk order,
-    so the result is bit-identical for any worker count.
+    A direct pass of fewer than _SPLIT_ENTRIES kernel entries, about
+    (m + n)^2 / 2, runs inline in chunks of DEFAULT_CHUNK rows, read at
+    construction (at m = 500 a self-Gram costs 10 of its 16 blocks). A
+    larger one takes chunks of half that height, split between the caller
+    and one helper thread (``_worker_count``), each with its own buffer, so
+    together they hold what one full-height buffer would. Since the
+    low-rank producer took over the benchmark's prior fit at m = n = 5000,
+    the split serves only large passes that the cost model leaves direct:
+    width >= 3, spans beyond 12.7 sigma, or width 2 with many nodes and
+    columns.
+    The chunk rows depend only on m, n and DEFAULT_CHUNK and the
+    contributions are added in chunk order, so the result is bit-identical
+    for any worker count.
     Within a pass, threads, not processes: numpy releases the interpreter
     lock in ``matmul``, ``minimum`` and ``exp``, which hold almost all of a
     pass's time, and a thread shares the rows without copies or a process
@@ -246,9 +283,9 @@ class _MmdProblem:
     tracer wraps it, keeps the pass on the caller's thread: that tracer
     keeps one span stack for all threads.
 
-    Every pass keeps per-row sums, one contraction for every W: with
-    one-hot noisy labels oh, source columns P_s, target columns P_t and
-    columns P_st for the transposed cross rows, it forms
+    Every pass, from either producer, keeps per-row sums, one contraction
+    for every W: with one-hot noisy labels oh, source columns P_s, target
+    columns P_t and columns P_st for the transposed cross rows, it forms
 
         K_ss P_s, K_ts P_s, K_ts^T P_st, K_tt P_t.
 
@@ -277,12 +314,18 @@ class _MmdProblem:
         self.chunk, workers = DEFAULT_CHUNK, 1
         if (m + n) ** 2 // 2 >= _SPLIT_ENTRIES:
             self.chunk, workers = max(1, self.chunk // 2), _WORKERS
-        width = max(m, n)
-        self._bufs = [np.empty(min(self.chunk, width) * width)
-                      for _ in range(workers)]
+        self._workers = workers
         self._cache_w = None
         self._cache_val = None
         self._rows = None
+
+    @functools.cached_property
+    def _bufs(self):
+        """One kernel-block buffer per worker, allocated by the first
+        direct pass: a problem whose passes are all low-rank holds none."""
+        width = max(len(self.s), len(self.t))
+        return [np.empty(min(self.chunk, width) * width)
+                for _ in range(self._workers)]
 
     def _cached(self, w) -> bool:
         if self._cache_val is None or (w is None) != (self._cache_w is None):
@@ -299,11 +342,54 @@ class _MmdProblem:
         m, n = s.shape[0], t.shape[0]
         c = self.g.n_classes
         oh = self.onehot
+        if w is None:  # the value reads only the class-block sums
+            p_s, p_t, p_st = oh, np.ones((n, 1)), np.empty((n, 0))
+        else:
+            p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
+            p_t = p_st = np.hstack([np.ones((n, 1)), t])
+        axes = self._low_rank_axes(s, t, p_s.shape[1] + p_t.shape[1]
+                                   + p_st.shape[1])
+        if axes is None:
+            r_ss, r_ts, r_st, r_tt = self._direct_sums(s, t, p_s, p_t, p_st)
+        else:
+            r_ss, r_ts, r_st, r_tt = chebyshev_sums(s, t, self.sigma, axes,
+                                                    p_s, p_t, p_st)
+        block = oh.T @ r_ss[:, :c]
+        cross_by_class = r_ts[:, :c].sum(axis=0)
+        tt_total = r_tt[:, 0].sum()
+        ghat = self.g.class_rows
+        a = ghat.T @ block @ ghat / (m * m)
+        a = 0.5 * (a + a.T)
+        b = ghat.T @ cross_by_class / (m * n)
+        const = tt_total / (n * n)
+        self._cache_w = w
+        self._cache_val = (a, b, const)
+        self._rows = (s, t, r_ss, r_ts, r_st, r_tt)
+        return self._cache_val
+
+    def _low_rank_axes(self, s, t, columns):
+        """The Chebyshev axes (``kernels.chebyshev_axes``) of a low-rank
+        pass over the projected rows s and t with ``columns`` weight
+        columns in all, or None when the pass takes the direct blocks: at
+        width >= 3, when an axis needs more than MAX_NODES points, or when
+        the low-rank cost model exceeds the direct one."""
+        axes = chebyshev_axes(s, t, self.sigma)
+        if axes is None:
+            return None
+        rows = len(s) + len(t)
+        nodes = math.prod(r for _, _, r in axes)
+        weights = sum(r for _, _, r in axes)
+        low_rank = rows * (weights * _WEIGHT_COST + nodes * columns)
+        return axes if low_rank < rows * rows // 2 * _ENTRY_COST else None
+
+    def _direct_sums(self, s, t, p_s, p_t, p_st):
+        """(K_ss p_s, K_ts p_s, K_ts^T p_st, K_tt p_t) from the chunked
+        kernel blocks."""
+        m, n = s.shape[0], t.shape[0]
         step = self.chunk
         # (source chunk?, lo, hi): every source chunk, then every target chunk
         tasks = ([(True, lo, min(lo + step, m)) for lo in range(0, m, step)]
                  + [(False, lo, min(lo + step, n)) for lo in range(0, n, step)])
-
         g = 0.5 / (self.sigma * self.sigma)
         mu_s = s.mean(axis=0)
         ss, tt = _augmented(s, mu_s, g), _augmented(t, t.mean(axis=0), g)
@@ -317,11 +403,6 @@ class _MmdProblem:
             return gaussian_gram(a, b, self.sigma, out=out,
                                  operands=(ops[0][lo:hi], ops[1][col:]))
 
-        if w is None:  # the value reads only the class-block sums
-            p_s, p_t, p_st = oh, np.ones((n, 1)), np.empty((n, 0))
-        else:
-            p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
-            p_t = p_st = np.hstack([np.ones((n, 1)), t])
         r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
         r_st, r_tt = np.zeros((m, p_st.shape[1])), np.zeros((n, p_t.shape[1]))
 
@@ -349,18 +430,7 @@ class _MmdProblem:
 
         traced = hasattr(gaussian_gram, "__wrapped__")
         _run_in_order(tasks, run, add, self._bufs[:1] if traced else self._bufs)
-        block = oh.T @ r_ss[:, :c]
-        cross_by_class = r_ts[:, :c].sum(axis=0)
-        tt_total = r_tt[:, 0].sum()
-        ghat = self.g.class_rows
-        a = ghat.T @ block @ ghat / (m * m)
-        a = 0.5 * (a + a.T)
-        b = ghat.T @ cross_by_class / (m * n)
-        const = tt_total / (n * n)
-        self._cache_w = w
-        self._cache_val = (a, b, const)
-        self._rows = (s, t, r_ss, r_ts, r_st, r_tt)
-        return self._cache_val
+        return r_ss, r_ts, r_st, r_tt
 
     def eval(self, w: np.ndarray | None, alpha: np.ndarray) -> float:
         a, b, const = self.terms(w)

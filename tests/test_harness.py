@@ -118,8 +118,13 @@ class TestConfig:
         ("q_override", 5, "q_override must be a list of rows"),
         ("q_override", [[0.8, 0.2], [0.3]],
          "q_override must be a list of rows"),
+        ("q_override", [[0.5, 0.5]],
+         r"q_override must be a list of rows making a 2 x 2 matrix, "
+         r"got \[\[0\.5, 0\.5\]\]"),
+        ("q_override", [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+         "q_override must be a list of rows making a 2 x 2 matrix"),
     ], ids=["rho_grid-number", "sample_sizes-string", "q_override-number",
-            "q_override-ragged"])
+            "q_override-ragged", "q_override-one-row", "q_override-3x3"])
     def test_misshapen_fields_named(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             _tiny_tars(**{field: value})

@@ -5,7 +5,10 @@ import pytest
 
 from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
                       poly2_features, poly2_kernel_matrix)
-from dcic.kernels import (_SUBSAMPLE_SEED, _augmented, gaussian_gram,
+import dcic.kernels as kernels_mod
+from dcic.kernels import (_SUBSAMPLE_SEED, MAX_NODES, _augmented,
+                          _chebyshev_points, _lagrange, chebyshev_axes,
+                          chebyshev_nodes, chebyshev_sums, gaussian_gram,
                           median_bandwidth)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
@@ -447,3 +450,82 @@ class TestLargeMedianPath:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1500, 2))
         assert median_bandwidth(x) == median_bandwidth(x)
+
+
+def _direct_gram(x, y, sigma):
+    """Per-pair Gaussian Gram, the oracle for the interpolated kernel."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
+
+
+class TestChebyshevPass:
+    """The low-rank producer of the pass's per-row sums: the node-count rule,
+    the Lagrange weights, and the sums against per-pair Grams."""
+
+    def test_node_count_never_falls_as_the_width_grows(self):
+        widths = np.concatenate([[0.0, 1e-12, 1e-6], np.linspace(1e-3, 30, 601)])
+        counts = [chebyshev_nodes(w) for w in widths]
+        assert counts[0] == 1
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+        assert chebyshev_nodes(5.0) == 34 and chebyshev_nodes(12.5) == MAX_NODES
+
+    def test_axes_fall_back_at_width_three_and_on_wide_spans(self, rng):
+        s, t = rng.standard_normal((40, 3)), rng.standard_normal((30, 3))
+        assert chebyshev_axes(s, t, 1.0) is None
+        axes = chebyshev_axes(s[:, :2], t[:, :2], 1.0)
+        assert [r for _, _, r in axes] == [
+            chebyshev_nodes(hi - lo) for lo, hi, _ in axes]
+        far = s[:, :2].copy()
+        far[0, 1] = 1e3  # one far outlier
+        assert chebyshev_axes(far, t[:, :2], 1.0) is None
+        far[0, 1] = np.nan
+        assert chebyshev_axes(far, t[:, :2], 1.0) is None
+        assert chebyshev_axes(s[:, :2], t[:0, :2], 1.0) is None
+
+    @pytest.mark.parametrize("r", [2, 3, 16, 33])
+    def test_lagrange_weights(self, rng, r):
+        # a partition of unity that reproduces polynomials of degree < r,
+        # with each node's own unit row when a value lands on a node
+        nodes = _chebyshev_points(r)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 50), nodes])
+        lw = _lagrange(x, -1.0, 1.0, r)
+        assert np.abs(lw.sum(axis=1) - 1.0).max() <= 1e-14
+        assert np.array_equal(lw[50:], np.eye(r))
+        coef = rng.standard_normal(r)
+        poly = np.polynomial.chebyshev.chebval
+        assert np.abs(lw @ poly(nodes, coef) - poly(x, coef)).max() <= 1e-13
+
+    def test_one_point_is_the_constant(self):
+        assert np.array_equal(_lagrange(np.full(5, 0.3), 0.3, 0.3, 1),
+                              np.ones((5, 1)))
+
+    @pytest.mark.parametrize("width", [0.5, 5.0, 12.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("block", [None, 100], ids=["one-block", "blocks"])
+    def test_sums_match_per_pair_grams(self, rng, monkeypatch, width, d,
+                                       block):
+        # every sum within 1e-14 of the per-pair Gram's, relative to the
+        # sum of |p| over its column; 100-value row blocks leave ragged
+        # last blocks in every loop
+        if block is not None:
+            monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", block)
+        s, t = rng.uniform(-1, 1, (70, d)), rng.uniform(-1, 1, (45, d))
+        s[0], t[0] = -1.0, 1.0
+        sigma = 2.0 / width
+        p_s, p_t = rng.standard_normal((70, 3)), rng.standard_normal((45, 2))
+        axes = chebyshev_axes(s, t, sigma)
+        got = chebyshev_sums(s, t, sigma, axes, p_s, p_t, p_t)
+        k_ts = _direct_gram(t, s, sigma)
+        want = (_direct_gram(s, s, sigma) @ p_s, k_ts @ p_s, k_ts.T @ p_t,
+                _direct_gram(t, t, sigma) @ p_t)
+        for x, y, p in zip(got, want, (p_s, p_s, p_t, p_t), strict=True):
+            assert x.shape == y.shape
+            assert (np.abs(x - y) <= 1e-14 * np.abs(p).sum(axis=0)).all()
+
+    def test_no_cross_columns(self, rng):
+        s, t = rng.standard_normal((20, 2)), rng.standard_normal((15, 2))
+        axes = chebyshev_axes(s, t, 1.5)
+        p_s, p_t = rng.standard_normal((20, 2)), np.ones((15, 1))
+        r_ss, r_ts, r_st, r_tt = chebyshev_sums(s, t, 1.5, axes, p_s, p_t,
+                                                np.empty((15, 0)))
+        assert r_st.shape == (20, 0) and r_tt.shape == (15, 1)

@@ -11,6 +11,7 @@ import pytest
 from conftest import (batch_mmd_hidden, brute_force_weighted_mmd, build_gram,
                       central_difference, dense_grad_w, expand_weights,
                       random_prior, relative_grad_error)
+import dcic.kernels as kernels_mod
 import dcic.linear as linear_mod
 from dcic.data import (ClassPrior, Dataset, Projection, TransitionMatrix,
                        empirical_prior, symmetric_noise)
@@ -35,6 +36,15 @@ def _toy_problem(rng, m=12, n=9, d=3, rho=0.2):
     g = build_g_matrix(q, ClassPrior(np.array([0.5, 0.5])), labels)
     sigma = median_bandwidth(np.vstack([feats_s, target.features]))
     return source, target, g, sigma
+
+
+@pytest.fixture
+def direct_pass(monkeypatch):
+    """Every pass takes the direct blocks: with a direct entry costing
+    nothing, the low-rank producer is never the cheaper one. For the tests
+    that pin the direct pass's machinery (chunks, buffers, operands, the
+    helper thread)."""
+    monkeypatch.setattr(linear_mod, "_ENTRY_COST", 0)
 
 
 def _problem(source, target, g, sigma):
@@ -184,6 +194,7 @@ class TestChunkedTerms:
         assert abs(const - want_const) <= 1e-12 * want_const
 
 
+@pytest.mark.usefixtures("direct_pass")
 class TestPassOperands:
     """A pass builds its augmented operands once, before its tasks run: s
     and t each at its own mean, and t at s's mean for the cross rows, at
@@ -319,6 +330,7 @@ class TestRowGrads:
                               source.features.T @ d_s + target.features.T @ d_t)
 
 
+@pytest.mark.usefixtures("direct_pass")
 class TestPassCache:
     """The pass is cached on W's value, not on the array object."""
 
@@ -386,6 +398,7 @@ class TestPassCache:
                 assert np.array_equal(x, y)
 
 
+@pytest.mark.usefixtures("direct_pass")
 class TestSplitPass:
     """A pass of at least ``_SPLIT_ENTRIES`` kernel entries takes half-height
     chunks on up to ``_WORKERS`` threads and adds their contributions in
@@ -538,6 +551,147 @@ class TestSplitPass:
         monkeypatch.setattr(linear_mod.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         assert linear_mod._worker_count() == want
+
+
+def _pass_columns(prob, sp, tp, w):
+    """The pass's weight columns (P_s, P_t, P_st) at projected rows."""
+    oh, n = prob.onehot, len(tp)
+    if w is None:
+        return oh, np.ones((n, 1)), np.empty((n, 0))
+    p_s = np.hstack([oh, (oh[:, :, None] * sp[:, None, :]).reshape(len(sp), -1)])
+    p_t = np.hstack([np.ones((n, 1)), tp])
+    return p_s, p_t, p_t
+
+
+class TestLowRankPass:
+    """A pass at width <= 2 may take the Chebyshev producer
+    (``kernels.chebyshev_sums``) instead of the direct blocks; every per-row
+    sum must then be within 1e-14 of the direct pass's, relative to the sum
+    of |P| over its column, and terms, row gradients and W gradient follow
+    from those sums. ``_ENTRY_COST`` is patched up so that small problems
+    take the low-rank producer, and to 0 for the direct oracle."""
+
+    @staticmethod
+    def _both(monkeypatch, s, t, g, sigma, w, alpha):
+        """[(low-rank calls, terms, per-row sums, gradients)] for the
+        low-rank and the direct pass, in that order."""
+        real = linear_mod.chebyshev_sums
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linear_mod, "chebyshev_sums", counting)
+        out = []
+        for cost in (10 ** 9, 0):
+            monkeypatch.setattr(linear_mod, "_ENTRY_COST", cost)
+            calls.clear()
+            prob = _MmdProblem(s, t, g, sigma)
+            terms = prob.terms(w)
+            rows = prob._rows
+            grads = (() if w is None else
+                     (*prob.row_grads(w, alpha), prob.grad(w, alpha)))
+            out.append((len(calls), terms, rows, grads))
+        return prob, out
+
+    def _check(self, monkeypatch, s, t, g, sigma, w, low_rank=True):
+        alpha = np.array([0.3, 0.7])
+        prob, [(calls, terms, rows, grads), (_, want_terms, want_rows,
+                                             want_grads)] = self._both(
+            monkeypatch, s, t, g, sigma, w, alpha)
+        assert calls == (1 if low_rank else 0)
+        sp, tp = rows[:2]
+        p_s, p_t, p_st = _pass_columns(prob, sp, tp, w)
+        for x, y, p in zip(rows[2:], want_rows[2:], (p_s, p_s, p_st, p_t),
+                           strict=True):
+            assert x.shape == y.shape
+            assert (np.abs(x - y) <= 1e-14 * np.abs(p).sum(axis=0)).all()
+        for x, y in zip(terms, want_terms, strict=True):
+            assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+        for x, y in zip(grads, want_grads, strict=True):
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+    @pytest.mark.parametrize("block", [None, 50], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("w_free", [False, True], ids=["w", "w-none"])
+    @pytest.mark.parametrize("d_out", [1, 2])
+    def test_matches_direct_pass(self, rng, monkeypatch, d_out, w_free,
+                                 block):
+        # 50-value row blocks leave ragged last blocks in every loop
+        d = d_out if w_free else 3
+        source, target, g, sigma = _toy_problem(rng, m=61, n=47, d=d)
+        if block is not None:
+            monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", block)
+        w = None if w_free else qr_retract(rng.standard_normal((d, d_out)))
+        self._check(monkeypatch, source.features, target.features, g, sigma, w)
+
+    @pytest.mark.parametrize("case", ["zero-span", "zero-span-1d", "duplicated",
+                                      "on-nodes"])
+    def test_edge_cases(self, rng, monkeypatch, case):
+        source, target, g, sigma = _toy_problem(rng, m=40, n=30, d=2)
+        s, t = source.features.copy(), target.features.copy()
+        w = np.eye(2)
+        if case == "zero-span":  # one axis takes one point
+            s[:, 1] = t[:, 1] = 0.25
+        elif case == "zero-span-1d":  # W projects every row to one value
+            s[:, 1] = t[:, 1] = -0.5
+            w = np.array([[0.0], [1.0]])
+        elif case == "duplicated":
+            s[20:], t[:20] = s[:20], s[:20]
+        else:
+            # rows spanning [-1, 1] exactly put Chebyshev points at values
+            # that rows hold: -1, 0 and 1 at an odd count, and the others
+            sigma = 0.5
+            s, t = rng.uniform(-1, 1, (40, 2)), rng.uniform(-1, 1, (30, 2))
+            r = kernels_mod.chebyshev_nodes(2.0 / sigma)
+            nodes = kernels_mod._chebyshev_points(r)
+            s[:r, 0] = nodes
+            t[:r, 1] = nodes[::-1]
+            s[0, 1], t[1, 1], t[0, 0] = -1.0, 1.0, 0.0
+        self._check(monkeypatch, s, t, g, sigma, w)
+
+    def test_far_outlier_takes_the_direct_path(self, rng, monkeypatch):
+        source, target, g, sigma = _toy_problem(rng, m=40, n=30, d=2)
+        s = source.features.copy()
+        s[3] = [0.0, 1e3]
+        self._check(monkeypatch, s, target.features, g, sigma, np.eye(2),
+                    low_rank=False)
+
+    def test_width_three_takes_the_direct_path(self, rng, monkeypatch):
+        source, target, g, sigma = _toy_problem(rng, m=40, n=30, d=3)
+        self._check(monkeypatch, source.features, target.features, g, sigma,
+                    np.eye(3), low_rank=False)
+
+    def test_rule_picks_it_without_patching(self, rng):
+        # GeTarS-sized width-1 and prior-fit-sized width-2 passes take it;
+        # small width-2 ones with W and every width-3 pass do not
+        source, target, g, sigma = _toy_problem(rng, m=500, n=500, d=2)
+        prob = _problem(source, target, g, sigma)
+        s, t = source.features, target.features
+        assert prob._low_rank_axes(s[:, :1], t[:, :1], 8) is not None
+        assert prob._low_rank_axes(s, t, 3) is not None
+        small = _problem(*_toy_problem(rng, m=60, n=60, d=2))
+        assert small._low_rank_axes(small.s, small.t, 12) is None
+        assert prob._low_rank_axes(np.hstack([s, s[:, :1]]),
+                                   np.hstack([t, t[:, :1]]), 3) is None
+
+    def test_bit_identical_twice_and_for_any_worker_count(self, rng,
+                                                           monkeypatch):
+        source, target, g, sigma = _toy_problem(rng, m=301, n=200)
+        w = qr_retract(rng.standard_normal((3, 1)))
+        alpha = np.array([0.3, 0.7])
+        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
+        got = []
+        for workers in (1, 1, 2):
+            monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+            prob = _MmdProblem(source.features, target.features, g, sigma)
+            assert prob._low_rank_axes(source.features @ w,
+                                       target.features @ w, 8) is not None
+            got.append([*prob.terms(w), *prob.row_grads(w, alpha),
+                        prob.grad(w, alpha)])
+        for other in got[1:]:
+            for x, y in zip(got[0], other, strict=True):
+                assert np.array_equal(x, y)
 
 
 class TestProjectSimplex:
