@@ -173,7 +173,10 @@ def _cmd_train(args) -> int:
         gamma = GammaWeights(np.ones(q.n_classes))
     else:
         if isinstance(alpha, str):
-            alpha = _floats(alpha)
+            try:
+                alpha = _floats(alpha)
+            except ValueError as exc:
+                raise ValueError(f"--alpha: {exc}") from None
         elif not isinstance(alpha, list):
             raise ValueError("alpha must be comma-separated floats or a list")
         gamma = gamma_weights([float_field("alpha entry", a) for a in alpha],

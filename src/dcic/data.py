@@ -249,7 +249,8 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
     ``label_kind`` applies only when the file has a label column; files
     without one always load as unlabeled. A non-blank row whose field
     count is not the header's, or a field that does not parse, raises
-    ValueError naming the file and line.
+    ValueError naming the file and line; a file without data rows raises
+    ValueError naming the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -274,6 +275,8 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
             except ValueError as exc:  # a feature or label that does not parse
                 raise ValueError(
                     f"{path}, line {reader.line_num}: {exc}") from None
+    if not feats:
+        raise ValueError(f"{path}: no data rows")
     features = np.asarray(feats, dtype=np.float64).reshape(-1, n_feats)
     if has_label:
         return Dataset(features, np.asarray(labels), label_kind)

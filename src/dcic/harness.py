@@ -12,12 +12,11 @@ every reported number is recomputable.
 
 A sweep is a list of tasks, one per (cell, repetition, arm) in grid order,
 each regenerating its repetition's data from the seed, so a task needs
-nothing from another. When ``linear._WORKERS`` is above 1 (OpenBLAS on one
-thread and at least two CPUs, the rule the split kernel pass follows) the
-tasks run in that many forked worker processes, whose own passes stay on
-one thread, and their records come back in task order: the records are
-those of the serial run, bit for bit, outside ``wall_time_s``. See
-``run_experiment`` for when a sweep stays in this process.
+nothing from another. When ``_WORKERS`` is above 1 (OpenBLAS on one thread
+and at least two CPUs) the tasks run in that many forked worker processes,
+and their records come back in task order: the records are those of the
+serial run, bit for bit, outside ``wall_time_s``. See ``run_experiment``
+for when a sweep stays in this process.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import linear
 from .classifier import TrainConfig, predict, predict_proba, train
 from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
                    float_field, int_field, symmetric_noise)
@@ -61,6 +59,28 @@ CSV_COLUMNS = ("scenario", "rep", "seed", "rho", "beta1", "n_source",
 FIT_OUTER_ITERS = 10  # a sweep fit's round cap; a pinned (d' = DIM) fit needs one
 GETARS_TRAIN = dict(hidden_units=32, learning_rate=0.1, epochs=30,
                     batch_size=100, l2_coeff=1e-4)
+
+
+def _worker_count() -> int:
+    """2 when the process may use two or more CPUs and OpenBLAS runs on one
+    thread, else 1. Only OpenBLAS's variables are read, in its order, and
+    like OpenBLAS a value that is not a positive integer is skipped. Beside
+    a multi-threaded BLAS the forked workers' BLAS threads would contend
+    for the same CPUs.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(2, cpus) if threads == 1 else 1
+    return 1
+
+
+_WORKERS = _worker_count()  # processes of a sweep's pool
 
 
 @dataclass(frozen=True)
@@ -311,17 +331,11 @@ def _run_arm(task: tuple) -> MetricRecord:
         w=res.w.w.tolist(), objective_trace=list(res.objective_trace))
 
 
-def _init_worker() -> None:
-    # keep the worker's kernel passes inline: processes x threads stays
-    # within the CPUs that set the worker count
-    linear._WORKERS = 1
-
-
 def run_experiment(config: ExperimentConfig) -> list:
     """Every cell x repetition x method of the sweep, in grid order ('dcic'
     before 'cic' within a repetition).
 
-    With ``linear._WORKERS`` > 1 the (cell, rep, method) tasks run in a pool
+    With ``_WORKERS`` > 1 the (cell, rep, method) tasks run in a pool
     of that many forked processes (no more than there are tasks), shut down
     before this returns. Fork, not spawn: a spawned worker re-imports numpy
     and the package, and a spawned pool of two took about 330 ms to start
@@ -340,14 +354,14 @@ def run_experiment(config: ExperimentConfig) -> list:
              for bi, beta1 in enumerate(betas)
              for rep in range(config.repetitions)
              for method in METHODS]
-    workers = min(linear._WORKERS, len(tasks))
+    workers = min(_WORKERS, len(tasks))
     if (workers < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1 or hasattr(fit, "__wrapped__")):
         return [_run_arm(task) for task in tasks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_init_worker) as pool:
+    with ProcessPoolExecutor(workers,
+                             multiprocessing.get_context("fork")) as pool:
         return list(pool.map(_run_arm, tasks))
 
 

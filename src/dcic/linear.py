@@ -17,8 +17,7 @@ leaves W where it was: with A and b unchanged, another exact QP would only
 repeat the last one.
 
 A kernel pass at projected width 1 or 2 may take the Chebyshev low-rank
-producer, and a large direct pass may split across two threads (see
-``_MmdProblem``).
+producer (see ``_MmdProblem``).
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ import functools
 import itertools
 import json
 import math
-import os
-import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +41,6 @@ from .rng import as_generator
 # so the self-Grams' upper block-triangle computes about 62% of each square
 # (10 of 16 blocks), and a 128 x max(m, n) buffer stays cache-sized.
 DEFAULT_CHUNK = 128
-# From about 2^22 kernel entries a pass takes milliseconds, against about
-# 0.1 ms to start and join a thread; every GeTarS pass at n = 500 (2^19) and
-# joint pass at m = n = 1000 (at most 2^21) stays below and inline.
-_SPLIT_ENTRIES = 2 ** 22
 # The cost model that picks a pass's producer (``_MmdProblem``), in units
 # of one row-node-column multiply-add of the low-rank pass (about 0.125 ns):
 # a direct kernel entry (product, clip, exp and contraction) took about
@@ -56,29 +48,6 @@ _SPLIT_ENTRIES = 2 ** 22
 # 2-CPU Xeon, at m = n = 50 to 2000 and widths 1 and 2
 _ENTRY_COST = 20
 _WEIGHT_COST = 56
-
-
-def _worker_count() -> int:
-    """2 when the process may use two or more CPUs and OpenBLAS runs on one
-    thread, else 1. Only OpenBLAS's variables are read, in its order, and
-    like OpenBLAS a value that is not a positive integer is skipped. Beside
-    a multi-threaded BLAS a helper slows the pass: with two OpenBLAS
-    threads, 5000 x 5000 passes took a median 284-318 ms on two workers
-    against 225-300 ms on one (2-CPU Xeon, OpenBLAS 0.3.31).
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return min(2, cpus) if threads == 1 else 1
-    return 1
-
-
-_WORKERS = _worker_count()
 ARMIJO_C1 = 1e-4
 STATIONARY_RTOL = 1e-3  # |horizontal grad| / |grad| at which W counts as stationary
 W_CG_ITERS = 5  # W steps per round at most
@@ -146,69 +115,13 @@ class LinearFitResult:
         })
 
 
-def _symmetric_rows(k, rhs, lo, hi):
-    """The two parts of K @ rhs that a symmetric K's row block [lo, hi),
-    given from column lo on, contributes: the block itself to rows lo..hi,
-    and its part right of the diagonal block, transposed, to the rows from
-    hi on."""
-    return k @ rhs[lo:], k[:, hi - lo:].T @ rhs[lo:hi]
-
-
-def _run_in_order(tasks, run, add, bufs):
-    """add(task, run(task, buf)) for every task, the adds in task order.
-
-    The caller and one helper thread per further buffer take tasks from one
-    queue (``deque.popleft`` is atomic), each into its own buffer, and the
-    caller adds a contribution once every earlier one is in. The helpers
-    are joined before this returns. An exception raised in a helper is
-    re-raised here; one raised in the caller empties the queue, so the
-    helpers stop after their current task.
-    """
-    if len(bufs) == 1:
-        # the same adds in the same order; the queue would cost about 45 us
-        # of a 2.8 ms pass at m = n = 500 (one OpenBLAS thread, 2-CPU Xeon)
-        for task in tasks:
-            add(task, run(task, bufs[0]))
-        return
-    todo = deque(enumerate(tasks))
-    done = {}  # task index -> contribution; helpers only insert, the caller pops
-    failed = []
-    added = 0
-
-    def add_ready():
-        nonlocal added
-        while added in done:
-            add(tasks[added], done.pop(added))
-            added += 1
-
-    def work(buf, after_each):
-        while True:
-            try:
-                i, task = todo.popleft()
-            except IndexError:
-                return
-            done[i] = run(task, buf)
-            after_each()
-
-    def helper(buf):
-        try:
-            work(buf, lambda: None)
-        except BaseException as exc:  # handed to the caller, which re-raises
-            failed.append(exc)
-            todo.clear()
-
-    threads = [threading.Thread(target=helper, args=(buf,)) for buf in bufs[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        work(bufs[0], add_ready)
-    finally:
-        todo.clear()
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[0]
-    add_ready()
+def _add_symmetric_rows(out, k, rhs, lo, hi):
+    """Add to ``out`` the two parts of K @ rhs that a symmetric K's row
+    block [lo, hi), given from column lo on, contributes: the block itself
+    to rows lo..hi, and its part right of the diagonal block, transposed,
+    to the rows from hi on."""
+    out[lo:hi] += k @ rhs[lo:]
+    out[hi:] += k[:, hi - lo:].T @ rhs[lo:hi]
 
 
 class _MmdProblem:
@@ -236,52 +149,29 @@ class _MmdProblem:
     about 1e-14 of the direct ones, relative to the sum of |P| over each
     column. Every other pass (width >= 3, wide spans, outliers, far-apart
     clouds, and passes too small to repay the interpolation) takes the
-    direct blocks. At m = n = 5000 and width 2 the low-rank pass took
-    about 15 ms against the direct pass's 100 ms on two threads, and at
-    m = n = 500 and width 1 about 0.5 against 2 ms (one OpenBLAS thread,
-    2-CPU Xeon). The choice depends on neither the worker count nor a
-    tracer, and each producer is deterministic, so a pass's bits depend
-    on neither.
+    direct blocks. With a W the low-rank pass took about 18 ms against
+    the direct pass's 225 ms at m = n = 5000 and width 2, and about 0.4
+    against 1.5 ms at m = n = 500 and width 1 (one OpenBLAS thread, 2-CPU
+    Xeon). Each producer is deterministic, so a pass's bits depend only on
+    its inputs.
 
-    The direct pass is a list of tasks, one per row chunk: every source
-    chunk (its K_ss rows), then every target chunk (its K_ts and K_tt
-    rows). A task writes its kernel blocks into a (chunk, max(m, n))
-    buffer, allocated by the problem's first direct pass and reused by
-    every later one, and contracts them
-    into a contribution, which ``_run_in_order`` adds into the pass's sums
-    in chunk order. For the symmetric self-blocks K_ss and K_tt a task
-    computes only the columns at or right of the chunk's first row (the
-    upper block-triangle). Each block is one ``kernels.gaussian_gram``
-    call, one BLAS product of row slices of operands that the pass builds
-    before its tasks run, which only read them: (lhs, rhs) of s for K_ss,
-    of t for K_tt, and t's lhs with s's rhs for the K_ts rows. At every
-    width they are augmented operands (``kernels._augmented``): s and t
-    each shifted to its own column mean, and t's lhs for K_ts shifted to
-    s's mean. Every block is thus shifted to the mean of the set its
-    columns come from, so its product does not cancel even when the two
-    sets sit far apart, where one shared shift would.
-
-    A direct pass of fewer than _SPLIT_ENTRIES kernel entries, about
-    (m + n)^2 / 2, runs inline in chunks of DEFAULT_CHUNK rows, read at
-    construction (at m = 500 a self-Gram costs 10 of its 16 blocks). A
-    larger one takes chunks of half that height, split between the caller
-    and one helper thread (``_worker_count``), each with its own buffer, so
-    together they hold what one full-height buffer would. Since the
-    low-rank producer took over the benchmark's prior fit at m = n = 5000,
-    the split serves only large passes that the cost model leaves direct:
-    width >= 3, spans beyond 12.7 sigma, or width 2 with many nodes and
-    columns.
-    The chunk rows depend only on m, n and DEFAULT_CHUNK and the
-    contributions are added in chunk order, so the result is bit-identical
-    for any worker count.
-    Within a pass, threads, not processes: numpy releases the interpreter
-    lock in ``matmul``, ``minimum`` and ``exp``, which hold almost all of a
-    pass's time, and a thread shares the rows without copies or a process
-    start. (Whole harness arms, whose Python glue holds the lock between
-    small numpy calls, run in processes instead; see ``dcic.harness``.)
-    A ``gaussian_gram`` wrapped with ``functools.wraps``, as perfbench's
-    tracer wraps it, keeps the pass on the caller's thread: that tracer
-    keeps one span stack for all threads.
+    The direct pass runs in chunks of DEFAULT_CHUNK rows, read at
+    construction (at m = 500 a self-Gram costs 10 of its 16 blocks):
+    every source chunk (its K_ss rows), then every target chunk (its K_ts
+    and K_tt rows). A chunk writes its kernel blocks into one
+    (chunk, max(m, n)) buffer, allocated by the problem's first direct
+    pass and reused by every later one, and contracts them straight into
+    the pass's sums. For the symmetric self-blocks K_ss and K_tt a chunk
+    computes only the columns at or right of its first row (the upper
+    block-triangle). Each block is one ``kernels.gaussian_gram`` call, one
+    BLAS product of row slices of operands that the pass builds before its
+    first chunk: (lhs, rhs) of s for K_ss, of t for K_tt, and t's lhs with
+    s's rhs for the K_ts rows. At every width they are augmented operands
+    (``kernels._augmented``): s and t each shifted to its own column mean,
+    and t's lhs for K_ts shifted to s's mean. Every block is thus shifted
+    to the mean of the set its columns come from, so its product does not
+    cancel even when the two sets sit far apart, where one shared shift
+    would.
 
     Every pass, from either producer, keeps per-row sums, one contraction
     for every W: with one-hot noisy labels oh, source columns P_s, target
@@ -305,27 +195,23 @@ class _MmdProblem:
         self.t = np.asarray(target_feats, dtype=np.float64)
         self.g = g
         self.sigma = float(sigma)
-        m, n = self.s.shape[0], self.t.shape[0]
+        m = self.s.shape[0]
         if g.n_samples != m:
             raise ValueError("G rows must match the source sample count")
         onehot = np.zeros((m, g.n_classes))
         onehot[np.arange(m), g.labels - 1] = 1.0
         self.onehot = onehot
-        self.chunk, workers = DEFAULT_CHUNK, 1
-        if (m + n) ** 2 // 2 >= _SPLIT_ENTRIES:
-            self.chunk, workers = max(1, self.chunk // 2), _WORKERS
-        self._workers = workers
+        self.chunk = DEFAULT_CHUNK
         self._cache_w = None
         self._cache_val = None
         self._rows = None
 
     @functools.cached_property
-    def _bufs(self):
-        """One kernel-block buffer per worker, allocated by the first
-        direct pass: a problem whose passes are all low-rank holds none."""
+    def _buf(self):
+        """The kernel-block buffer, allocated by the first direct pass: a
+        problem whose passes are all low-rank holds none."""
         width = max(len(self.s), len(self.t))
-        return [np.empty(min(self.chunk, width) * width)
-                for _ in range(self._workers)]
+        return np.empty(min(self.chunk, width) * width)
 
     def _cached(self, w) -> bool:
         if self._cache_val is None or (w is None) != (self._cache_w is None):
@@ -384,20 +270,19 @@ class _MmdProblem:
 
     def _direct_sums(self, s, t, p_s, p_t, p_st):
         """(K_ss p_s, K_ts p_s, K_ts^T p_st, K_tt p_t) from the chunked
-        kernel blocks."""
+        kernel blocks: every source chunk, then every target chunk."""
         m, n = s.shape[0], t.shape[0]
         step = self.chunk
-        # (source chunk?, lo, hi): every source chunk, then every target chunk
-        tasks = ([(True, lo, min(lo + step, m)) for lo in range(0, m, step)]
-                 + [(False, lo, min(lo + step, n)) for lo in range(0, n, step)])
         g = 0.5 / (self.sigma * self.sigma)
         mu_s = s.mean(axis=0)
         ss, tt = _augmented(s, mu_s, g), _augmented(t, t.mean(axis=0), g)
         ts = (_augmented(t, mu_s, g)[0], ss[1])
 
-        def gram(x, y, ops, lo, hi, col, buf):
-            # K(x[lo:hi], y[col:]) in a C-contiguous prefix of the worker's
-            # buffer, so BLAS sees the same layout as a freshly allocated block
+        buf = self._buf
+
+        def gram(x, y, ops, lo, hi, col):
+            # K(x[lo:hi], y[col:]) in a C-contiguous prefix of the buffer, so
+            # BLAS sees the same layout as a freshly allocated block
             a, b = x[lo:hi], y[col:]
             out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
             return gaussian_gram(a, b, self.sigma, out=out,
@@ -405,31 +290,15 @@ class _MmdProblem:
 
         r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
         r_st, r_tt = np.zeros((m, p_st.shape[1])), np.zeros((n, p_t.shape[1]))
-
-        def run(task, buf):
-            source, lo, hi = task
-            if source:
-                return _symmetric_rows(gram(s, s, ss, lo, hi, lo, buf),
-                                       p_s, lo, hi)
-            k_ts = gram(t, s, ts, lo, hi, 0, buf)
-            cross = (k_ts @ p_s, k_ts.T @ p_st[lo:hi])
-            return cross + _symmetric_rows(gram(t, t, tt, lo, hi, lo, buf),
-                                           p_t, lo, hi)
-
-        def add(task, part):
-            nonlocal r_st
-            source, lo, hi = task
-            if source:
-                r_ss[lo:hi] += part[0]
-                r_ss[hi:] += part[1]
-            else:
-                r_ts[lo:hi] = part[0]
-                r_st += part[1]
-                r_tt[lo:hi] += part[2]
-                r_tt[hi:] += part[3]
-
-        traced = hasattr(gaussian_gram, "__wrapped__")
-        _run_in_order(tasks, run, add, self._bufs[:1] if traced else self._bufs)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            _add_symmetric_rows(r_ss, gram(s, s, ss, lo, hi, lo), p_s, lo, hi)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            k_ts = gram(t, s, ts, lo, hi, 0)  # used before K_tt overwrites it
+            r_ts[lo:hi] = k_ts @ p_s
+            r_st += k_ts.T @ p_st[lo:hi]
+            _add_symmetric_rows(r_tt, gram(t, t, tt, lo, hi, lo), p_t, lo, hi)
         return r_ss, r_ts, r_st, r_tt
 
     def eval(self, w: np.ndarray | None, alpha: np.ndarray) -> float:
@@ -648,7 +517,11 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     orthonormal W keeps, so no such W moves the objective. The bandwidth
     is the median pairwise distance of the stacked raw features, fixed
     before optimization. The result's ``stop_reason`` names the exit taken.
+    A source or target without rows is refused before any kernel work.
     """
+    for name, data in (("source", noisy_source), ("target", target)):
+        if data.n_samples == 0:
+            raise ValueError(f"{name} dataset has no rows")
     if noisy_source.labels is None:
         raise ValueError("source dataset must carry labels")
     d = noisy_source.dim

@@ -4,9 +4,9 @@ import csv
 import os
 from dataclasses import dataclass
 
-# OpenBLAS on one thread, as the benchmark runs it: linear._WORKERS then
-# follows the CPUs, so the suite runs the split kernel pass and the forked
-# sweep pool that the benchmark times, and it ran in about two thirds of
+# OpenBLAS on one thread, as the benchmark runs it: harness._WORKERS then
+# follows the CPUs, so the suite runs the forked sweep pool that the
+# benchmark times, and it ran in about two thirds of
 # the unpinned wall time with the same gate numbers. OpenBLAS reads the
 # variable when numpy loads it, hence before any import of numpy; a value
 # set by the caller stands.

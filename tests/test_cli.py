@@ -21,6 +21,18 @@ def _sweep_args(out, extra=()):
             "--out", out, *extra]
 
 
+def _run_module(*argv):
+    """``python -m dcic.cli *argv`` in a child interpreter. It sees no
+    pytest pythonpath setting, so it is given the directory holding the
+    package this test imported."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(dcic.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "dcic.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def _write_domain_csvs(tmp_path, m=150, seed=0):
     rng = as_generator(seed)
     labels = rng.integers(1, 3, size=m)
@@ -61,14 +73,7 @@ class TestArgHandling:
         assert "JSON object" in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        # the child interpreter sees no pytest pythonpath setting; give it
-        # the directory holding the package this test imported
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(dcic.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "dcic.cli", "--help"],
-                              capture_output=True, text=True, env=env)
+        proc = _run_module("--help")
         assert proc.returncode == 0
         assert "tars" in proc.stdout and "estimate-q" in proc.stdout
 
@@ -542,6 +547,31 @@ class TestSingleShotCommands:
                    "--out", out])
         assert rc == 2
         assert "percentile must be a number" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    # a header-only target once ran the kernel pass on zero rows: numpy
+    # warned "Mean of empty slice", then the QP refused a non-finite A
+    @pytest.mark.parametrize("header", ["f1,f2", "f1,f2,label"])
+    def test_fit_header_only_target_returns_2(self, tmp_path, header):
+        src, _, qp = _write_domain_csvs(tmp_path, m=40)
+        empty = tmp_path / "empty.csv"
+        empty.write_text(header + "\n")
+        out = str(tmp_path / "fit.json")
+        proc = _run_module("fit", "--source", src, "--target", str(empty),
+                           "--q", qp, "--out", out)
+        assert proc.returncode == 2
+        assert f"error: {empty}: no data rows" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not os.path.exists(out)
+
+    def test_train_bad_alpha_flag_names_it(self, tmp_path, capsys):
+        src, _, qp = _write_domain_csvs(tmp_path, m=40)
+        out = str(tmp_path / "model.json")
+        rc = main(["train", "--features", src, "--q", qp,
+                   "--alpha", "0.7,abc", "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "'abc'" in err
         assert not os.path.exists(out)
 
     def test_fit_missing_input_returns_2(self, tmp_path, capsys):

@@ -196,6 +196,14 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.features, data.features)
         assert back.labels is None
 
+    # a header without data rows names the file, with or without labels
+    @pytest.mark.parametrize("header", ["f1,f2", "f1,f2,label"])
+    def test_header_without_rows_rejected(self, tmp_path, header):
+        path = tmp_path / "empty.csv"
+        path.write_text(f"{header}\n\n")
+        with pytest.raises(ValueError, match=r"empty\.csv: no data rows"):
+            read_dataset_csv(path)
+
     # a short or long labelled row and a short unlabelled row all name the
     # file and the line
     @pytest.mark.parametrize("header, bad", [

@@ -381,26 +381,46 @@ def _strip_wall_time(path):
     return csv_lines, sidecar
 
 
-def _pid_and_workers(*args, **kwargs):
-    raise RuntimeError(f"{os.getpid()} {linear._WORKERS}")
+def _pid(*args, **kwargs):
+    raise RuntimeError(str(os.getpid()))
 
 
 class TestWorkerProcesses:
-    """Sweeps with ``linear._WORKERS`` at 2, as on a 2-CPU host with BLAS on
-    one thread, run their arms in forked workers."""
+    """Sweeps with ``harness._WORKERS`` at 2, as on a 2-CPU host with BLAS
+    on one thread, run their arms in forked workers."""
 
     @pytest.fixture
     def two_workers(self, monkeypatch):
-        monkeypatch.setattr(linear, "_WORKERS", 2)
+        monkeypatch.setattr(harness, "_WORKERS", 2)
+
+    @pytest.mark.parametrize("env, cpus, want", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+        # OpenBLAS skips a value that is not a positive integer
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "auto", "OMP_NUM_THREADS": "2"}, 2, 1),
+        ({}, 2, 1),
+    ])
+    def test_pool_only_beside_a_one_thread_blas(self, monkeypatch, env,
+                                                cpus, want):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert harness._worker_count() == want
 
     @pytest.mark.parametrize("make_config", [_getars_tiny, _estimated_tars],
                              ids=["getars", "tars-estimated"])
     def test_same_records_csv_and_sidecar_as_serial(self, make_config,
                                                     monkeypatch, tmp_path):
         cfg = make_config()
-        monkeypatch.setattr(linear, "_WORKERS", 1)
+        monkeypatch.setattr(harness, "_WORKERS", 1)
         serial = run_experiment(cfg)
-        monkeypatch.setattr(linear, "_WORKERS", 2)
+        monkeypatch.setattr(harness, "_WORKERS", 2)
         forked = run_experiment(cfg)
         assert len(forked) == len(serial) > 2
         assert all(_records_equal_except_time(x, y)
@@ -426,19 +446,15 @@ class TestWorkerProcesses:
         assert threading.active_count() == 1
 
     def test_worker_passes_run_inline(self, two_workers, monkeypatch):
-        # each task runs in a child process that sees one pass worker
-        monkeypatch.setattr(harness, "fit", _pid_and_workers)
+        # each task runs in a child process
+        monkeypatch.setattr(harness, "fit", _pid)
         records = run_experiment(_tiny_tars(repetitions=2))
         assert len(records) == 4
-        for r in records:
-            pid, workers = r.error.split()
-            assert int(pid) != os.getpid()
-            assert workers == "1"
-        assert linear._WORKERS == 2
+        assert all(int(r.error) != os.getpid() for r in records)
 
     def test_running_thread_keeps_the_sweep_in_process(self, two_workers,
                                                        monkeypatch):
-        monkeypatch.setattr(harness, "fit", _pid_and_workers)
+        monkeypatch.setattr(harness, "fit", _pid)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait, args=(30,))
         other.start()
@@ -448,13 +464,13 @@ class TestWorkerProcesses:
             stop.set()
             other.join(timeout=30)
         assert not other.is_alive()
-        assert {r.error for r in records} == {f"{os.getpid()} 2"}
+        assert {r.error for r in records} == {str(os.getpid())}
 
     def test_wrapped_fit_keeps_the_sweep_in_process(self, two_workers,
                                                     monkeypatch):
         # a traced fit records its spans in this process's tracer only
         wrapped = functools.wraps(linear.fit)(
-            lambda *args, **kwargs: _pid_and_workers(*args, **kwargs))
+            lambda *args, **kwargs: _pid(*args, **kwargs))
         monkeypatch.setattr(harness, "fit", wrapped)
         records = run_experiment(_tiny_tars(repetitions=1))
-        assert {r.error for r in records} == {f"{os.getpid()} 2"}
+        assert {r.error for r in records} == {str(os.getpid())}

@@ -1,9 +1,7 @@
 import importlib.util
 import json
 import os
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -42,8 +40,7 @@ def _toy_problem(rng, m=12, n=9, d=3, rho=0.2):
 def direct_pass(monkeypatch):
     """Every pass takes the direct blocks: with a direct entry costing
     nothing, the low-rank producer is never the cheaper one. For the tests
-    that pin the direct pass's machinery (chunks, buffers, operands, the
-    helper thread)."""
+    that pin the direct pass's machinery (chunks, buffer, operands)."""
     monkeypatch.setattr(linear_mod, "_ENTRY_COST", 0)
 
 
@@ -212,11 +209,7 @@ class TestPassOperands:
         monkeypatch.setattr(linear_mod, "_augmented", counting)
         return calls
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_operand_set_built_once_per_pass(self, rng, monkeypatch,
-                                                  workers):
-        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
-        monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+    def test_each_operand_set_built_once_per_pass(self, rng, monkeypatch):
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 8)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
@@ -232,11 +225,7 @@ class TestPassOperands:
             prob.terms(None if key is None else w.copy())  # cache hit
             assert calls == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_width1_operands_built_once_per_pass(self, rng, monkeypatch,
-                                                 workers):
-        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
-        monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+    def test_width1_operands_built_once_per_pass(self, rng, monkeypatch):
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 8)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
@@ -399,125 +388,61 @@ class TestPassCache:
 
 
 @pytest.mark.usefixtures("direct_pass")
-class TestSplitPass:
-    """A pass of at least ``_SPLIT_ENTRIES`` kernel entries takes half-height
-    chunks on up to ``_WORKERS`` threads and adds their contributions in
-    chunk order, so its bits must not depend on the worker count. The
-    threshold is patched down so that small problems split, and the chunk
-    height to 29, which halves to 14 rows."""
+class TestDirectPass:
+    """A direct pass of any size runs on the caller's thread, in chunks of
+    DEFAULT_CHUNK rows, into one buffer."""
 
-    @staticmethod
-    def _split(monkeypatch, workers):
-        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
-        monkeypatch.setattr(linear_mod, "_WORKERS", workers)
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 29)
-
-    @staticmethod
-    def _pass_results(prob, w, alpha):
-        return [*prob.terms(None), *prob.terms(w), *prob.row_grads(w, alpha),
-                prob.grad(w, alpha)]
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("m, n", [(301, 200), (200, 301)])
-    def test_bit_identical_for_any_worker_count(self, rng, monkeypatch,
-                                                m, n, workers):
-        # 14-row chunks leave both sides a ragged last chunk; 4 workers
-        # (more than most test machines have CPUs) and a short switch
-        # interval stress the in-order adds
-        source, target, g, sigma = _toy_problem(rng, m=m, n=n)
-        w = qr_retract(rng.standard_normal((3, 2)))
-        alpha = np.array([0.3, 0.7])
-        threads = set()
+    def test_large_pass_fills_one_buffer_on_one_thread(self, rng,
+                                                       monkeypatch):
+        # about 4.5e6 kernel entries at width 3: a pass of this size once
+        # took half-height chunks on two threads
+        m = n = 1500
+        source, target, g, sigma = _toy_problem(rng, m=m, n=n, d=4)
+        w = qr_retract(rng.standard_normal((4, 3)))
+        alpha = random_prior(rng, 2).p
+        prob = _MmdProblem(source.features, target.features, g, sigma)
+        outs, threads = [], set()
         real = linear_mod.gaussian_gram
 
-        def recording(*args, **kwargs):
+        def recording(*args, out, **kwargs):
+            outs.append(out)
             threads.add(threading.get_ident())
-            time.sleep(1e-4)  # lets the helpers claim tasks as well
-            return real(*args, **kwargs)
+            return real(*args, out=out, **kwargs)
 
         monkeypatch.setattr(linear_mod, "gaussian_gram", recording)
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for count in (1, workers):
-                self._split(monkeypatch, count)
-                prob = _MmdProblem(source.features, target.features, g, sigma)
-                assert prob.chunk == 14 and len(prob._bufs) == count
-                got[count] = self._pass_results(prob, w, alpha)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threads) > 1  # helpers ran tasks
-        for x, y in zip(got[1], got[workers], strict=True):
-            assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("in_helper", [True, False])
-    def test_failure_is_raised_and_threads_joined(self, rng, monkeypatch,
-                                                  in_helper):
-        source, target, g, sigma = _toy_problem(rng, m=301, n=200)
-        self._split(monkeypatch, 2)
-        prob = _MmdProblem(source.features, target.features, g, sigma)
-        real = linear_mod.gaussian_gram
-        calls = []
-
-        def failing(*args, **kwargs):
-            if (threading.current_thread() is threading.main_thread()) != in_helper:
-                calls.append(1)
-                if len(calls) == 3:
-                    raise RuntimeError("third gram call failed")
-            time.sleep(1e-4)
-            return real(*args, **kwargs)
-
         before = threading.active_count()
-        monkeypatch.setattr(linear_mod, "gaussian_gram", failing)
-        with pytest.raises(RuntimeError, match="third gram call failed"):
-            prob.terms(None)
+        a, b, const = prob.terms(w)
+        got_grad = prob.grad(w, alpha)
+        assert threads == {threading.get_ident()}
         assert threading.active_count() == before
-        # the failed pass left no cached value behind
+        assert prob.chunk == linear_mod.DEFAULT_CHUNK
+        assert prob._buf.shape == (linear_mod.DEFAULT_CHUNK * max(m, n),)
+        assert len(outs) == 3 * -(-m // prob.chunk)
+        assert all(np.shares_memory(out, prob._buf) for out in outs)
         monkeypatch.setattr(linear_mod, "gaussian_gram", real)
-        fresh = _MmdProblem(source.features, target.features, g, sigma)
-        for x, y in zip(prob.terms(None), fresh.terms(None), strict=True):
-            assert np.array_equal(x, y)
+        grams = build_gram(source.features @ w, target.features @ w, sigma)
+        gg = g.class_rows[g.labels - 1]
+        want_a = gg.T @ grams.k_ss @ gg / (m * m)
+        want_b = (grams.k_ts @ gg).sum(axis=0) / (m * n)
+        want_const = grams.k_tt.sum() / (n * n)
+        assert np.abs(a - want_a).max() <= 1e-12 * np.abs(want_a).max()
+        assert np.abs(b - want_b).max() <= 1e-12 * np.abs(want_b).max()
+        assert abs(const - want_const) <= 1e-12 * want_const
+        want_grad = dense_grad_w(w, alpha, source, target, g, sigma)
+        assert (np.abs(got_grad - want_grad).max()
+                <= 1e-11 * np.abs(want_grad).max())
 
-    def test_buffers_total_one_full_height_chunk(self, monkeypatch):
-        monkeypatch.setattr(linear_mod, "_WORKERS", 2)
-
-        def problem(rows):
-            labels = np.tile([1, 2], rows // 2)
-            g = build_g_matrix(symmetric_noise(2, 0.2),
-                               ClassPrior(np.array([0.5, 0.5])), labels)
-            return _MmdProblem(np.zeros((rows, 2)), np.zeros((rows, 2)), g, 1.0)
-
-        large = problem(5000)
-        assert large.chunk == 64 and len(large._bufs) == 2
-        assert sum(buf.size for buf in large._bufs) <= 128 * 5000
-        # a GeTarS-sized pass keeps one buffer of 128-row chunks, inline
-        small = problem(500)
-        assert small.chunk == 128 and len(small._bufs) == 1
-
-    def test_traced_pass_stays_on_the_callers_thread(self, rng, monkeypatch):
-        # perfbench's tracer keeps one span stack for all threads, so a pass
-        # it wraps runs inline: one thread, no nested or overlapping spans
+    def test_traced_pass_stays_on_the_callers_thread(self, rng):
+        # perfbench's tracer keeps one span stack for all threads: a pass it
+        # wraps gives the untraced bits and top-level, disjoint spans
         spec = importlib.util.spec_from_file_location(
             "tracing", os.path.join(REPO, "perfbench", "tracing.py"))
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
         source, target, g, sigma = _toy_problem(rng, m=301, n=200)
         w = qr_retract(rng.standard_normal((3, 2)))
-        self._split(monkeypatch, 2)
-        threads = set()
-        real = linear_mod.gaussian_gram
-
-        def recording(*args, **kwargs):
-            threads.add(threading.get_ident())
-            time.sleep(1e-4)  # would let a helper claim tasks
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(linear_mod, "gaussian_gram", recording)
         untraced = _MmdProblem(source.features, target.features, g, sigma)
         want = [*untraced.terms(None), *untraced.terms(w)]
-        assert len(threads) > 1
-        threads.clear()
         prob = _MmdProblem(source.features, target.features, g, sigma)
         tracer = tracing.Tracer()
         tracer.install()
@@ -525,32 +450,12 @@ class TestSplitPass:
             got = [*prob.terms(None), *prob.terms(w)]
         finally:
             tracer.uninstall()
-        assert threads == {threading.get_ident()}
+        assert tracer.spans
         assert all(span is not None and span[3] == -1 for span in tracer.spans)
         times = sorted(span[1:3] for span in tracer.spans)
         assert all(end <= start for (_, end), (start, _) in zip(times, times[1:]))
         for x, y in zip(got, want, strict=True):
             assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("env, cpus, want", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-        ({"OMP_NUM_THREADS": "1"}, 2, 2),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
-        # OpenBLAS skips a value that is not a positive integer
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
-        ({"OPENBLAS_NUM_THREADS": "auto", "OMP_NUM_THREADS": "2"}, 2, 1),
-        ({}, 2, 1),
-    ])
-    def test_helper_only_beside_a_one_thread_blas(self, monkeypatch, env,
-                                                  cpus, want):
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        monkeypatch.setattr(linear_mod.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        assert linear_mod._worker_count() == want
 
 
 def _pass_columns(prob, sp, tp, w):
@@ -675,23 +580,19 @@ class TestLowRankPass:
         assert prob._low_rank_axes(np.hstack([s, s[:, :1]]),
                                    np.hstack([t, t[:, :1]]), 3) is None
 
-    def test_bit_identical_twice_and_for_any_worker_count(self, rng,
-                                                           monkeypatch):
+    def test_bit_identical_twice(self, rng):
         source, target, g, sigma = _toy_problem(rng, m=301, n=200)
         w = qr_retract(rng.standard_normal((3, 1)))
         alpha = np.array([0.3, 0.7])
-        monkeypatch.setattr(linear_mod, "_SPLIT_ENTRIES", 1)
         got = []
-        for workers in (1, 1, 2):
-            monkeypatch.setattr(linear_mod, "_WORKERS", workers)
+        for _ in range(2):
             prob = _MmdProblem(source.features, target.features, g, sigma)
             assert prob._low_rank_axes(source.features @ w,
                                        target.features @ w, 8) is not None
             got.append([*prob.terms(w), *prob.row_grads(w, alpha),
                         prob.grad(w, alpha)])
-        for other in got[1:]:
-            for x, y in zip(got[0], other, strict=True):
-                assert np.array_equal(x, y)
+        for x, y in zip(*got, strict=True):
+            assert np.array_equal(x, y)
 
 
 class TestProjectSimplex:
@@ -1191,3 +1092,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(LinearFitConfig(d_prime=1), source, target,
                 TransitionMatrix(np.eye(3)))
+
+    # refused before the bandwidth or any kernel work, naming the side
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_zero_rows_rejected(self, monkeypatch, side):
+        source, target, q = self._shifted_pair(seed=29, m=40, n=40)
+        empty = Dataset(np.empty((0, 2)))
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("bandwidth of a dataset without rows")
+
+        monkeypatch.setattr(linear_mod, "median_bandwidth", no_kernel_work)
+        pair = (empty, target) if side == "source" else (source, empty)
+        with pytest.raises(ValueError, match=f"{side} dataset has no rows"):
+            fit(LinearFitConfig(d_prime=1), *pair, q)

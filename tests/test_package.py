@@ -145,8 +145,8 @@ def test_import_starts_no_thread_and_loads_no_pool_module():
 
 def test_suite_runs_blas_on_one_thread():
     # conftest pins OpenBLAS to one thread before numpy loads, as the
-    # benchmark does, so the suite forks sweep workers and splits large
-    # kernel passes the way a benchmark run does
+    # benchmark does, so the suite forks sweep workers the way a benchmark
+    # run does
     if not conftest.BLAS_PINNED_HERE:
         pytest.skip("OPENBLAS_NUM_THREADS was set before the suite started")
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
