@@ -193,9 +193,11 @@ class TestChunkedTerms:
 
 @pytest.mark.usefixtures("direct_pass")
 class TestPassOperands:
-    """A pass builds its augmented operands once, before its tasks run: s
+    """A pass builds its augmented operands once, before its first chunk: s
     and t each at its own mean, and t at s's mean for the cross rows, at
-    every width, d' = 1 included. Cache hits build none."""
+    every width, d' = 1 included, however many chunks the pass has (chunks
+    of 1 row, and of 2 rows, which leave a ragged last chunk on both sides
+    at m = 61, n = 47). Cache hits build none."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -209,8 +211,10 @@ class TestPassOperands:
         monkeypatch.setattr(linear_mod, "_augmented", counting)
         return calls
 
-    def test_each_operand_set_built_once_per_pass(self, rng, monkeypatch):
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 8)
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_each_operand_set_built_once_per_pass(self, rng, monkeypatch,
+                                                  chunk):
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", chunk)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
         calls = self._counted(monkeypatch)
@@ -225,8 +229,10 @@ class TestPassOperands:
             prob.terms(None if key is None else w.copy())  # cache hit
             assert calls == []
 
-    def test_width1_operands_built_once_per_pass(self, rng, monkeypatch):
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 8)
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_width1_operands_built_once_per_pass(self, rng, monkeypatch,
+                                                 chunk):
+        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", chunk)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
         calls = self._counted(monkeypatch)
