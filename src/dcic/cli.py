@@ -23,8 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from .classifier import TrainConfig, train
-from .data import (TransitionMatrix, empirical_prior, float_field, int_field,
-                   read_dataset_csv)
+from .data import (ClassPrior, TransitionMatrix, empirical_prior, float_field,
+                   int_field, read_dataset_csv)
 from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
                       run_experiment)
 from .linear import LinearFitConfig, fit
@@ -162,6 +162,21 @@ def _cmd_fit(args) -> int:
     return _write_out(fit(cfg, source, target, q).to_json(), args.out)
 
 
+def _target_prior(alpha, c: int) -> ClassPrior:
+    """The --alpha value (comma-separated floats, or a config list) as a
+    prior over the flip-rate matrix's c classes."""
+    if isinstance(alpha, str):
+        alpha = _floats(alpha)
+    elif not isinstance(alpha, list):
+        raise ValueError(f"must be comma-separated floats or a list, "
+                         f"got {alpha!r}")
+    prior = ClassPrior([float_field("alpha entry", a) for a in alpha])
+    if prior.n_classes != c:
+        raise ValueError(f"{prior.n_classes} entries for the flip-rate "
+                         f"matrix's {c} classes")
+    return prior
+
+
 def _cmd_train(args) -> int:
     opts = _merged(args, ("features", "q", "alpha"),
                    ("features", "q", "alpha") + _field_names(TrainConfig))
@@ -172,15 +187,11 @@ def _cmd_train(args) -> int:
     if alpha is None:
         gamma = GammaWeights(np.ones(q.n_classes))
     else:
-        if isinstance(alpha, str):
-            try:
-                alpha = _floats(alpha)
-            except ValueError as exc:
-                raise ValueError(f"--alpha: {exc}") from None
-        elif not isinstance(alpha, list):
-            raise ValueError("alpha must be comma-separated floats or a list")
-        gamma = gamma_weights([float_field("alpha entry", a) for a in alpha],
-                              q, noisy_prior)
+        try:
+            alpha = _target_prior(alpha, q.n_classes)
+        except ValueError as exc:
+            raise ValueError(f"--alpha: {exc}") from None
+        gamma = gamma_weights(alpha.p, q, noisy_prior)
     model = train(data.features, data.labels, q, gamma, TrainConfig(**opts))
     return _write_out(model.to_json(), args.out)
 

@@ -199,7 +199,7 @@ class ClassPrior:
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise ValueError("prior entries must be finite and non-negative")
         if abs(p.sum() - 1.0) > PRIOR_SUM_TOL:
-            raise ValueError(f"prior must sum to 1 within {PRIOR_SUM_TOL}, got {p.sum()!r}")
+            raise ValueError(f"prior must sum to 1 within {PRIOR_SUM_TOL}, got {float(p.sum())}")
         object.__setattr__(self, "p", _freeze(p))
 
     @property
@@ -249,16 +249,19 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
     ``label_kind`` applies only when the file has a label column; files
     without one always load as unlabeled. A non-blank row whose field
     count is not the header's, or a field that does not parse, raises
-    ValueError naming the file and line; a file without data rows raises
-    ValueError naming the file.
+    ValueError naming the file and line; a header without feature columns,
+    a file without data rows and every value ``Dataset`` refuses (a
+    non-finite feature, a label below 1) raise ValueError naming the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        has_label = header[-1] == "label"
+        has_label = header[-1:] == ["label"]
         n_feats = len(header) - (1 if has_label else 0)
+        if n_feats == 0:
+            raise ValueError(f"{path}: header {header} has no feature columns")
         if header[:n_feats] != [f"f{i + 1}" for i in range(n_feats)]:
             raise ValueError(f"{path}: malformed header {header}")
         feats, labels = [], []
@@ -277,7 +280,9 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
                     f"{path}, line {reader.line_num}: {exc}") from None
     if not feats:
         raise ValueError(f"{path}: no data rows")
-    features = np.asarray(feats, dtype=np.float64).reshape(-1, n_feats)
-    if has_label:
-        return Dataset(features, np.asarray(labels), label_kind)
-    return Dataset(features)
+    try:
+        if has_label:
+            return Dataset(feats, np.asarray(labels), label_kind)
+        return Dataset(feats)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -4,8 +4,8 @@ producer of the kernel pass's per-row sums. The weighted squared MMD built
 from these lives in one place, the kernel pass of ``linear._MmdProblem``,
 which takes its per-row sums K P from one of two producers: chunked Gram
 blocks (``gaussian_gram``), or at projected width 1 or 2 the Gaussian
-interpolated at Chebyshev points (``chebyshev_sums``), when that costs
-less.
+interpolated at Chebyshev points (``chebyshev_sums``), whenever
+``chebyshev_axes`` finds the rows narrow enough for it.
 
 The Gram blocks and the bandwidth take each block of squared distances,
 or of the Gaussian exponent, as one BLAS product of slices of per-row

@@ -16,8 +16,9 @@ the 2^c - 1 supports of its optimum. The fit ends on the first round that
 leaves W where it was: with A and b unchanged, another exact QP would only
 repeat the last one.
 
-A kernel pass at projected width 1 or 2 may take the Chebyshev low-rank
-producer (see ``_MmdProblem``).
+A kernel pass at projected width 1 or 2 takes the Chebyshev low-rank
+producer whenever its rows span at most 12.7 sigma per axis (see
+``_MmdProblem``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +37,10 @@ from .kernels import (_augmented, chebyshev_axes, chebyshev_sums,
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
-# Rows per block of the kernel pass. At m = 500 this gives four row blocks,
-# so the self-Grams' upper block-triangle computes about 62% of each square
-# (10 of 16 blocks), and a 128 x max(m, n) buffer stays cache-sized.
+# Rows per block of the direct kernel pass. At m = 500 this gives four row
+# blocks, so the self-Grams' upper block-triangle computes about 62% of each
+# square (10 of 16 blocks)
 DEFAULT_CHUNK = 128
-# The cost model that picks a pass's producer (``_MmdProblem``), in units
-# of one row-node-column multiply-add of the low-rank pass (about 0.125 ns):
-# a direct kernel entry (product, clip, exp and contraction) took about
-# 2.5 ns and one Lagrange weight about 7 ns, on one OpenBLAS thread of a
-# 2-CPU Xeon, at m = n = 50 to 2000 and widths 1 and 2
-_ENTRY_COST = 20
-_WEIGHT_COST = 56
 ARMIJO_C1 = 1e-4
 STATIONARY_RTOL = 1e-3  # |horizontal grad| / |grad| at which W counts as stationary
 W_CG_ITERS = 5  # W steps per round at most
@@ -138,22 +131,22 @@ class _MmdProblem:
     evaluations at one W cost one pass total, whichever array carries it.
 
     A pass has two producers of its per-row sums (below), chosen before
-    any kernel work from the projected rows alone (``_low_rank_axes``).
-    At width 1 or 2 the low-rank producer (``kernels.chebyshev_sums``)
-    interpolates the Gaussian at r Chebyshev points per axis, r the fewest
-    whose Bernstein-ellipse bound reaches 1e-15 at the axis's span / sigma
-    (``kernels.chebyshev_nodes``: 16 at 1 sigma, 34 at 5, 64 at 12.7). It
-    runs when every axis needs at most 64 points and its cost model,
-    (m + n) (sum_axes r * _WEIGHT_COST + prod_axes r * columns), is below
-    the direct blocks' (m + n)^2 / 2 * _ENTRY_COST. Its sums are within
-    about 1e-14 of the direct ones, relative to the sum of |P| over each
-    column. Every other pass (width >= 3, wide spans, outliers, far-apart
-    clouds, and passes too small to repay the interpolation) takes the
-    direct blocks. With a W the low-rank pass took about 18 ms against
-    the direct pass's 225 ms at m = n = 5000 and width 2, and about 0.4
-    against 1.5 ms at m = n = 500 and width 1 (one OpenBLAS thread, 2-CPU
-    Xeon). Each producer is deterministic, so a pass's bits depend only on
-    its inputs.
+    any kernel work from the projected rows alone: the pass is low-rank
+    exactly when ``kernels.chebyshev_axes`` returns its axes. At width 1
+    or 2 the low-rank producer (``kernels.chebyshev_sums``) interpolates
+    the Gaussian at r Chebyshev points per axis, r the fewest whose
+    Bernstein-ellipse bound reaches 1e-15 at the axis's span / sigma
+    (``kernels.chebyshev_nodes``: 16 at 1 sigma, 34 at 5, 64 at 12.7),
+    and runs when both sides have rows and every axis needs at most 64
+    points. Its sums are within about 1e-14 of the direct ones, relative
+    to the sum of |P| over each column. Every other pass (width >= 3, an
+    empty side, wide spans, outliers, far-apart clouds) takes the direct
+    blocks. With a W the low-rank pass took about 18 ms against the
+    direct pass's 225 ms at m = n = 5000 and width 2, and about 0.4
+    against 1.5 ms at m = n = 500 and width 1, but up to 2.2 times the
+    direct pass's 0.15 to 0.9 ms below m = n = 500 (one OpenBLAS thread,
+    2-CPU Xeon). Each producer is deterministic, so a pass's bits depend
+    only on its inputs.
 
     The direct pass runs in chunks of DEFAULT_CHUNK rows, read at
     construction (at m = 500 a self-Gram costs 10 of its 16 blocks):
@@ -233,8 +226,7 @@ class _MmdProblem:
         else:
             p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
             p_t = p_st = np.hstack([np.ones((n, 1)), t])
-        axes = self._low_rank_axes(s, t, p_s.shape[1] + p_t.shape[1]
-                                   + p_st.shape[1])
+        axes = chebyshev_axes(s, t, self.sigma)
         if axes is None:
             r_ss, r_ts, r_st, r_tt = self._direct_sums(s, t, p_s, p_t, p_st)
         else:
@@ -252,21 +244,6 @@ class _MmdProblem:
         self._cache_val = (a, b, const)
         self._rows = (s, t, r_ss, r_ts, r_st, r_tt)
         return self._cache_val
-
-    def _low_rank_axes(self, s, t, columns):
-        """The Chebyshev axes (``kernels.chebyshev_axes``) of a low-rank
-        pass over the projected rows s and t with ``columns`` weight
-        columns in all, or None when the pass takes the direct blocks: at
-        width >= 3, when an axis needs more than MAX_NODES points, or when
-        the low-rank cost model exceeds the direct one."""
-        axes = chebyshev_axes(s, t, self.sigma)
-        if axes is None:
-            return None
-        rows = len(s) + len(t)
-        nodes = math.prod(r for _, _, r in axes)
-        weights = sum(r for _, _, r in axes)
-        low_rank = rows * (weights * _WEIGHT_COST + nodes * columns)
-        return axes if low_rank < rows * rows // 2 * _ENTRY_COST else None
 
     def _direct_sums(self, s, t, p_s, p_t, p_st):
         """(K_ss p_s, K_ts p_s, K_ts^T p_st, K_tt p_t) from the chunked

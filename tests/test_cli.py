@@ -574,6 +574,43 @@ class TestSingleShotCommands:
         assert "--alpha" in err and "'abc'" in err
         assert not os.path.exists(out)
 
+    # an alpha that parses but is not a prior over Q's classes names the
+    # flag, as a parse error does, and prints its sum as a plain float
+    @pytest.mark.parametrize("flag, config, what", [
+        ("0.5,0.3,0.2", None, "3 entries for the flip-rate matrix's 2 classes"),
+        (None, [0.5, 0.3, 0.2],
+         "3 entries for the flip-rate matrix's 2 classes"),
+        ("0.7,0.4", None, "prior must sum to 1 within 1e-09, got 1.1"),
+        ("1.2,-0.2", None, "prior entries must be finite and non-negative"),
+    ], ids=["flag-three-classes", "config-three-classes", "sum", "negative"])
+    def test_train_bad_alpha_value_names_the_flag(self, tmp_path, capsys,
+                                                  flag, config, what):
+        src, _, qp = _write_domain_csvs(tmp_path, m=40)
+        out = str(tmp_path / "model.json")
+        args = ["train", "--features", src, "--q", qp, "--out", out]
+        if flag is not None:
+            args += ["--alpha", flag]
+        else:
+            cfg = tmp_path / "train.json"
+            cfg.write_text(json.dumps({"alpha": config}))
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: --alpha: {what}\n"
+        assert not os.path.exists(out)
+
+    # a feature that parses but is not finite names the file it came from
+    def test_fit_non_finite_target_feature_names_the_file(self, tmp_path,
+                                                          capsys):
+        src, _, qp = _write_domain_csvs(tmp_path, m=40)
+        bad = tmp_path / "nan_target.csv"
+        bad.write_text("f1,f2\n0.1,0.2\nnan,0.4\n")
+        out = str(tmp_path / "fit.json")
+        assert main(["fit", "--source", src, "--target", str(bad), "--q", qp,
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: features contain non-finite entries" in err
+        assert not os.path.exists(out)
+
     def test_fit_missing_input_returns_2(self, tmp_path, capsys):
         rc = main(["fit", "--source", str(tmp_path / "none.csv"),
                    "--target", str(tmp_path / "none2.csv"),

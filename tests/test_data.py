@@ -228,3 +228,25 @@ class TestCsvRoundTrip:
         path.write_text(f"f1,f2,label\n0.1,0.2,2\n{bad}\n")
         with pytest.raises(ValueError, match=rf"bad\.csv, line 3: {what}"):
             read_dataset_csv(path)
+
+    # a header of ``label`` alone, or a blank one, has no feature columns
+    @pytest.mark.parametrize("header", ["label", ""], ids=["label", "blank"])
+    def test_header_without_features_rejected(self, tmp_path, header):
+        path = tmp_path / "nofeat.csv"
+        path.write_text(f"{header}\n1\n")
+        with pytest.raises(ValueError,
+                           match=r"nofeat\.csv: header .* has no feature columns"):
+            read_dataset_csv(path)
+
+    # a value that parses but that Dataset refuses names the file too
+    @pytest.mark.parametrize("rows, what", [
+        ("nan,0.4,1", "features contain non-finite entries"),
+        ("0.3,inf,1", "features contain non-finite entries"),
+        ("0.3,0.4,0", "n_classes must be >= 1"),
+        ("0.1,0.2,1\n0.3,0.4,-1", r"labels must lie in 1\.\.1"),
+    ], ids=["nan", "inf", "label-0", "label-minus-1"])
+    def test_refused_values_name_the_file(self, tmp_path, rows, what):
+        path = tmp_path / "values.csv"
+        path.write_text(f"f1,f2,label\n{rows}\n")
+        with pytest.raises(ValueError, match=rf"values\.csv: {what}"):
+            read_dataset_csv(path)

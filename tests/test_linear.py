@@ -36,12 +36,32 @@ def _toy_problem(rng, m=12, n=9, d=3, rho=0.2):
     return source, target, g, sigma
 
 
+def _count_low_rank(monkeypatch):
+    """The list that records each call of the low-rank producer."""
+    calls = []
+    real = linear_mod.chebyshev_sums
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linear_mod, "chebyshev_sums", counting)
+    return calls
+
+
+def _force_direct(monkeypatch):
+    """Every pass takes the direct blocks: with no Chebyshev point allowed
+    per axis, ``kernels.chebyshev_axes`` refuses every pass. Returns the
+    list of low-rank calls, which should stay empty."""
+    monkeypatch.setattr(kernels_mod, "MAX_NODES", 0)
+    return _count_low_rank(monkeypatch)
+
+
 @pytest.fixture
 def direct_pass(monkeypatch):
-    """Every pass takes the direct blocks: with a direct entry costing
-    nothing, the low-rank producer is never the cheaper one. For the tests
-    that pin the direct pass's machinery (chunks, buffer, operands)."""
-    monkeypatch.setattr(linear_mod, "_ENTRY_COST", 0)
+    """``_force_direct``, for the tests that pin the direct pass's machinery
+    (chunks, buffer, operands); each asserts the returned list is empty."""
+    return _force_direct(monkeypatch)
 
 
 def _problem(source, target, g, sigma):
@@ -135,8 +155,8 @@ class TestChunkedTerms:
                      id=f"{chunk}-{m}-{n}" + ("-w-none" if w_free else ""))
         for w_free in (False, True) for chunk in (1, 3, 7, "m", "m+5")
         for m, n in ((23, 17), (17, 23))])
-    def test_matches_dense_oracle(self, rng, monkeypatch, chunk, m, n,
-                                  w_free):
+    def test_matches_dense_oracle(self, rng, monkeypatch, direct_pass, chunk,
+                                  m, n, w_free):
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK",
                             {"m": m, "m+5": m + 5}.get(chunk, chunk))
@@ -160,11 +180,11 @@ class TestChunkedTerms:
                                             grams.k_ts, expand_weights(g, alpha))
             got = float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
             assert got == pytest.approx(want, rel=1e-12)
-
+        assert direct_pass == []
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["w-none", "w-2d"])
     def test_far_apart_clouds_keep_their_digits(self, rng, monkeypatch,
-                                                rotate):
+                                                direct_pass, rotate):
         # source at +3e3, target at -3e3, sigma = 1: each self-Gram must be
         # shifted by its own set's mean. A shift by the stacked mean leaves
         # both clouds 3e3 from the origin, and the product then loses about
@@ -189,9 +209,9 @@ class TestChunkedTerms:
         assert np.abs(a - want_a).max() <= 1e-12 * np.abs(want_a).max()
         assert np.abs(b - want_b).max() <= 1e-12 * np.abs(want_b).max()
         assert abs(const - want_const) <= 1e-12 * want_const
+        assert direct_pass == []
 
 
-@pytest.mark.usefixtures("direct_pass")
 class TestPassOperands:
     """A pass builds its augmented operands once, before its first chunk: s
     and t each at its own mean, and t at s's mean for the cross rows, at
@@ -213,7 +233,7 @@ class TestPassOperands:
 
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_each_operand_set_built_once_per_pass(self, rng, monkeypatch,
-                                                  chunk):
+                                                  direct_pass, chunk):
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", chunk)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
@@ -228,10 +248,11 @@ class TestPassOperands:
             calls.clear()
             prob.terms(None if key is None else w.copy())  # cache hit
             assert calls == []
+        assert direct_pass == []
 
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_width1_operands_built_once_per_pass(self, rng, monkeypatch,
-                                                 chunk):
+                                                 direct_pass, chunk):
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", chunk)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
@@ -245,6 +266,7 @@ class TestPassOperands:
             calls.clear()
             prob.terms(w.copy())  # cache hit
             assert calls == []
+        assert direct_pass == []
 
 
 class TestEngineGradient:
@@ -254,8 +276,8 @@ class TestEngineGradient:
     @pytest.mark.parametrize("d_out", [1, 2])
     @pytest.mark.parametrize("m, n", [(23, 17), (17, 23)])
     @pytest.mark.parametrize("chunk", [1, 3, 7, "m", "m+5"])
-    def test_matches_dense_oracle(self, rng, monkeypatch, m, n, chunk,
-                                  d_out):
+    def test_matches_dense_oracle(self, rng, monkeypatch, direct_pass, m, n,
+                                  chunk, d_out):
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK",
                             {"m": m, "m+5": m + 5}.get(chunk, chunk))
@@ -266,8 +288,10 @@ class TestEngineGradient:
         want = dense_grad_w(w, alpha, source, target, g, sigma)
         assert got.shape == (3, d_out)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert direct_pass == []
 
-    def test_second_alpha_from_cached_pass(self, rng, monkeypatch):
+    def test_second_alpha_from_cached_pass(self, rng, monkeypatch,
+                                           direct_pass):
         monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 7)
         source, target, g, sigma = _toy_problem(rng, m=23, n=17)
         w = rng.standard_normal((3, 2))
@@ -278,6 +302,7 @@ class TestEngineGradient:
         fresh = _MmdProblem(source.features, target.features, g,
                             sigma).grad(w, a2)
         assert np.array_equal(reused, fresh)
+        assert direct_pass == []
 
     def test_needs_explicit_w(self, rng):
         source, target, g, sigma = _toy_problem(rng)
@@ -288,7 +313,8 @@ class TestEngineGradient:
 
 class TestRowGrads:
     """``row_grads`` at an identity W is the joint model's hidden-layer
-    penalty gradient; value and (dS, dT) against the dense oracle, with
+    penalty gradient; value and (dS, dT) against the dense oracle, from the
+    low-rank producer at width 1 and the direct blocks at width 32, with
     batches inside one chunk and across the 128-row chunk boundary."""
 
     @pytest.mark.parametrize("width", [1, 32])
@@ -325,7 +351,6 @@ class TestRowGrads:
                               source.features.T @ d_s + target.features.T @ d_t)
 
 
-@pytest.mark.usefixtures("direct_pass")
 class TestPassCache:
     """The pass is cached on W's value, not on the array object."""
 
@@ -341,7 +366,8 @@ class TestPassCache:
         monkeypatch.setattr(linear_mod, "gaussian_gram", counting)
         return calls
 
-    def test_equal_copy_hits_and_other_w_recomputes(self, rng, monkeypatch):
+    def test_equal_copy_hits_and_other_w_recomputes(self, rng, monkeypatch,
+                                                    direct_pass):
         source, target, g, sigma = _toy_problem(rng)
         prob = _MmdProblem(source.features, target.features, g, sigma)
         calls = self._counted(monkeypatch)
@@ -358,8 +384,9 @@ class TestPassCache:
         assert len(calls) == 3 * per_pass
         prob.terms(None)
         assert len(calls) == 3 * per_pass
+        assert direct_pass == []
 
-    def test_in_place_change_of_w_recomputes(self, rng, monkeypatch):
+    def test_in_place_change_of_w_recomputes(self, rng, direct_pass):
         # the cache holds its own copy, so mutating the caller's array
         # after a pass cannot return stale sums
         source, target, g, sigma = _toy_problem(rng)
@@ -372,9 +399,11 @@ class TestPassCache:
         assert after is not before
         for x, y in zip(after, fresh):
             assert np.array_equal(x, y)
+        assert direct_pass == []
 
     @pytest.mark.parametrize("d_out", [1, 2])
-    def test_owned_buffer_keeps_no_stale_values(self, rng, d_out):
+    def test_owned_buffer_keeps_no_stale_values(self, rng, direct_pass,
+                                                d_out):
         # one problem reuses its kernel-pass buffer for every pass; passes
         # at W1, W2 and W1 again (three chunks of source rows, two of
         # target rows) must each equal a fresh problem's pass to the bit
@@ -391,15 +420,16 @@ class TestPassCache:
                 assert np.array_equal(x, y)
             for x, y in zip(got_rows, fresh.row_grads(w, alpha)):
                 assert np.array_equal(x, y)
+        assert direct_pass == []
 
 
-@pytest.mark.usefixtures("direct_pass")
 class TestDirectPass:
     """A direct pass of any size runs on the caller's thread, in chunks of
     DEFAULT_CHUNK rows, into one buffer."""
 
     def test_large_pass_fills_one_buffer_on_one_thread(self, rng,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       direct_pass):
         # about 4.5e6 kernel entries at width 3: a pass of this size once
         # took half-height chunks on two threads
         m = n = 1500
@@ -437,8 +467,10 @@ class TestDirectPass:
         want_grad = dense_grad_w(w, alpha, source, target, g, sigma)
         assert (np.abs(got_grad - want_grad).max()
                 <= 1e-11 * np.abs(want_grad).max())
+        assert direct_pass == []
 
-    def test_traced_pass_stays_on_the_callers_thread(self, rng):
+    def test_traced_pass_stays_on_the_callers_thread(self, rng,
+                                                     direct_pass):
         # perfbench's tracer keeps one span stack for all threads: a pass it
         # wraps gives the untraced bits and top-level, disjoint spans
         spec = importlib.util.spec_from_file_location(
@@ -462,6 +494,7 @@ class TestDirectPass:
         assert all(end <= start for (_, end), (start, _) in zip(times, times[1:]))
         for x, y in zip(got, want, strict=True):
             assert np.array_equal(x, y)
+        assert direct_pass == []
 
 
 def _pass_columns(prob, sp, tp, w):
@@ -475,29 +508,20 @@ def _pass_columns(prob, sp, tp, w):
 
 
 class TestLowRankPass:
-    """A pass at width <= 2 may take the Chebyshev producer
-    (``kernels.chebyshev_sums``) instead of the direct blocks; every per-row
-    sum must then be within 1e-14 of the direct pass's, relative to the sum
-    of |P| over its column, and terms, row gradients and W gradient follow
-    from those sums. ``_ENTRY_COST`` is patched up so that small problems
-    take the low-rank producer, and to 0 for the direct oracle."""
+    """A pass at width <= 2 whose axes ``kernels.chebyshev_axes`` finds
+    takes the Chebyshev producer (``kernels.chebyshev_sums``) instead of
+    the direct blocks; every per-row sum must then be within 1e-14 of the
+    direct pass's, relative to the sum of |P| over its column, and terms,
+    row gradients and W gradient follow from those sums. The low-rank side
+    runs unpatched, the direct oracle under ``_force_direct``."""
 
     @staticmethod
     def _both(monkeypatch, s, t, g, sigma, w, alpha):
         """[(low-rank calls, terms, per-row sums, gradients)] for the
-        low-rank and the direct pass, in that order."""
-        real = linear_mod.chebyshev_sums
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(linear_mod, "chebyshev_sums", counting)
+        unpatched and the direct pass, in that order."""
         out = []
-        for cost in (10 ** 9, 0):
-            monkeypatch.setattr(linear_mod, "_ENTRY_COST", cost)
-            calls.clear()
+        for force in (_count_low_rank, _force_direct):
+            calls = force(monkeypatch)
             prob = _MmdProblem(s, t, g, sigma)
             terms = prob.terms(w)
             rows = prob._rows
@@ -508,10 +532,10 @@ class TestLowRankPass:
 
     def _check(self, monkeypatch, s, t, g, sigma, w, low_rank=True):
         alpha = np.array([0.3, 0.7])
-        prob, [(calls, terms, rows, grads), (_, want_terms, want_rows,
-                                             want_grads)] = self._both(
-            monkeypatch, s, t, g, sigma, w, alpha)
-        assert calls == (1 if low_rank else 0)
+        prob, [(calls, terms, rows, grads), (direct_calls, want_terms,
+                                             want_rows, want_grads)] = (
+            self._both(monkeypatch, s, t, g, sigma, w, alpha))
+        assert calls == (1 if low_rank else 0) and direct_calls == 0
         sp, tp = rows[:2]
         p_s, p_t, p_st = _pass_columns(prob, sp, tp, w)
         for x, y, p in zip(rows[2:], want_rows[2:], (p_s, p_s, p_st, p_t),
@@ -573,18 +597,27 @@ class TestLowRankPass:
         self._check(monkeypatch, source.features, target.features, g, sigma,
                     np.eye(3), low_rank=False)
 
-    def test_rule_picks_it_without_patching(self, rng):
-        # GeTarS-sized width-1 and prior-fit-sized width-2 passes take it;
-        # small width-2 ones with W and every width-3 pass do not
-        source, target, g, sigma = _toy_problem(rng, m=500, n=500, d=2)
-        prob = _problem(source, target, g, sigma)
-        s, t = source.features, target.features
-        assert prob._low_rank_axes(s[:, :1], t[:, :1], 8) is not None
-        assert prob._low_rank_axes(s, t, 3) is not None
-        small = _problem(*_toy_problem(rng, m=60, n=60, d=2))
-        assert small._low_rank_axes(small.s, small.t, 12) is None
-        assert prob._low_rank_axes(np.hstack([s, s[:, :1]]),
-                                   np.hstack([t, t[:, :1]]), 3) is None
+    # the rows alone pick the producer, at any size: width 1 and 2 at
+    # m = n = 30, at the GeTarS size (n = 500, width 1) and at the prior
+    # fit's (m = n = 5000, w=None at d = 2) are low-rank; a width-3 pass
+    # and one with a source row 1e3 away are direct
+    @pytest.mark.parametrize("m, d, d_out, outlier, low_rank", [
+        (30, 3, 1, False, True), (30, 3, 2, False, True),
+        (500, 3, 1, False, True), (5000, 2, None, False, True),
+        (30, 3, 3, False, False), (30, 2, 2, True, False)],
+        ids=["30-w1", "30-w2", "getars-500-w1", "prior-5000-w-none",
+             "30-w3", "30-outlier"])
+    def test_rule_is_structural(self, rng, monkeypatch, m, d, d_out,
+                                outlier, low_rank):
+        source, target, g, sigma = _toy_problem(rng, m=m, n=m, d=d)
+        s = source.features.copy()
+        if outlier:
+            s[3] = [0.0, 1e3]
+        w = None if d_out is None else qr_retract(
+            rng.standard_normal((d, d_out)))
+        calls = _count_low_rank(monkeypatch)
+        _MmdProblem(s, target.features, g, sigma).terms(w)
+        assert calls == ([1] if low_rank else [])
 
     def test_bit_identical_twice(self, rng):
         source, target, g, sigma = _toy_problem(rng, m=301, n=200)
@@ -593,8 +626,9 @@ class TestLowRankPass:
         got = []
         for _ in range(2):
             prob = _MmdProblem(source.features, target.features, g, sigma)
-            assert prob._low_rank_axes(source.features @ w,
-                                       target.features @ w, 8) is not None
+            assert linear_mod.chebyshev_axes(source.features @ w,
+                                             target.features @ w,
+                                             sigma) is not None
             got.append([*prob.terms(w), *prob.row_grads(w, alpha),
                         prob.grad(w, alpha)])
         for x, y in zip(*got, strict=True):
