@@ -94,10 +94,12 @@ class Dataset:
         if labels.size == 0:
             raise ValueError("labels present but empty")
 
+        if labels.min() < 1:
+            raise ValueError(f"labels must be >= 1, got {labels.min()}")
         c = self.n_classes if self.n_classes is not None else int(labels.max())
         if c < 1:
             raise ValueError("n_classes must be >= 1")
-        if labels.min() < 1 or labels.max() > c:
+        if labels.max() > c:
             raise ValueError(f"labels must lie in 1..{c}")
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "n_classes", int(c))

@@ -1,11 +1,13 @@
 """Gaussian kernel primitives: Gram blocks written into an optional
 caller buffer, the median-distance bandwidth heuristic, and a low-rank
-producer of the kernel pass's per-row sums. The weighted squared MMD built
-from these lives in one place, the kernel pass of ``linear._MmdProblem``,
-which takes its per-row sums K P from one of two producers: chunked Gram
-blocks (``gaussian_gram``), or at projected width 1 or 2 the Gaussian
-interpolated at Chebyshev points (``chebyshev_sums``), whenever
-``chebyshev_axes`` finds the rows narrow enough for it.
+producer of the kernel pass's sums. The weighted squared MMD built from
+these lives in one place, the kernel pass of ``linear._MmdProblem``, which
+takes its sums K P from one of two producers: chunked Gram blocks
+(``gaussian_gram``), or at projected width 1 or 2 the Gaussian
+interpolated at Chebyshev points, whenever ``chebyshev_axes`` finds the
+rows narrow enough for it. The low-rank producer gives per-row sums
+(``chebyshev_sums``), or, for a pass that needs only class totals, the
+totals straight from its moments (``chebyshev_totals``).
 
 The Gram blocks and the bandwidth take each block of squared distances,
 or of the Gaussian exponent, as one BLAS product of slices of per-row
@@ -28,7 +30,12 @@ axis takes the fewest Chebyshev points r whose interpolant is within
 CHEB_TOL = 1e-15 of the Gaussian by the Bernstein-ellipse bound
 (``chebyshev_nodes``): r follows from span / sigma alone, 34 at 5 sigma,
 never from trials on the data, and an axis that would need more than
-MAX_NODES = 64 (beyond 12.7 sigma) leaves the pass to the Gram blocks.
+MAX_NODES = 64 (beyond 12.7 sigma) leaves the pass to the Gram blocks. A
+row's weights on an axis are the Chebyshev polynomials T_0 .. T_{r-1} of
+its mapped value, by the three-term recurrence, with no division; the
+change of basis from values at the points to polynomial coefficients
+sits in the r x r node Gram instead, which thus holds the Gaussian
+between the points in the coefficient basis.
 
 Convention: k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 """
@@ -291,68 +298,110 @@ def _row_blocks(rows: int, per_row: int):
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _lagrange(x: np.ndarray, lo: float, hi: float, r: int) -> np.ndarray:
-    """(len(x), r) Lagrange weights of the values x at r Chebyshev points
-    of the second kind on [lo, hi], by the barycentric formula, filled in
-    row blocks. A value that lands on a node gets that node's unit row;
-    one point (r = 1) is the constant interpolant."""
-    if r == 1:
-        return np.ones((x.size, 1))
-    nodes = _chebyshev_points(r)
-    bary = (-1.0) ** np.arange(r)
-    bary[[0, -1]] *= 0.5
-    u = (x - (lo + hi) / 2.0) / ((hi - lo) / 2.0)
-    out = np.empty((x.size, r))
-    for a, b in _row_blocks(x.size, r):
-        q = np.subtract(u[a:b, None], nodes, out=out[a:b])
-        # a value on a node divides by zero: its row sum is infinite, and
-        # the row reads NaN at that node and zero elsewhere
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(bary, q, out=q)
-            total = q.sum(axis=1)
-            q /= total[:, None]
-        hit = ~np.isfinite(total)
-        if hit.any():
-            q[hit] = np.isnan(q[hit])
-    return out
-
-
 def _chebyshev_points(r: int) -> np.ndarray:
     """The r > 1 Chebyshev points of the second kind on [-1, 1], from 1
     down; the sin form makes them symmetric about 0 to the bit."""
     return np.sin(np.pi * (r - 1 - 2 * np.arange(r)) / (2 * (r - 1)))
 
 
+@functools.cache
+def _coefficient_map(r: int) -> np.ndarray:
+    """The symmetric r x r map C from values at the r > 1 Chebyshev points
+    to the Chebyshev coefficients of their interpolant, coef = C^T f:
+
+        C[j, k] = (2 / (r - 1)) h_j h_k cos(j k pi / (r - 1)),
+
+    h = 1/2 at both ends and 1 elsewhere. j k is reduced mod 2 (r - 1)
+    first, so every cosine is taken of an angle below 2 pi. Read-only: it
+    is cached per r."""
+    n = r - 1
+    j = np.arange(r)
+    h = np.ones(r)
+    h[[0, -1]] = 0.5
+    angle = np.pi * (np.outer(j, j) % (2 * n)) / n
+    c = (2.0 / n) * h[:, None] * np.cos(angle) * h
+    c.flags.writeable = False
+    return c
+
+
 def _node_gram(lo: float, hi: float, r: int, sigma: float) -> np.ndarray:
-    """The one-axis Gaussian between the r Chebyshev points on [lo, hi]."""
+    """The one-axis Gaussian between the r Chebyshev points on [lo, hi], in
+    the coefficient basis: C^T K C, so that T(x)^T (C^T K C) T(y) is the
+    interpolant of k(x, y) in both arguments."""
     if r == 1:
         return np.ones((1, 1))
     nodes = _chebyshev_points(r)
     diff = (nodes[:, None] - nodes) * ((hi - lo) / (2.0 * sigma))
-    return np.exp(-0.5 * diff * diff)
+    c = _coefficient_map(r)
+    return c.T @ np.exp(-0.5 * diff * diff) @ c
 
 
-def _moments(l1: np.ndarray, l2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(r1, k, r2) sums over the rows of l1[i, a] p[i, j] l2[i, b], one
-    r1 x r2 moment per column of p, in row blocks: no (rows, r1 r2)
-    product of the two axes' weights."""
-    r1, k, r2 = l1.shape[1], p.shape[1], l2.shape[1]
+def _moments(t1: np.ndarray, t2: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(r1, k, r2) sums over the rows i of t1[a, i] p[i, j] t2[b, i], one
+    r1 x r2 moment per column of p, from (r, rows) weights: no (rows, r1 r2)
+    product of the two axes' weights. Each row block's products p t2 go
+    into one reused buffer, the first block's size, from p's columns made
+    contiguous: two one-hot columns of 5000 rows at r = 34 took 1.3-1.7 ms
+    this way, against 3.8 ms with a fresh product of p's strided columns
+    per block (one OpenBLAS thread)."""
+    r1, k, r2 = t1.shape[0], p.shape[1], t2.shape[0]
     out = np.zeros((r1, k * r2))
-    for a, b in _row_blocks(len(p), k * r2):
-        rows = (p[a:b, :, None] * l2[a:b, None, :]).reshape(b - a, k * r2)
-        out += l1[a:b].T @ rows
+    cols = np.ascontiguousarray(p.T)
+    blocks = _row_blocks(len(p), k * r2)
+    buf = np.empty(k * r2 * (blocks[0][1] if blocks else 0))
+    for a, b in blocks:
+        rows = buf[:k * r2 * (b - a)].reshape(k, r2, b - a)
+        np.multiply(cols[:, None, a:b], t2[None, :, a:b], out=rows)
+        out += t1[:, a:b] @ rows.reshape(k * r2, b - a).T
     return out.reshape(r1, k, r2)
 
 
-def _at_rows(l1: np.ndarray, l2: np.ndarray, coef: np.ndarray,
+def _at_rows(t1: np.ndarray, t2: np.ndarray, coef: np.ndarray,
              out: np.ndarray) -> None:
-    """out[i, j] = the sum over a, b of l1[i, a] coef[a, j, b] l2[i, b], in
+    """out[i, j] = the sum over a, b of t1[a, i] coef[a, j, b] t2[b, i], in
     row blocks."""
     r1, k, r2 = coef.shape
     flat = coef.reshape(r1, k * r2)
-    for a, b in _row_blocks(len(l1), k * r2):
-        y = (l1[a:b] @ flat).reshape(b - a, k, r2)
-        np.einsum("ijb,ib->ij", y, l2[a:b], out=out[a:b])
+    for a, b in _row_blocks(t1.shape[1], k * r2):
+        y = (flat.T @ t1[:, a:b]).reshape(k, r2, b - a)
+        np.einsum("jbi,bi->ij", y, t2[:, a:b], out=out[a:b])
+
+
+def _weights(x: np.ndarray, axes) -> list[np.ndarray]:
+    """Each axis's (r, rows) Chebyshev polynomials T_0 .. T_{r-1} of the
+    rows x, mapped from the axis's [lo, hi] to [-1, 1], by the three-term
+    recurrence T_{k+1} = 2u T_k - T_{k-1}: one multiply and one subtract
+    per degree, no division. One recurrence runs every axis to the largest
+    r, and each axis keeps its own r; an axis of one point (zero span)
+    reads T_0 = 1 alone, as does the one-point second axis at width 1."""
+    r = max(r for _, _, r in axes)
+    out = np.empty((r, len(axes), len(x)))
+    out[0] = 1.0
+    if r > 1:
+        for k, (lo, hi, rk) in enumerate(axes):
+            out[1, k] = ((x[:, k] - (lo + hi) / 2.0) / ((hi - lo) / 2.0)
+                         if rk > 1 else 0.0)
+        twice = 2.0 * out[1]
+        for j in range(2, r):
+            np.multiply(twice, out[j - 1], out=out[j])
+            out[j] -= out[j - 2]
+    ts = [out[:rk, k] for k, (_, _, rk) in enumerate(axes)]
+    return ts + [np.ones((1, len(x)))] * (2 - len(axes))
+
+
+def _through_nodes(axes, sigma: float, moms: list[np.ndarray]):
+    """K1 M K2 for each r1 x r2 moment M of each (r1, k, r2) array of
+    ``moms``, with each axis's node Gram (``_node_gram``; a one-point
+    second axis at width 1): the coefficients of the kernel's sums against
+    that moment's column."""
+    grams = [_node_gram(lo, hi, r, sigma) for lo, hi, r in axes]
+    grams += [np.ones((1, 1))] * (2 - len(axes))
+    out = []
+    for mom in moms:
+        r1, k, r2 = mom.shape
+        coef = (grams[0] @ mom.reshape(r1, k * r2)).reshape(r1 * k, r2)
+        out.append((coef @ grams[1]).reshape(r1, k, r2))
+    return out
 
 
 def chebyshev_sums(s: np.ndarray, t: np.ndarray, sigma: float, axes,
@@ -362,48 +411,54 @@ def chebyshev_sums(s: np.ndarray, t: np.ndarray, sigma: float, axes,
     the Chebyshev points of ``axes`` (``chebyshev_axes``) in both
     arguments: no kernel block is formed.
 
-    Per axis, k(x, y) ~ sum_ab l_a(x) k(z_a, z_b) l_b(y), with l the
-    Lagrange weights of the points z. The Gaussian is a product over axes,
-    so at width 2 each column p of a row set gives one r1 x r2 moment
-    M = L1^T diag(p) L2 (``_moments``), the node Grams act on it one axis
-    at a time, K1 M K2, and a row x reads l1(x)^T (K1 M K2) l2(x)
-    (``_at_rows``). Width 1 is the same with a one-point second axis, as is
-    an axis of zero span. Each row set's weights are built once, in row
-    blocks, and the moments and the read-outs run in row blocks too.
-    Without p_st columns the source rows are read out before the target
-    rows' weights are built, so one row set's weights are held at a time.
+    Per axis the interpolant is k(x, y) ~ T(x)^T (C^T K C) T(y), with T the
+    Chebyshev polynomials of degree < r of the mapped value (``_weights``),
+    K the Gaussian between the points and C the map from values at the
+    points to coefficients (``_node_gram``): the Lagrange form
+    l(x)^T K l(y), since l(x) = C T(x). The Gaussian is a product over
+    axes, so at width 2 each column p of a row set gives one r1 x r2
+    moment M = T1 diag(p) T2^T (``_moments``), the node Grams act on it one
+    axis at a time, K1 M K2, and a row x reads T1(x)^T (K1 M K2) T2(x)
+    (``_at_rows``). Width 1 is the same with a one-point second axis, as
+    is an axis of zero span. The weights of both row sets come from one
+    recurrence, and the moments and the read-outs run in row blocks.
 
     Each axis's interpolant is within CHEB_TOL of the Gaussian, so an
     interpolated entry is within about (2 + 2 Lambda) CHEB_TOL of the
     kernel, Lambda being the points' Lebesgue constant (below 3.7 at 64
-    points), and each sum within that times sum |p| of its column.
+    points), and each sum within that times sum |p| of its column. The
+    polynomial is the Lagrange form's, evaluated with other rounding:
+    per-row sums of 300 and 200 rows at spans of 0.5 to 12.6 sigma, width
+    1 and 2, were within 4.1e-16 of per-pair Grams relative to sum |p|
+    (2.9e-16 from barycentric Lagrange weights).
     """
-    ks, kt = p_s.shape[1], p_t.shape[1]
+    ks, kt, m = p_s.shape[1], p_t.shape[1], len(s)
+    both = _weights(np.vstack([s, t]), axes)  # one recurrence for both sets
+    ws, wt = [w[:, :m] for w in both], [w[:, m:] for w in both]
+    from_s, from_t = _through_nodes(axes, sigma, [
+        _moments(*ws, p_s), _moments(*wt, np.hstack([p_t, p_st]))])
     at_s = np.empty((len(s), ks + p_st.shape[1]))
     at_t = np.empty((len(t), ks + kt))
-    grams = [_node_gram(lo, hi, r, sigma) for lo, hi, r in axes]
-    grams += [np.ones((1, 1))] * (2 - len(axes))
-
-    def weights(x):
-        """The two axes' Lagrange weights of the rows x."""
-        ls = [_lagrange(x[:, k], lo, hi, r)
-              for k, (lo, hi, r) in enumerate(axes)]
-        return ls + [np.ones((len(x), 1))] * (2 - len(axes))
-
-    def through_nodes(l1, l2, p):
-        mom = _moments(l1, l2, p)
-        r1, k, r2 = mom.shape
-        coef = (grams[0] @ mom.reshape(r1, k * r2)).reshape(r1 * k, r2)
-        return (coef @ grams[1]).reshape(r1, k, r2)
-
-    ls = weights(s)
-    from_s = through_nodes(*ls, p_s)
-    if not p_st.shape[1]:
-        _at_rows(*ls, from_s, at_s)
-        ls = None
-    lt = weights(t)
-    from_t = through_nodes(*lt, np.hstack([p_t, p_st]))
-    _at_rows(*lt, np.concatenate([from_s, from_t[:, :kt]], axis=1), at_t)
-    if ls is not None:
-        _at_rows(*ls, np.concatenate([from_s, from_t[:, kt:]], axis=1), at_s)
+    _at_rows(*wt, np.concatenate([from_s, from_t[:, :kt]], axis=1), at_t)
+    _at_rows(*ws, np.concatenate([from_s, from_t[:, kt:]], axis=1), at_s)
     return at_s[:, :ks], at_t[:, :ks], at_s[:, ks:], at_t[:, ks:]
+
+
+def chebyshev_totals(s: np.ndarray, t: np.ndarray, sigma: float, axes,
+                     p_s: np.ndarray, p_t: np.ndarray):
+    """The kernel pass's column sums (p_s^T K_ss p_s, p_t^T K_ts p_s,
+    p_t^T K_tt p_t) from the same interpolant as ``chebyshev_sums``, read
+    straight from the moments: with M_s, M_t the moments of p_s and p_t,
+    they are M_s . (K1 M_s K2), M_t . (K1 M_s K2) and M_t . (K1 M_t K2),
+    summed over both axes' coefficients. No per-row sum is formed, so the
+    rows cost one pass to build their weights and one to sum the moments,
+    and one row set's weights are held at a time.
+    """
+    mom_s = _moments(*_weights(s, axes), p_s)
+    mom_t = _moments(*_weights(t, axes), p_t)
+    from_s, from_t = _through_nodes(axes, sigma, [mom_s, mom_t])
+
+    def dot(mom, coef):
+        return np.tensordot(mom, coef, axes=([0, 2], [0, 2]))
+
+    return dot(mom_s, from_s), dot(mom_t, from_s), dot(mom_t, from_t)

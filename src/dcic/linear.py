@@ -33,7 +33,7 @@ import numpy as np
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
                    empirical_prior, int_field)
 from .kernels import (_augmented, chebyshev_axes, chebyshev_sums,
-                      gaussian_gram, median_bandwidth)
+                      chebyshev_totals, gaussian_gram, median_bandwidth)
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
@@ -130,23 +130,25 @@ class _MmdProblem:
     compared with ``np.array_equal``; ``None`` is its own key), so repeated
     evaluations at one W cost one pass total, whichever array carries it.
 
-    A pass has two producers of its per-row sums (below), chosen before
-    any kernel work from the projected rows alone: the pass is low-rank
+    A pass has two producers of its sums (below), chosen before any
+    kernel work from the projected rows alone: the pass is low-rank
     exactly when ``kernels.chebyshev_axes`` returns its axes. At width 1
-    or 2 the low-rank producer (``kernels.chebyshev_sums``) interpolates
-    the Gaussian at r Chebyshev points per axis, r the fewest whose
+    or 2 the low-rank producer (``kernels.chebyshev_sums``, or
+    ``kernels.chebyshev_totals`` for ``w=None``) interpolates the
+    Gaussian at r Chebyshev points per axis, r the fewest whose
     Bernstein-ellipse bound reaches 1e-15 at the axis's span / sigma
     (``kernels.chebyshev_nodes``: 16 at 1 sigma, 34 at 5, 64 at 12.7),
     and runs when both sides have rows and every axis needs at most 64
     points. Its sums are within about 1e-14 of the direct ones, relative
     to the sum of |P| over each column. Every other pass (width >= 3, an
     empty side, wide spans, outliers, far-apart clouds) takes the direct
-    blocks. With a W the low-rank pass took about 18 ms against the
-    direct pass's 225 ms at m = n = 5000 and width 2, and about 0.4
-    against 1.5 ms at m = n = 500 and width 1, but up to 2.2 times the
-    direct pass's 0.15 to 0.9 ms below m = n = 500 (one OpenBLAS thread,
-    2-CPU Xeon). Each producer is deterministic, so a pass's bits depend
-    only on its inputs.
+    blocks. With a W the low-rank pass took about 15 ms against the
+    direct pass's 224 ms at m = n = 5000 and width 2, and about 0.28
+    against 1.5 ms at m = n = 500 and width 1; with ``w=None`` it took 4.1
+    against 150 ms at m = n = 5000 and width 2. Below about m = n = 150
+    (300 at width 2 with a W) it took up to 1.9 times the direct pass's
+    0.14 to 0.9 ms (one OpenBLAS thread, 2-CPU Xeon). Each producer is
+    deterministic, so a pass's bits depend only on its inputs.
 
     The direct pass runs in chunks of DEFAULT_CHUNK rows, read at
     construction (at m = 500 a self-Gram costs 10 of its 16 blocks):
@@ -166,20 +168,25 @@ class _MmdProblem:
     cancel even when the two sets sit far apart, where one shared shift
     would.
 
-    Every pass, from either producer, keeps per-row sums, one contraction
-    for every W: with one-hot noisy labels oh, source columns P_s, target
-    columns P_t and columns P_st for the transposed cross rows, it forms
+    A pass with a W, from either producer, keeps per-row sums, one
+    contraction for every W: with one-hot noisy labels oh, source columns
+    P_s, target columns P_t and columns P_st for the transposed cross rows,
+    it forms
 
         K_ss P_s, K_ts P_s, K_ts^T P_st, K_tt P_t.
 
     With a W, S' = Xs W and T' = Xt W, the columns are P_s = [oh, oh (x) S']
     (class-split projected rows) and P_t = P_st = [1, T'], the
-    O((m + n) c (1 + d')) values the W gradient needs. With ``w=None``
-    (features used as they are) they are P_s = oh, P_t = [1] and no P_st
-    columns: only ``row_grads`` reads K_ts^T P_st, and it refuses
-    ``w=None``. The class-block sums are the first c columns of K_ss P_s and
-    K_ts P_s and the first column of K_tt P_t, so the value needs no further
-    kernel work, and ``row_grads`` contracts the rows with any alpha.
+    O((m + n) c (1 + d')) values the W gradient needs. The class-block sums
+    are the first c columns of K_ss P_s and K_ts P_s and the first column
+    of K_tt P_t, so the value needs no further kernel work, and
+    ``row_grads`` contracts the rows with any alpha. With ``w=None``
+    (features used as they are) the columns are P_s = oh, P_t = [1] and no
+    P_st columns, and the value reads only the class sums oh^T K_ss oh,
+    1^T K_ts oh and 1^T K_tt 1: a direct pass reads them from its per-row
+    sums, and a low-rank pass forms them from its moments
+    (``kernels.chebyshev_totals``) and keeps no per-row sums: only
+    ``row_grads`` reads them, and it refuses ``w=None``.
     """
 
     def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
@@ -227,14 +234,21 @@ class _MmdProblem:
             p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
             p_t = p_st = np.hstack([np.ones((n, 1)), t])
         axes = chebyshev_axes(s, t, self.sigma)
-        if axes is None:
-            r_ss, r_ts, r_st, r_tt = self._direct_sums(s, t, p_s, p_t, p_st)
+        if w is None and axes is not None:  # the class sums, from the moments
+            block, cross, tt = chebyshev_totals(s, t, self.sigma, axes,
+                                                p_s, p_t)
+            cross_by_class, tt_total = cross[0], tt[0, 0]
+            self._rows = None
         else:
-            r_ss, r_ts, r_st, r_tt = chebyshev_sums(s, t, self.sigma, axes,
-                                                    p_s, p_t, p_st)
-        block = oh.T @ r_ss[:, :c]
-        cross_by_class = r_ts[:, :c].sum(axis=0)
-        tt_total = r_tt[:, 0].sum()
+            if axes is None:
+                rows = self._direct_sums(s, t, p_s, p_t, p_st)
+            else:
+                rows = chebyshev_sums(s, t, self.sigma, axes, p_s, p_t, p_st)
+            r_ss, r_ts, _, r_tt = rows
+            block = oh.T @ r_ss[:, :c]
+            cross_by_class = r_ts[:, :c].sum(axis=0)
+            tt_total = r_tt[:, 0].sum()
+            self._rows = (s, t, *rows)
         ghat = self.g.class_rows
         a = ghat.T @ block @ ghat / (m * m)
         a = 0.5 * (a + a.T)
@@ -242,7 +256,6 @@ class _MmdProblem:
         const = tt_total / (n * n)
         self._cache_w = w
         self._cache_val = (a, b, const)
-        self._rows = (s, t, r_ss, r_ts, r_st, r_tt)
         return self._cache_val
 
     def _direct_sums(self, s, t, p_s, p_t, p_st):

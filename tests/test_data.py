@@ -32,6 +32,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([1, 3]), "clean", n_classes=2)
 
+    # the smallest label is checked before the class count is taken from
+    # the largest, so labels that are all 0 name the label
+    @pytest.mark.parametrize("labels, smallest", [
+        ([0, 0], 0), ([0, 2], 0), ([2, -1], -1)],
+        ids=["all-zero", "zero-and-two", "minus-one"])
+    def test_too_small_label_named(self, labels, smallest):
+        with pytest.raises(ValueError,
+                           match=rf"^labels must be >= 1, got {smallest}$"):
+            Dataset(np.zeros((2, 2)), np.array(labels), "noisy")
+
     def test_nonfinite_features_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -242,8 +252,8 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("rows, what", [
         ("nan,0.4,1", "features contain non-finite entries"),
         ("0.3,inf,1", "features contain non-finite entries"),
-        ("0.3,0.4,0", "n_classes must be >= 1"),
-        ("0.1,0.2,1\n0.3,0.4,-1", r"labels must lie in 1\.\.1"),
+        ("0.3,0.4,0", "labels must be >= 1, got 0"),
+        ("0.1,0.2,1\n0.3,0.4,-1", "labels must be >= 1, got -1"),
     ], ids=["nan", "inf", "label-0", "label-minus-1"])
     def test_refused_values_name_the_file(self, tmp_path, rows, what):
         path = tmp_path / "values.csv"

@@ -7,9 +7,9 @@ from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
                       poly2_features, poly2_kernel_matrix)
 import dcic.kernels as kernels_mod
 from dcic.kernels import (_SUBSAMPLE_SEED, MAX_NODES, _augmented,
-                          _chebyshev_points, _lagrange, chebyshev_axes,
-                          chebyshev_nodes, chebyshev_sums, gaussian_gram,
-                          median_bandwidth)
+                          _chebyshev_points, _coefficient_map, _weights,
+                          chebyshev_axes, chebyshev_nodes, chebyshev_sums,
+                          chebyshev_totals, gaussian_gram, median_bandwidth)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
 
@@ -484,20 +484,38 @@ class TestChebyshevPass:
 
     @pytest.mark.parametrize("r", [2, 3, 16, 33])
     def test_lagrange_weights(self, rng, r):
-        # a partition of unity that reproduces polynomials of degree < r,
-        # with each node's own unit row when a value lands on a node
+        # the Lagrange weights that the polynomials imply, C T: a partition
+        # of unity that reproduces polynomials of degree < r, with each
+        # node's own unit row, to rounding, when a value lands on a node
         nodes = _chebyshev_points(r)
         x = np.concatenate([rng.uniform(-1.0, 1.0, 50), nodes])
-        lw = _lagrange(x, -1.0, 1.0, r)
+        polys = _weights(x[:, None], [(-1.0, 1.0, r)])[0]
+        lw = (_coefficient_map(r) @ polys).T
         assert np.abs(lw.sum(axis=1) - 1.0).max() <= 1e-14
-        assert np.array_equal(lw[50:], np.eye(r))
+        assert np.abs(lw[50:] - np.eye(r)).max() <= 1e-14
         coef = rng.standard_normal(r)
         poly = np.polynomial.chebyshev.chebval
         assert np.abs(lw @ poly(nodes, coef) - poly(x, coef)).max() <= 1e-13
 
     def test_one_point_is_the_constant(self):
-        assert np.array_equal(_lagrange(np.full(5, 0.3), 0.3, 0.3, 1),
-                              np.ones((5, 1)))
+        assert np.array_equal(_weights(np.full((5, 1), 0.3), [(0.3, 0.3, 1)]),
+                              [np.ones((1, 5))] * 2)
+
+    # both axes run one recurrence to the larger r and keep their own r;
+    # a zero-span axis keeps T_0 alone, and maps no value (no 0 / 0)
+    @pytest.mark.parametrize("r", [2, 5, 34])
+    def test_polynomials_by_recurrence(self, rng, r):
+        x = np.column_stack([rng.uniform(-2, 3, 40), rng.uniform(0, 1, 40)])
+        vander = np.polynomial.chebyshev.chebvander
+        for other in (1, 3, 40):
+            hi = 1.0 if other > 1 else 0.0
+            with np.errstate(all="raise"):
+                t1, t2 = _weights(x, [(-2.0, 3.0, r), (0.0, hi, other)])
+            want = vander((x[:, 0] - 0.5) / 2.5, r - 1)
+            assert np.abs(t1.T - want).max() <= 1e-13
+            want = (np.ones((40, 1)) if other == 1 else
+                    vander(2.0 * x[:, 1] - 1.0, other - 1))
+            assert np.abs(t2.T - want).max() <= 1e-13
 
     @pytest.mark.parametrize("width", [0.5, 5.0, 12.5])
     @pytest.mark.parametrize("d", [1, 2])
@@ -529,3 +547,50 @@ class TestChebyshevPass:
         r_ss, r_ts, r_st, r_tt = chebyshev_sums(s, t, 1.5, axes, p_s, p_t,
                                                 np.empty((15, 0)))
         assert r_st.shape == (20, 0) and r_tt.shape == (15, 1)
+
+    # the end rows of an axis whose mapped values round just outside
+    # [-1, 1]: lo to -1 - 4.4e-16 in one, hi to 1 + 2.2e-16 in the other
+    @pytest.mark.parametrize("lo, hi", [
+        (-2.486104997138254, -1.5791369604234018),
+        (-2.2394701216901676, -1.2194533896633033)], ids=["lo", "hi"])
+    def test_end_rows_rounding_outside_the_interval(self, rng, lo, hi):
+        u = _weights(np.array([[lo], [hi]]), [(lo, hi, 2)])[0][1]
+        assert u[0] < -1.0 or u[1] > 1.0
+        s = rng.uniform(lo, hi, (70, 2))
+        t = rng.uniform(lo, hi, (45, 2))
+        s[0], t[0] = lo, hi
+        sigma = 0.1
+        axes = chebyshev_axes(s, t, sigma)
+        assert [a[:2] for a in axes] == [(lo, hi)] * 2
+        p_s, p_t = rng.standard_normal((70, 3)), rng.standard_normal((45, 2))
+        got = chebyshev_sums(s, t, sigma, axes, p_s, p_t, p_t)
+        k_ts = _direct_gram(t, s, sigma)
+        want = (_direct_gram(s, s, sigma) @ p_s, k_ts @ p_s, k_ts.T @ p_t,
+                _direct_gram(t, t, sigma) @ p_t)
+        for x, y, p in zip(got, want, (p_s, p_s, p_t, p_t), strict=True):
+            assert (np.abs(x - y) <= 1e-14 * np.abs(p).sum(axis=0)).all()
+
+    @pytest.mark.parametrize("width", [0.5, 5.0, 12.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("block", [None, 100], ids=["one-block", "blocks"])
+    def test_totals_match_per_pair_grams(self, rng, monkeypatch, width, d,
+                                         block):
+        # p_s^T K_ss p_s, p_t^T K_ts p_s and p_t^T K_tt p_t from the moments,
+        # each within 1e-14 of the per-pair Gram's, relative to the product
+        # of the sums of |p| over its two columns
+        if block is not None:
+            monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", block)
+        s, t = rng.uniform(-1, 1, (70, d)), rng.uniform(-1, 1, (45, d))
+        s[0], t[0] = -1.0, 1.0
+        sigma = 2.0 / width
+        p_s, p_t = rng.standard_normal((70, 3)), rng.standard_normal((45, 2))
+        axes = chebyshev_axes(s, t, sigma)
+        got = chebyshev_totals(s, t, sigma, axes, p_s, p_t)
+        want = (p_s.T @ _direct_gram(s, s, sigma) @ p_s,
+                p_t.T @ _direct_gram(t, s, sigma) @ p_s,
+                p_t.T @ _direct_gram(t, t, sigma) @ p_t)
+        pairs = ((p_s, p_s), (p_t, p_s), (p_t, p_t))
+        for x, y, (p, q) in zip(got, want, pairs, strict=True):
+            assert x.shape == y.shape
+            scale = np.outer(np.abs(p).sum(axis=0), np.abs(q).sum(axis=0))
+            assert (np.abs(x - y) <= 1e-14 * scale).all()

@@ -37,15 +37,20 @@ def _toy_problem(rng, m=12, n=9, d=3, rho=0.2):
 
 
 def _count_low_rank(monkeypatch):
-    """The list that records each call of the low-rank producer."""
+    """The list that records each call of the low-rank producer, whether a
+    pass enters it for per-row sums (``chebyshev_sums``) or, with W = None,
+    for the class sums alone (``chebyshev_totals``)."""
     calls = []
-    real = linear_mod.chebyshev_sums
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(real):
+        def call(*args):
+            calls.append(1)
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(linear_mod, "chebyshev_sums", counting)
+    for name in ("chebyshev_sums", "chebyshev_totals"):
+        monkeypatch.setattr(linear_mod, name,
+                            counting(getattr(linear_mod, name)))
     return calls
 
 
@@ -497,11 +502,10 @@ class TestDirectPass:
         assert direct_pass == []
 
 
-def _pass_columns(prob, sp, tp, w):
-    """The pass's weight columns (P_s, P_t, P_st) at projected rows."""
+def _pass_columns(prob, sp, tp):
+    """The pass's weight columns (P_s, P_t, P_st) at projected rows, with
+    a W."""
     oh, n = prob.onehot, len(tp)
-    if w is None:
-        return oh, np.ones((n, 1)), np.empty((n, 0))
     p_s = np.hstack([oh, (oh[:, :, None] * sp[:, None, :]).reshape(len(sp), -1)])
     p_t = np.hstack([np.ones((n, 1)), tp])
     return p_s, p_t, p_t
@@ -513,7 +517,9 @@ class TestLowRankPass:
     the direct blocks; every per-row sum must then be within 1e-14 of the
     direct pass's, relative to the sum of |P| over its column, and terms,
     row gradients and W gradient follow from those sums. The low-rank side
-    runs unpatched, the direct oracle under ``_force_direct``."""
+    runs unpatched, the direct oracle under ``_force_direct``. A W-free
+    low-rank pass forms no per-row sums (``kernels.chebyshev_totals``), so
+    there only terms are compared."""
 
     @staticmethod
     def _both(monkeypatch, s, t, g, sigma, w, alpha):
@@ -536,12 +542,15 @@ class TestLowRankPass:
                                              want_rows, want_grads)] = (
             self._both(monkeypatch, s, t, g, sigma, w, alpha))
         assert calls == (1 if low_rank else 0) and direct_calls == 0
-        sp, tp = rows[:2]
-        p_s, p_t, p_st = _pass_columns(prob, sp, tp, w)
-        for x, y, p in zip(rows[2:], want_rows[2:], (p_s, p_s, p_st, p_t),
-                           strict=True):
-            assert x.shape == y.shape
-            assert (np.abs(x - y) <= 1e-14 * np.abs(p).sum(axis=0)).all()
+        if rows is None:
+            assert w is None and low_rank
+        else:
+            sp, tp = rows[:2]
+            p_s, p_t, p_st = _pass_columns(prob, sp, tp)
+            for x, y, p in zip(rows[2:], want_rows[2:], (p_s, p_s, p_st, p_t),
+                               strict=True):
+                assert x.shape == y.shape
+                assert (np.abs(x - y) <= 1e-14 * np.abs(p).sum(axis=0)).all()
         for x, y in zip(terms, want_terms, strict=True):
             assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
         for x, y in zip(grads, want_grads, strict=True):
@@ -618,6 +627,20 @@ class TestLowRankPass:
         calls = _count_low_rank(monkeypatch)
         _MmdProblem(s, target.features, g, sigma).terms(w)
         assert calls == ([1] if low_rank else [])
+
+    def test_w_free_pass_forms_no_row_sums(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-row sums formed")
+
+        monkeypatch.setattr(kernels_mod, "_at_rows", refuse)
+        source, target, g, sigma = _toy_problem(rng, m=61, n=47, d=2)
+        calls = _count_low_rank(monkeypatch)
+        prob = _problem(source, target, g, sigma)
+        a, b, const = prob.terms(None)
+        assert calls == [1] and prob._rows is None
+        assert np.isfinite(a).all() and np.isfinite(b).all() and const > 0
+        with pytest.raises(AssertionError, match="per-row sums"):
+            prob.terms(np.eye(2))
 
     def test_bit_identical_twice(self, rng):
         source, target, g, sigma = _toy_problem(rng, m=301, n=200)
