@@ -156,8 +156,6 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
         if cfg.pi1 > 0:
             h_s = _forward(model, xs_all)[1]
             h_t = _forward(model, xt_all)[1]
-            # not bound to a name: the problem and its kernel-pass buffer
-            # are freed before the next epoch's batches
             a_mat, b_vec, _ = _MmdProblem(
                 h_s, h_t, g, _bandwidth(h_s, h_t, last_sigma)).terms(None)
             alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p

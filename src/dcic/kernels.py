@@ -1,22 +1,38 @@
 """Gaussian kernel primitives: Gram blocks written into an optional
-caller buffer, the median-distance bandwidth heuristic, and a low-rank
-producer of the kernel pass's sums. The weighted squared MMD built from
-these lives in one place, the kernel pass of ``linear._MmdProblem``, which
-takes its sums K P from one of two producers: chunked Gram blocks
-(``gaussian_gram``), or at projected width 1 or 2 the Gaussian
-interpolated at Chebyshev points, whenever ``chebyshev_axes`` finds the
-rows narrow enough for it. The low-rank producer gives per-row sums
-(``chebyshev_sums``), or, for a pass that needs only class totals, the
-totals straight from its moments (``chebyshev_totals``).
+caller buffer, the median-distance bandwidth heuristic, and the kernel
+pass's two producers. The weighted squared MMD lives in one place,
+``linear._MmdProblem``, which asks for per-row sums (``kernel_sums``:
+K_ss p_s, K_ts p_s, K_ts^T p_t and K_tt p_t, with K_ts = k(t_i, s_j)) or
+class totals alone (``kernel_totals``: p^T of those sums, K_ts^T p_t
+dropped) and never sees which producer ran.
+
+A pass is low-rank exactly when ``chebyshev_axes`` returns its axes, from
+the rows alone: width 1 or 2, rows on both sides, and no axis needing
+more than MAX_NODES = 64 Chebyshev points (spans up to 12.7 sigma). Every
+other pass (width >= 3, an empty side, wide spans, outliers, far-apart
+clouds) takes the direct Gram blocks. With per-row sums the low-rank pass
+took about 15 against 224 ms at m = n = 5000 and width 2, and 0.28
+against 1.5 ms at m = n = 500 and width 1; with totals alone 4.1 against
+150 ms at m = n = 5000 and width 2; below about m = n = 150 (300 at width
+2 with per-row sums) up to 1.9 times the direct pass's 0.14 to 0.9 ms
+(one OpenBLAS thread, 2-CPU Xeon). Both producers are deterministic.
+
+The direct producer (``gram_sums``) runs every source chunk of
+DEFAULT_CHUNK rows (its K_ss rows), then every target chunk (its K_ts and
+K_tt rows), writing each block into one (chunk, max(m, n)) buffer that
+the pass allocates and contracting it straight into the sums; of the
+symmetric K_ss and K_tt it computes only the upper block-triangle. Each
+block is one ``gaussian_gram`` call on row slices of operands built once
+per pass: s and t each shifted to its own column mean, and t's lhs for
+K_ts to s's mean, so every block is shifted to the mean of the set its
+columns come from and does not cancel when the two sets sit far apart.
 
 The Gram blocks and the bandwidth take each block of squared distances,
 or of the Gaussian exponent, as one BLAS product of slices of per-row
 augmented operands (``_augmented``), at every width, shifted first to a
 column mean: the kernel and the distance depend only on a - b, and the
 shift keeps the product from cancelling when the points sit far from the
-origin. The operands are built once per row set (and shift), not once per
-block: once per call in ``median_bandwidth``, and once per direct pass,
-which hands ``gaussian_gram`` row slices of them.
+origin.
 
 The bandwidth is the median distance over all pairs of rows up to 10^6
 pairs, and above that over all pairs of a fixed-seed subset of 1414 rows,
@@ -25,17 +41,17 @@ the subset.
 
 With the median bandwidth the rows span only a few sigma per axis, and
 over such a span the Gaussian is numerically low rank, as the black-box
-fast multipole method uses (Fong & Darve, J. Comput. Phys. 2009). Each
-axis takes the fewest Chebyshev points r whose interpolant is within
-CHEB_TOL = 1e-15 of the Gaussian by the Bernstein-ellipse bound
-(``chebyshev_nodes``): r follows from span / sigma alone, 34 at 5 sigma,
-never from trials on the data, and an axis that would need more than
-MAX_NODES = 64 (beyond 12.7 sigma) leaves the pass to the Gram blocks. A
-row's weights on an axis are the Chebyshev polynomials T_0 .. T_{r-1} of
-its mapped value, by the three-term recurrence, with no division; the
-change of basis from values at the points to polynomial coefficients
-sits in the r x r node Gram instead, which thus holds the Gaussian
-between the points in the coefficient basis.
+fast multipole method uses (Fong & Darve, J. Comput. Phys. 2009). The
+low-rank producer interpolates it at the fewest Chebyshev points r per
+axis whose interpolant is within CHEB_TOL = 1e-15 of the Gaussian by the
+Bernstein-ellipse bound (``chebyshev_nodes``: r from span / sigma alone,
+16 at 1 sigma, 34 at 5). A row's weights on an axis are the Chebyshev
+polynomials T_0 .. T_{r-1} of its mapped value, by the three-term
+recurrence; the change of basis from values at the points to polynomial
+coefficients sits in the r x r node Gram. It gives per-row sums
+(``chebyshev_sums``) or the totals straight from its moments
+(``chebyshev_totals``), within about 1e-14 of the direct ones relative to
+the sum of |p| over each column.
 
 Convention: k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 """
@@ -77,26 +93,38 @@ def _augmented(x: np.ndarray, shift: np.ndarray | float,
             np.column_stack([x, ones, sq]))
 
 
-def _median_of_roots(sq: np.ndarray, floor: float) -> float:
-    """np.median(np.sqrt(np.where(sq > floor, sq, 0))) to the bit,
-    reordering ``sq`` in place; ``floor`` >= 0.
-
-    One select at k = size // 2 puts the upper middle value at k and the
-    lower ones before it. Zeroing every value at or below ``floor`` is
-    monotone, and sqrt is correctly rounded and monotone, so the roots of
-    those two are the middle roots: rounding residue (a product block's
-    negative entries, or identical rows' entries up to
-    ``median_bandwidth``'s floor) needs no pass over ``sq``. np.median
-    averages the two of an even count as (a + b) / 2. All values must be
-    finite: np.median's NaN probe is not made here.
-    """
+def _middle(sq: np.ndarray) -> tuple[float, ...]:
+    """The middle value of ``sq``, or its two middle values (lower, upper)
+    for an even count, reordering ``sq`` in place: one select at
+    k = size // 2 puts the upper middle value at k and the lower ones
+    before it. All values must be finite: np.median's NaN probe is not
+    made here."""
     k = sq.size // 2
     sq.partition(k)
-    hi = float(np.sqrt(sq[k])) if sq[k] > floor else 0.0
-    if sq.size % 2:
-        return hi
-    lo = sq[:k].max()
-    return ((float(np.sqrt(lo)) if lo > floor else 0.0) + hi) / 2.0
+    return (float(sq[k]),) if sq.size % 2 else (float(sq[:k].max()),
+                                                 float(sq[k]))
+
+
+def _upper_pairs(n: int, step: int, block) -> np.ndarray:
+    """The strict upper triangle of a symmetric n x n array, gathered one
+    row block of ``step`` rows at a time: ``block(lo, hi)`` gives rows
+    [lo, hi) from column lo on. No n x n array is held."""
+    sq = np.empty(n * (n - 1) // 2)
+    at = 0
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n)
+        blk = block(lo, hi)
+        # the strict upper triangle of the block's h x h diagonal part by a
+        # mask (~tri: 40% of np.triu(ones)'s time), then the rectangle
+        # right of it; the select is order-free
+        h = hi - lo
+        tri = blk[:, :h][~np.tri(h, dtype=bool)]
+        sq[at:at + tri.size] = tri
+        at += tri.size
+        rect = sq[at:at + h * (n - hi)].reshape(h, n - hi)
+        rect[...] = blk[:, h:]
+        at += rect.size
+    return sq
 
 
 def median_bandwidth(features: np.ndarray) -> float:
@@ -117,20 +145,24 @@ def median_bandwidth(features: np.ndarray) -> float:
     and the entries right of the block's diagonal, the strict upper
     triangle, are kept: no n x n array. A block is one BLAS product of
     slices of operands built once per call: the rows shifted to their
-    column mean and augmented (``_augmented`` with g = -1), so a value can
-    differ from a per-pair difference by rounding (about one ulp of sigma),
-    at any offset of the points from the origin. Identical rows get a
-    residue of either sign up to a floor (below), and every value at or
-    below it counts as zero.
+    column mean and augmented (``_augmented`` with g = -1). A value is
+    then off by rounding of about eps max |a|^2 (a the shifted rows):
+    about one ulp of sigma for a cloud, more when a few rows sit far out
+    (one row 1e6 from 90 standard normal rows put sigma 1e-10 to 5e-9
+    relative off over 20 draws). Identical rows get a residue of either
+    sign up to a floor (below), and values at or below it count as zero.
 
-    The median is one select (``_median_of_roots``), bit-identical to
-    np.median of the square roots with the floor applied. A 10000 x 2 call
-    took 5.2-5.6 ms and a 2000 x 32 call 6.1 ms, against 31-32 and 9.5-9.7
-    ms for a fixed draw of 10^6 pairs, on one OpenBLAS 0.3.31 thread of a
-    2-CPU Xeon. Errors if fewer than 2 rows, any feature is not finite
-    (checked on every row, not only the subset), or the median is zero
-    (duplicated point set, such as the all-zero hidden rows of a dead ReLU
-    layer making up most rows).
+    The median is one select (``_middle``), bit-identical to np.median of
+    the roots when its middle value (or values) lies above the floor. Else,
+    as when one far row lifts the floor above every near pair, the squared
+    distances are recomputed by direct differences in row blocks, where
+    identical rows give exactly 0, and the median read from those. A
+    10000 x 2 call took 5.2-5.6 ms and a 2000 x 32 call 6.1 ms, against
+    31-32 and 9.5-9.7 ms for a fixed draw of 10^6 pairs, on one OpenBLAS
+    0.3.31 thread of a 2-CPU Xeon. Errors if fewer than 2 rows, any feature
+    is not finite (checked on every row, not only the subset), or the
+    median is zero (duplicated point set, such as the all-zero hidden rows
+    of a dead ReLU layer making up most rows).
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -156,24 +188,24 @@ def median_bandwidth(features: np.ndarray) -> float:
     floor = 4.0 * (d + 2) * eps * float(rhs[:, -1].max())
     step = max(1, _BLOCK_ENTRIES // n)
     buf = np.empty(min(step, n) * n)
-    sq = np.empty(n * (n - 1) // 2)
-    at = 0
-    for lo in range(0, n - 1, step):
-        hi = min(lo + step, n)
+
+    def product(lo, hi):
         blk = buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-        np.matmul(lhs[lo:hi], rhs[lo:].T, out=blk)
-        # the strict upper triangle of the block's h x h diagonal part by a
-        # mask, then the rectangle right of it; the select is order-free.
-        # ~tri builds the mask in about 40% of np.triu(ones)'s time, which
-        # made a 200 x 32 call slower than the row loop
-        h = hi - lo
-        tri = blk[:, :h][~np.tri(h, dtype=bool)]
-        sq[at:at + tri.size] = tri
-        at += tri.size
-        rect = sq[at:at + h * (n - hi)].reshape(h, n - hi)
-        rect[...] = blk[:, h:]
-        at += rect.size
-    med = _median_of_roots(sq, floor)
+        return np.matmul(lhs[lo:hi], rhs[lo:].T, out=blk)
+
+    def differences(lo, hi):
+        diff = x[lo:hi, None, :] - x[None, lo:, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    mid = _middle(_upper_pairs(n, step, product))
+    if min(mid) <= floor:
+        floor = 0.0
+        mid = _middle(_upper_pairs(n, max(1, step // d), differences))
+    # sqrt is correctly rounded and monotone, so the roots of the middle
+    # values are the middle roots; np.median averages the two of an even
+    # count as (a + b) / 2
+    roots = [math.sqrt(v) if v > floor else 0.0 for v in mid]
+    med = roots[0] if len(roots) == 1 else (roots[0] + roots[1]) / 2.0
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero (identical rows)")
     return med
@@ -226,6 +258,59 @@ def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
     np.matmul(lhs, rhs.T, out=out)
     np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)
+
+
+# Rows per chunk of the direct pass. At m = 500 this gives four row blocks,
+# so the self-Grams' upper block-triangle computes about 62% of each square
+# (10 of 16 blocks). Chunks of 65 rows (2^16-value blocks at 1000 columns)
+# made the 1000 x 32 pass 6% slower
+DEFAULT_CHUNK = 128
+
+
+def _add_symmetric_rows(out, k, rhs, lo, hi):
+    """Add to ``out`` the two parts of K @ rhs that a symmetric K's row
+    block [lo, hi), given from column lo on, contributes: the block itself
+    to rows lo..hi, and its part right of the diagonal block, transposed,
+    to the rows from hi on."""
+    out[lo:hi] += k @ rhs[lo:]
+    out[hi:] += k[:, hi - lo:].T @ rhs[lo:hi]
+
+
+def gram_sums(s: np.ndarray, t: np.ndarray, sigma: float,
+              p_s: np.ndarray, p_t: np.ndarray):
+    """The kernel pass's per-row sums (K_ss p_s, K_ts p_s, K_ts^T p_t,
+    K_tt p_t), with K_ts = k(t_i, s_j), from chunked Gram blocks: every
+    source chunk, then every target chunk, into one buffer the pass
+    allocates (the module docstring has the operands and the chunks)."""
+    m, n = s.shape[0], t.shape[0]
+    step = DEFAULT_CHUNK
+    g = 0.5 / (sigma * sigma)
+    mu_s = s.mean(axis=0)
+    ss, tt = _augmented(s, mu_s, g), _augmented(t, t.mean(axis=0), g)
+    ts = (_augmented(t, mu_s, g)[0], ss[1])
+    width = max(m, n)
+    buf = np.empty(min(step, width) * width)
+
+    def gram(x, y, ops, lo, hi, col):
+        # K(x[lo:hi], y[col:]) in a C-contiguous prefix of the buffer, so
+        # BLAS sees the same layout as a freshly allocated block
+        a, b = x[lo:hi], y[col:]
+        out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
+        return gaussian_gram(a, b, sigma, out=out,
+                             operands=(ops[0][lo:hi], ops[1][col:]))
+
+    r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
+    r_st, r_tt = np.zeros((m, p_t.shape[1])), np.zeros((n, p_t.shape[1]))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        _add_symmetric_rows(r_ss, gram(s, s, ss, lo, hi, lo), p_s, lo, hi)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        k_ts = gram(t, s, ts, lo, hi, 0)  # used before K_tt overwrites it
+        r_ts[lo:hi] = k_ts @ p_s
+        r_st += k_ts.T @ p_t[lo:hi]
+        _add_symmetric_rows(r_tt, gram(t, t, tt, lo, hi, lo), p_t, lo, hi)
+    return r_ss, r_ts, r_st, r_tt
 
 
 # The low-rank pass: the Gaussian interpolated at Chebyshev points. An axis
@@ -405,8 +490,8 @@ def _through_nodes(axes, sigma: float, moms: list[np.ndarray]):
 
 
 def chebyshev_sums(s: np.ndarray, t: np.ndarray, sigma: float, axes,
-                   p_s: np.ndarray, p_t: np.ndarray, p_st: np.ndarray):
-    """The kernel pass's per-row sums (K_ss p_s, K_ts p_s, K_ts^T p_st,
+                   p_s: np.ndarray, p_t: np.ndarray):
+    """The kernel pass's per-row sums (K_ss p_s, K_ts p_s, K_ts^T p_t,
     K_tt p_t), with K_ts = k(t_i, s_j), from the Gaussian interpolated at
     the Chebyshev points of ``axes`` (``chebyshev_axes``) in both
     arguments: no kernel block is formed.
@@ -420,28 +505,25 @@ def chebyshev_sums(s: np.ndarray, t: np.ndarray, sigma: float, axes,
     moment M = T1 diag(p) T2^T (``_moments``), the node Grams act on it one
     axis at a time, K1 M K2, and a row x reads T1(x)^T (K1 M K2) T2(x)
     (``_at_rows``). Width 1 is the same with a one-point second axis, as
-    is an axis of zero span. The weights of both row sets come from one
-    recurrence, and the moments and the read-outs run in row blocks.
+    is an axis of zero span. Both row sets' weights come from one
+    recurrence, each set forms one moment set, and one read-out over the
+    stacked weights gives every row both sets' sums, all in row blocks.
 
     Each axis's interpolant is within CHEB_TOL of the Gaussian, so an
     interpolated entry is within about (2 + 2 Lambda) CHEB_TOL of the
     kernel, Lambda being the points' Lebesgue constant (below 3.7 at 64
-    points), and each sum within that times sum |p| of its column. The
-    polynomial is the Lagrange form's, evaluated with other rounding:
+    points), and each sum within that times sum |p| of its column:
     per-row sums of 300 and 200 rows at spans of 0.5 to 12.6 sigma, width
-    1 and 2, were within 4.1e-16 of per-pair Grams relative to sum |p|
-    (2.9e-16 from barycentric Lagrange weights).
+    1 and 2, were within 4.1e-16 of per-pair Grams relative to sum |p|.
     """
-    ks, kt, m = p_s.shape[1], p_t.shape[1], len(s)
+    ks, m = p_s.shape[1], len(s)
     both = _weights(np.vstack([s, t]), axes)  # one recurrence for both sets
-    ws, wt = [w[:, :m] for w in both], [w[:, m:] for w in both]
     from_s, from_t = _through_nodes(axes, sigma, [
-        _moments(*ws, p_s), _moments(*wt, np.hstack([p_t, p_st]))])
-    at_s = np.empty((len(s), ks + p_st.shape[1]))
-    at_t = np.empty((len(t), ks + kt))
-    _at_rows(*wt, np.concatenate([from_s, from_t[:, :kt]], axis=1), at_t)
-    _at_rows(*ws, np.concatenate([from_s, from_t[:, kt:]], axis=1), at_s)
-    return at_s[:, :ks], at_t[:, :ks], at_s[:, ks:], at_t[:, ks:]
+        _moments(*[w[:, :m] for w in both], p_s),
+        _moments(*[w[:, m:] for w in both], p_t)])
+    out = np.empty((len(s) + len(t), ks + p_t.shape[1]))
+    _at_rows(*both, np.concatenate([from_s, from_t], axis=1), out)
+    return out[:m, :ks], out[m:, :ks], out[:m, ks:], out[m:, ks:]
 
 
 def chebyshev_totals(s: np.ndarray, t: np.ndarray, sigma: float, axes,
@@ -462,3 +544,25 @@ def chebyshev_totals(s: np.ndarray, t: np.ndarray, sigma: float, axes,
         return np.tensordot(mom, coef, axes=([0, 2], [0, 2]))
 
     return dot(mom_s, from_s), dot(mom_t, from_s), dot(mom_t, from_t)
+
+
+def kernel_sums(s: np.ndarray, t: np.ndarray, sigma: float,
+                p_s: np.ndarray, p_t: np.ndarray):
+    """(K_ss p_s, K_ts p_s, K_ts^T p_t, K_tt p_t), from ``chebyshev_sums``
+    exactly when ``chebyshev_axes`` finds axes, else from ``gram_sums``."""
+    axes = chebyshev_axes(s, t, sigma)
+    if axes is None:
+        return gram_sums(s, t, sigma, p_s, p_t)
+    return chebyshev_sums(s, t, sigma, axes, p_s, p_t)
+
+
+def kernel_totals(s: np.ndarray, t: np.ndarray, sigma: float,
+                  p_s: np.ndarray, p_t: np.ndarray):
+    """(p_s^T K_ss p_s, p_t^T K_ts p_s, p_t^T K_tt p_t), from
+    ``chebyshev_totals`` exactly when ``chebyshev_axes`` finds axes, else
+    as p^T of ``gram_sums``."""
+    axes = chebyshev_axes(s, t, sigma)
+    if axes is None:
+        r_ss, r_ts, _, r_tt = gram_sums(s, t, sigma, p_s, p_t)
+        return p_s.T @ r_ss, p_t.T @ r_ts, p_t.T @ r_tt
+    return chebyshev_totals(s, t, sigma, axes, p_s, p_t)

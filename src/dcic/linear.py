@@ -16,14 +16,13 @@ the 2^c - 1 supports of its optimum. The fit ends on the first round that
 leaves W where it was: with A and b unchanged, another exact QP would only
 repeat the last one.
 
-A kernel pass at projected width 1 or 2 takes the Chebyshev low-rank
-producer whenever its rows span at most 12.7 sigma per axis (see
-``_MmdProblem``).
+The kernel pass's sums come from ``kernels.kernel_sums`` and
+``kernels.kernel_totals``; the ``kernels`` module docstring describes
+their two producers and the rule that picks between them.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -32,15 +31,10 @@ import numpy as np
 
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
                    empirical_prior, int_field)
-from .kernels import (_augmented, chebyshev_axes, chebyshev_sums,
-                      chebyshev_totals, gaussian_gram, median_bandwidth)
+from .kernels import kernel_sums, kernel_totals, median_bandwidth
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
-# Rows per block of the direct kernel pass. At m = 500 this gives four row
-# blocks, so the self-Grams' upper block-triangle computes about 62% of each
-# square (10 of 16 blocks)
-DEFAULT_CHUNK = 128
 ARMIJO_C1 = 1e-4
 STATIONARY_RTOL = 1e-3  # |horizontal grad| / |grad| at which W counts as stationary
 W_CG_ITERS = 5  # W steps per round at most
@@ -108,19 +102,10 @@ class LinearFitResult:
         })
 
 
-def _add_symmetric_rows(out, k, rhs, lo, hi):
-    """Add to ``out`` the two parts of K @ rhs that a symmetric K's row
-    block [lo, hi), given from column lo on, contributes: the block itself
-    to rows lo..hi, and its part right of the diagonal block, transposed,
-    to the rows from hi on."""
-    out[lo:hi] += k @ rhs[lo:]
-    out[hi:] += k[:, hi - lo:].T @ rhs[lo:hi]
-
-
 class _MmdProblem:
     """The package's one weighted squared-MMD implementation: evaluates the
     objective, its alpha-quadratic, its gradients with respect to the
-    projected rows and its W gradient from one chunked kernel pass per W.
+    projected rows and its W gradient from one kernel pass per W.
     ``fit`` uses it on raw features; the joint model (``joint``) uses it on
     hidden-layer rows with an identity W, for its penalty and the alpha
     refresh.
@@ -130,63 +115,18 @@ class _MmdProblem:
     compared with ``np.array_equal``; ``None`` is its own key), so repeated
     evaluations at one W cost one pass total, whichever array carries it.
 
-    A pass has two producers of its sums (below), chosen before any
-    kernel work from the projected rows alone: the pass is low-rank
-    exactly when ``kernels.chebyshev_axes`` returns its axes. At width 1
-    or 2 the low-rank producer (``kernels.chebyshev_sums``, or
-    ``kernels.chebyshev_totals`` for ``w=None``) interpolates the
-    Gaussian at r Chebyshev points per axis, r the fewest whose
-    Bernstein-ellipse bound reaches 1e-15 at the axis's span / sigma
-    (``kernels.chebyshev_nodes``: 16 at 1 sigma, 34 at 5, 64 at 12.7),
-    and runs when both sides have rows and every axis needs at most 64
-    points. Its sums are within about 1e-14 of the direct ones, relative
-    to the sum of |P| over each column. Every other pass (width >= 3, an
-    empty side, wide spans, outliers, far-apart clouds) takes the direct
-    blocks. With a W the low-rank pass took about 15 ms against the
-    direct pass's 224 ms at m = n = 5000 and width 2, and about 0.28
-    against 1.5 ms at m = n = 500 and width 1; with ``w=None`` it took 4.1
-    against 150 ms at m = n = 5000 and width 2. Below about m = n = 150
-    (300 at width 2 with a W) it took up to 1.9 times the direct pass's
-    0.14 to 0.9 ms (one OpenBLAS thread, 2-CPU Xeon). Each producer is
-    deterministic, so a pass's bits depend only on its inputs.
-
-    The direct pass runs in chunks of DEFAULT_CHUNK rows, read at
-    construction (at m = 500 a self-Gram costs 10 of its 16 blocks):
-    every source chunk (its K_ss rows), then every target chunk (its K_ts
-    and K_tt rows). A chunk writes its kernel blocks into one
-    (chunk, max(m, n)) buffer, allocated by the problem's first direct
-    pass and reused by every later one, and contracts them straight into
-    the pass's sums. For the symmetric self-blocks K_ss and K_tt a chunk
-    computes only the columns at or right of its first row (the upper
-    block-triangle). Each block is one ``kernels.gaussian_gram`` call, one
-    BLAS product of row slices of operands that the pass builds before its
-    first chunk: (lhs, rhs) of s for K_ss, of t for K_tt, and t's lhs with
-    s's rhs for the K_ts rows. At every width they are augmented operands
-    (``kernels._augmented``): s and t each shifted to its own column mean,
-    and t's lhs for K_ts shifted to s's mean. Every block is thus shifted
-    to the mean of the set its columns come from, so its product does not
-    cancel even when the two sets sit far apart, where one shared shift
-    would.
-
-    A pass with a W, from either producer, keeps per-row sums, one
-    contraction for every W: with one-hot noisy labels oh, source columns
-    P_s, target columns P_t and columns P_st for the transposed cross rows,
-    it forms
-
-        K_ss P_s, K_ts P_s, K_ts^T P_st, K_tt P_t.
-
-    With a W, S' = Xs W and T' = Xt W, the columns are P_s = [oh, oh (x) S']
-    (class-split projected rows) and P_t = P_st = [1, T'], the
-    O((m + n) c (1 + d')) values the W gradient needs. The class-block sums
-    are the first c columns of K_ss P_s and K_ts P_s and the first column
-    of K_tt P_t, so the value needs no further kernel work, and
+    A pass with a W asks ``kernels.kernel_sums`` for per-row sums, one
+    contraction for every W: with one-hot noisy labels oh, S' = Xs W and
+    T' = Xt W, the source columns P_s = [oh, oh (x) S'] (class-split
+    projected rows) and target columns P_t = [1, T'] give K_ss P_s,
+    K_ts P_s, K_ts^T P_t and K_tt P_t, the O((m + n) c (1 + d')) values the
+    W gradient needs. The class-block sums are the first c columns of
+    K_ss P_s and K_ts P_s and the first column of K_tt P_t, and
     ``row_grads`` contracts the rows with any alpha. With ``w=None``
-    (features used as they are) the columns are P_s = oh, P_t = [1] and no
-    P_st columns, and the value reads only the class sums oh^T K_ss oh,
-    1^T K_ts oh and 1^T K_tt 1: a direct pass reads them from its per-row
-    sums, and a low-rank pass forms them from its moments
-    (``kernels.chebyshev_totals``) and keeps no per-row sums: only
-    ``row_grads`` reads them, and it refuses ``w=None``.
+    (features used as they are) the pass asks ``kernels.kernel_totals``
+    for oh^T K_ss oh, 1^T K_ts oh and 1^T K_tt 1 and keeps no per-row
+    sums: only ``row_grads`` reads them, and it refuses ``w=None``. The
+    ``kernels`` module docstring describes the two producers behind both.
     """
 
     def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
@@ -201,17 +141,9 @@ class _MmdProblem:
         onehot = np.zeros((m, g.n_classes))
         onehot[np.arange(m), g.labels - 1] = 1.0
         self.onehot = onehot
-        self.chunk = DEFAULT_CHUNK
         self._cache_w = None
         self._cache_val = None
         self._rows = None
-
-    @functools.cached_property
-    def _buf(self):
-        """The kernel-block buffer, allocated by the first direct pass: a
-        problem whose passes are all low-rank holds none."""
-        width = max(len(self.s), len(self.t))
-        return np.empty(min(self.chunk, width) * width)
 
     def _cached(self, w) -> bool:
         if self._cache_val is None or (w is None) != (self._cache_w is None):
@@ -228,22 +160,15 @@ class _MmdProblem:
         m, n = s.shape[0], t.shape[0]
         c = self.g.n_classes
         oh = self.onehot
-        if w is None:  # the value reads only the class-block sums
-            p_s, p_t, p_st = oh, np.ones((n, 1)), np.empty((n, 0))
-        else:
-            p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
-            p_t = p_st = np.hstack([np.ones((n, 1)), t])
-        axes = chebyshev_axes(s, t, self.sigma)
-        if w is None and axes is not None:  # the class sums, from the moments
-            block, cross, tt = chebyshev_totals(s, t, self.sigma, axes,
-                                                p_s, p_t)
+        if w is None:  # the value reads only the class totals
+            block, cross, tt = kernel_totals(s, t, self.sigma, oh,
+                                             np.ones((n, 1)))
             cross_by_class, tt_total = cross[0], tt[0, 0]
             self._rows = None
         else:
-            if axes is None:
-                rows = self._direct_sums(s, t, p_s, p_t, p_st)
-            else:
-                rows = chebyshev_sums(s, t, self.sigma, axes, p_s, p_t, p_st)
+            p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
+            p_t = np.hstack([np.ones((n, 1)), t])
+            rows = kernel_sums(s, t, self.sigma, p_s, p_t)
             r_ss, r_ts, _, r_tt = rows
             block = oh.T @ r_ss[:, :c]
             cross_by_class = r_ts[:, :c].sum(axis=0)
@@ -257,39 +182,6 @@ class _MmdProblem:
         self._cache_w = w
         self._cache_val = (a, b, const)
         return self._cache_val
-
-    def _direct_sums(self, s, t, p_s, p_t, p_st):
-        """(K_ss p_s, K_ts p_s, K_ts^T p_st, K_tt p_t) from the chunked
-        kernel blocks: every source chunk, then every target chunk."""
-        m, n = s.shape[0], t.shape[0]
-        step = self.chunk
-        g = 0.5 / (self.sigma * self.sigma)
-        mu_s = s.mean(axis=0)
-        ss, tt = _augmented(s, mu_s, g), _augmented(t, t.mean(axis=0), g)
-        ts = (_augmented(t, mu_s, g)[0], ss[1])
-
-        buf = self._buf
-
-        def gram(x, y, ops, lo, hi, col):
-            # K(x[lo:hi], y[col:]) in a C-contiguous prefix of the buffer, so
-            # BLAS sees the same layout as a freshly allocated block
-            a, b = x[lo:hi], y[col:]
-            out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-            return gaussian_gram(a, b, self.sigma, out=out,
-                                 operands=(ops[0][lo:hi], ops[1][col:]))
-
-        r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
-        r_st, r_tt = np.zeros((m, p_st.shape[1])), np.zeros((n, p_t.shape[1]))
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            _add_symmetric_rows(r_ss, gram(s, s, ss, lo, hi, lo), p_s, lo, hi)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            k_ts = gram(t, s, ts, lo, hi, 0)  # used before K_tt overwrites it
-            r_ts[lo:hi] = k_ts @ p_s
-            r_st += k_ts.T @ p_st[lo:hi]
-            _add_symmetric_rows(r_tt, gram(t, t, tt, lo, hi, lo), p_t, lo, hi)
-        return r_ss, r_ts, r_st, r_tt
 
     def eval(self, w: np.ndarray | None, alpha: np.ndarray) -> float:
         a, b, const = self.terms(w)
@@ -519,7 +411,10 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         raise ValueError("source/target feature dims differ")
     c = q.n_classes
     if noisy_source.n_classes != c:
-        raise ValueError("source class count does not match the flip-rate matrix")
+        raise ValueError(
+            f"source class count {noisy_source.n_classes} (largest label "
+            f"{int(noisy_source.labels.max())}) does not match the flip-rate "
+            f"matrix's {c} classes")
     d_prime = d if config.mode == "tars_fixed_w" else config.d_prime
     if d_prime > d:
         raise ValueError("d_prime must not exceed the input dim")

@@ -617,3 +617,34 @@ class TestSingleShotCommands:
                    "--q", str(tmp_path / "q.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    # labels all 1 read as one class against a 2-class Q: the error names
+    # both counts
+    def test_fit_class_count_mismatch_names_both_counts(self, tmp_path,
+                                                        capsys):
+        _, tgt, qp = _write_domain_csvs(tmp_path, m=40)
+        src = str(tmp_path / "one_class.csv")
+        x = as_generator(1).standard_normal((40, 2))
+        write_dataset_csv(Dataset(x, np.ones(40, dtype=int), "noisy"), src)
+        assert main(["fit", "--source", src, "--target", tgt, "--q", qp,
+                     "--d-prime", "2"]) == 2
+        assert ("error: source class count 1 (largest label 1) does not "
+                "match the flip-rate matrix's 2 classes"
+                in capsys.readouterr().err)
+
+    # one source row 1e8 away once lifted the bandwidth's rounding floor
+    # above every near pair's squared distance, so the fit exited 2 with
+    # "median pairwise distance is zero"
+    def test_fit_with_one_far_source_row(self, tmp_path, capsys):
+        _, tgt, qp = _write_domain_csvs(tmp_path, m=90)
+        rng = as_generator(2)
+        x = rng.standard_normal((91, 2))
+        x[0, 0] = 1e8
+        labels = rng.integers(1, 3, size=91)
+        labels[:2] = [1, 2]
+        src = str(tmp_path / "far_row.csv")
+        write_dataset_csv(Dataset(x, labels, "noisy", 2), src)
+        assert main(["fit", "--source", src, "--target", tgt, "--q", qp,
+                     "--d-prime", "2"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert np.isfinite(blob["sigma"]) and blob["sigma"] > 0

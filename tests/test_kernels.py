@@ -85,6 +85,18 @@ class TestMedianBandwidth:
         with pytest.raises(ValueError, match="identical rows"):
             median_bandwidth(x)
 
+    # 90 standard normal rows and one row far out on the first axis: the
+    # floor from the far row's squared norm lies above every near pair's
+    # squared distance, so the median comes from direct differences
+    @pytest.mark.parametrize("far", [1e8, 1e10], ids=["1e8", "1e10"])
+    def test_one_far_row_against_brute_force(self, far):
+        x = np.random.default_rng(3).standard_normal((91, 2))
+        x[-1, 0] = far
+        iu = np.triu_indices(91, 1)
+        diff = x[:, None, :] - x[None, :, :]
+        want = np.median(np.sqrt((diff * diff).sum(axis=2)[iu]))
+        assert median_bandwidth(x) == pytest.approx(want, rel=1e-12)
+
     def test_exact_far_from_origin(self):
         # 400 points at 1e4 + 1e-3 N(0, I_2): the unshifted expansion
         # cancelled almost every digit and put sigma 0.25% off
@@ -532,7 +544,7 @@ class TestChebyshevPass:
         sigma = 2.0 / width
         p_s, p_t = rng.standard_normal((70, 3)), rng.standard_normal((45, 2))
         axes = chebyshev_axes(s, t, sigma)
-        got = chebyshev_sums(s, t, sigma, axes, p_s, p_t, p_t)
+        got = chebyshev_sums(s, t, sigma, axes, p_s, p_t)
         k_ts = _direct_gram(t, s, sigma)
         want = (_direct_gram(s, s, sigma) @ p_s, k_ts @ p_s, k_ts.T @ p_t,
                 _direct_gram(t, t, sigma) @ p_t)
@@ -540,13 +552,15 @@ class TestChebyshevPass:
             assert x.shape == y.shape
             assert (np.abs(x - y) <= 1e-14 * np.abs(p).sum(axis=0)).all()
 
-    def test_no_cross_columns(self, rng):
+    def test_cross_rows_take_the_target_columns(self, rng):
+        # no column set of its own: the cross rows are K_ts^T p_t
         s, t = rng.standard_normal((20, 2)), rng.standard_normal((15, 2))
         axes = chebyshev_axes(s, t, 1.5)
-        p_s, p_t = rng.standard_normal((20, 2)), np.ones((15, 1))
-        r_ss, r_ts, r_st, r_tt = chebyshev_sums(s, t, 1.5, axes, p_s, p_t,
-                                                np.empty((15, 0)))
-        assert r_st.shape == (20, 0) and r_tt.shape == (15, 1)
+        p_s, p_t = rng.standard_normal((20, 3)), rng.standard_normal((15, 2))
+        r_ss, r_ts, r_st, r_tt = chebyshev_sums(s, t, 1.5, axes, p_s, p_t)
+        assert r_st.shape == (20, 2) and r_tt.shape == (15, 2)
+        want = _direct_gram(t, s, 1.5).T @ p_t
+        assert (np.abs(r_st - want) <= 1e-14 * np.abs(p_t).sum(axis=0)).all()
 
     # the end rows of an axis whose mapped values round just outside
     # [-1, 1]: lo to -1 - 4.4e-16 in one, hi to 1 + 2.2e-16 in the other
@@ -563,7 +577,7 @@ class TestChebyshevPass:
         axes = chebyshev_axes(s, t, sigma)
         assert [a[:2] for a in axes] == [(lo, hi)] * 2
         p_s, p_t = rng.standard_normal((70, 3)), rng.standard_normal((45, 2))
-        got = chebyshev_sums(s, t, sigma, axes, p_s, p_t, p_t)
+        got = chebyshev_sums(s, t, sigma, axes, p_s, p_t)
         k_ts = _direct_gram(t, s, sigma)
         want = (_direct_gram(s, s, sigma) @ p_s, k_ts @ p_s, k_ts.T @ p_t,
                 _direct_gram(t, t, sigma) @ p_t)

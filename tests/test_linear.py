@@ -49,8 +49,8 @@ def _count_low_rank(monkeypatch):
         return call
 
     for name in ("chebyshev_sums", "chebyshev_totals"):
-        monkeypatch.setattr(linear_mod, name,
-                            counting(getattr(linear_mod, name)))
+        monkeypatch.setattr(kernels_mod, name,
+                            counting(getattr(kernels_mod, name)))
     return calls
 
 
@@ -163,7 +163,7 @@ class TestChunkedTerms:
     def test_matches_dense_oracle(self, rng, monkeypatch, direct_pass, chunk,
                                   m, n, w_free):
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK",
+        monkeypatch.setattr(kernels_mod, "DEFAULT_CHUNK",
                             {"m": m, "m+5": m + 5}.get(chunk, chunk))
         w = None if w_free else rng.standard_normal((3, 2))
         a, b, const = _MmdProblem(source.features, target.features, g,
@@ -199,7 +199,7 @@ class TestChunkedTerms:
         s = source.features + 3e3
         t = target.features - 3e3
         w = qr_retract(rng.standard_normal((2, 2))) if rotate else None
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 16)
+        monkeypatch.setattr(kernels_mod, "DEFAULT_CHUNK", 16)
         a, b, const = _MmdProblem(s, t, g, 1.0).terms(w)
         sp, tp = (s, t) if w is None else (s @ w, t @ w)
 
@@ -227,19 +227,19 @@ class TestPassOperands:
     @staticmethod
     def _counted(monkeypatch):
         calls = []
-        real = linear_mod._augmented
+        real = kernels_mod._augmented
 
         def counting(x, shift, g):
             calls.append((len(x), tuple(np.broadcast_to(shift, x.shape[1]))))
             return real(x, shift, g)
 
-        monkeypatch.setattr(linear_mod, "_augmented", counting)
+        monkeypatch.setattr(kernels_mod, "_augmented", counting)
         return calls
 
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_each_operand_set_built_once_per_pass(self, rng, monkeypatch,
                                                   direct_pass, chunk):
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", chunk)
+        monkeypatch.setattr(kernels_mod, "DEFAULT_CHUNK", chunk)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
         calls = self._counted(monkeypatch)
@@ -258,7 +258,7 @@ class TestPassOperands:
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_width1_operands_built_once_per_pass(self, rng, monkeypatch,
                                                  direct_pass, chunk):
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", chunk)
+        monkeypatch.setattr(kernels_mod, "DEFAULT_CHUNK", chunk)
         source, target, g, sigma = _toy_problem(rng, m=61, n=47)
         prob = _MmdProblem(source.features, target.features, g, sigma)
         calls = self._counted(monkeypatch)
@@ -284,7 +284,7 @@ class TestEngineGradient:
     def test_matches_dense_oracle(self, rng, monkeypatch, direct_pass, m, n,
                                   chunk, d_out):
         source, target, g, sigma = _toy_problem(rng, m=m, n=n)
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK",
+        monkeypatch.setattr(kernels_mod, "DEFAULT_CHUNK",
                             {"m": m, "m+5": m + 5}.get(chunk, chunk))
         w = rng.standard_normal((3, d_out))
         alpha = random_prior(rng, 2).p
@@ -297,7 +297,7 @@ class TestEngineGradient:
 
     def test_second_alpha_from_cached_pass(self, rng, monkeypatch,
                                            direct_pass):
-        monkeypatch.setattr(linear_mod, "DEFAULT_CHUNK", 7)
+        monkeypatch.setattr(kernels_mod, "DEFAULT_CHUNK", 7)
         source, target, g, sigma = _toy_problem(rng, m=23, n=17)
         w = rng.standard_normal((3, 2))
         a1, a2 = random_prior(rng, 2).p, random_prior(rng, 2).p
@@ -362,13 +362,13 @@ class TestPassCache:
     @staticmethod
     def _counted(monkeypatch):
         calls = []
-        real = linear_mod.gaussian_gram
+        real = kernels_mod.gaussian_gram
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(linear_mod, "gaussian_gram", counting)
+        monkeypatch.setattr(kernels_mod, "gaussian_gram", counting)
         return calls
 
     def test_equal_copy_hits_and_other_w_recomputes(self, rng, monkeypatch,
@@ -409,9 +409,9 @@ class TestPassCache:
     @pytest.mark.parametrize("d_out", [1, 2])
     def test_owned_buffer_keeps_no_stale_values(self, rng, direct_pass,
                                                 d_out):
-        # one problem reuses its kernel-pass buffer for every pass; passes
-        # at W1, W2 and W1 again (three chunks of source rows, two of
-        # target rows) must each equal a fresh problem's pass to the bit
+        # passes at W1, W2 and W1 again on one problem (three chunks of
+        # source rows, two of target rows) must each equal a fresh
+        # problem's pass to the bit
         source, target, g, sigma = _toy_problem(rng, m=300, n=200)
         prob = _MmdProblem(source.features, target.features, g, sigma)
         alpha = np.array([0.3, 0.7])
@@ -430,7 +430,7 @@ class TestPassCache:
 
 class TestDirectPass:
     """A direct pass of any size runs on the caller's thread, in chunks of
-    DEFAULT_CHUNK rows, into one buffer."""
+    DEFAULT_CHUNK rows, into one buffer the pass allocates."""
 
     def test_large_pass_fills_one_buffer_on_one_thread(self, rng,
                                                        monkeypatch,
@@ -443,24 +443,25 @@ class TestDirectPass:
         alpha = random_prior(rng, 2).p
         prob = _MmdProblem(source.features, target.features, g, sigma)
         outs, threads = [], set()
-        real = linear_mod.gaussian_gram
+        real = kernels_mod.gaussian_gram
 
         def recording(*args, out, **kwargs):
             outs.append(out)
             threads.add(threading.get_ident())
             return real(*args, out=out, **kwargs)
 
-        monkeypatch.setattr(linear_mod, "gaussian_gram", recording)
+        monkeypatch.setattr(kernels_mod, "gaussian_gram", recording)
         before = threading.active_count()
         a, b, const = prob.terms(w)
         got_grad = prob.grad(w, alpha)
         assert threads == {threading.get_ident()}
         assert threading.active_count() == before
-        assert prob.chunk == linear_mod.DEFAULT_CHUNK
-        assert prob._buf.shape == (linear_mod.DEFAULT_CHUNK * max(m, n),)
-        assert len(outs) == 3 * -(-m // prob.chunk)
-        assert all(np.shares_memory(out, prob._buf) for out in outs)
-        monkeypatch.setattr(linear_mod, "gaussian_gram", real)
+        chunk = kernels_mod.DEFAULT_CHUNK
+        buf = outs[0].base
+        assert buf.shape == (chunk * max(m, n),)
+        assert len(outs) == 3 * -(-m // chunk)
+        assert all(out.base is buf for out in outs)
+        monkeypatch.setattr(kernels_mod, "gaussian_gram", real)
         grams = build_gram(source.features @ w, target.features @ w, sigma)
         gg = g.class_rows[g.labels - 1]
         want_a = gg.T @ grams.k_ss @ gg / (m * m)
@@ -476,39 +477,44 @@ class TestDirectPass:
 
     def test_traced_pass_stays_on_the_callers_thread(self, rng,
                                                      direct_pass):
-        # perfbench's tracer keeps one span stack for all threads: a pass it
-        # wraps gives the untraced bits and top-level, disjoint spans
+        # perfbench's tracer keeps one span stack for all threads: a pinned
+        # fit and a d' = 1 fit it traces (through linear.fit,
+        # median_bandwidth, solve_alpha_qp, grassmann_step and qr_retract)
+        # give the untraced bits, and every span is closed and lies inside
+        # its parent's interval
         spec = importlib.util.spec_from_file_location(
             "tracing", os.path.join(REPO, "perfbench", "tracing.py"))
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        source, target, g, sigma = _toy_problem(rng, m=301, n=200)
-        w = qr_retract(rng.standard_normal((3, 2)))
-        untraced = _MmdProblem(source.features, target.features, g, sigma)
-        want = [*untraced.terms(None), *untraced.terms(w)]
-        prob = _MmdProblem(source.features, target.features, g, sigma)
+        source, target, _, _ = _toy_problem(rng, m=301, n=200)
+        q = symmetric_noise(2, 0.2)
+        configs = [LinearFitConfig(d_prime=3), LinearFitConfig(d_prime=1)]
+        want = [fit(cfg, source, target, q) for cfg in configs]
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            got = [*prob.terms(None), *prob.terms(w)]
+            got = [linear_mod.fit(cfg, source, target, q) for cfg in configs]
         finally:
             tracer.uninstall()
-        assert tracer.spans
-        assert all(span is not None and span[3] == -1 for span in tracer.spans)
-        times = sorted(span[1:3] for span in tracer.spans)
-        assert all(end <= start for (_, end), (start, _) in zip(times, times[1:]))
+        names = {span[0] for span in tracer.spans if span is not None}
+        assert {"linear.fit", "kernels.bandwidth", "linear.qp", "linear.step",
+                "linear.retract"} <= names
+        assert all(span is not None for span in tracer.spans)
+        for name, start, end, parent, _ in tracer.spans:
+            assert start <= end
+            if parent >= 0:
+                _, p_start, p_end, _, _ = tracer.spans[parent]
+                assert p_start <= start and end <= p_end
         for x, y in zip(got, want, strict=True):
-            assert np.array_equal(x, y)
+            assert x.to_json() == y.to_json()
         assert direct_pass == []
 
 
 def _pass_columns(prob, sp, tp):
-    """The pass's weight columns (P_s, P_t, P_st) at projected rows, with
-    a W."""
+    """The pass's weight columns (P_s, P_t) at projected rows, with a W."""
     oh, n = prob.onehot, len(tp)
     p_s = np.hstack([oh, (oh[:, :, None] * sp[:, None, :]).reshape(len(sp), -1)])
-    p_t = np.hstack([np.ones((n, 1)), tp])
-    return p_s, p_t, p_t
+    return p_s, np.hstack([np.ones((n, 1)), tp])
 
 
 class TestLowRankPass:
@@ -546,8 +552,8 @@ class TestLowRankPass:
             assert w is None and low_rank
         else:
             sp, tp = rows[:2]
-            p_s, p_t, p_st = _pass_columns(prob, sp, tp)
-            for x, y, p in zip(rows[2:], want_rows[2:], (p_s, p_s, p_st, p_t),
+            p_s, p_t = _pass_columns(prob, sp, tp)
+            for x, y, p in zip(rows[2:], want_rows[2:], (p_s, p_s, p_t, p_t),
                                strict=True):
                 assert x.shape == y.shape
                 assert (np.abs(x - y) <= 1e-14 * np.abs(p).sum(axis=0)).all()
@@ -642,6 +648,25 @@ class TestLowRankPass:
         with pytest.raises(AssertionError, match="per-row sums"):
             prob.terms(np.eye(2))
 
+    @pytest.mark.parametrize("d_out", [1, 2])
+    def test_one_moment_set_per_row_set(self, rng, monkeypatch, d_out):
+        # the target's moments serve K_tt P_t and the cross rows K_ts^T P_t:
+        # a pass with a W forms P_s's and P_t's, once each
+        source, target, g, sigma = _toy_problem(rng, m=61, n=47)
+        columns = []
+        real = kernels_mod._moments
+
+        def counting(t1, t2, p):
+            columns.append(p.shape[1])
+            return real(t1, t2, p)
+
+        monkeypatch.setattr(kernels_mod, "_moments", counting)
+        calls = _count_low_rank(monkeypatch)
+        w = qr_retract(rng.standard_normal((3, d_out)))
+        _problem(source, target, g, sigma).terms(w)
+        assert calls == [1]
+        assert columns == [2 * (1 + d_out), 1 + d_out]
+
     def test_bit_identical_twice(self, rng):
         source, target, g, sigma = _toy_problem(rng, m=301, n=200)
         w = qr_retract(rng.standard_normal((3, 1)))
@@ -649,9 +674,9 @@ class TestLowRankPass:
         got = []
         for _ in range(2):
             prob = _MmdProblem(source.features, target.features, g, sigma)
-            assert linear_mod.chebyshev_axes(source.features @ w,
-                                             target.features @ w,
-                                             sigma) is not None
+            assert kernels_mod.chebyshev_axes(source.features @ w,
+                                              target.features @ w,
+                                              sigma) is not None
             got.append([*prob.terms(w), *prob.row_grads(w, alpha),
                         prob.grad(w, alpha)])
         for x, y in zip(*got, strict=True):
