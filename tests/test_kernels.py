@@ -7,7 +7,8 @@ from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
                       poly2_features, poly2_kernel_matrix)
 import dcic.kernels as kernels_mod
 from dcic.kernels import (_SUBSAMPLE_SEED, MAX_NODES, _augmented,
-                          _chebyshev_points, _coefficient_map, _weights,
+                          _chebyshev_points, _coefficient_map, _middle,
+                          _weights,
                           chebyshev_axes, chebyshev_nodes, chebyshev_sums,
                           chebyshev_totals, gaussian_gram, median_bandwidth)
 from dcic.linear import _MmdProblem
@@ -152,6 +153,75 @@ class TestMedianBandwidth:
         dists = [np.linalg.norm(x[i] - x[j])
                  for i in range(n) for j in range(i + 1, n)]
         assert median_bandwidth(x) == pytest.approx(np.median(dists), rel=1e-12)
+
+
+def _blocked_product_median(x, step):
+    """np.median of the roots of the strict upper triangle of the shifted
+    augmented product (g = -1), each row block of ``step`` rows its own
+    product, as ``median_bandwidth`` forms them (BLAS rounds a one-row or
+    ragged block's entries differently from the full product's), with the
+    rounding floor applied."""
+    n, d = x.shape
+    lhs, rhs = _augmented(x, x.mean(axis=0), -1.0)
+    sq = np.concatenate([
+        (lhs[lo:lo + step] @ rhs[lo:].T)[
+            np.triu_indices(min(step, n - lo), 1, n - lo)]
+        for lo in range(0, n - 1, step)])
+    floor = 4.0 * (d + 2) * np.finfo(np.float64).eps * rhs[:, -1].max()
+    return np.median(np.sqrt(np.where(sq > floor, sq, 0.0))), sq
+
+
+class TestKeyedMedian:
+    """The bandwidth's select on int64 keys in the +inf padded layout:
+    bit-identical to a float select and to np.median."""
+
+    # positive values with ties, negative residues, both zeros and +inf
+    # padding, shuffled; the middle value (or values) above zero
+    @pytest.mark.parametrize("count", [41, 40], ids=["odd", "even"])
+    def test_middle_matches_float_select(self, rng, count):
+        residues = [-3e-16, -1e-300, -0.0, 0.0, -7e-17, 0.0]
+        ties = np.repeat(rng.uniform(0.5, 4.0, 5), 3)
+        values = np.concatenate([residues, ties, rng.uniform(
+            0.1, 9.0, count - len(residues) - len(ties))])
+        sq = rng.permutation(np.concatenate([values, np.full(30, np.inf)]))
+        mid = _middle(sq, count)
+        k = count // 2
+        ref = np.partition(values, k)
+        want = (ref[k],) if count % 2 else (ref[:k].max(), ref[k])
+        assert mid == want
+        assert sum(mid) / len(mid) == np.median(values)
+
+    # one row per block, a ragged last block (blocks of 5 rows), and one
+    # block of every row, at an even (48 rows) and an odd (47) pair count;
+    # 2 and 3 rows hold more padding than pairs
+    @pytest.mark.parametrize("n, d, block", [
+        (48, 2, 1), (48, 2, 5 * 48), (48, 2, 48 * 48), (47, 32, 1),
+        (47, 32, 5 * 47), (47, 32, 47 * 47), (2, 2, 1), (2, 2, None),
+        (3, 1, 1), (3, 1, None),
+    ], ids=lambda v: str(v))
+    def test_bit_identical_to_block_products(self, rng, monkeypatch, n, d,
+                                             block):
+        if block is not None:
+            monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", block)
+        x = rng.standard_normal((n, d))
+        step = max(1, kernels_mod._BLOCK_ENTRIES // n)
+        assert median_bandwidth(x) == _blocked_product_median(x, step)[0]
+
+    # 24 of 60 rows at one point away from the mean: 16% of the pairs are
+    # rounding residues, here negative at every block height, below a
+    # positive median
+    @pytest.mark.parametrize("block", [1, 7 * 60, None],
+                             ids=["row", "ragged", "default"])
+    def test_residues_below_a_positive_median(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(kernels_mod, "_BLOCK_ENTRIES", block)
+        x = np.random.default_rng(11).standard_normal((60, 5)) * 3.0
+        x[:24] = x[-1]
+        step = max(1, kernels_mod._BLOCK_ENTRIES // 60)
+        want, sq = _blocked_product_median(x, step)
+        assert (sq < 0.0).sum() > 0
+        assert median_bandwidth(x) == want
+        assert want == pytest.approx(_pair_median(x), rel=1e-12)
 
 
 class TestGaussianKernel:
@@ -493,6 +563,20 @@ class TestChebyshevPass:
         far[0, 1] = np.nan
         assert chebyshev_axes(far, t[:, :2], 1.0) is None
         assert chebyshev_axes(s[:, :2], t[:0, :2], 1.0) is None
+
+    # the axis ranges are min(axis=0) / max(axis=0) over both row sets, to
+    # the bit; a NaN in either set refuses the pass
+    @pytest.mark.parametrize("rows, d", [(5000, 2), (500, 1)],
+                             ids=["5000x2", "500x1"])
+    def test_axes_exact_ranges(self, rng, rows, d):
+        s = rng.standard_normal((rows, d))
+        t = rng.standard_normal((rows, d)) * 0.7 + 0.4
+        lo = np.minimum(s.min(axis=0), t.min(axis=0))
+        hi = np.maximum(s.max(axis=0), t.max(axis=0))
+        assert chebyshev_axes(s, t, 1.3) == [
+            (a, b, chebyshev_nodes((b - a) / 1.3)) for a, b in zip(lo, hi)]
+        t[rows // 2, -1] = np.nan
+        assert chebyshev_axes(s, t, 1.3) is None
 
     @pytest.mark.parametrize("r", [2, 3, 16, 33])
     def test_lagrange_weights(self, rng, r):
