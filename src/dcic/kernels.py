@@ -1,10 +1,11 @@
-"""Gaussian kernel primitives: Gram blocks written into an optional
-caller buffer, the median-distance bandwidth heuristic, and the kernel
-pass's two producers. The weighted squared MMD lives in one place,
-``linear._MmdProblem``, which asks for per-row sums (``kernel_sums``:
-K_ss p_s, K_ts p_s, K_ts^T p_t and K_tt p_t, with K_ts = k(t_i, s_j)) or
-class totals alone (``kernel_totals``: p^T of those sums, K_ts^T p_t
-dropped) and never sees which producer ran.
+"""Gaussian kernel primitives: the median-distance bandwidth heuristic
+and the kernel pass's two producers. The weighted squared MMD lives in one
+place, ``linear._MmdProblem``, which asks for per-row sums
+(``kernel_sums``: K_ss p_s, K_ts p_s, K_ts^T p_t and K_tt p_t, with
+K_ts = k(t_i, s_j)) or class totals alone (``kernel_totals``: p^T of those
+sums, K_ts^T p_t dropped) and never sees which producer ran. Both entry
+points refuse a sigma that is not finite and positive before either
+producer reads it, so both producers fail the same way at every width.
 
 A pass is low-rank exactly when ``chebyshev_axes`` returns its axes, from
 the rows alone: width 1 or 2, rows on both sides, and no axis needing
@@ -22,17 +23,19 @@ DEFAULT_CHUNK rows (its K_ss rows), then every target chunk (its K_ts and
 K_tt rows), writing each block into one (chunk, max(m, n)) buffer that
 the pass allocates and contracting it straight into the sums; of the
 symmetric K_ss and K_tt it computes only the upper block-triangle. Each
-block is one ``gaussian_gram`` call on row slices of operands built once
-per pass: s and t each shifted to its own column mean, and t's lhs for
-K_ts to s's mean, so every block is shifted to the mean of the set its
-columns come from and does not cancel when the two sets sit far apart.
+block is one ``_gaussian_block`` call on row slices of operands built
+once per pass: s and t each shifted to its own column mean, and t's lhs
+for K_ts to s's mean, so every block is shifted to the mean of the set
+its columns come from and does not cancel when the two sets sit far
+apart. The call writes the exponent's product into a prefix of the
+buffer, clips it at zero and exponentiates it there.
 
-The Gram blocks and the bandwidth take each block of squared distances,
-or of the Gaussian exponent, as one BLAS product of slices of per-row
-augmented operands (``_augmented``), at every width, shifted first to a
-column mean: the kernel and the distance depend only on a - b, and the
-shift keeps the product from cancelling when the points sit far from the
-origin.
+The direct pass's blocks and the bandwidth take each block of the
+Gaussian exponent, or of squared distances, as one BLAS product of slices
+of per-row augmented operands (``_augmented``), at every width, shifted
+first to a column mean: the kernel and the distance depend only on a - b,
+and the shift keeps the product from cancelling when the points sit far
+from the origin.
 
 The bandwidth is the median distance over all pairs of rows up to 10^6
 pairs, and above that over all pairs of a fixed-seed subset of 1414 rows,
@@ -209,60 +212,22 @@ def median_bandwidth(features: np.ndarray) -> float:
     return med
 
 
-def gaussian_gram(a: np.ndarray, b: np.ndarray, sigma: float,
-                  out: np.ndarray | None = None,
-                  operands: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> np.ndarray:
-    """Dense kernel matrix k(a_i, b_j); the building block of the chunked
-    kernel pass, which never holds a full Gram.
-
-    ``out``, if given, is a float64 (len(a), len(b)) array that receives
-    the kernel matrix and is returned, so a chunked pass can reuse one
-    buffer; entries are bit-identical with and without it, and no other
-    array of that size is allocated. ``sigma`` must be finite and positive.
-
-    Either way one BLAS product of a's lhs and b's rhs operands is written
-    into ``out`` and finished in place. With g = 1 / (2 sigma^2), the
-    augmented operands (``_augmented``)
-
-        [2g a, -g |a|^2, 1] . [b, 1, -g |b|^2]^T = -g ||a - b||^2,
-
-    both shifted to the column mean of ``b``, give the exponent, which is
-    clipped at zero (rounding residue) and exponentiated. ``operands``, if
-    given, hands in (lhs, rhs) already built with g and one shared shift,
-    one row per row of a and of b. The kernel pass builds them once per
-    pass and passes row slices.
-    """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"feature dim mismatch: {a.shape} vs {b.shape}")
-    shape = (a.shape[0], b.shape[0])
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}")
-    if operands is not None:
-        lhs, rhs = operands
-        if (len(lhs), len(rhs)) != shape:
-            raise ValueError(f"operands must have {shape} rows")
-    else:
-        g = 0.5 / (sigma * sigma)
-        # an empty b has no mean, and its product is empty whatever the shift
-        shift = b.mean(axis=0) if len(b) else 0.0
-        lhs, rhs = _augmented(a, shift, g)[0], _augmented(b, shift, g)[1]
-    np.matmul(lhs, rhs.T, out=out)
-    np.minimum(out, 0.0, out=out)
-    return np.exp(out, out=out)
-
-
 # Rows per chunk of the direct pass. At m = 500 this gives four row blocks,
 # so the self-Grams' upper block-triangle computes about 62% of each square
 # (10 of 16 blocks). Chunks of 65 rows (2^16-value blocks at 1000 columns)
 # made the 1000 x 32 pass 6% slower
 DEFAULT_CHUNK = 128
+
+
+def _gaussian_block(lhs: np.ndarray, rhs: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """The Gaussian between the rows of lhs and of rhs, two operands
+    ``_augmented`` with g = 1 / (2 sigma^2) and one shift, written into the
+    float64 (len(lhs), len(rhs)) array ``out`` and returned: the exponent's
+    product, clipped at zero (rounding residue), exponentiated in place."""
+    np.matmul(lhs, rhs.T, out=out)
+    np.minimum(out, 0.0, out=out)
+    return np.exp(out, out=out)
 
 
 def _add_symmetric_rows(out, k, rhs, lo, hi):
@@ -289,25 +254,24 @@ def gram_sums(s: np.ndarray, t: np.ndarray, sigma: float,
     width = max(m, n)
     buf = np.empty(min(step, width) * width)
 
-    def gram(x, y, ops, lo, hi, col):
-        # K(x[lo:hi], y[col:]) in a C-contiguous prefix of the buffer, so
-        # BLAS sees the same layout as a freshly allocated block
-        a, b = x[lo:hi], y[col:]
-        out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-        return gaussian_gram(a, b, sigma, out=out,
-                             operands=(ops[0][lo:hi], ops[1][col:]))
+    def gram(ops, lo, hi, col):
+        # the block of lhs rows [lo, hi) and rhs rows col.. in a C-contiguous
+        # prefix of the buffer, so BLAS sees the layout of a fresh array
+        lhs, rhs = ops[0][lo:hi], ops[1][col:]
+        out = buf[:len(lhs) * len(rhs)].reshape(len(lhs), len(rhs))
+        return _gaussian_block(lhs, rhs, out)
 
     r_ss, r_ts = np.zeros((m, p_s.shape[1])), np.zeros((n, p_s.shape[1]))
     r_st, r_tt = np.zeros((m, p_t.shape[1])), np.zeros((n, p_t.shape[1]))
     for lo in range(0, m, step):
         hi = min(lo + step, m)
-        _add_symmetric_rows(r_ss, gram(s, s, ss, lo, hi, lo), p_s, lo, hi)
+        _add_symmetric_rows(r_ss, gram(ss, lo, hi, lo), p_s, lo, hi)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        k_ts = gram(t, s, ts, lo, hi, 0)  # used before K_tt overwrites it
+        k_ts = gram(ts, lo, hi, 0)  # used before K_tt overwrites it
         r_ts[lo:hi] = k_ts @ p_s
         r_st += k_ts.T @ p_t[lo:hi]
-        _add_symmetric_rows(r_tt, gram(t, t, tt, lo, hi, lo), p_t, lo, hi)
+        _add_symmetric_rows(r_tt, gram(tt, lo, hi, lo), p_t, lo, hi)
     return r_ss, r_ts, r_st, r_tt
 
 
@@ -546,10 +510,19 @@ def chebyshev_totals(s: np.ndarray, t: np.ndarray, sigma: float, axes,
     return dot(mom_s, from_s), dot(mom_t, from_s), dot(mom_t, from_t)
 
 
+def _check_sigma(sigma: float) -> None:
+    """Refuse a bandwidth that is not finite and positive, before either
+    producer reads it: both then fail the same way, at every width."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+
+
 def kernel_sums(s: np.ndarray, t: np.ndarray, sigma: float,
                 p_s: np.ndarray, p_t: np.ndarray):
     """(K_ss p_s, K_ts p_s, K_ts^T p_t, K_tt p_t), from ``chebyshev_sums``
-    exactly when ``chebyshev_axes`` finds axes, else from ``gram_sums``."""
+    exactly when ``chebyshev_axes`` finds axes, else from ``gram_sums``.
+    ``sigma`` must be finite and positive."""
+    _check_sigma(sigma)
     axes = chebyshev_axes(s, t, sigma)
     if axes is None:
         return gram_sums(s, t, sigma, p_s, p_t)
@@ -560,7 +533,8 @@ def kernel_totals(s: np.ndarray, t: np.ndarray, sigma: float,
                   p_s: np.ndarray, p_t: np.ndarray):
     """(p_s^T K_ss p_s, p_t^T K_ts p_s, p_t^T K_tt p_t), from
     ``chebyshev_totals`` exactly when ``chebyshev_axes`` finds axes, else
-    as p^T of ``gram_sums``."""
+    as p^T of ``gram_sums``. ``sigma`` must be finite and positive."""
+    _check_sigma(sigma)
     axes = chebyshev_axes(s, t, sigma)
     if axes is None:
         r_ss, r_ts, _, r_tt = gram_sums(s, t, sigma, p_s, p_t)

@@ -19,7 +19,6 @@ import pytest
 from dcic import harness
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior
 from dcic.joint import _joint_batch, _weight_decay_value
-from dcic.kernels import gaussian_gram
 from dcic.noise import (build_g_matrix, clean_prior_from_noisy,
                         gamma_weights)
 
@@ -35,6 +34,20 @@ def gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
         raise ValueError("sigma must be positive")
     d2 = float(((x - y) ** 2).sum())
     return float(np.exp(-d2 / (2.0 * sigma * sigma)))
+
+
+def direct_gaussian_gram(a, b, sigma):
+    """k(a_i, b_j) for two row sets, exp(-sum (a - b)^2 / (2 sigma^2)) from
+    per-pair differences, one column at a time: the dense oracle for the
+    kernel pass, free of the augmented product's cancellation."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d2 = np.zeros((len(a), len(b)))
+    for col in range(a.shape[1]):
+        diff = np.subtract.outer(a[:, col], b[:, col])
+        d2 += np.square(diff, out=diff)
+    np.divide(d2, -2.0 * sigma * sigma, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def joint_loss(model, source_batch: Dataset, target_batch: Dataset,
@@ -139,18 +152,12 @@ class GramSet:
 def build_gram(source_feats, target_feats, sigma):
     """Dense Gaussian GramSet, the oracle for the chunked kernel pass.
 
-    Self-blocks get an exact unit diagonal and are symmetrized; all blocks
-    are read-only.
+    Per-pair differences give the self-blocks an exact unit diagonal and
+    exact symmetry; all blocks are read-only.
     """
-    s = np.asarray(source_feats, dtype=np.float64)
-    t = np.asarray(target_feats, dtype=np.float64)
-    k_ss = gaussian_gram(s, s, sigma)
-    k_tt = gaussian_gram(t, t, sigma)
-    k_ts = gaussian_gram(t, s, sigma)
-    k_ss = 0.5 * (k_ss + k_ss.T)
-    k_tt = 0.5 * (k_tt + k_tt.T)
-    np.fill_diagonal(k_ss, 1.0)
-    np.fill_diagonal(k_tt, 1.0)
+    k_ss = direct_gaussian_gram(source_feats, source_feats, sigma)
+    k_tt = direct_gaussian_gram(target_feats, target_feats, sigma)
+    k_ts = direct_gaussian_gram(target_feats, source_feats, sigma)
     for k in (k_ss, k_tt, k_ts):
         k.setflags(write=False)
     return GramSet(k_ss, k_tt, k_ts, float(sigma))
@@ -165,9 +172,9 @@ def batch_mmd_hidden(h_s, h_t, v, sigma):
     b-side row).
     """
     bs, bt = h_s.shape[0], h_t.shape[0]
-    k_ss = gaussian_gram(h_s, h_s, sigma)
-    k_ts = gaussian_gram(h_t, h_s, sigma)
-    k_tt = gaussian_gram(h_t, h_t, sigma)
+    k_ss = direct_gaussian_gram(h_s, h_s, sigma)
+    k_ts = direct_gaussian_gram(h_t, h_s, sigma)
+    k_tt = direct_gaussian_gram(h_t, h_t, sigma)
     value = brute_force_weighted_mmd(k_ss, k_tt, k_ts, v)
     m_ss = (np.outer(v, v) / (bs * bs)) * k_ss
     m_ts = (-2.0 / (bs * bt)) * (k_ts * v[None, :])
@@ -219,9 +226,9 @@ def dense_grad_w(w, alpha, source, target, g, sigma):
         return ((xa * row[:, None]).T @ xa - cross - cross.T
                 + (xb * col[:, None]).T @ xb)
 
-    m_ss = (np.outer(v, v) / (m * m)) * gaussian_gram(sp, sp, sigma)
-    m_ts = (-2.0 / (m * n)) * (gaussian_gram(tp, sp, sigma) * v[None, :])
-    m_tt = gaussian_gram(tp, tp, sigma) / (n * n)
+    m_ss = (np.outer(v, v) / (m * m)) * direct_gaussian_gram(sp, sp, sigma)
+    m_ts = (-2.0 / (m * n)) * (direct_gaussian_gram(tp, sp, sigma) * v[None, :])
+    m_tt = direct_gaussian_gram(tp, tp, sigma) / (n * n)
     scatter = (pair_scatter(xs, xs, m_ss) + pair_scatter(xt, xs, m_ts)
                + pair_scatter(xt, xt, m_tt))
     return (-1.0 / float(sigma) ** 2) * (scatter @ w)

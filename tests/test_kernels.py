@@ -1,16 +1,16 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from conftest import (brute_force_weighted_mmd, build_gram, gaussian_kernel,
-                      poly2_features, poly2_kernel_matrix)
+from conftest import (brute_force_weighted_mmd, build_gram,
+                      direct_gaussian_gram, gaussian_kernel, poly2_features,
+                      poly2_kernel_matrix)
 import dcic.kernels as kernels_mod
 from dcic.kernels import (_SUBSAMPLE_SEED, MAX_NODES, _augmented,
-                          _chebyshev_points, _coefficient_map, _middle,
-                          _weights,
+                          _chebyshev_points, _coefficient_map,
+                          _gaussian_block, _middle, _weights,
                           chebyshev_axes, chebyshev_nodes, chebyshev_sums,
-                          chebyshev_totals, gaussian_gram, median_bandwidth)
+                          chebyshev_totals, kernel_sums, kernel_totals,
+                          median_bandwidth)
 from dcic.linear import _MmdProblem
 from dcic.noise import GMatrix
 
@@ -248,9 +248,22 @@ class TestGaussianKernel:
             gaussian_kernel([1.0], [2.0], 0.0)
 
 
+def _operands(a, b, sigma):
+    """a's lhs and b's rhs, both augmented at b's column mean: the operands
+    of the direct pass's block k(a_i, b_j)."""
+    g = 0.5 / (sigma * sigma)
+    shift = b.mean(axis=0)
+    return _augmented(a, shift, g)[0], _augmented(b, shift, g)[1]
+
+
+def _block(a, b, sigma):
+    """The direct pass's block k(a_i, b_j), written into a fresh array."""
+    return _gaussian_block(*_operands(a, b, sigma), np.empty((len(a), len(b))))
+
+
 class TestSquaredDistances:
-    """The squared distances in ``gaussian_gram``'s exponent, checked
-    through the Gram: a shifted augmented product clipped at zero."""
+    """The squared distances in the direct block's exponent, checked
+    through the block: a shifted augmented product clipped at zero."""
 
     def test_nonnegative_under_rounding(self):
         # rows far from their mean: the unclipped product leaves a positive
@@ -258,24 +271,7 @@ class TestSquaredDistances:
         x = np.random.default_rng(2).standard_normal((20, 5)) * 1e4
         lhs, rhs = _augmented(x, x.mean(axis=0), 0.5)
         assert np.diag(lhs @ rhs.T).max() > 0.0
-        assert gaussian_gram(x, x, 1.0).max() <= 1.0
-
-    @pytest.mark.parametrize("width", [1, 3])
-    @pytest.mark.parametrize("rows", [(0, 4), (4, 0)], ids=["empty-a", "empty-b"])
-    def test_empty_operand_without_warning(self, rng, rows, width):
-        a = rng.standard_normal((rows[0], width))
-        b = rng.standard_normal((rows[1], width))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            gram = gaussian_gram(a, b, 1.0)
-        assert gram.shape == rows
-
-    def test_out_shape_checked(self, rng):
-        a = rng.standard_normal((4, 2))
-        with pytest.raises(ValueError):
-            gaussian_gram(a, a, 1.0, out=np.empty((4, 3)))
-        with pytest.raises(ValueError):
-            gaussian_gram(a, a, 1.0, out=np.empty((4, 4), dtype=np.float32))
+        assert _block(x, x, 1.0).max() <= 1.0
 
 
 def _expanded_squared_distances(a, b):
@@ -297,13 +293,12 @@ def _plain_gaussian_gram(a, b, sigma):
     return np.exp(np.minimum(lhs @ rhs.T, 0.0))
 
 
-def _direct_gaussian_gram(a, b, sigma):
-    """exp(-sum (a - b)^2 / (2 sigma^2)) from per-pair difference rows."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.exp(-(diff * diff).sum(axis=2) / (2.0 * sigma * sigma))
-
-
 class TestGaussianGramOut:
+    """The direct pass's Gaussian blocks (``_gaussian_block`` on
+    ``_augmented`` operands), written in place into a caller's buffer, and
+    the sigma check that guards every pass before a block or a Chebyshev
+    node is formed."""
+
     # the shifted augmented product at widths 3 and 1, pinned for a
     # distinct b and for a is b (the shift is then the mean of a itself),
     # and within 1e-12 relative of the per-pair direct Gram
@@ -315,11 +310,11 @@ class TestGaussianGramOut:
     def test_bit_identical_to_plain_expression(self, rng, shape, width):
         x = rng.standard_normal((max(shape), width)) * 2.0
         a, b = x[:shape[0]], x[:shape[1]]
-        assert np.array_equal(gaussian_gram(a, b, 0.9), _plain_gaussian_gram(a, b, 0.9))
-        assert np.array_equal(gaussian_gram(x, x, 0.9), _plain_gaussian_gram(x, x, 0.9))
+        assert np.array_equal(_block(a, b, 0.9), _plain_gaussian_gram(a, b, 0.9))
+        assert np.array_equal(_block(x, x, 0.9), _plain_gaussian_gram(x, x, 0.9))
         for p, q in [(a, b), (x, x)]:
-            want = _direct_gaussian_gram(p, q, 0.9)
-            assert np.all(np.abs(gaussian_gram(p, q, 0.9) - want) <= 1e-12 * want)
+            want = direct_gaussian_gram(p, q, 0.9)
+            assert np.all(np.abs(_block(p, q, 0.9) - want) <= 1e-12 * want)
 
     def test_shifted_exact_under_cancellation(self, rng):
         self._check_shifted_under_cancellation(rng, 2)
@@ -335,45 +330,56 @@ class TestGaussianGramOut:
         x = 1e4 + 1e-3 * rng.standard_normal((400, d))
         sigma = median_bandwidth(x - x.mean(axis=0))
         for a, b in [(x[:250], x[150:]), (x, x)]:
-            want = _direct_gaussian_gram(a, b, sigma)
-            got = gaussian_gram(a, b, sigma)
+            want = direct_gaussian_gram(a, b, sigma)
+            got = _block(a, b, sigma)
             assert np.all(np.abs(got - want) <= 1e-12 * want)
         # the fixture does cancel: the unshifted expansion misses by > 1%
         unshifted = np.exp(_expanded_squared_distances(x, x) / (-2.0 * sigma ** 2))
-        want = _direct_gaussian_gram(x, x, sigma)
+        want = direct_gaussian_gram(x, x, sigma)
         assert (np.abs(unshifted - want) / want).max() > 1e-2
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf],
                              ids=["zero", "negative", "nan", "inf"])
-    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3])
     def test_bad_sigma_rejected(self, rng, sigma, width):
-        x = rng.standard_normal((4, width))
+        # both entry points, before either producer runs: at width <= 2
+        # the rows would pick the low-rank one, at width 3 the direct one
+        s = rng.standard_normal((6, width))
+        t = rng.standard_normal((5, width))
+        p_s, p_t = np.ones((6, 1)), np.ones((5, 1))
+        for entry in (kernel_sums, kernel_totals):
+            with pytest.raises(ValueError, match="sigma"):
+                entry(s, t, sigma, p_s, p_t)
+
+    def test_bad_sigma_rejected_by_the_engine(self, rng):
+        # a W of one column: the pass would take the low-rank producer
+        g = GMatrix(np.eye(2), np.array([1, 2, 1, 2, 1, 2]))
+        prob = _MmdProblem(rng.standard_normal((6, 3)),
+                           rng.standard_normal((5, 3)), g, 0.0)
         with pytest.raises(ValueError, match="sigma"):
-            gaussian_gram(x, x, sigma)
+            prob.terms(np.eye(3)[:, :1])
 
     def test_prebuilt_operands(self, rng):
         # the kernel pass's path: row slices of operands built once; built at
-        # b's column mean they give the direct call's bits
+        # b's column mean they give the bits of a block built from the rows
         x = rng.standard_normal((50, 3))
         lhs, rhs = _augmented(x, x[10:].mean(axis=0), 0.5 / (1.3 * 1.3))
-        got = gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:20], rhs[10:]))
-        assert np.array_equal(got, gaussian_gram(x[:20], x[10:], 1.3))
-        with pytest.raises(ValueError, match="operands"):
-            gaussian_gram(x[:20], x[10:], 1.3, operands=(lhs[:19], rhs[10:]))
+        got = _gaussian_block(lhs[:20], rhs[10:], np.empty((20, 40)))
+        assert np.array_equal(got, _block(x[:20], x[10:], 1.3))
 
     def test_identical_rows_give_exact_one(self):
         # far from the origin, identical rows shift to exactly zero
         x = np.full((6, 1), 1e12 + 0.5)
-        assert np.array_equal(gaussian_gram(x, x, 1e-6), np.ones((6, 6)))
+        assert np.array_equal(_block(x, x, 1e-6), np.ones((6, 6)))
 
     def test_out_reused_and_bit_identical(self, rng):
         # the chunked MMD pass hands in a reshaped prefix of one flat buffer
         a = rng.standard_normal((300, 4))
         b = rng.standard_normal((250, 4))
         view = np.full(400 * 300, np.nan)[:300 * 250].reshape(300, 250)
-        got = gaussian_gram(a, b, 1.3, out=view)
+        got = _gaussian_block(*_operands(a, b, 1.3), view)
         assert got is view
-        assert np.array_equal(got, gaussian_gram(a, b, 1.3))
+        assert np.array_equal(got, _block(a, b, 1.3))
 
 
 class TestBuildGram:

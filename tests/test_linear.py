@@ -362,13 +362,13 @@ class TestPassCache:
     @staticmethod
     def _counted(monkeypatch):
         calls = []
-        real = kernels_mod.gaussian_gram
+        real = kernels_mod._gaussian_block
 
-        def counting(*args, **kwargs):
+        def counting(lhs, rhs, out):
             calls.append(1)
-            return real(*args, **kwargs)
+            return real(lhs, rhs, out)
 
-        monkeypatch.setattr(kernels_mod, "gaussian_gram", counting)
+        monkeypatch.setattr(kernels_mod, "_gaussian_block", counting)
         return calls
 
     def test_equal_copy_hits_and_other_w_recomputes(self, rng, monkeypatch,
@@ -443,14 +443,14 @@ class TestDirectPass:
         alpha = random_prior(rng, 2).p
         prob = _MmdProblem(source.features, target.features, g, sigma)
         outs, threads = [], set()
-        real = kernels_mod.gaussian_gram
+        real = kernels_mod._gaussian_block
 
-        def recording(*args, out, **kwargs):
+        def recording(lhs, rhs, out):
             outs.append(out)
             threads.add(threading.get_ident())
-            return real(*args, out=out, **kwargs)
+            return real(lhs, rhs, out)
 
-        monkeypatch.setattr(kernels_mod, "gaussian_gram", recording)
+        monkeypatch.setattr(kernels_mod, "_gaussian_block", recording)
         before = threading.active_count()
         a, b, const = prob.terms(w)
         got_grad = prob.grad(w, alpha)
@@ -461,7 +461,7 @@ class TestDirectPass:
         assert buf.shape == (chunk * max(m, n),)
         assert len(outs) == 3 * -(-m // chunk)
         assert all(out.base is buf for out in outs)
-        monkeypatch.setattr(kernels_mod, "gaussian_gram", real)
+        monkeypatch.setattr(kernels_mod, "_gaussian_block", real)
         grams = build_gram(source.features @ w, target.features @ w, sigma)
         gg = g.class_rows[g.labels - 1]
         want_a = gg.T @ grams.k_ss @ gg / (m * m)
