@@ -124,11 +124,11 @@ def _write_out(text: str, path: str | None) -> int:
     return 0
 
 
-def _run_sweep(args, scenario: str) -> int:
+def _run_sweep(args, scenario: str, flags=()) -> int:
     # the subcommand names the scenario; a config file may not
     allowed = [f for f in _field_names(ExperimentConfig) if f != "scenario"]
     opts = _merged(args, ("reps", "out", "sizes", "rhos", "betas", "q_source",
-                          "d_prime"), allowed + ["out"], _SWEEP_RENAME)
+                          *flags), allowed + ["out"], _SWEEP_RENAME)
     out = _checked_out(opts.pop("out", None)) or f"{scenario}.csv"
     config = ExperimentConfig(scenario=scenario, **opts)
 
@@ -143,12 +143,11 @@ def _run_sweep(args, scenario: str) -> int:
 
 
 def _cmd_tars(args) -> int:
-    scenario = f"tars_{args.sweep}_sweep"
-    return _run_sweep(args, scenario)
+    return _run_sweep(args, f"tars_{args.sweep}_sweep")
 
 
 def _cmd_getars(args) -> int:
-    return _run_sweep(args, "getars_accuracy")
+    return _run_sweep(args, "getars_accuracy", ("d_prime",))
 
 
 def _cmd_fit(args) -> int:
@@ -229,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rhos", type=_floats, default=None)
         p.add_argument("--betas", type=_floats, default=None)
         p.add_argument("--q-source", dest="q_source", choices=("true", "estimated"), default=None)
-        p.add_argument("--d-prime", dest="d_prime", type=int, default=None)
+    # prior recovery pins W = I, so only the accuracy sweep takes a width
+    p_getars.add_argument("--d-prime", dest="d_prime", type=int, default=None)
     p_tars.set_defaults(func=_cmd_tars)
     p_getars.set_defaults(func=_cmd_getars)
 

@@ -8,7 +8,10 @@ repetition the child streams are, in order: 0 mixture spec, 1 source
 sample, 2 label flips, 3 target sample, 4 location-scale draw (and the
 flip-rate estimation seed), 5 fit seed, 6 classifier seed. Records carry
 the derived seed, the fitted prior, and the priors used for the ratio, so
-every reported number is recomputable.
+every reported number is recomputable. An ``ExperimentConfig`` fills in
+its scenario's defaults when it is built, so the config a sidecar records
+is the sweep that ran, and ``ExperimentConfig(**sidecar["config"])``
+runs it again.
 
 A sweep is a list of tasks, one per (cell, repetition, arm) in grid order,
 each regenerating its repetition's data from the seed, so a task needs
@@ -43,8 +46,14 @@ from .synth import (SCALE_HIGH, SCALE_LOW, SHIFT_RANGE, apply_location_scale,
                     flip_labels, sample_dataset, sample_gmm_spec,
                     sample_location_scale)
 
-SCENARIOS = ("tars_beta_sweep", "tars_rho_sweep", "tars_size_sweep",
-             "getars_accuracy")
+# scenario -> default (sample_sizes, rho_grid, beta_grid)
+SCENARIOS = {
+    "tars_beta_sweep": ((500,), (0.4,),
+                        (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8)),
+    "tars_rho_sweep": ((500,), (0.0, 0.1, 0.2, 0.3, 0.4), (1.4,)),
+    "tars_size_sweep": ((200, 500, 1000, 2000), (0.4,), (1.4,)),
+    "getars_accuracy": ((500,), (0.0, 0.1, 0.2, 0.3, 0.4), (1.4, 1.6, 1.8)),
+}
 Q_SOURCES = ("true", "estimated")
 METHODS = ("dcic", "cic")
 
@@ -85,18 +94,22 @@ _WORKERS = _worker_count()  # processes of a sweep's pool
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep. Unset grids fall back to the scenario's defaults.
+    """One sweep, resolved at construction: a grid left None takes the
+    scenario's default from SCENARIOS, then the checks of a given grid,
+    and d_prime None takes 1 on getars_accuracy and DIM on the tars
+    scenarios, so the fields are the sweep that runs.
 
     q_source 'true' hands methods the generating flip-rate matrix;
     'estimated' re-estimates it per repetition from the noisy source via
     anchor points on MLP posteriors. q_override (rows of a fixed matrix)
-    bypasses both: data is still generated at each grid rho, but methods
-    receive the override. beta1 is the target-to-source ratio of class 1,
-    so the target prior is (0.5 * beta1, 1 - 0.5 * beta1). d_prime is the
-    projection width getars_accuracy fits, from 1 to the input dim DIM;
-    d_prime = DIM is the identity-W arm (``linear.fit`` pins a square W).
-    Every grid rho must give a valid symmetric flip matrix and every beta1
-    a valid prior (0 <= beta1 <= 2), checked at construction. Grids are
+    bypasses the true rates: data is still generated at each grid rho, but
+    methods receive the override; beside 'estimated' it is refused. beta1
+    is the target-to-source ratio of class 1, so the target prior is
+    (0.5 * beta1, 1 - 0.5 * beta1). d_prime is the projection width, from
+    1 to the input dim DIM; d_prime = DIM pins W = I (``linear.fit`` pins a
+    square W), and the tars scenarios, which recover priors at W = I,
+    refuse any other. Every grid rho must give a valid symmetric flip
+    matrix and every beta1 a valid prior (0 <= beta1 <= 2). Grids are
     lists or tuples, and q_override a list of N_CLASSES rows of N_CLASSES
     entries.
     """
@@ -108,40 +121,52 @@ class ExperimentConfig:
     beta_grid: tuple | None = None
     q_source: str = "true"
     q_override: tuple | None = None
-    d_prime: int = 1
+    d_prime: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
+            raise ValueError(f"scenario must be one of {tuple(SCENARIOS)}")
+        tars = self.scenario != "getars_accuracy"
+        if self.d_prime is None:
+            object.__setattr__(self, "d_prime", DIM if tars else 1)
         for name in ("repetitions", "d_prime", "seed"):
             object.__setattr__(self, name, int_field(name, getattr(self, name)))
+        # prior recovery pins W = I, so no other width would run
+        if tars and self.d_prime != DIM:
+            raise ValueError(f"{self.scenario} fits at d_prime = {DIM} (W "
+                             f"pinned to I), got d_prime {self.d_prime}")
+        if not 1 <= self.d_prime <= DIM:
+            raise ValueError(f"d_prime must lie in 1..{DIM}, the input dim")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.q_source not in Q_SOURCES:
             raise ValueError(f"q_source must be one of {Q_SOURCES}")
-        for name, entry in (("sample_sizes", int_field),
-                            ("rho_grid", float_field),
-                            ("beta_grid", float_field)):
-            val = getattr(self, name)
-            if val is not None:
-                # a string would be read one character at a time
-                if not isinstance(val, (list, tuple)) or len(val) == 0:
-                    raise ValueError(f"{name} must be a nonempty list, "
-                                     f"got {val!r}")
-                object.__setattr__(self, name, tuple(
-                    entry(f"{name} entry", v) for v in val))
-        for n in self.sample_sizes or ():
+        if self.q_source == "estimated" and self.q_override is not None:
+            raise ValueError("q_source 'estimated' with a q_override: the "
+                             "override would run, and no flip rates be "
+                             "estimated")
+        for name, entry, default in zip(
+                ("sample_sizes", "rho_grid", "beta_grid"),
+                (int_field, float_field, float_field),
+                SCENARIOS[self.scenario]):
+            val = default if getattr(self, name) is None else getattr(self, name)
+            # a string would be read one character at a time
+            if not isinstance(val, (list, tuple)) or len(val) == 0:
+                raise ValueError(f"{name} must be a nonempty list, got {val!r}")
+            object.__setattr__(self, name, tuple(
+                entry(f"{name} entry", v) for v in val))
+        for n in self.sample_sizes:
             if n < 1:
                 raise ValueError(f"sample_sizes entry {n}: need n >= 1")
         # every grid point must give a valid flip matrix and target prior,
         # or each of its repetitions would fail as a record
-        for rho in self.rho_grid or ():
+        for rho in self.rho_grid:
             try:
                 symmetric_noise(N_CLASSES, rho)
             except ValueError as exc:
                 raise ValueError(f"rho_grid entry {rho!r}: {exc}") from None
-        for beta1 in self.beta_grid or ():
+        for beta1 in self.beta_grid:
             try:
                 ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
             except ValueError as exc:
@@ -160,29 +185,6 @@ class ExperimentConfig:
                          for row in q)
             TransitionMatrix(np.asarray(rows))  # validate early
             object.__setattr__(self, "q_override", rows)
-        if not 1 <= self.d_prime <= DIM:
-            raise ValueError(f"d_prime must lie in 1..{DIM}, the input dim")
-
-
-def scenario_defaults(scenario: str):
-    """(sample_sizes, rho_grid, beta_grid) defaults per scenario."""
-    betas_full = tuple(round(0.2 * k, 1) for k in range(1, 10))
-    rhos_full = (0.0, 0.1, 0.2, 0.3, 0.4)
-    if scenario == "tars_beta_sweep":
-        return (500,), (0.4,), betas_full
-    if scenario == "tars_rho_sweep":
-        return (500,), rhos_full, (1.4,)
-    if scenario == "tars_size_sweep":
-        return (200, 500, 1000, 2000), (0.4,), (1.4,)
-    if scenario == "getars_accuracy":
-        return (500,), rhos_full, (1.4, 1.6, 1.8)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def resolved_grids(config: ExperimentConfig):
-    sizes, rhos, betas = scenario_defaults(config.scenario)
-    return (config.sample_sizes or sizes, config.rho_grid or rhos,
-            config.beta_grid or betas)
 
 
 @dataclass
@@ -281,16 +283,14 @@ def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
 def _fit_arm(config: ExperimentConfig, noisy: Dataset, target: Dataset,
              q_used: TransitionMatrix, noisy_prior: ClassPrior, seed: int):
     """(fit result, accuracy) of the method that q_used stands for (the
-    noise-ignorant arm's is the identity). Prior recovery fits at
-    d_prime = DIM, which pins W = I, and scores no accuracy;
-    getars_accuracy fits at config.d_prime, trains the downstream
-    classifier on the projected noisy source and scores it on the
-    projected target."""
-    getars = config.scenario == "getars_accuracy"
-    res = fit(LinearFitConfig(d_prime=config.d_prime if getars else DIM,
+    noise-ignorant arm's is the identity), fitted at config.d_prime.
+    Prior recovery (d_prime = DIM, W = I) scores no accuracy;
+    getars_accuracy trains the downstream classifier on the projected
+    noisy source and scores it on the projected target."""
+    res = fit(LinearFitConfig(d_prime=config.d_prime,
                               max_outer_iters=FIT_OUTER_ITERS,
                               seed=child_seed(seed, 5)), noisy, target, q_used)
-    if not getars:
+    if config.scenario != "getars_accuracy":
         return res, None
     s_proj = noisy.features @ res.w.w
     t_proj = target.features @ res.w.w
@@ -346,12 +346,11 @@ def run_experiment(config: ExperimentConfig) -> list:
     child), or when ``fit`` is wrapped with ``functools.wraps``
     (perfbench's tracer, whose spans a child would keep to itself).
     """
-    sizes, rhos, betas = resolved_grids(config)
-    tasks = [(config, n, float(rho), float(beta1), rep,
+    tasks = [(config, n, rho, beta1, rep,
               child_seed(config.seed, si, ri, bi, rep), method)
-             for si, n in enumerate(sizes)
-             for ri, rho in enumerate(rhos)
-             for bi, beta1 in enumerate(betas)
+             for si, n in enumerate(config.sample_sizes)
+             for ri, rho in enumerate(config.rho_grid)
+             for bi, beta1 in enumerate(config.beta_grid)
              for rep in range(config.repetitions)
              for method in METHODS]
     workers = min(_WORKERS, len(tasks))

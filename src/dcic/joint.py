@@ -28,7 +28,7 @@ from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
 from .kernels import median_bandwidth
 from .noise import (GMatrix, build_g_matrix, clean_prior_from_noisy,
                     gamma_weights)
-from .linear import _MmdProblem, solve_alpha_qp
+from .linear import _MmdProblem, _check_fit_inputs, solve_alpha_qp
 from .rng import child_generator
 
 
@@ -107,9 +107,9 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     hidden features after every epoch; gamma and the source weights follow
     each refresh. With pi1 = 0 the invariance term and the
     alpha refreshes are disabled and the loop reduces to classifier.train.
+    It refuses the inputs ``linear.fit`` refuses, with the same messages.
     """
-    if noisy_source.labels is None:
-        raise ValueError("source dataset must carry labels")
+    _check_fit_inputs(noisy_source, target, q)
     xs_all = noisy_source.features
     xt_all = target.features
     labels_all = noisy_source.labels

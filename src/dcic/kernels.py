@@ -8,15 +8,17 @@ points refuse a sigma that is not finite and positive before either
 producer reads it, so both producers fail the same way at every width.
 
 A pass is low-rank exactly when ``chebyshev_axes`` returns its axes, from
-the rows alone: width 1 or 2, rows on both sides, and no axis needing
-more than MAX_NODES = 64 Chebyshev points (spans up to 12.7 sigma). Every
-other pass (width >= 3, an empty side, wide spans, outliers, far-apart
-clouds) takes the direct Gram blocks. With per-row sums the low-rank pass
-took about 15 against 224 ms at m = n = 5000 and width 2, and 0.28
-against 1.5 ms at m = n = 500 and width 1; with totals alone 4.1 against
-150 ms at m = n = 5000 and width 2; below about m = n = 150 (300 at width
-2 with per-row sums) up to 1.9 times the direct pass's 0.14 to 0.9 ms
-(one OpenBLAS thread, 2-CPU Xeon). Both producers are deterministic.
+the rows alone: width 1 or 2, and no axis needing more than MAX_NODES =
+64 Chebyshev points (spans up to 12.7 sigma). Every other pass (width
+>= 3, wide spans, outliers, far-apart clouds) takes the direct Gram
+blocks. Both sides of a pass have rows: ``linear.fit`` and
+``joint.fit_joint`` refuse an empty dataset before any kernel work. With
+per-row sums the low-rank pass took about 15 against 224 ms at
+m = n = 5000 and width 2, and 0.28 against 1.5 ms at m = n = 500 and
+width 1; with totals alone 4.1 against 150 ms at m = n = 5000 and width
+2; below about m = n = 150 (300 at width 2 with per-row sums) up to 1.9
+times the direct pass's 0.14 to 0.9 ms (one OpenBLAS thread, 2-CPU
+Xeon). Both producers are deterministic.
 
 The direct producer (``gram_sums``) runs every source chunk of
 DEFAULT_CHUNK rows (its K_ss rows), then every target chunk (its K_ts and
@@ -321,12 +323,12 @@ def _ellipses():
 def chebyshev_axes(s: np.ndarray, t: np.ndarray, sigma: float):
     """The nodes of a low-rank pass over the rows of s and t, one
     (lo, hi, r) per axis: the axis's range over both row sets and its
-    ``chebyshev_nodes`` at width (hi - lo) / sigma. None at width >= 3,
-    with no rows on one side, or when an axis would need more than
-    MAX_NODES points (wide spans, outliers, far-apart clouds): such a pass
-    takes the direct blocks.
+    ``chebyshev_nodes`` at width (hi - lo) / sigma. None at width >= 3, or
+    when an axis would need more than MAX_NODES points (wide spans,
+    outliers, far-apart clouds): such a pass takes the direct blocks.
+    Both s and t must have rows.
     """
-    if s.shape[1] > 2 or not (len(s) and len(t)):
+    if s.shape[1] > 2:
         return None
     axes = []
     for k in range(s.shape[1]):
@@ -397,7 +399,7 @@ def _moments(t1: np.ndarray, t2: np.ndarray, p: np.ndarray) -> np.ndarray:
     out = np.zeros((r1, k * r2))
     cols = np.ascontiguousarray(p.T)
     blocks = _row_blocks(len(p), k * r2)
-    buf = np.empty(k * r2 * (blocks[0][1] if blocks else 0))
+    buf = np.empty(k * r2 * blocks[0][1])
     for a, b in blocks:
         rows = buf[:k * r2 * (b - a)].reshape(k, r2, b - a)
         np.multiply(cols[:, None, a:b], t2[None, :, a:b], out=rows)
@@ -521,7 +523,8 @@ def kernel_sums(s: np.ndarray, t: np.ndarray, sigma: float,
                 p_s: np.ndarray, p_t: np.ndarray):
     """(K_ss p_s, K_ts p_s, K_ts^T p_t, K_tt p_t), from ``chebyshev_sums``
     exactly when ``chebyshev_axes`` finds axes, else from ``gram_sums``.
-    ``sigma`` must be finite and positive."""
+    Both s and t must have rows, and ``sigma`` must be finite and
+    positive."""
     _check_sigma(sigma)
     axes = chebyshev_axes(s, t, sigma)
     if axes is None:
@@ -533,7 +536,8 @@ def kernel_totals(s: np.ndarray, t: np.ndarray, sigma: float,
                   p_s: np.ndarray, p_t: np.ndarray):
     """(p_s^T K_ss p_s, p_t^T K_ts p_s, p_t^T K_tt p_t), from
     ``chebyshev_totals`` exactly when ``chebyshev_axes`` finds axes, else
-    as p^T of ``gram_sums``. ``sigma`` must be finite and positive."""
+    as p^T of ``gram_sums``. Both s and t must have rows, and ``sigma``
+    must be finite and positive."""
     _check_sigma(sigma)
     axes = chebyshev_axes(s, t, sigma)
     if axes is None:

@@ -382,6 +382,25 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
     return Projection(w_mat), state
 
 
+def _check_fit_inputs(noisy_source: Dataset, target: Dataset,
+                      q: TransitionMatrix) -> None:
+    """Refuse what neither ``fit`` nor ``joint.fit_joint`` can fit: a source
+    or target without rows, an unlabelled source, feature dims that differ,
+    or a source class count other than the flip-rate matrix's."""
+    for name, data in (("source", noisy_source), ("target", target)):
+        if data.n_samples == 0:
+            raise ValueError(f"{name} dataset has no rows")
+    if noisy_source.labels is None:
+        raise ValueError("source dataset must carry labels")
+    if target.dim != noisy_source.dim:
+        raise ValueError("source/target feature dims differ")
+    if noisy_source.n_classes != q.n_classes:
+        raise ValueError(
+            f"source class count {noisy_source.n_classes} (largest label "
+            f"{int(noisy_source.labels.max())}) does not match the flip-rate "
+            f"matrix's {q.n_classes} classes")
+
+
 def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         q: TransitionMatrix) -> LinearFitResult:
     """Alternating optimization: the simplex QP in alpha, solved exactly
@@ -399,22 +418,10 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     orthonormal W keeps, so no such W moves the objective. The bandwidth
     is the median pairwise distance of the stacked raw features, fixed
     before optimization. The result's ``stop_reason`` names the exit taken.
-    A source or target without rows is refused before any kernel work.
+    Inputs ``_check_fit_inputs`` refuses raise before any kernel work.
     """
-    for name, data in (("source", noisy_source), ("target", target)):
-        if data.n_samples == 0:
-            raise ValueError(f"{name} dataset has no rows")
-    if noisy_source.labels is None:
-        raise ValueError("source dataset must carry labels")
-    d = noisy_source.dim
-    if target.dim != d:
-        raise ValueError("source/target feature dims differ")
-    c = q.n_classes
-    if noisy_source.n_classes != c:
-        raise ValueError(
-            f"source class count {noisy_source.n_classes} (largest label "
-            f"{int(noisy_source.labels.max())}) does not match the flip-rate "
-            f"matrix's {c} classes")
+    _check_fit_inputs(noisy_source, target, q)
+    d, c = noisy_source.dim, q.n_classes
     d_prime = d if config.mode == "tars_fixed_w" else config.d_prime
     if d_prime > d:
         raise ValueError("d_prime must not exceed the input dim")

@@ -12,6 +12,7 @@ from conftest import write_dataset_csv
 from dcic import cli
 from dcic.cli import main
 from dcic.data import Dataset, symmetric_noise
+from dcic.harness import SCENARIOS
 from dcic.rng import as_generator
 
 
@@ -269,6 +270,46 @@ class TestSweepCommands:
         assert rc == 2
         assert "d_prime" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_tars_takes_no_d_prime_flag(self, tmp_path):
+        out = str(tmp_path / "o.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(_sweep_args(out, ["--d-prime", "1"]))
+        assert exc.value.code == 2
+        assert not os.path.exists(out)
+
+    # each would be recorded in the sidecar but not run: prior recovery
+    # pins W = I, and an override replaces the estimated flip rates
+    @pytest.mark.parametrize("key_values, match", [
+        ({"d_prime": 1}, "tars_beta_sweep fits at d_prime = 2"),
+        ({"q_source": "estimated", "q_override": [[0.8, 0.2], [0.2, 0.8]]},
+         "q_source 'estimated' with a q_override")],
+        ids=["tars-d_prime", "estimated-with-override"])
+    def test_field_that_cannot_take_effect_returns_2(self, tmp_path, capsys,
+                                                      key_values, match):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(key_values))
+        out = str(tmp_path / "o.csv")
+        assert main(_sweep_args(out, ["--config", str(cfg)])) == 2
+        assert match in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    # grids and d' left unset are recorded as they ran, not as null
+    @pytest.mark.parametrize("command, scenario, d_prime", [
+        (["tars", "--sweep", "beta"], "tars_beta_sweep", 2),
+        (["getars"], "getars_accuracy", 1)], ids=["tars", "getars"])
+    def test_sidecar_config_holds_the_resolved_sweep(self, tmp_path, command,
+                                                     scenario, d_prime):
+        out = str(tmp_path / "s.csv")
+        assert main([*command, "--reps", "1", "--sizes", "60", "--rhos",
+                     "0.2", "--out", out]) == 0
+        with open(out + ".json") as fh:
+            config = json.load(fh)["config"]
+        assert config == {"scenario": scenario, "repetitions": 1,
+                          "sample_sizes": [60], "rho_grid": [0.2],
+                          "beta_grid": list(SCENARIOS[scenario][2]),
+                          "q_source": "true", "q_override": None,
+                          "d_prime": d_prime, "seed": 0}
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_tars_size_below_one_returns_2(self, tmp_path, capsys, size):

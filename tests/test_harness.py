@@ -12,9 +12,9 @@ import pytest
 
 from dcic import harness, linear
 from dcic.data import symmetric_noise
-from dcic.harness import (CSV_COLUMNS, DIM, ExperimentConfig, _rep_data,
-                          emit_results, estimate_q_mlp, resolved_grids,
-                          run_experiment, scenario_defaults)
+from dcic.harness import (CSV_COLUMNS, DIM, SCENARIOS, ExperimentConfig,
+                          _rep_data, emit_results, estimate_q_mlp,
+                          run_experiment)
 from dcic.rng import as_generator, child_generator, child_seed
 from dcic.synth import apply_location_scale, sample_location_scale
 
@@ -34,22 +34,44 @@ def _records_equal_except_time(a, b):
 
 class TestConfig:
     def test_scenario_defaults(self):
-        sizes, rhos, betas = scenario_defaults("tars_beta_sweep")
+        sizes, rhos, betas = SCENARIOS["tars_beta_sweep"]
         assert sizes == (500,) and rhos == (0.4,)
         assert betas == (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8)
-        sizes, rhos, betas = scenario_defaults("tars_rho_sweep")
+        sizes, rhos, betas = SCENARIOS["tars_rho_sweep"]
         assert rhos == (0.0, 0.1, 0.2, 0.3, 0.4) and betas == (1.4,)
-        sizes, _, _ = scenario_defaults("tars_size_sweep")
+        sizes, _, _ = SCENARIOS["tars_size_sweep"]
         assert sizes == (200, 500, 1000, 2000)
-        _, rhos, betas = scenario_defaults("getars_accuracy")
+        _, rhos, betas = SCENARIOS["getars_accuracy"]
         assert rhos == (0.0, 0.1, 0.2, 0.3, 0.4) and betas == (1.4, 1.6, 1.8)
+        # a config left unset holds the table's grids and its d'
+        for scenario, grids in SCENARIOS.items():
+            cfg = ExperimentConfig(scenario=scenario)
+            assert (cfg.sample_sizes, cfg.rho_grid, cfg.beta_grid) == grids
+            assert cfg.d_prime == (1 if scenario == "getars_accuracy" else DIM)
 
     def test_grid_overrides(self):
         cfg = _tiny_tars(sample_sizes=(100, 200), beta_grid=None)
-        sizes, rhos, betas = resolved_grids(cfg)
-        assert sizes == (100, 200)
-        assert rhos == (0.2,)
-        assert betas == scenario_defaults("tars_beta_sweep")[2]
+        assert cfg.sample_sizes == (100, 200)
+        assert cfg.rho_grid == (0.2,)
+        assert cfg.beta_grid == SCENARIOS["tars_beta_sweep"][2]
+
+    # prior recovery pins W = I: a tars d' other than DIM would be recorded
+    # but never run
+    @pytest.mark.parametrize("scenario", ["tars_beta_sweep", "tars_rho_sweep",
+                                          "tars_size_sweep"])
+    def test_tars_refuses_any_d_prime_but_the_input_dim(self, scenario):
+        for d_prime in (0, 1, DIM + 1):
+            with pytest.raises(ValueError, match=f"{scenario} fits at "
+                                                 f"d_prime = {DIM}"):
+                _tiny_tars(scenario=scenario, d_prime=d_prime)
+        assert _tiny_tars(scenario=scenario, d_prime=DIM).d_prime == DIM
+
+    # the override would run, and no flip rates be estimated
+    def test_estimated_beside_override_refused(self):
+        with pytest.raises(ValueError, match="q_source 'estimated' with a "
+                                             "q_override"):
+            _tiny_tars(q_source="estimated",
+                       q_override=[[0.8, 0.2], [0.2, 0.8]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -326,6 +348,18 @@ class TestEmitResults:
         strip = lambda p: ["," .join(line.split(",")[:-1])
                            for line in open(p).read().splitlines()]
         assert strip(p1) == strip(p2)
+
+    # the sidecar's config is the sweep that ran, so it runs it again
+    def test_sidecar_config_reruns_the_sweep(self, tmp_path):
+        cfg = _tiny_tars(repetitions=1, rho_grid=None,
+                         q_override=[[0.8, 0.2], [0.3, 0.7]])
+        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        emit_results(run_experiment(cfg), p1, cfg)
+        with open(p1 + ".json") as fh:
+            rerun = ExperimentConfig(**json.load(fh)["config"])
+        assert rerun == cfg
+        emit_results(run_experiment(rerun), p2, rerun)
+        assert _strip_wall_time(p1) == _strip_wall_time(p2)
 
     def test_oserror_mentions_path(self, tmp_path):
         bad = str(tmp_path / "no_such_dir" / "out.csv")

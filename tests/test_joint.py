@@ -9,7 +9,7 @@ from dcic.classifier import (TrainConfig, batch_loss_grads, init_model,
                              predict, train)
 from dcic.data import ClassPrior, Dataset, TransitionMatrix, empirical_prior, symmetric_noise
 from dcic.joint import JointConfig, _weight_decay_value, fit_joint
-from dcic.linear import _MmdProblem
+from dcic.linear import LinearFitConfig, _MmdProblem, fit
 from dcic.noise import GammaWeights, build_g_matrix, clean_prior_from_noisy, gamma_weights
 from dcic.rng import as_generator
 from dcic.synth import GmmSpec, flip_labels, sample_dataset
@@ -223,6 +223,28 @@ class TestFitJoint:
         _, target, _, q = _domain_pair(seed=15, m=50, n=50)
         with pytest.raises(ValueError):
             fit_joint(JointConfig(), target, target, q)
+
+    # refused with linear.fit's messages before any training; each once
+    # failed inside it (a ZeroDivisionError, a numpy matmul error, and
+    # "noisy prior is inconsistent with the flip rates")
+    @pytest.mark.parametrize("case, match", [
+        ("empty-target", "target dataset has no rows"),
+        ("wider-target", "source/target feature dims differ"),
+        ("three-class-q", r"source class count 2 \(largest label 2\) does "
+                          r"not match the flip-rate matrix's 3 classes")],
+        ids=["empty-target", "wider-target", "three-class-q"])
+    def test_refuses_what_linear_fit_refuses(self, case, match):
+        source, target, _, q = _domain_pair(seed=16, m=50, n=50)
+        if case == "empty-target":
+            target = Dataset(np.empty((0, 2)))
+        elif case == "wider-target":
+            target = Dataset(as_generator(0).standard_normal((50, 3)))
+        else:
+            q = symmetric_noise(3, 0.2)
+        for run in (lambda: fit_joint(JointConfig(epochs=1), source, target, q),
+                    lambda: fit(LinearFitConfig(d_prime=1), source, target, q)):
+            with pytest.raises(ValueError, match=match):
+                run()
 
 
 def _dead_rows_on(monkeypatch, dead):
