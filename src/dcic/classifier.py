@@ -58,12 +58,6 @@ class MlpModel:
             "out_b": self.out_b.tolist(),
         })
 
-    @staticmethod
-    def from_json(text: str) -> "MlpModel":
-        obj = json.loads(text)
-        return MlpModel(np.asarray(obj["hidden_w"]), np.asarray(obj["hidden_b"]),
-                        np.asarray(obj["out_w"]), np.asarray(obj["out_b"]))
-
 
 @dataclass(frozen=True)
 class TrainConfig:

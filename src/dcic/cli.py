@@ -52,23 +52,19 @@ def _file_config(path: str | None) -> dict:
     return obj
 
 
-# sweep flag -> ExperimentConfig field, where the names differ
-_SWEEP_RENAME = {"reps": "repetitions", "sizes": "sample_sizes",
-                 "rhos": "rho_grid", "betas": "beta_grid"}
-
-
 def _field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 
 
-def _merged(args, flags, allowed, rename=None) -> dict:
-    """The flags that were given, keyed by config field (``rename`` maps a
-    flag to its field where the names differ), with the --config file
-    layered on top; --seed, when given, wins over the file's seed. A file
-    key outside ``allowed`` raises, so a misspelled key is an error."""
-    rename = rename or {}
-    out = {rename.get(f, f): getattr(args, f) for f in flags
-           if getattr(args, f) is not None}
+def _merged(args, allowed) -> dict:
+    """The flags that were given, keyed by config field (each flag's
+    dest), with the --config file layered on top; --seed, when given,
+    wins over the file's seed. A file key outside ``allowed`` raises, so a
+    misspelled key is an error."""
+    # --config, --seed and --out are read on their own, --sweep names the
+    # scenario, and command/func are the parser's dispatch
+    out = {k: v for k, v in vars(args).items() if v is not None and k not in
+           ("command", "func", "config", "seed", "out", "sweep")}
     file_cfg = _file_config(args.config)
     unknown = sorted(set(file_cfg) - set(allowed))
     if unknown:
@@ -89,9 +85,9 @@ def _required(opts: dict, key: str):
 
 
 def _labeled_csv(path: str):
-    """The noisy labelled dataset in a CSV file; a file without a label
-    column raises, naming it."""
-    data = read_dataset_csv(path, label_kind="noisy")
+    """The labelled dataset in a CSV file; a file without a label column
+    raises, naming it."""
+    data = read_dataset_csv(path)
     if data.labels is None:
         raise ValueError(f"{path}: no 'label' column; the dataset must "
                          f"carry labels")
@@ -124,12 +120,11 @@ def _write_out(text: str, path: str | None) -> int:
     return 0
 
 
-def _run_sweep(args, scenario: str, flags=()) -> int:
+def _run_sweep(args, scenario: str) -> int:
     # the subcommand names the scenario; a config file may not
     allowed = [f for f in _field_names(ExperimentConfig) if f != "scenario"]
-    opts = _merged(args, ("reps", "out", "sizes", "rhos", "betas", "q_source",
-                          *flags), allowed + ["out"], _SWEEP_RENAME)
-    out = _checked_out(opts.pop("out", None)) or f"{scenario}.csv"
+    opts = _merged(args, allowed + ["out"])
+    out = _checked_out(opts.pop("out", args.out)) or f"{scenario}.csv"
     config = ExperimentConfig(scenario=scenario, **opts)
 
     records = run_experiment(config)
@@ -147,13 +142,12 @@ def _cmd_tars(args) -> int:
 
 
 def _cmd_getars(args) -> int:
-    return _run_sweep(args, "getars_accuracy", ("d_prime",))
+    return _run_sweep(args, "getars_accuracy")
 
 
 def _cmd_fit(args) -> int:
-    opts = _merged(args, ("source", "target", "q", "d_prime"),
-                   ("source", "target", "q", "d_prime", "max_outer_iters",
-                    "seed"))
+    opts = _merged(args, ("source", "target", "q", "d_prime",
+                          "max_outer_iters", "seed"))
     source = _labeled_csv(_required(opts, "source"))
     target = read_dataset_csv(_required(opts, "target"))
     q = _read_q(_required(opts, "q"))
@@ -177,8 +171,7 @@ def _target_prior(alpha, c: int) -> ClassPrior:
 
 
 def _cmd_train(args) -> int:
-    opts = _merged(args, ("features", "q", "alpha"),
-                   ("features", "q", "alpha") + _field_names(TrainConfig))
+    opts = _merged(args, ("features", "q", "alpha") + _field_names(TrainConfig))
     data = _labeled_csv(_required(opts, "features"))
     q = _read_q(_required(opts, "q"))
     alpha = opts.pop("alpha", None)
@@ -196,8 +189,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_estimate_q(args) -> int:
-    opts = _merged(args, ("features", "percentile"),
-                   ("features", "percentile", "seed"))
+    opts = _merged(args, ("features", "percentile", "seed"))
     data = _labeled_csv(_required(opts, "features"))
     percentile = opts.get("percentile", DEFAULT_ANCHOR_PERCENTILE)
     q_hat = estimate_q_mlp(data.features, data.labels, data.n_classes,
@@ -223,10 +215,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_getars = sub.add_parser("getars", help="accuracy sweep with per-class location-scale change")
     for p in (p_tars, p_getars):
         common(p)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--sizes", type=_ints, default=None)
-        p.add_argument("--rhos", type=_floats, default=None)
-        p.add_argument("--betas", type=_floats, default=None)
+        # each sweep flag's dest is its ExperimentConfig field
+        p.add_argument("--reps", dest="repetitions", type=int, default=None)
+        p.add_argument("--sizes", dest="sample_sizes", type=_ints, default=None)
+        p.add_argument("--rhos", dest="rho_grid", type=_floats, default=None)
+        p.add_argument("--betas", dest="beta_grid", type=_floats, default=None)
         p.add_argument("--q-source", dest="q_source", choices=("true", "estimated"), default=None)
     # prior recovery pins W = I, so only the accuracy sweep takes a width
     p_getars.add_argument("--d-prime", dest="d_prime", type=int, default=None)

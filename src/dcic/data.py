@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LABEL_KINDS = ("clean", "noisy", "unlabeled")
-
 ROW_SUM_TOL = 1e-9
 PRIOR_SUM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
@@ -51,19 +49,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with optional 1-based integer labels.
+    """Feature matrix with optional 1-based integer labels. Whether labels
+    are clean or noisy is set by where a dataset is passed (``fit`` takes
+    a noisy source and an unlabeled target), not by the dataset.
 
     Args:
         features: (n, d) real matrix, one row per sample.
         labels: optional (n,) int vector in {1..n_classes}.
-        label_kind: "clean", "noisy", or "unlabeled".
-        n_classes: number of classes; defaults to max(labels) when labels
-            are present.
+        n_classes: number of classes, an int (a bool or a float is
+            refused); defaults to max(labels) when labels are present.
     """
 
     features: np.ndarray
     labels: np.ndarray | None = None
-    label_kind: str = "unlabeled"
     n_classes: int | None = None
 
     def __post_init__(self):
@@ -73,16 +71,13 @@ class Dataset:
         if not np.all(np.isfinite(feats)):
             raise ValueError("features contain non-finite entries")
         object.__setattr__(self, "features", _freeze(feats))
-
-        if self.label_kind not in LABEL_KINDS:
-            raise ValueError(f"label_kind must be one of {LABEL_KINDS}")
-
+        if self.n_classes is not None:
+            c = int_field("n_classes", self.n_classes)
+            if c < 1:
+                raise ValueError(f"n_classes must be >= 1, got {c}")
+            object.__setattr__(self, "n_classes", c)
         if self.labels is None:
-            if self.label_kind != "unlabeled":
-                raise ValueError("label_kind %r requires labels" % self.label_kind)
             return
-        if self.label_kind == "unlabeled":
-            raise ValueError("labels given but label_kind is 'unlabeled'")
 
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
@@ -97,12 +92,10 @@ class Dataset:
         if labels.min() < 1:
             raise ValueError(f"labels must be >= 1, got {labels.min()}")
         c = self.n_classes if self.n_classes is not None else int(labels.max())
-        if c < 1:
-            raise ValueError("n_classes must be >= 1")
         if labels.max() > c:
             raise ValueError(f"labels must lie in 1..{c}")
         object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "n_classes", int(c))
+        object.__setattr__(self, "n_classes", c)
 
     @property
     def n_samples(self) -> int:
@@ -113,8 +106,8 @@ class Dataset:
         return self.features.shape[1]
 
     def with_features(self, features: np.ndarray) -> "Dataset":
-        """Same labels/kind over a new feature matrix."""
-        return Dataset(features, self.labels, self.label_kind, self.n_classes)
+        """Same labels and class count over a new feature matrix."""
+        return Dataset(features, self.labels, self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ class TransitionMatrix:
         return json.dumps({"c": self.n_classes, "rows": self.q.tolist()})
 
     @staticmethod
-    def from_json(text: str, source: str = "flip-rate JSON") -> "TransitionMatrix":
+    def from_json(text: str, source: str) -> "TransitionMatrix":
         """The matrix that ``to_json`` wrote; every error it raises names
         ``source``, the text's origin (a file path)."""
         obj = json.loads(text)
@@ -243,13 +236,11 @@ def empirical_prior(labels: np.ndarray, c: int) -> ClassPrior:
     return ClassPrior(counts / labels.size)
 
 
-def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
+def read_dataset_csv(path: str) -> Dataset:
     """Load a dataset from CSV: a header row ``f1,...,fd[,label]``, then one
     row per sample of d floats and, under a ``label`` header, a 1-based
-    integer label. The class count is the largest label.
-
-    ``label_kind`` applies only when the file has a label column; files
-    without one always load as unlabeled. A non-blank row whose field
+    integer label. The class count is the largest label; a file without
+    a label column loads unlabeled. A non-blank row whose field
     count is not the header's, or a field that does not parse, raises
     ValueError naming the file and line; a header without feature columns,
     a file without data rows and every value ``Dataset`` refuses (a
@@ -284,7 +275,7 @@ def read_dataset_csv(path: str, label_kind: str = "clean") -> Dataset:
         raise ValueError(f"{path}: no data rows")
     try:
         if has_label:
-            return Dataset(feats, np.asarray(labels), label_kind)
+            return Dataset(feats, np.asarray(labels))
         return Dataset(feats)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

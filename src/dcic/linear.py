@@ -319,11 +319,11 @@ class GrassmannState:
 
     objective_fn maps a raw (d, d') matrix to the objective value; it is
     the single evaluation path, so accepted values and recorded traces
-    agree to the bit.
+    agree to the bit. f_current is its value at the W of the next step.
     """
 
     objective_fn: object
-    f_current: float | None = None
+    f_current: float
     prev_grad: np.ndarray | None = None
     prev_dir: np.ndarray | None = None
     step: float = 1.0
@@ -364,8 +364,6 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
     slope = float((direction * horiz).sum())
 
     f0 = state.f_current
-    if f0 is None:
-        f0 = float(state.objective_fn(w_mat))
     step = state.step
     for halvings in range(MAX_HALVINGS):
         candidate = qr_retract(w_mat + step * direction)

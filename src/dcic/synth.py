@@ -142,7 +142,7 @@ def sample_dataset(spec: GmmSpec, n: int, seed) -> Dataset:
             continue
         chol = _chol_factor(spec.covariances[i])
         features[mask] = z[mask] @ chol.T + spec.means[i]
-    return Dataset(features, labels, "clean", c)
+    return Dataset(features, labels, c)
 
 
 def sample_location_scale(c: int, d: int, seed) -> LocationScale:
@@ -155,7 +155,7 @@ def sample_location_scale(c: int, d: int, seed) -> LocationScale:
 
 
 def apply_location_scale(data: Dataset, t: LocationScale) -> Dataset:
-    """x <- scale_y * x + shift_y per sample; labels and kind unchanged."""
+    """x <- scale_y * x + shift_y per sample; labels unchanged."""
     if data.labels is None:
         raise ValueError("location-scale transform needs labels")
     idx = data.labels - 1
@@ -164,10 +164,10 @@ def apply_location_scale(data: Dataset, t: LocationScale) -> Dataset:
 
 
 def flip_labels(data: Dataset, q: TransitionMatrix, seed) -> Dataset:
-    """Replace each clean label i by a draw from row i of q; features are
-    the same array, bit for bit."""
-    if data.labels is None or data.label_kind != "clean":
-        raise ValueError("flip_labels needs clean labels")
+    """Replace each label i by a draw from row i of q; features are the
+    same array, bit for bit."""
+    if data.labels is None:
+        raise ValueError("flip_labels needs labels")
     if data.n_classes != q.n_classes:
         raise ValueError("transition matrix class count mismatch")
     rng = as_generator(seed)
@@ -179,4 +179,4 @@ def flip_labels(data: Dataset, q: TransitionMatrix, seed) -> Dataset:
         # smallest j with u < cumsum_j; clip guards u landing on the final 1.0
         noisy[mask] = np.minimum(
             np.searchsorted(cum[i], u[mask], side="right"), q.n_classes - 1) + 1
-    return Dataset(data.features, noisy, "noisy", data.n_classes)
+    return Dataset(data.features, noisy, data.n_classes)

@@ -276,7 +276,7 @@ def random_noisy_dataset(rng, m, d, c):
     features = rng.standard_normal((m, d))
     labels = rng.integers(1, c + 1, size=m)
     labels[:c] = np.arange(1, c + 1)  # every class present
-    return Dataset(features, labels, "noisy", c)
+    return Dataset(features, labels, c)
 
 
 def pytest_collection_modifyitems(config, items):

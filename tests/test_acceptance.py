@@ -204,7 +204,7 @@ class TestGradientSuite:
             m, n = int(rng.integers(4, 11)), int(rng.integers(3, 9))
             d = int(rng.integers(2, 5))
             labels = np.concatenate([[1, 2], rng.integers(1, 3, size=m - 2)])
-            source = Dataset(rng.standard_normal((m, d)), labels, "noisy", 2)
+            source = Dataset(rng.standard_normal((m, d)), labels, 2)
             target = Dataset(rng.standard_normal((n, d)))
             g = build_g_matrix(symmetric_noise(2, 0.2),
                                ClassPrior(np.array([0.5, 0.5])), labels)
@@ -256,7 +256,7 @@ class TestGradientSuite:
                 feats_t = rng.standard_normal((bt, d))
             # balanced labels keep the batch's implied clean prior interior
             labels = rng.permutation(np.repeat([1, 2], bs // 2))
-            source = Dataset(feats_s, labels, "noisy", 2)
+            source = Dataset(feats_s, labels, 2)
             target = Dataset(feats_t)
             q = symmetric_noise(2, 0.25)
             cfg = JointConfig(pi1=float(rng.uniform(0.2, 2.0)),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def _write_domain_csvs(tmp_path, m=150, seed=0):
     x = rng.standard_normal((m, 2)) + np.where(labels == 1, -2.0, 2.0)[:, None]
     src = str(tmp_path / "source.csv")
     tgt = str(tmp_path / "target.csv")
-    write_dataset_csv(Dataset(x, labels, "noisy", 2), src)
+    write_dataset_csv(Dataset(x, labels, 2), src)
     write_dataset_csv(Dataset(rng.standard_normal((m, 2)) + 1.0), tgt)
     qp = str(tmp_path / "q.json")
     with open(qp, "w") as fh:
@@ -366,7 +367,7 @@ class TestSingleShotCommands:
         src, tgt = str(tmp_path / "source.csv"), str(tmp_path / "target.csv")
         write_dataset_csv(Dataset(centres[labels - 1]
                                   + rng.standard_normal((120, 2)),
-                                  labels, "noisy", 3), src)
+                                  labels, 3), src)
         tgt_labels = np.repeat([1, 2, 3], [60, 30, 30])
         write_dataset_csv(Dataset(centres[tgt_labels - 1]
                                   + rng.standard_normal((120, 2))), tgt)
@@ -418,7 +419,7 @@ class TestSingleShotCommands:
         flip = rng.uniform(size=m) < 0.2
         noisy = np.where(flip, 3 - labels, labels)
         src = str(tmp_path / "noisy.csv")
-        write_dataset_csv(Dataset(x, noisy, "noisy", 2), src)
+        write_dataset_csv(Dataset(x, noisy, 2), src)
         out = str(tmp_path / "qhat.json")
         rc = main(["estimate-q", "--features", src, "--seed", "0",
                    "--out", out])
@@ -476,7 +477,7 @@ class TestSingleShotCommands:
             rc = main(["estimate-q", "--features", src, *extra,
                        "--out", outs[name]])
             assert rc == 0
-        text = {k: open(v).read() for k, v in outs.items()}
+        text = {k: Path(v).read_text() for k, v in outs.items()}
         assert text["file"] == text["flag5"]
         assert text["file"] != text["flag0"]
 
@@ -666,7 +667,7 @@ class TestSingleShotCommands:
         _, tgt, qp = _write_domain_csvs(tmp_path, m=40)
         src = str(tmp_path / "one_class.csv")
         x = as_generator(1).standard_normal((40, 2))
-        write_dataset_csv(Dataset(x, np.ones(40, dtype=int), "noisy"), src)
+        write_dataset_csv(Dataset(x, np.ones(40, dtype=int)), src)
         assert main(["fit", "--source", src, "--target", tgt, "--q", qp,
                      "--d-prime", "2"]) == 2
         assert ("error: source class count 1 (largest label 1) does not "
@@ -684,7 +685,7 @@ class TestSingleShotCommands:
         labels = rng.integers(1, 3, size=91)
         labels[:2] = [1, 2]
         src = str(tmp_path / "far_row.csv")
-        write_dataset_csv(Dataset(x, labels, "noisy", 2), src)
+        write_dataset_csv(Dataset(x, labels, 2), src)
         assert main(["fit", "--source", src, "--target", tgt, "--q", qp,
                      "--d-prime", "2"]) == 0
         blob = json.loads(capsys.readouterr().out)

@@ -11,26 +11,42 @@ from dcic.data import (ClassPrior, Dataset, Projection,
 
 class TestDataset:
     def test_basic_labeled(self):
-        data = Dataset(np.zeros((3, 2)), np.array([1, 2, 1]), "clean")
+        data = Dataset(np.zeros((3, 2)), np.array([1, 2, 1]))
         assert data.n_samples == 3
         assert data.dim == 2
         assert data.n_classes == 2
-        assert data.label_kind == "clean"
 
     def test_unlabeled(self):
         data = Dataset(np.ones((4, 3)))
         assert data.labels is None
-        assert data.label_kind == "unlabeled"
 
     def test_explicit_n_classes(self):
-        data = Dataset(np.zeros((2, 1)), np.array([1, 1]), "noisy", n_classes=5)
+        data = Dataset(np.zeros((2, 1)), np.array([1, 1]), n_classes=5)
         assert data.n_classes == 5
+        data = Dataset(np.zeros((2, 1)), np.array([1, 1]), np.int64(3))
+        assert type(data.n_classes) is int and data.n_classes == 3
+
+    # a float or bool class count would be truncated to another count, a
+    # string would raise a bare TypeError, and a label kind passed where
+    # the class count now sits must fail loudly; labelled or not
+    @pytest.mark.parametrize("labels", [[1, 1], None], ids=["labeled", "unlabeled"])
+    @pytest.mark.parametrize("n_classes", [2.5, 2.0, True, "2", "noisy"])
+    def test_non_integer_n_classes_rejected(self, labels, n_classes):
+        with pytest.raises(ValueError, match=r"^n_classes must be an integer, got "):
+            Dataset(np.zeros((2, 1)), labels, n_classes)
+
+    @pytest.mark.parametrize("labels", [[1, 1], None], ids=["labeled", "unlabeled"])
+    @pytest.mark.parametrize("n_classes", [0, -1])
+    def test_n_classes_below_one_rejected(self, labels, n_classes):
+        with pytest.raises(ValueError,
+                           match=rf"^n_classes must be >= 1, got {n_classes}$"):
+            Dataset(np.zeros((2, 1)), labels, n_classes)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 1)), np.array([0, 1]), "clean")
+            Dataset(np.zeros((2, 1)), np.array([0, 1]))
         with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 1)), np.array([1, 3]), "clean", n_classes=2)
+            Dataset(np.zeros((2, 1)), np.array([1, 3]), n_classes=2)
 
     # the smallest label is checked before the class count is taken from
     # the largest, so labels that are all 0 name the label
@@ -40,7 +56,7 @@ class TestDataset:
     def test_too_small_label_named(self, labels, smallest):
         with pytest.raises(ValueError,
                            match=rf"^labels must be >= 1, got {smallest}$"):
-            Dataset(np.zeros((2, 2)), np.array(labels), "noisy")
+            Dataset(np.zeros((2, 2)), np.array(labels))
 
     def test_nonfinite_features_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -54,16 +70,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.features[0, 0] = 1.0
 
-    def test_bad_label_kind(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 2)), np.array([1, 1]), "fuzzy")
-
     def test_with_features(self):
-        data = Dataset(np.zeros((2, 2)), np.array([1, 2]), "clean")
+        data = Dataset(np.zeros((2, 2)), np.array([1, 2]))
         swapped = data.with_features(np.ones((2, 3)))
         assert swapped.dim == 3
         assert np.array_equal(swapped.labels, data.labels)
-        assert swapped.label_kind == "clean"
+        assert swapped.n_classes == data.n_classes
 
 
 class TestTransitionMatrix:
@@ -115,7 +127,7 @@ class TestTransitionMatrix:
 
     def test_json_roundtrip(self):
         q = TransitionMatrix(np.array([[0.8, 0.2], [0.3, 0.7]]))
-        back = TransitionMatrix.from_json(q.to_json())
+        back = TransitionMatrix.from_json(q.to_json(), "q.json")
         assert np.array_equal(back.q, q.q)
         obj = json.loads(q.to_json())
         assert obj["c"] == 2
@@ -187,15 +199,14 @@ class TestEmpiricalPrior:
 
 class TestCsvRoundTrip:
     def test_labeled(self, tmp_path, rng):
-        data = Dataset(rng.standard_normal((10, 3)), rng.integers(1, 4, 10), "noisy")
+        data = Dataset(rng.standard_normal((10, 3)), rng.integers(1, 4, 10))
         path = tmp_path / "labeled.csv"
         write_dataset_csv(data, path)
         header = path.read_text().splitlines()[0]
         assert header == "f1,f2,f3,label"
-        back = read_dataset_csv(path, label_kind="noisy")
+        back = read_dataset_csv(path)
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.labels, data.labels)
-        assert back.label_kind == "noisy"
 
     def test_unlabeled(self, tmp_path, rng):
         data = Dataset(rng.standard_normal((4, 2)) * 1e-7)

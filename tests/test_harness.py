@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,7 +347,7 @@ class TestEmitResults:
         emit_results(run_experiment(cfg), p1, cfg)
         emit_results(run_experiment(cfg), p2, cfg)
         strip = lambda p: ["," .join(line.split(",")[:-1])
-                           for line in open(p).read().splitlines()]
+                           for line in Path(p).read_text().splitlines()]
         assert strip(p1) == strip(p2)
 
     # the sidecar's config is the sweep that ran, so it runs it again

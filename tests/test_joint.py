@@ -33,7 +33,7 @@ def _batch_pair(rng, bs=12, bt=10, d=3):
     feats = rng.standard_normal((bs, d))
     labels = rng.integers(1, 3, size=bs)
     labels[:2] = [1, 2]
-    source = Dataset(feats, labels, "noisy", 2)
+    source = Dataset(feats, labels, 2)
     target = Dataset(rng.standard_normal((bt, d)))
     return source, target
 

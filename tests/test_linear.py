@@ -28,7 +28,7 @@ def _toy_problem(rng, m=12, n=9, d=3, rho=0.2):
     feats_s = rng.standard_normal((m, d))
     labels = rng.integers(1, 3, size=m)
     labels[:2] = [1, 2]
-    source = Dataset(feats_s, labels, "noisy", 2)
+    source = Dataset(feats_s, labels, 2)
     target = Dataset(rng.standard_normal((n, d)))
     q = symmetric_noise(2, rho)
     g = build_g_matrix(q, ClassPrior(np.array([0.5, 0.5])), labels)
@@ -81,7 +81,7 @@ class TestObjective:
         feats = rng.standard_normal((10, 2))
         labels = rng.integers(1, 3, size=10)
         labels[:2] = [1, 2]
-        source = Dataset(feats, labels, "noisy", 2)
+        source = Dataset(feats, labels, 2)
         target = Dataset(feats)
         prior = empirical_prior(labels, 2)
         g = build_g_matrix(TransitionMatrix(np.eye(2)), prior, labels)
@@ -107,7 +107,7 @@ class TestObjective:
         alpha = random_prior(rng, 2).p
         base = _problem(source, target, g, sigma).eval(w, alpha)
         c = 3.7
-        s2 = Dataset(source.features * c, source.labels, "noisy", 2)
+        s2 = Dataset(source.features * c, source.labels, 2)
         t2 = Dataset(target.features * c)
         scaled = _problem(s2, t2, g, sigma * c).eval(w, alpha)
         assert scaled == pytest.approx(base, rel=1e-10)
@@ -142,7 +142,7 @@ class TestAlphaQpTerms:
         feats = rng.standard_normal((6, 2))
         feats = np.vstack([feats, feats])
         labels = np.tile(np.array([1, 2, 1, 2, 1, 2]), 2)
-        source = Dataset(feats, labels, "noisy", 2)
+        source = Dataset(feats, labels, 2)
         target = Dataset(rng.standard_normal((5, 2)))
         g = build_g_matrix(symmetric_noise(2, 0.3),
                            ClassPrior(np.array([0.5, 0.5])), labels)
@@ -854,7 +854,7 @@ class TestEuclideanGradW:
         feats = rng.standard_normal((10, 3))
         labels = rng.integers(1, 3, size=10)
         labels[:2] = [1, 2]
-        source = Dataset(feats, labels, "noisy", 2)
+        source = Dataset(feats, labels, 2)
         target = Dataset(feats)
         prior = empirical_prior(labels, 2)
         g = build_g_matrix(TransitionMatrix(np.eye(2)), prior, labels)
@@ -870,7 +870,7 @@ class TestEuclideanGradW:
         base = _problem(source, target, g, sigma).grad(w0, alpha)
         feats2 = np.vstack([source.features, source.features])
         labels2 = np.concatenate([source.labels, source.labels])
-        source2 = Dataset(feats2, labels2, "noisy", 2)
+        source2 = Dataset(feats2, labels2, 2)
         g2 = build_g_matrix(symmetric_noise(2, 0.2),
                             ClassPrior(np.array([0.5, 0.5])), labels2)
         dup = _problem(source2, target, g2, sigma).grad(w0, alpha)
@@ -904,7 +904,7 @@ class TestGrassmannStep:
     def test_zero_gradient_returns_unchanged(self, rng):
         fn, _ = self._quadratic(rng)
         w0 = qr_retract(rng.standard_normal((5, 2)))
-        state = GrassmannState(objective_fn=fn)
+        state = GrassmannState(objective_fn=fn, f_current=fn(w0))
         proj, state = grassmann_step(w0, np.zeros((5, 2)), state)
         assert np.array_equal(proj.w, w0)
         assert not state.stalled
@@ -913,7 +913,7 @@ class TestGrassmannStep:
         fn, grad = self._quadratic(rng)
         w0 = qr_retract(rng.standard_normal((5, 2)))
         f0 = fn(w0)
-        state = GrassmannState(objective_fn=fn)
+        state = GrassmannState(objective_fn=fn, f_current=f0)
         proj, state = grassmann_step(w0, grad(w0), state)
         assert not state.stalled
         assert state.f_current < f0
@@ -922,8 +922,8 @@ class TestGrassmannStep:
     def test_monotone_over_many_steps(self, rng):
         fn, grad = self._quadratic(rng)
         w = qr_retract(rng.standard_normal((5, 2)))
-        state = GrassmannState(objective_fn=fn)
-        values = [fn(w)]
+        state = GrassmannState(objective_fn=fn, f_current=fn(w))
+        values = [state.f_current]
         for _ in range(5):
             proj, state = grassmann_step(w, grad(w), state)
             if state.stalled:

@@ -44,8 +44,9 @@ def _parsed_callers() -> dict:
 
 
 def _referenced_names(trees) -> set:
-    """Identifiers used as a Name, an Attribute or an import alias. A
-    definition's own name is none of these, and strings are not parsed."""
+    """Identifiers used as a Name, an Attribute or an import alias, plus
+    a (class, attribute) pair for each ``Name.attr``. A definition's own
+    name is none of these, and strings are not parsed."""
     names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -53,14 +54,23 @@ def _referenced_names(trees) -> set:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    names.add((node.value.id, node.attr))
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
     return names
 
 
+def _is_static(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod"
+               for d in node.decorator_list)
+
+
 def _public_definitions(trees) -> list:
     """(qualified name, identifier) of every public module-level function
-    or class of the package and every public method of those classes."""
+    or class of the package and every public method of those classes. A
+    static method's identifier is (class, method): a bare name does not
+    tell its class, so only a call through the class counts."""
     defs = []
     for path, tree in trees.items():
         if os.path.dirname(path) != PACKAGE:
@@ -72,7 +82,9 @@ def _public_definitions(trees) -> list:
                 continue
             defs.append((f"{module}.{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
-                defs.extend((f"{module}.{node.name}.{sub.name}", sub.name)
+                defs.extend((f"{module}.{node.name}.{sub.name}",
+                             (node.name, sub.name) if _is_static(sub)
+                             else sub.name)
                             for sub in node.body
                             if isinstance(sub, ast.FunctionDef)
                             and not sub.name.startswith("_"))

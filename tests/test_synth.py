@@ -55,7 +55,6 @@ class TestSampleDataset:
             ClassPrior(np.array([1.0, 0.0])))
         data = sample_dataset(spec, 100, seed=2)
         assert np.all(data.labels == 1)
-        assert data.label_kind == "clean"
 
     def test_empirical_prior_close(self):
         spec = sample_gmm_spec(2, 2, seed=1)
@@ -89,7 +88,7 @@ class TestLocationScale:
         assert np.array_equal(out.features, data.features)
 
     def test_hand_example(self):
-        data = Dataset(np.array([[3.0, 4.0]]), np.array([1]), "clean", 2)
+        data = Dataset(np.array([[3.0, 4.0]]), np.array([1]), 2)
         t = LocationScale(np.array([[1.0, 0.0], [0.0, 0.0]]),
                           np.array([[2.0, 1.0], [1.0, 1.0]]))
         out = apply_location_scale(data, t)
@@ -127,7 +126,6 @@ class TestFlipLabels:
         data = sample_dataset(spec, 100, seed=2)
         out = flip_labels(data, symmetric_noise(2, 0.0), seed=3)
         assert np.array_equal(out.labels, data.labels)
-        assert out.label_kind == "noisy"
 
     def test_flip_frequency(self):
         spec = sample_gmm_spec(2, 2, seed=1)
@@ -155,9 +153,9 @@ class TestFlipLabels:
         assert np.array_equal(out.features, data.features)
         assert np.shares_memory(out.features, data.features)
 
-    def test_noisy_input_rejected(self):
-        data = Dataset(np.zeros((2, 2)), np.array([1, 2]), "noisy")
-        with pytest.raises(ValueError):
+    def test_unlabeled_input_rejected(self):
+        data = Dataset(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^flip_labels needs labels$"):
             flip_labels(data, symmetric_noise(2, 0.1), seed=0)
 
     def test_deterministic(self):
