@@ -16,10 +16,11 @@ runs it again.
 A sweep is a list of tasks, one per (cell, repetition, arm) in grid order,
 each regenerating its repetition's data from the seed, so a task needs
 nothing from another. When ``_WORKERS`` is above 1 (OpenBLAS on one thread
-and at least two CPUs) the tasks run in that many forked worker processes,
-and their records come back in task order: the records are those of the
-serial run, bit for bit, outside ``wall_time_s``. See ``run_experiment``
-for when a sweep stays in this process.
+and at least two CPUs) the tasks run in that many ``os.fork``ed workers,
+each sending its records back through one pipe, and they are put back in
+task order: the records are those of the serial run, bit for bit, outside
+``wall_time_s``. See ``run_experiment`` for the split, the failure and
+cleanup rules, and when a sweep stays in this process.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import csv
 import json
 import math
 import os
+import pickle
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -89,7 +92,7 @@ def _worker_count() -> int:
     return 1
 
 
-_WORKERS = _worker_count()  # processes of a sweep's pool
+_WORKERS = _worker_count()  # forked workers of a sweep
 
 
 @dataclass(frozen=True)
@@ -335,16 +338,24 @@ def run_experiment(config: ExperimentConfig) -> list:
     """Every cell x repetition x method of the sweep, in grid order ('dcic'
     before 'cic' within a repetition).
 
-    With ``_WORKERS`` > 1 the (cell, rep, method) tasks run in a pool
-    of that many forked processes (no more than there are tasks), shut down
-    before this returns. Fork, not spawn: a spawned worker re-imports numpy
-    and the package, and a spawned pool of two took about 330 ms to start
-    and stop against 13 ms forked (2-CPU Xeon), more than a serial GeTarS
-    repetition at n = 500 takes. The sweep runs in this process, one task
-    at a time, without ``os.fork``, while another thread runs (a fork
-    copies no other thread, and a lock one holds would stay held in the
-    child), or when ``fit`` is wrapped with ``functools.wraps``
-    (perfbench's tracer, whose spans a child would keep to itself).
+    With ``_WORKERS`` > 1 the (cell, rep, method) tasks run in W =
+    ``_WORKERS`` ``os.fork``ed workers (no more than there are tasks);
+    fork, not spawn, since a spawned worker would import numpy and the
+    package again. Worker w takes tasks w, 2W-1-w, 2W+w, ... (snake
+    order), so no worker takes every arm of one method (the 'dcic' arm of
+    an estimated-flip-rate sweep also trains a classifier). It pickles the
+    list of its records to its own pipe and leaves by ``os._exit``; this
+    process reads each pipe to EOF, reaps the worker with ``waitpid`` and
+    puts the records back in task order. A worker that exits non-zero,
+    dies by a signal or sends a cut-short payload raises RuntimeError. On
+    any exception in this process, KeyboardInterrupt included, the workers
+    not yet reaped are killed and reaped before it propagates.
+
+    The sweep runs in this process, one task at a time, without
+    ``os.fork``, while another thread runs (a fork copies no other thread,
+    and a lock one holds would stay held in the child), or when ``fit`` is
+    wrapped with ``functools.wraps`` (perfbench's tracer, whose spans a
+    child would keep to itself).
     """
     tasks = [(config, n, rho, beta1, rep,
               child_seed(config.seed, si, ri, bi, rep), method)
@@ -357,11 +368,70 @@ def run_experiment(config: ExperimentConfig) -> list:
     if (workers < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1 or hasattr(fit, "__wrapped__")):
         return [_run_arm(task) for task in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers,
-                             multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_arm, tasks))
+    return _run_forked(tasks, workers)
+
+
+def _run_forked(tasks: list, workers: int) -> list:
+    """The records of ``tasks`` from ``workers`` forked children, in task
+    order, by the protocol of ``run_experiment``."""
+    period = 2 * workers
+    shares = [[i for i in range(len(tasks))
+               if min(i % period, period - 1 - i % period) == w]
+              for w in range(workers)]
+    children = []  # [pid, read end of its pipe]; pid None once reaped
+    sys.stdout.flush()  # else a child's exit-time flush repeats the buffer
+    sys.stderr.flush()
+    try:
+        for share in shares:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(rfd)
+                    with open(wfd, "wb") as out:
+                        pickle.dump([_run_arm(tasks[i]) for i in share], out,
+                                    pickle.HIGHEST_PROTOCOL)
+                    sys.stdout.flush()  # os._exit flushes no buffer
+                    code = 0
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            children.append([pid, open(rfd, "rb")])
+        records = [None] * len(tasks)
+        for w, (share, child) in enumerate(zip(shares, children)):
+            pid, pipe = child
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            name = f"sweep worker {w} (pid {pid})"
+            if status != 0:
+                raise RuntimeError(
+                    f"{name} was killed by signal {-status}" if status < 0
+                    else f"{name} exited with status {status}")
+            try:
+                got = pickle.loads(payload)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                raise RuntimeError(f"{name} sent a cut-short payload of "
+                                   f"{len(payload)} bytes: {exc}") from None
+            for i, record in zip(share, got):
+                records[i] = record
+        return records
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid is not None:
+                import signal  # only this path needs it (a 0.6 ms import)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _json_safe(obj):

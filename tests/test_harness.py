@@ -2,9 +2,14 @@ import csv
 import functools
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import threading
+import time
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -420,6 +425,11 @@ def _pid(*args, **kwargs):
     raise RuntimeError(str(os.getpid()))
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkerProcesses:
     """Sweeps with ``harness._WORKERS`` at 2, as on a 2-CPU host with BLAS
     on one thread, run their arms in forked workers."""
@@ -474,11 +484,101 @@ class TestWorkerProcesses:
             assert math.isnan(r.beta_error)
 
     def test_no_process_or_thread_outlives_the_sweep(self, two_workers):
-        # the pool's manager and queue threads are joined on shutdown too,
-        # so the next sweep may fork again
         run_experiment(_tiny_tars(repetitions=1))
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
         assert threading.active_count() == 1
+
+    def test_snake_split_gives_each_worker_both_arms(self, two_workers,
+                                                     monkeypatch):
+        # tasks[w::2] would hand every dcic arm to worker 0
+        monkeypatch.setattr(harness, "_run_arm",
+                            lambda task: (os.getpid(), task[-1]))
+        got = run_experiment(_tiny_tars(repetitions=4))
+        assert [method for _, method in got] == ["dcic", "cic"] * 4
+        pids = {pid for pid, _ in got}
+        assert len(pids) == 2 and os.getpid() not in pids
+        counts = Counter(got)
+        for pid in pids:
+            assert counts[pid, "dcic"] == counts[pid, "cic"] == 2
+
+    @pytest.mark.parametrize("dying, how, match", [
+        ("cic", "exit", "exited with status 3"),
+        ("dcic", "exit", "exited with status 3"),
+        ("cic", "signal", f"was killed by signal {int(signal.SIGKILL)}"),
+    ])
+    def test_dying_worker_raises_and_leaves_no_child(self, two_workers,
+                                                     monkeypatch, dying, how,
+                                                     match):
+        # a dying dcic worker is read first, so its sleeping sibling is
+        # killed; a dying cic worker is read after its sibling finished
+        nap = 0.2 if dying == "cic" else 30.0
+
+        def arm(task):
+            if task[-1] == dying:
+                if how == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(nap)
+            return task[-1]
+
+        monkeypatch.setattr(harness, "_run_arm", arm)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=rf"sweep worker \d .* {match}"):
+            run_experiment(_tiny_tars(repetitions=1))
+        assert time.perf_counter() - start < 20.0
+        _assert_no_child_left()
+
+    def test_cut_short_payload_raises(self, two_workers, monkeypatch):
+        class Truncating:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+            UnpicklingError = pickle.UnpicklingError
+            loads = staticmethod(pickle.loads)
+
+            @staticmethod
+            def dump(obj, fh, protocol):
+                fh.write(pickle.dumps(obj, protocol)[:-1])
+
+        monkeypatch.setattr(harness, "pickle", Truncating)
+        with pytest.raises(RuntimeError, match=r"sweep worker 0 .*cut-short"):
+            run_experiment(_tiny_tars(repetitions=1))
+        _assert_no_child_left()
+
+    def test_interrupt_kills_the_workers(self, two_workers, monkeypatch):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_run_arm", lambda task: time.sleep(30))
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            start = time.perf_counter()
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(_tiny_tars(repetitions=1))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 20.0
+        _assert_no_child_left()
+
+    def test_parent_imports_no_multiprocessing(self):
+        code = ("import os, sys\n"
+                "from dcic import harness\n"
+                "harness._WORKERS = 2\n"
+                "def fit(*args, **kwargs):\n"
+                "    raise RuntimeError(str(os.getpid()))\n"
+                "harness.fit = fit\n"
+                "cfg = harness.ExperimentConfig('tars_beta_sweep', 1, (60,),"
+                " (0.2,), (1.4,))\n"
+                "records = harness.run_experiment(cfg)\n"
+                "assert {r.error for r in records} - {str(os.getpid())}\n"
+                "print(sorted(m for m in ('multiprocessing',"
+                " 'concurrent.futures') if m in sys.modules))\n")
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_worker_passes_run_inline(self, two_workers, monkeypatch):
         # each task runs in a child process
