@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TransitionMatrix, float_field, int_field
+from .data import TransitionMatrix, check_labels, float_field, int_field
 from .noise import GammaWeights
 from .rng import child_generator
 
@@ -173,9 +173,7 @@ def train(features: np.ndarray, noisy_labels: np.ndarray, q: TransitionMatrix,
     labels = np.asarray(noisy_labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise ValueError("features must be (m, d) with one label per row")
-    c = q.n_classes
-    if labels.min() < 1 or labels.max() > c:
-        raise ValueError(f"labels must lie in 1..{c}")
+    c = check_labels(labels, q.n_classes)
     if gamma.n_classes != c:
         raise ValueError("gamma length mismatch")
 

@@ -25,8 +25,8 @@ import numpy as np
 from .classifier import TrainConfig, train
 from .data import (ClassPrior, TransitionMatrix, empirical_prior, float_field,
                    int_field, read_dataset_csv)
-from .harness import (ExperimentConfig, emit_results, estimate_q_mlp,
-                      run_experiment)
+from .harness import (Q_SOURCES, ExperimentConfig, emit_results,
+                      estimate_q_mlp, run_experiment)
 from .linear import LinearFitConfig, fit
 from .noise import DEFAULT_ANCHOR_PERCENTILE, GammaWeights, gamma_weights
 
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sizes", dest="sample_sizes", type=_ints, default=None)
         p.add_argument("--rhos", dest="rho_grid", type=_floats, default=None)
         p.add_argument("--betas", dest="beta_grid", type=_floats, default=None)
-        p.add_argument("--q-source", dest="q_source", choices=("true", "estimated"), default=None)
+        p.add_argument("--q-source", dest="q_source", choices=Q_SOURCES, default=None)
     # prior recovery pins W = I, so only the accuracy sweep takes a width
     p_getars.add_argument("--d-prime", dest="d_prime", type=int, default=None)
     p_tars.set_defaults(func=_cmd_tars)

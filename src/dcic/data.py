@@ -3,7 +3,14 @@ class priors, and orthonormal projections; and the dataset CSV reader.
 
 Labels are 1-based everywhere in the public API. All types are validated at
 construction and frozen afterwards, so instances can be shared read-only
-across workers.
+across workers. Two rules here serve every value type of the package:
+
+- ``frozen_field`` stores each array field: a C-contiguous array of the
+  field's dtype, refused if it is a float array with a NaN or an inf, and
+  frozen. An input that already is such an array is frozen in place and
+  shared, not copied.
+- ``check_labels`` checks each label vector: it must be non-empty, with
+  every label in 1..c.
 """
 
 from __future__ import annotations
@@ -41,10 +48,34 @@ def float_field(name: str, value) -> float:
     return float(value)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def frozen_field(obj, name: str, value, dtype=np.float64) -> np.ndarray:
+    """Store ``value`` as the array field ``name`` of the frozen dataclass
+    ``obj``, and return it: a C-contiguous array of ``dtype``, made
+    read-only. A float array with a non-finite entry raises ValueError
+    naming the field. A value that already is such an array is frozen in
+    place and stored itself, not a copy (``linear.fit`` tells an unmoved W
+    by identity)."""
+    a = np.asarray(value, dtype=dtype, order="C")
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        raise ValueError(f"{name} contain non-finite entries")
     a.setflags(write=False)
+    object.__setattr__(obj, name, a)
     return a
+
+
+def check_labels(labels: np.ndarray, c: int | None) -> int:
+    """The class count of a 1-based label vector: ``c``, or the largest
+    label when ``c`` is None. An empty vector, a label below 1 and a label
+    above ``c`` raise ValueError; the smallest label is checked first, so
+    labels that are all 0 name the label."""
+    if labels.size == 0:
+        raise ValueError("labels must be a non-empty vector")
+    if labels.min() < 1:
+        raise ValueError(f"labels must be >= 1, got {labels.min()}")
+    c = int(labels.max()) if c is None else c
+    if labels.max() > c:
+        raise ValueError(f"labels must lie in 1..{c}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -65,12 +96,9 @@ class Dataset:
     n_classes: int | None = None
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = frozen_field(self, "features", self.features)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features contain non-finite entries")
-        object.__setattr__(self, "features", _freeze(feats))
         if self.n_classes is not None:
             c = int_field("n_classes", self.n_classes)
             if c < 1:
@@ -85,17 +113,9 @@ class Dataset:
         if not np.issubdtype(labels.dtype, np.integer):
             if not np.all(labels == np.round(labels)):
                 raise ValueError("labels must be integers")
-        labels = labels.astype(np.int64)
-        if labels.size == 0:
-            raise ValueError("labels present but empty")
-
-        if labels.min() < 1:
-            raise ValueError(f"labels must be >= 1, got {labels.min()}")
-        c = self.n_classes if self.n_classes is not None else int(labels.max())
-        if labels.max() > c:
-            raise ValueError(f"labels must lie in 1..{c}")
-        object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "n_classes", c)
+        labels = frozen_field(self, "labels", labels.astype(np.int64), np.int64)
+        object.__setattr__(self, "n_classes",
+                           check_labels(labels, self.n_classes))
 
     @property
     def n_samples(self) -> int:
@@ -123,7 +143,7 @@ class TransitionMatrix:
     q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
+        q = frozen_field(self, "q", self.q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"transition matrix must be square, got {q.shape}")
         if np.any(q < -1e-12) or np.any(q > 1 + 1e-12):
@@ -137,7 +157,6 @@ class TransitionMatrix:
                 f"transition matrix is singular or ill-conditioned (cond={cond:.3g}, "
                 f"bound={COND_BOUND:.3g})"
             )
-        object.__setattr__(self, "q", _freeze(q))
 
     @property
     def n_classes(self) -> int:
@@ -188,14 +207,13 @@ class ClassPrior:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
+        p = frozen_field(self, "p", self.p)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("prior must be a non-empty vector")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if np.any(p < 0):
             raise ValueError("prior entries must be finite and non-negative")
         if abs(p.sum() - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"prior must sum to 1 within {PRIOR_SUM_TOL}, got {float(p.sum())}")
-        object.__setattr__(self, "p", _freeze(p))
 
     @property
     def n_classes(self) -> int:
@@ -209,7 +227,7 @@ class Projection:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = frozen_field(self, "w", self.w)
         if w.ndim != 2:
             raise ValueError("projection must be a matrix")
         d, d_prime = w.shape
@@ -219,19 +237,13 @@ class Projection:
         err = np.linalg.norm(gram - np.eye(d_prime))
         if err > ORTHONORMAL_TOL:
             raise ValueError(f"columns not orthonormal: ||W^T W - I||_F = {err:.3g}")
-        object.__setattr__(self, "w", _freeze(w))
 
 
 def empirical_prior(labels: np.ndarray, c: int) -> ClassPrior:
-    """Relative class frequencies of a 1-based label vector.
-
-    Raises on an empty vector or an out-of-range label.
-    """
+    """Relative class frequencies of a 1-based label vector, refused as
+    ``check_labels`` refuses it."""
     labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("cannot estimate a prior from zero labels")
-    if labels.min() < 1 or labels.max() > c:
-        raise ValueError(f"labels must lie in 1..{c}")
+    check_labels(labels, c)
     counts = np.bincount(labels.astype(np.int64) - 1, minlength=c).astype(np.float64)
     return ClassPrior(counts / labels.size)
 

@@ -171,7 +171,7 @@ class ExperimentConfig:
                 raise ValueError(f"rho_grid entry {rho!r}: {exc}") from None
         for beta1 in self.beta_grid:
             try:
-                ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
+                _target_prior(beta1)
             except ValueError as exc:
                 raise ValueError(f"beta_grid entry {beta1!r}: {exc}") from None
         q = self.q_override
@@ -253,12 +253,9 @@ def _beta_metrics(alpha_hat: np.ndarray, q_used: TransitionMatrix,
     return beta_error, alpha_error, ratio_prior, beta_star
 
 
-def _failed_record(scenario, rep, seed, rho, beta1, n, method, msg,
-                   with_accuracy):
-    return MetricRecord(scenario, rep, seed, rho, beta1, n, n, method,
-                        float("nan"), float("nan"),
-                        float("nan") if with_accuracy else None,
-                        0.0, error=msg)
+def _target_prior(beta1: float) -> ClassPrior:
+    """The target prior whose class-1 ratio to SOURCE_PRIOR is beta1."""
+    return ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
 
 
 def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
@@ -273,7 +270,7 @@ def _rep_data(config: ExperimentConfig, n: int, rho: float, beta1: float,
     clean = sample_dataset(spec.with_priors(ClassPrior(SOURCE_PRIOR)), n,
                            child_generator(seed, 1))
     noisy = flip_labels(clean, q_true, child_generator(seed, 2))
-    target_prior = ClassPrior([0.5 * beta1, 1.0 - 0.5 * beta1])
+    target_prior = _target_prior(beta1)
     target = sample_dataset(spec.with_priors(target_prior), n,
                             child_generator(seed, 3))
     if config.scenario == "getars_accuracy":
@@ -310,7 +307,9 @@ def _run_arm(task: tuple) -> MetricRecord:
     record instead of raising: a failed data generation tags both arms of
     the repetition, a failed estimate only 'dcic'."""
     config, n, rho, beta1, rep, seed, method = task
-    scen = config.scenario
+    nan = float("nan")
+    out = dict(beta_error=nan, alpha_error=nan, wall_time_s=0.0,
+               accuracy=nan if config.scenario == "getars_accuracy" else None)
     try:
         noisy, target, target_prior, q_true, noisy_prior = _rep_data(
             config, n, rho, beta1, seed)
@@ -323,15 +322,16 @@ def _run_arm(task: tuple) -> MetricRecord:
                                  seed)
         b_err, a_err, ratio_prior, beta_star = _beta_metrics(
             res.alpha.p, q_used, noisy_prior, target_prior)
+        out = dict(
+            beta_error=b_err, alpha_error=a_err, accuracy=accuracy,
+            wall_time_s=time.perf_counter() - t0, alpha=res.alpha.p.tolist(),
+            ratio_prior=ratio_prior.p.tolist(), beta_star=beta_star.tolist(),
+            target_prior=target_prior.p.tolist(), stop_reason=res.stop_reason,
+            w=res.w.w.tolist(), objective_trace=list(res.objective_trace))
     except Exception as exc:
-        return _failed_record(scen, rep, seed, rho, beta1, n, method, str(exc),
-                              scen == "getars_accuracy")
-    return MetricRecord(
-        scen, rep, seed, rho, beta1, n, n, method, b_err, a_err, accuracy,
-        time.perf_counter() - t0, alpha=res.alpha.p.tolist(),
-        ratio_prior=ratio_prior.p.tolist(), beta_star=beta_star.tolist(),
-        target_prior=target_prior.p.tolist(), stop_reason=res.stop_reason,
-        w=res.w.w.tolist(), objective_trace=list(res.objective_trace))
+        out["error"] = str(exc)
+    return MetricRecord(config.scenario, rep, seed, rho, beta1, n, n, method,
+                        **out)
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -449,20 +449,18 @@ def _json_safe(obj):
 def emit_results(records: list, path: str, config: ExperimentConfig) -> None:
     """CSV with the fixed column order, plus a JSON sidecar at <path>.json
     holding the config and the full records (including per-record priors
-    and any error tags). The CSV writes a failed record's metrics as
-    ``nan``; the sidecar is strict JSON and writes them as null."""
+    and any error tags). A CSV cell holds a float's ``repr`` (so a failed
+    record's metrics read ``nan``), nothing for None (``csv`` writes None
+    as an empty field) and any other value as it is; the sidecar is strict
+    JSON and writes non-finite floats as null."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in records:
-                writer.writerow([
-                    r.scenario, r.rep, r.seed, repr(float(r.rho)),
-                    repr(float(r.beta1)), r.n_source, r.n_target, r.method,
-                    repr(float(r.beta_error)), repr(float(r.alpha_error)),
-                    "" if r.accuracy is None else repr(float(r.accuracy)),
-                    repr(float(r.wall_time_s)),
-                ])
+                cells = (getattr(r, col) for col in CSV_COLUMNS)
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                                 for v in cells])
         sidecar = {
             "config": asdict(config),
             "location_scale_law": {"shift_range": SHIFT_RANGE,

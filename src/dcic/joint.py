@@ -130,7 +130,6 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     trace = []
     last_sigma = None
     t_order, t_ptr = target_rng.permutation(n), 0
-    t_global = 0
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(m)
         for lo in range(0, m, cfg.batch_size):
@@ -145,13 +144,13 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
                 gamma.gamma, g.class_rows, alpha, cfg.pi1, None, last_sigma)
             if not np.isfinite(loss):
                 raise RuntimeError(
-                    f"non-finite joint loss {loss!r} at epoch {epoch}, step {t_global}")
+                    f"non-finite joint loss {loss!r} at epoch {epoch}, "
+                    f"batch {lo // cfg.batch_size}")
             trace.append(float(loss) + cfg.l2_coeff * _weight_decay_value(model))
 
             # decay lives inside the step (not the grads), so the pi1=0 path
             # is arithmetic-identical to classifier.train
             sgd_step(model, grads, cfg.learning_rate, cfg.l2_coeff)
-            t_global += 1
 
         if cfg.pi1 > 0:
             h_s = _forward(model, xs_all)[1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassPrior, TransitionMatrix
+from .data import ClassPrior, TransitionMatrix, check_labels, frozen_field
 
 NEGATIVE_PRIOR_TOL = 1e-6
 ALPHA_FLOOR = 1e-9  # keeps gamma strictly positive at simplex vertices
@@ -38,21 +38,13 @@ class GMatrix:
     labels: np.ndarray       # (m,) 1-based noisy labels
 
     def __post_init__(self):
-        rows = np.asarray(self.class_rows, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        rows = frozen_field(self, "class_rows", self.class_rows)
+        labels = frozen_field(self, "labels", self.labels, np.int64)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("class_rows must be square (c x c)")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("class_rows must be finite")
-        c = rows.shape[0]
-        if labels.ndim != 1 or labels.size < 1:
-            raise ValueError("labels must be a non-empty vector")
-        if labels.min() < 1 or labels.max() > c:
-            raise ValueError(f"labels must lie in 1..{c}")
-        rows.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "class_rows", rows)
-        object.__setattr__(self, "labels", labels)
+        if labels.ndim != 1:
+            raise ValueError("labels must be a vector")
+        check_labels(labels, rows.shape[0])
 
     @property
     def n_samples(self) -> int:
@@ -71,13 +63,11 @@ class GammaWeights:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
+        g = frozen_field(self, "gamma", self.gamma)
         if g.ndim != 1 or g.size < 1:
             raise ValueError("gamma must be a non-empty vector")
-        if np.any(g <= 0) or not np.all(np.isfinite(g)):
+        if np.any(g <= 0):
             raise ValueError("gamma entries must be positive and finite")
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
 
     @property
     def n_classes(self) -> int:

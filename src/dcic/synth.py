@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassPrior, Dataset, TransitionMatrix
+from .data import ClassPrior, Dataset, TransitionMatrix, frozen_field
 from .rng import as_generator
 
 MEAN_RANGE = 0.25           # means ~ U(-0.25, 0.25) entrywise
@@ -33,8 +33,8 @@ class GmmSpec:
     priors: ClassPrior
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        covs = np.asarray(self.covariances, dtype=np.float64)
+        means = frozen_field(self, "means", self.means)
+        covs = frozen_field(self, "covariances", self.covariances)
         if means.ndim != 2:
             raise ValueError("means must be (c, d)")
         c, d = means.shape
@@ -47,10 +47,6 @@ class GmmSpec:
                 raise ValueError(f"covariance {i} is not symmetric")
             if np.linalg.eigvalsh(covs[i]).min() < PSD_EIG_TOL:
                 raise ValueError(f"covariance {i} is not PSD")
-        means.setflags(write=False)
-        covs.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariances", covs)
 
     @property
     def n_classes(self) -> int:
@@ -73,16 +69,12 @@ class LocationScale:
     scale: np.ndarray  # (c, d), strictly positive
 
     def __post_init__(self):
-        shift = np.asarray(self.shift, dtype=np.float64)
-        scale = np.asarray(self.scale, dtype=np.float64)
+        shift = frozen_field(self, "shift", self.shift)
+        scale = frozen_field(self, "scale", self.scale)
         if shift.ndim != 2 or scale.shape != shift.shape:
             raise ValueError("shift and scale must both be (c, d)")
         if np.any(scale <= 0):
             raise ValueError("scales must be strictly positive")
-        shift.setflags(write=False)
-        scale.setflags(write=False)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "scale", scale)
 
 
 def _wishart(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,12 +1,17 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import write_dataset_csv
+from dcic.classifier import TrainConfig, train
 from dcic.data import (ClassPrior, Dataset, Projection,
                        TransitionMatrix, empirical_prior, read_dataset_csv,
                        symmetric_noise)
+from dcic.noise import GammaWeights, GMatrix
+from dcic.synth import GmmSpec, LocationScale
 
 
 class TestDataset:
@@ -271,3 +276,81 @@ class TestCsvRoundTrip:
         path.write_text(f"f1,f2,label\n{rows}\n")
         with pytest.raises(ValueError, match=rf"values\.csv: {what}"):
             read_dataset_csv(path)
+
+
+def _valid_fields(cls) -> dict:
+    """Keyword arguments that build a valid ``cls`` with two classes, made
+    afresh on each call (a constructor freezes the arrays it is given)."""
+    return {
+        Dataset: dict(features=np.zeros((2, 2)), labels=[1, 2]),
+        TransitionMatrix: dict(q=np.eye(2)),
+        ClassPrior: dict(p=[0.5, 0.5]),
+        Projection: dict(w=np.eye(2)),
+        GMatrix: dict(class_rows=np.eye(2), labels=[1, 2]),
+        GammaWeights: dict(gamma=np.ones(2)),
+        GmmSpec: dict(means=np.zeros((2, 2)),
+                      covariances=np.stack([np.eye(2)] * 2),
+                      priors=ClassPrior([0.5, 0.5])),
+        LocationScale: dict(shift=np.zeros((2, 2)), scale=np.ones((2, 2))),
+    }[cls]
+
+
+FLOAT_FIELDS = [(Dataset, "features"), (TransitionMatrix, "q"),
+                (ClassPrior, "p"), (Projection, "w"), (GMatrix, "class_rows"),
+                (GammaWeights, "gamma"), (GmmSpec, "means"),
+                (GmmSpec, "covariances"), (LocationScale, "shift"),
+                (LocationScale, "scale")]
+
+
+class TestArrayFieldRule:
+    # every float field of every value type is refused with one message
+    # when it holds a NaN or an inf, so a bad input fails at construction
+    # rather than as a later LinAlgError or a NaN result
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+    def test_non_finite_refused(self, cls, name, bad):
+        kwargs = _valid_fields(cls)
+        value = np.array(kwargs[name], dtype=np.float64)
+        value.flat[-1] = bad
+        kwargs[name] = value
+        with pytest.raises(ValueError,
+                           match=rf"^{name} contain non-finite entries$"):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("cls", sorted({c for c, _ in FLOAT_FIELDS},
+                                           key=lambda c: c.__name__))
+    def test_every_array_field_is_read_only(self, cls):
+        obj = cls(**_valid_fields(cls))
+        arrays = [getattr(obj, f.name) for f in dataclasses.fields(obj)
+                  if isinstance(getattr(obj, f.name), np.ndarray)]
+        assert arrays
+        for a in arrays:
+            assert a.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+
+def _train_labels(labels):
+    labels = np.asarray(labels)
+    train(np.zeros((labels.size, 2)), labels, TransitionMatrix(np.eye(2)),
+          GammaWeights(np.ones(2)), TrainConfig(hidden_units=2, epochs=1))
+
+
+class TestLabelRule:
+    # one check of 1-based labels behind every type and function that takes
+    # them, at c = 2
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 0], "labels must be >= 1, got 0"),
+        ([1, 3], "labels must lie in 1..2"),
+        (np.array([], dtype=np.int64), "labels must be a non-empty vector"),
+    ], ids=["zero", "c-plus-one", "empty"])
+    @pytest.mark.parametrize("consumer", [
+        lambda y: Dataset(np.zeros((len(y), 2)), y, 2),
+        lambda y: GMatrix(np.eye(2), y),
+        lambda y: empirical_prior(np.asarray(y), 2),
+        _train_labels,
+    ], ids=["Dataset", "GMatrix", "empirical_prior", "train"])
+    def test_bad_labels_refused(self, consumer, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            consumer(labels)

@@ -141,6 +141,29 @@ class TestPublicApi:
         assert not unused, f"only tests call: {', '.join(unused)}"
 
 
+def test_arrays_are_frozen_in_one_place():
+    # every value type stores its arrays through data.frozen_field; the one
+    # other read-only array is kernels' cached coefficient map
+    found = set()
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        funcs = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef)]
+        for no, line in enumerate(lines, 1):
+            if "setflags(" in line or "flags.writeable" in line:
+                owner = min((f for f in funcs
+                             if f.lineno <= no <= f.end_lineno),
+                            key=lambda f: f.end_lineno - f.lineno,
+                            default=None)
+                found.add((os.path.basename(path)[:-3],
+                           owner.name if owner else None))
+    assert ("data", "frozen_field") in found
+    assert found <= {("data", "frozen_field"),
+                     ("kernels", "_coefficient_map")}, sorted(found)
+
+
 def test_import_starts_no_thread_and_loads_no_pool_module():
     # set-up time is a benchmark metric: importing the package must stay
     # free of executor and process-pool machinery, and of started threads
