@@ -170,7 +170,7 @@ def train(features: np.ndarray, noisy_labels: np.ndarray, q: TransitionMatrix,
     with a diagnostic rather than training through it.
     """
     x = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(noisy_labels, dtype=np.int64)
+    labels = np.asarray(noisy_labels)  # batch_loss_grads casts each batch
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise ValueError("features must be (m, d) with one label per row")
     c = check_labels(labels, q.n_classes)

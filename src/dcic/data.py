@@ -5,12 +5,11 @@ Labels are 1-based everywhere in the public API. All types are validated at
 construction and frozen afterwards, so instances can be shared read-only
 across workers. Two rules here serve every value type of the package:
 
-- ``frozen_field`` stores each array field: a C-contiguous array of the
-  field's dtype, refused if it is a float array with a NaN or an inf, and
-  frozen. An input that already is such an array is frozen in place and
-  shared, not copied.
+- ``frozen_field`` stores each array field: a private C-contiguous copy
+  of the field's dtype, refused if it is a float array with a NaN or an
+  inf, and frozen. The caller's array is never stored or frozen.
 - ``check_labels`` checks each label vector: it must be non-empty, with
-  every label in 1..c.
+  every label an integer in 1..c.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ def float_field(name: str, value) -> float:
 
 def frozen_field(obj, name: str, value, dtype=np.float64) -> np.ndarray:
     """Store ``value`` as the array field ``name`` of the frozen dataclass
-    ``obj``, and return it: a C-contiguous array of ``dtype``, made
+    ``obj``, and return it: a C-contiguous copy of ``dtype``, made
     read-only. A float array with a non-finite entry raises ValueError
-    naming the field. A value that already is such an array is frozen in
-    place and stored itself, not a copy (``linear.fit`` tells an unmoved W
-    by identity)."""
-    a = np.asarray(value, dtype=dtype, order="C")
+    naming the field. The copy is always made, so the caller's array stays
+    writable and a later write to it leaves the field as it was."""
+    a = np.array(value, dtype=dtype, order="C")
     if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError(f"{name} contain non-finite entries")
     a.setflags(write=False)
@@ -63,15 +61,20 @@ def frozen_field(obj, name: str, value, dtype=np.float64) -> np.ndarray:
     return a
 
 
-def check_labels(labels: np.ndarray, c: int | None) -> int:
+def check_labels(labels, c: int | None) -> int:
     """The class count of a 1-based label vector: ``c``, or the largest
-    label when ``c`` is None. An empty vector, a label below 1 and a label
-    above ``c`` raise ValueError; the smallest label is checked first, so
-    labels that are all 0 name the label."""
+    label when ``c`` is None. An empty vector, a label that is not an
+    integer (checked on the values given, before any cast, so 1.5 is not
+    read as 1), a label below 1 and a label above ``c`` raise ValueError,
+    in that order."""
+    labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("labels must be a non-empty vector")
+    if not np.issubdtype(labels.dtype, np.integer) and not np.all(
+            np.isfinite(labels) & (labels == np.round(labels))):
+        raise ValueError("labels must be integers")
     if labels.min() < 1:
-        raise ValueError(f"labels must be >= 1, got {labels.min()}")
+        raise ValueError(f"labels must be >= 1, got {int(labels.min())}")
     c = int(labels.max()) if c is None else c
     if labels.max() > c:
         raise ValueError(f"labels must lie in 1..{c}")
@@ -107,15 +110,11 @@ class Dataset:
         if self.labels is None:
             return
 
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
+        if np.shape(self.labels) != feats.shape[:1]:
             raise ValueError("labels must be a vector matching the sample count")
-        if not np.issubdtype(labels.dtype, np.integer):
-            if not np.all(labels == np.round(labels)):
-                raise ValueError("labels must be integers")
-        labels = frozen_field(self, "labels", labels.astype(np.int64), np.int64)
         object.__setattr__(self, "n_classes",
-                           check_labels(labels, self.n_classes))
+                           check_labels(self.labels, self.n_classes))
+        frozen_field(self, "labels", self.labels, np.int64)
 
     @property
     def n_samples(self) -> int:
@@ -242,9 +241,9 @@ class Projection:
 def empirical_prior(labels: np.ndarray, c: int) -> ClassPrior:
     """Relative class frequencies of a 1-based label vector, refused as
     ``check_labels`` refuses it."""
-    labels = np.asarray(labels)
     check_labels(labels, c)
-    counts = np.bincount(labels.astype(np.int64) - 1, minlength=c).astype(np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    counts = np.bincount(labels - 1, minlength=c).astype(np.float64)
     return ClassPrior(counts / labels.size)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
-                   empirical_prior, int_field)
+                   empirical_prior, frozen_field, int_field)
 from .kernels import kernel_sums, kernel_totals, median_bandwidth
 from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
@@ -84,6 +84,9 @@ class LinearFitResult:
     config: LinearFitConfig
     sigma: float
 
+    def __post_init__(self):
+        frozen_field(self, "objective_trace", self.objective_trace)
+
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
@@ -92,7 +95,7 @@ class LinearFitResult:
         return json.dumps({
             "alpha": self.alpha.p.tolist(),
             "w": self.w.w.tolist(),
-            "objective_trace": np.asarray(self.objective_trace).tolist(),
+            "objective_trace": self.objective_trace.tolist(),
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "sigma": self.sigma,
@@ -330,28 +333,28 @@ class GrassmannState:
     stalled: bool = False
 
 
-def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
-    """One conjugate-gradient step over orthonormal frames.
+def grassmann_step(proj: Projection, euclidean_grad, state: GrassmannState):
+    """One conjugate-gradient step over orthonormal frames from ``proj``,
+    returning (frame, state): a new frame if W moves, else ``proj`` itself.
 
     Projects the gradient to the horizontal space. If that Riemannian
     gradient is at most STATIONARY_RTOL of the full gradient's norm, W is
-    stationary to the precision the objective resolves: W comes back
-    unchanged (the same array), ``state.stalled`` stays False and the
-    objective is not called. Otherwise the step combines the horizontal
-    gradient with the previous direction (non-negative Polak-Ribiere
-    factor, restart when the combination is not a descent direction),
-    backtracks from ``state.step`` under the Armijo rule, and retracts by
-    QR. The step length carries over: ``state.step`` doubles when the
-    first trial is accepted and otherwise becomes the accepted step. A
-    failed line search (40 halvings) returns W unchanged with
-    ``state.stalled`` set.
+    stationary to the precision the objective resolves: ``proj`` comes
+    back, ``state.stalled`` stays False and the objective is not called.
+    Otherwise the step combines the horizontal gradient with the previous
+    direction (non-negative Polak-Ribiere factor, restart when the
+    combination is not a descent direction), backtracks from ``state.step``
+    under the Armijo rule, and retracts by QR. The step length carries
+    over: ``state.step`` doubles when the first trial is accepted and
+    otherwise becomes the accepted step. A failed line search (40
+    halvings) returns ``proj`` with ``state.stalled`` set.
     """
-    w_mat = np.asarray(w, dtype=np.float64)
+    w_mat = proj.w
     grad = np.asarray(euclidean_grad, dtype=np.float64)
     horiz = grad - w_mat @ (w_mat.T @ grad)
     state.stalled = False
     if np.linalg.norm(horiz) <= STATIONARY_RTOL * np.linalg.norm(grad):
-        return Projection(w_mat), state
+        return proj, state
 
     direction = -horiz
     if state.prev_grad is not None:
@@ -377,7 +380,7 @@ def grassmann_step(w, euclidean_grad: np.ndarray, state: GrassmannState):
         step *= BACKTRACK
     state.stalled = True
     state.f_current = f0
-    return Projection(w_mat), state
+    return proj, state
 
 
 def _check_fit_inputs(noisy_source: Dataset, target: Dataset,
@@ -406,11 +409,11 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     steps for W on the manifold, until the objective change drops below
     OBJECTIVE_TOL or a round leaves W where it was.
 
-    A round of W steps ends early when a step finds W stationary (relative
-    horizontal gradient at most STATIONARY_RTOL) or its line search
-    stalls; the step length carries over between rounds. A round that
-    accepted no W step ends the fit, since W, A and b are then as the round
-    found them and the next round's exact QP could only repeat its own.
+    A round of W steps ends when a step returns the frame it was given (W
+    stationary to STATIONARY_RTOL, or a stalled line search); the step
+    length carries over between rounds. A round that ends on the frame it
+    started with ends the fit: W, A and b are as the round found them, and
+    the next round's exact QP could only repeat its own.
     A d_prime equal to the input dim pins W = I and ends "converged" after
     one round: the kernel sees only distances, which every square
     orthonormal W keeps, so no such W moves the objective. The bandwidth
@@ -431,11 +434,11 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         np.vstack([noisy_source.features, target.features]))
 
     pinned = d_prime == d
-    w_mat = (np.eye(d) if pinned else qr_retract(
+    proj = Projection(np.eye(d) if pinned else qr_retract(
         as_generator(config.seed).standard_normal((d, d_prime))))
 
     prob = _MmdProblem(noisy_source.features, target.features, g, sigma)
-    w_key = None if pinned else w_mat
+    w_key = None if pinned else proj.w
     alpha = np.full(c, 1.0 / c)
     trace = [prob.eval(w_key, alpha)]
     step_memory = 1.0
@@ -445,24 +448,24 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
         a, b, _ = prob.terms(w_key)
         alpha = solve_alpha_qp(a, b, start=alpha).p
         f_now = prob.eval(w_key, alpha)
-        w_before = w_mat
+        start = proj
 
         if not pinned:
             state = GrassmannState(
                 objective_fn=lambda m_, al=alpha: prob.eval(m_, al),
                 f_current=f_now, step=step_memory)
             for _ in range(W_CG_ITERS):
-                grad = prob.grad(w_mat, alpha)  # W's pass is cached
-                proj, state = grassmann_step(w_mat, grad, state)
-                if state.stalled or proj.w is w_mat:
+                grad = prob.grad(proj.w, alpha)  # W's pass is cached
+                moved, state = grassmann_step(proj, grad, state)
+                if moved is proj:
                     break  # line search failed, or W already stationary
-                w_mat = proj.w
+                proj = moved
             step_memory = min(state.step, 1e6)
             f_now = state.f_current
-            w_key = w_mat
+            w_key = proj.w
 
         trace.append(f_now)
-        if w_mat is w_before:
+        if proj is start:
             # pinned, or the round's first step stalled or found W stationary
             stop_reason = ("converged" if pinned
                            else "stalled" if state.stalled else "stationary")
@@ -471,5 +474,5 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
             stop_reason = "converged"
             break
 
-    return LinearFitResult(Projection(w_mat), ClassPrior(alpha / alpha.sum()),
-                           np.asarray(trace), stop_reason, config, sigma)
+    return LinearFitResult(proj, ClassPrior(alpha / alpha.sum()), trace,
+                           stop_reason, config, sigma)

@@ -39,12 +39,12 @@ class GMatrix:
 
     def __post_init__(self):
         rows = frozen_field(self, "class_rows", self.class_rows)
-        labels = frozen_field(self, "labels", self.labels, np.int64)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError("class_rows must be square (c x c)")
-        if labels.ndim != 1:
+        if np.ndim(self.labels) != 1:
             raise ValueError("labels must be a vector")
-        check_labels(labels, rows.shape[0])
+        check_labels(self.labels, rows.shape[0])
+        frozen_field(self, "labels", self.labels, np.int64)
 
     @property
     def n_samples(self) -> int:

@@ -156,8 +156,8 @@ def apply_location_scale(data: Dataset, t: LocationScale) -> Dataset:
 
 
 def flip_labels(data: Dataset, q: TransitionMatrix, seed) -> Dataset:
-    """Replace each label i by a draw from row i of q; features are the
-    same array, bit for bit."""
+    """Replace each label i by a draw from row i of q; features are copied
+    bit for bit."""
     if data.labels is None:
         raise ValueError("flip_labels needs labels")
     if data.n_classes != q.n_classes:

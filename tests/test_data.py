@@ -10,6 +10,7 @@ from dcic.classifier import TrainConfig, train
 from dcic.data import (ClassPrior, Dataset, Projection,
                        TransitionMatrix, empirical_prior, read_dataset_csv,
                        symmetric_noise)
+from dcic.linear import LinearFitConfig, LinearFitResult
 from dcic.noise import GammaWeights, GMatrix
 from dcic.synth import GmmSpec, LocationScale
 
@@ -280,7 +281,7 @@ class TestCsvRoundTrip:
 
 def _valid_fields(cls) -> dict:
     """Keyword arguments that build a valid ``cls`` with two classes, made
-    afresh on each call (a constructor freezes the arrays it is given)."""
+    afresh on each call."""
     return {
         Dataset: dict(features=np.zeros((2, 2)), labels=[1, 2]),
         TransitionMatrix: dict(q=np.eye(2)),
@@ -292,6 +293,11 @@ def _valid_fields(cls) -> dict:
                       covariances=np.stack([np.eye(2)] * 2),
                       priors=ClassPrior([0.5, 0.5])),
         LocationScale: dict(shift=np.zeros((2, 2)), scale=np.ones((2, 2))),
+        LinearFitResult: dict(w=Projection(np.eye(2)),
+                              alpha=ClassPrior([0.5, 0.5]),
+                              objective_trace=np.array([0.2, 0.1]),
+                              stop_reason="converged",
+                              config=LinearFitConfig(d_prime=2), sigma=1.0),
     }[cls]
 
 
@@ -299,7 +305,8 @@ FLOAT_FIELDS = [(Dataset, "features"), (TransitionMatrix, "q"),
                 (ClassPrior, "p"), (Projection, "w"), (GMatrix, "class_rows"),
                 (GammaWeights, "gamma"), (GmmSpec, "means"),
                 (GmmSpec, "covariances"), (LocationScale, "shift"),
-                (LocationScale, "scale")]
+                (LocationScale, "scale"), (LinearFitResult, "objective_trace")]
+ARRAY_FIELDS = FLOAT_FIELDS + [(Dataset, "labels"), (GMatrix, "labels")]
 
 
 class TestArrayFieldRule:
@@ -331,6 +338,31 @@ class TestArrayFieldRule:
                 a.flat[0] = a.flat[0]
 
 
+class TestCopyRule:
+    # a value type stores its own copy of each array it is given, even one
+    # already of the field's dtype and layout: the caller's array stays
+    # writable, and writing to it leaves the stored field as it was
+    @pytest.mark.parametrize("cls, name", ARRAY_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in ARRAY_FIELDS])
+    def test_input_is_copied(self, cls, name):
+        kwargs = _valid_fields(cls)
+        given = np.array(kwargs[name],
+                         dtype=np.int64 if name == "labels" else np.float64)
+        kwargs[name] = given
+        stored = getattr(cls(**kwargs), name)
+        before = stored.copy()
+        assert given.flags.writeable
+        assert not np.shares_memory(given, stored)
+        given.flat[0] += 1
+        assert np.array_equal(stored, before)
+
+    def test_refused_input_stays_writable(self):
+        given = np.array([1.5, -0.5])
+        with pytest.raises(ValueError, match="^prior entries must be finite"):
+            ClassPrior(given)
+        assert given.flags.writeable
+
+
 def _train_labels(labels):
     labels = np.asarray(labels)
     train(np.zeros((labels.size, 2)), labels, TransitionMatrix(np.eye(2)),
@@ -344,7 +376,8 @@ class TestLabelRule:
         ([1, 0], "labels must be >= 1, got 0"),
         ([1, 3], "labels must lie in 1..2"),
         (np.array([], dtype=np.int64), "labels must be a non-empty vector"),
-    ], ids=["zero", "c-plus-one", "empty"])
+        ([1, 1.5], "labels must be integers"),
+    ], ids=["zero", "c-plus-one", "empty", "non-integer"])
     @pytest.mark.parametrize("consumer", [
         lambda y: Dataset(np.zeros((len(y), 2)), y, 2),
         lambda y: GMatrix(np.eye(2), y),

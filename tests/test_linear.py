@@ -13,11 +13,13 @@ import dcic.kernels as kernels_mod
 import dcic.linear as linear_mod
 from dcic.data import (ClassPrior, Dataset, Projection, TransitionMatrix,
                        empirical_prior, symmetric_noise)
+from dcic.harness import FIT_OUTER_ITERS, ExperimentConfig, _rep_data
 from dcic.kernels import median_bandwidth
 from dcic.linear import (GrassmannState, LinearFitConfig, LinearFitResult,
                          _MmdProblem, fit, grassmann_step, project_simplex,
                          qr_retract, solve_alpha_qp)
 from dcic.noise import build_g_matrix
+from dcic.rng import child_seed
 from dcic.synth import flip_labels, sample_dataset, sample_gmm_spec
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -905,8 +907,9 @@ class TestGrassmannStep:
         fn, _ = self._quadratic(rng)
         w0 = qr_retract(rng.standard_normal((5, 2)))
         state = GrassmannState(objective_fn=fn, f_current=fn(w0))
-        proj, state = grassmann_step(w0, np.zeros((5, 2)), state)
-        assert np.array_equal(proj.w, w0)
+        start = Projection(w0)
+        proj, state = grassmann_step(start, np.zeros((5, 2)), state)
+        assert proj is start
         assert not state.stalled
 
     def test_descent_step(self, rng):
@@ -914,21 +917,23 @@ class TestGrassmannStep:
         w0 = qr_retract(rng.standard_normal((5, 2)))
         f0 = fn(w0)
         state = GrassmannState(objective_fn=fn, f_current=f0)
-        proj, state = grassmann_step(w0, grad(w0), state)
+        start = Projection(w0)
+        proj, state = grassmann_step(start, grad(w0), state)
+        assert proj is not start
         assert not state.stalled
         assert state.f_current < f0
         assert np.abs(proj.w.T @ proj.w - np.eye(2)).max() <= 1e-8
 
     def test_monotone_over_many_steps(self, rng):
         fn, grad = self._quadratic(rng)
-        w = qr_retract(rng.standard_normal((5, 2)))
-        state = GrassmannState(objective_fn=fn, f_current=fn(w))
+        proj = Projection(qr_retract(rng.standard_normal((5, 2))))
+        state = GrassmannState(objective_fn=fn, f_current=fn(proj.w))
         values = [state.f_current]
         for _ in range(5):
-            proj, state = grassmann_step(w, grad(w), state)
-            if state.stalled:
+            moved, state = grassmann_step(proj, grad(proj.w), state)
+            if moved is proj:
                 break
-            w = proj.w
+            proj = moved
             values.append(state.f_current)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
@@ -938,9 +943,10 @@ class TestGrassmannStep:
         # fails and the step must report the stall without moving W
         w0 = qr_retract(rng.standard_normal((4, 2)))
         state = GrassmannState(objective_fn=lambda m: 1.0, f_current=0.0)
-        proj, state = grassmann_step(w0, np.ones((4, 2)), state)
+        start = Projection(w0)
+        proj, state = grassmann_step(start, np.ones((4, 2)), state)
         assert state.stalled
-        assert np.array_equal(proj.w, w0)
+        assert proj is start
         assert state.f_current == 0.0
 
     @staticmethod
@@ -966,8 +972,9 @@ class TestGrassmannStep:
                 + 1e-4 * horiz / np.linalg.norm(horiz)) * scale
         fn, calls = self._counting(lambda m: 0.0)
         state = GrassmannState(objective_fn=fn, f_current=1.0)
-        proj, state = grassmann_step(w0, grad, state)
-        assert proj.w is w0
+        start = Projection(w0)
+        proj, state = grassmann_step(start, grad, state)
+        assert proj is start
         assert not state.stalled
         assert calls == []
 
@@ -977,9 +984,10 @@ class TestGrassmannStep:
         counted, calls = self._counting(fn)
         state = GrassmannState(objective_fn=counted, f_current=fn(w0),
                                step=1e-3)
-        proj, state = grassmann_step(w0, grad(w0), state)
+        start = Projection(w0)
+        proj, state = grassmann_step(start, grad(w0), state)
         assert len(calls) == 1
-        assert proj.w is not w0
+        assert proj is not start
         assert state.step == 2e-3
 
     def test_step_after_halving_keeps_accepted_step(self, rng):
@@ -988,9 +996,10 @@ class TestGrassmannStep:
         counted, calls = self._counting(fn, reject_first=2)
         state = GrassmannState(objective_fn=counted, f_current=fn(w0),
                                step=4e-3)
-        proj, state = grassmann_step(w0, grad(w0), state)
+        start = Projection(w0)
+        proj, state = grassmann_step(start, grad(w0), state)
         assert len(calls) == 3
-        assert proj.w is not w0
+        assert proj is not start
         assert state.step == 1e-3
 
 
@@ -1147,8 +1156,8 @@ class TestFit:
         source, target, q = self._shifted_pair(seed=23)
         self._alternating_alpha(monkeypatch)
 
-        def stationary(w, grad, state):
-            return Projection(w), state
+        def stationary(proj, grad, state):
+            return proj, state
 
         monkeypatch.setattr(linear_mod, "grassmann_step", stationary)
         res = fit(LinearFitConfig(d_prime=1), source, target, q)
@@ -1159,14 +1168,28 @@ class TestFit:
         source, target, q = self._shifted_pair(seed=23)
         self._alternating_alpha(monkeypatch)
 
-        def failed_line_search(w, grad, state):
+        def failed_line_search(proj, grad, state):
             state.stalled = True
-            return Projection(w), state
+            return proj, state
 
         monkeypatch.setattr(linear_mod, "grassmann_step", failed_line_search)
         res = fit(LinearFitConfig(d_prime=1), source, target, q)
         assert res.stop_reason == "stalled" and not res.converged
         assert len(res.objective_trace) == 2
+
+    def test_real_stationary_stop(self):
+        # unpatched: the getars_accuracy sweep at seed 21, cell rho = 0.0,
+        # beta1 = 1.6, rep 0 (both arms fit the identity Q) finds W
+        # stationary in its third round. The fit must end there, not run a
+        # fourth round and read "converged": a step that does not move W
+        # hands back the very frame it was given
+        config = ExperimentConfig(scenario="getars_accuracy", seed=21)
+        seed = child_seed(21, 0, 0, 1, 0)
+        noisy, target, _, q, _ = _rep_data(config, 500, 0.0, 1.6, seed)
+        res = fit(LinearFitConfig(d_prime=1, max_outer_iters=FIT_OUTER_ITERS,
+                                  seed=child_seed(seed, 5)), noisy, target, q)
+        assert res.stop_reason == "stationary"
+        assert len(res.objective_trace) == 4
 
     def test_input_validation(self):
         source, target, q = self._shifted_pair(seed=29, m=40, n=40)

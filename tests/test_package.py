@@ -164,6 +164,39 @@ def test_arrays_are_frozen_in_one_place():
                      ("kernels", "_coefficient_map")}, sorted(found)
 
 
+def _is_frozen_dataclass(decorator) -> bool:
+    return (isinstance(decorator, ast.Call)
+            and getattr(decorator.func, "id", None) == "dataclass"
+            and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                    for k in decorator.keywords))
+
+
+def test_every_array_field_goes_through_frozen_field():
+    # an ndarray field of a frozen dataclass is stored by data.frozen_field
+    # (a private, read-only copy); a field assigned any other way would
+    # stay writable inside a frozen value
+    fields, missing = [], []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    _is_frozen_dataclass(d) for d in cls.decorator_list)):
+                continue
+            stored = {call.args[1].value for call in ast.walk(cls)
+                      if isinstance(call, ast.Call)
+                      and getattr(call.func, "id", None) == "frozen_field"}
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and "np.ndarray" in ast.unparse(stmt.annotation)):
+                    fields.append(f"{cls.name}.{stmt.target.id}")
+                    if stmt.target.id not in stored:
+                        missing.append(fields[-1])
+    assert "LinearFitResult.objective_trace" in fields
+    assert len(fields) == 13, fields
+    assert not missing, missing
+
+
 def test_import_starts_no_thread_and_loads_no_pool_module():
     # set-up time is a benchmark metric: importing the package must stay
     # free of executor and process-pool machinery, and of started threads

@@ -151,7 +151,6 @@ class TestFlipLabels:
         data = sample_dataset(spec, 100, seed=2)
         out = flip_labels(data, symmetric_noise(2, 0.3), seed=3)
         assert np.array_equal(out.features, data.features)
-        assert np.shares_memory(out.features, data.features)
 
     def test_unlabeled_input_rejected(self):
         data = Dataset(np.zeros((2, 2)))
