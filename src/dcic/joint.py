@@ -23,12 +23,10 @@ import numpy as np
 from .classifier import (INIT_STREAM, SHUFFLE_STREAM, TARGET_STREAM, MlpModel,
                          TrainConfig, _ce_grads_from_forward, _forward,
                          init_model, sgd_step)
-from .data import (ClassPrior, Dataset, TransitionMatrix, empirical_prior,
-                   float_field)
+from .data import ClassPrior, Dataset, TransitionMatrix, float_field
 from .kernels import median_bandwidth
-from .noise import (GMatrix, build_g_matrix, clean_prior_from_noisy,
-                    gamma_weights)
-from .linear import _MmdProblem, _check_fit_inputs, solve_alpha_qp
+from .noise import GMatrix, gamma_weights
+from .linear import _MmdProblem, _fit_front_end, solve_alpha_qp
 from .rng import child_generator
 
 
@@ -107,19 +105,16 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     hidden features after every epoch; gamma and the source weights follow
     each refresh. With pi1 = 0 the invariance term and the
     alpha refreshes are disabled and the loop reduces to classifier.train.
-    It refuses the inputs ``linear.fit`` refuses, with the same messages.
+    The noisy label prior and G come from ``linear.fit``'s own front end,
+    which refuses the inputs ``linear.fit`` refuses, with the same messages.
     """
-    _check_fit_inputs(noisy_source, target, q)
+    noisy_prior, g = _fit_front_end(noisy_source, target, q)
     xs_all = noisy_source.features
     xt_all = target.features
     labels_all = noisy_source.labels
     m, d = xs_all.shape
     n = xt_all.shape[0]
     c = q.n_classes
-
-    noisy_prior = empirical_prior(labels_all, c)
-    clean_prior = clean_prior_from_noisy(noisy_prior, q)
-    g = build_g_matrix(q, clean_prior, labels_all)
     alpha = np.full(c, 1.0 / c)
     gamma = gamma_weights(alpha, q, noisy_prior)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +106,14 @@ class LinearFitResult:
         })
 
 
+class _Pass(NamedTuple):
+    """The kernel pass an ``_MmdProblem`` keeps."""
+
+    w: np.ndarray | None  # its key: a private copy of W, or None
+    terms: tuple  # (A, b, const)
+    rows: tuple | None  # (S', T', *kernel_sums), None with w=None
+
+
 class _MmdProblem:
     """The package's one weighted squared-MMD implementation: evaluates the
     objective, its alpha-quadratic, its gradients with respect to the
@@ -114,9 +123,11 @@ class _MmdProblem:
     refresh.
 
     Holds raw features, the per-class weight rows, and the bandwidth. The
-    most recent pass is cached keyed on the value of W (a private copy,
-    compared with ``np.array_equal``; ``None`` is its own key), so repeated
+    most recent pass is one record (``_Pass``), read by ``terms`` and
+    ``row_grads`` and keyed on the value of W (a private copy, compared
+    with ``np.array_equal``; ``None`` is its own key), so repeated
     evaluations at one W cost one pass total, whichever array carries it.
+    The value is the alpha QP's own quadratic (``_qp_value``) plus const.
 
     A pass with a W asks ``kernels.kernel_sums`` for per-row sums, one
     contraction for every W: with one-hot noisy labels oh, S' = Xs W and
@@ -144,19 +155,12 @@ class _MmdProblem:
         onehot = np.zeros((m, g.n_classes))
         onehot[np.arange(m), g.labels - 1] = 1.0
         self.onehot = onehot
-        self._cache_w = None
-        self._cache_val = None
-        self._rows = None
+        self._pass = None
 
-    def _cached(self, w) -> bool:
-        if self._cache_val is None or (w is None) != (self._cache_w is None):
-            return False
-        return w is None or np.array_equal(w, self._cache_w)
-
-    def terms(self, w: np.ndarray | None):
-        """(A, b, const) with objective(alpha) = a^T A a - 2 b^T a + const."""
-        if self._cached(w):
-            return self._cache_val
+    def _pass_at(self, w: np.ndarray | None) -> _Pass:
+        """The kept pass if W's value is its key, else a new one."""
+        if self._pass is not None and np.array_equal(w, self._pass.w):
+            return self._pass  # None equals only None
         w = None if w is None else np.array(w, dtype=np.float64)
         s = self.s if w is None else self.s @ w
         t = self.t if w is None else self.t @ w
@@ -167,28 +171,29 @@ class _MmdProblem:
             block, cross, tt = kernel_totals(s, t, self.sigma, oh,
                                              np.ones((n, 1)))
             cross_by_class, tt_total = cross[0], tt[0, 0]
-            self._rows = None
+            rows = None
         else:
             p_s = np.hstack([oh, (oh[:, :, None] * s[:, None, :]).reshape(m, -1)])
             p_t = np.hstack([np.ones((n, 1)), t])
-            rows = kernel_sums(s, t, self.sigma, p_s, p_t)
-            r_ss, r_ts, _, r_tt = rows
+            r_ss, r_ts, _, r_tt = sums = kernel_sums(s, t, self.sigma, p_s, p_t)
             block = oh.T @ r_ss[:, :c]
             cross_by_class = r_ts[:, :c].sum(axis=0)
             tt_total = r_tt[:, 0].sum()
-            self._rows = (s, t, *rows)
+            rows = (s, t, *sums)
         ghat = self.g.class_rows
         a = ghat.T @ block @ ghat / (m * m)
         a = 0.5 * (a + a.T)
         b = ghat.T @ cross_by_class / (m * n)
-        const = tt_total / (n * n)
-        self._cache_w = w
-        self._cache_val = (a, b, const)
-        return self._cache_val
+        self._pass = _Pass(w, (a, b, tt_total / (n * n)), rows)
+        return self._pass
+
+    def terms(self, w: np.ndarray | None):
+        """(A, b, const) with objective(alpha) = a^T A a - 2 b^T a + const."""
+        return self._pass_at(w).terms
 
     def eval(self, w: np.ndarray | None, alpha: np.ndarray) -> float:
         a, b, const = self.terms(w)
-        return float(alpha @ a @ alpha - 2.0 * (b @ alpha) + const)
+        return float(_qp_value(a, b, alpha) + const)
 
     def row_grads(self, w: np.ndarray, alpha: np.ndarray):
         """Gradients (dS, dT) of the objective with respect to the projected
@@ -211,8 +216,7 @@ class _MmdProblem:
         """
         if w is None:
             raise ValueError("the gradients need an explicit W")
-        self.terms(w)
-        s, t, r_ss, r_ts, r_st, r_tt = self._rows
+        s, t, r_ss, r_ts, r_st, r_tt = self._pass_at(w).rows
         m, n = s.shape[0], t.shape[0]
         c, d_out = self.g.n_classes, s.shape[1]
         u = self.g.class_rows @ np.asarray(alpha, dtype=np.float64)
@@ -366,12 +370,11 @@ def grassmann_step(proj: Projection, euclidean_grad, state: GrassmannState):
             direction = -horiz
     slope = float((direction * horiz).sum())
 
-    f0 = state.f_current
     step = state.step
     for halvings in range(MAX_HALVINGS):
         candidate = qr_retract(w_mat + step * direction)
         f_cand = float(state.objective_fn(candidate))
-        if f_cand <= f0 + ARMIJO_C1 * step * slope:
+        if f_cand <= state.f_current + ARMIJO_C1 * step * slope:
             state.f_current = f_cand
             state.prev_grad = horiz
             state.prev_dir = direction
@@ -379,14 +382,14 @@ def grassmann_step(proj: Projection, euclidean_grad, state: GrassmannState):
             return Projection(candidate), state
         step *= BACKTRACK
     state.stalled = True
-    state.f_current = f0
     return proj, state
 
 
-def _check_fit_inputs(noisy_source: Dataset, target: Dataset,
-                      q: TransitionMatrix) -> None:
-    """Refuse what neither ``fit`` nor ``joint.fit_joint`` can fit: a source
-    or target without rows, an unlabelled source, feature dims that differ,
+def _fit_front_end(noisy_source: Dataset, target: Dataset,
+                   q: TransitionMatrix) -> tuple[ClassPrior, GMatrix]:
+    """The noise front end of ``fit`` and ``joint.fit_joint``: the noisy
+    label prior and G. First it refuses what neither can fit: a source or
+    target without rows, an unlabelled source, feature dims that differ,
     or a source class count other than the flip-rate matrix's."""
     for name, data in (("source", noisy_source), ("target", target)):
         if data.n_samples == 0:
@@ -400,6 +403,10 @@ def _check_fit_inputs(noisy_source: Dataset, target: Dataset,
             f"source class count {noisy_source.n_classes} (largest label "
             f"{int(noisy_source.labels.max())}) does not match the flip-rate "
             f"matrix's {q.n_classes} classes")
+    noisy_prior = empirical_prior(noisy_source.labels, q.n_classes)
+    g = build_g_matrix(q, clean_prior_from_noisy(noisy_prior, q),
+                       noisy_source.labels)
+    return noisy_prior, g
 
 
 def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
@@ -419,17 +426,14 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     orthonormal W keeps, so no such W moves the objective. The bandwidth
     is the median pairwise distance of the stacked raw features, fixed
     before optimization. The result's ``stop_reason`` names the exit taken.
-    Inputs ``_check_fit_inputs`` refuses raise before any kernel work.
+    Inputs ``_fit_front_end`` refuses raise before any kernel work.
     """
-    _check_fit_inputs(noisy_source, target, q)
+    _, g = _fit_front_end(noisy_source, target, q)
     d, c = noisy_source.dim, q.n_classes
     d_prime = d if config.mode == "tars_fixed_w" else config.d_prime
     if d_prime > d:
         raise ValueError("d_prime must not exceed the input dim")
 
-    noisy_prior = empirical_prior(noisy_source.labels, c)
-    clean_prior = clean_prior_from_noisy(noisy_prior, q)
-    g = build_g_matrix(q, clean_prior, noisy_source.labels)
     sigma = median_bandwidth(
         np.vstack([noisy_source.features, target.features]))
 

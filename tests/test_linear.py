@@ -538,7 +538,7 @@ class TestLowRankPass:
             calls = force(monkeypatch)
             prob = _MmdProblem(s, t, g, sigma)
             terms = prob.terms(w)
-            rows = prob._rows
+            rows = prob._pass.rows
             grads = (() if w is None else
                      (*prob.row_grads(w, alpha), prob.grad(w, alpha)))
             out.append((len(calls), terms, rows, grads))
@@ -645,7 +645,7 @@ class TestLowRankPass:
         calls = _count_low_rank(monkeypatch)
         prob = _problem(source, target, g, sigma)
         a, b, const = prob.terms(None)
-        assert calls == [1] and prob._rows is None
+        assert calls == [1] and prob._pass.rows is None
         assert np.isfinite(a).all() and np.isfinite(b).all() and const > 0
         with pytest.raises(AssertionError, match="per-row sums"):
             prob.terms(np.eye(2))
@@ -1190,6 +1190,42 @@ class TestFit:
                                   seed=child_seed(seed, 5)), noisy, target, q)
         assert res.stop_reason == "stationary"
         assert len(res.objective_trace) == 4
+
+    @staticmethod
+    def _count_calls(monkeypatch, names):
+        # wraps the linear module's attributes, where fit looks them up
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(linear_mod, name,
+                                counting(name, getattr(linear_mod, name)))
+        return counts
+
+    def test_one_pass_per_frame(self, monkeypatch):
+        # unpatched fits, counted end to end through the pass cache: a
+        # d' = 1 fit runs one kernel_sums pass per frame qr_retract makes
+        # (the random start and every line-search candidate), since the
+        # value, the gradient and the next round's QP at an accepted frame
+        # reuse its pass; a pinned fit runs one kernel_totals pass
+        source, target, q = self._shifted_pair(seed=11)
+        names = ("kernel_sums", "kernel_totals", "qr_retract")
+        counts = self._count_calls(monkeypatch, names)
+        res = fit(LinearFitConfig(d_prime=1, max_outer_iters=6, seed=2),
+                  source, target, q)
+        assert res.stop_reason != "stalled"
+        assert counts["qr_retract"] > len(res.objective_trace)
+        assert counts["kernel_sums"] == counts["qr_retract"]
+        assert counts["kernel_totals"] == 0
+        counts = self._count_calls(monkeypatch, names)
+        fit(LinearFitConfig(d_prime=2), source, target, q)
+        assert counts == {"kernel_sums": 0, "kernel_totals": 1,
+                          "qr_retract": 0}
 
     def test_input_validation(self):
         source, target, q = self._shifted_pair(seed=29, m=40, n=40)
