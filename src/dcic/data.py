@@ -65,13 +65,14 @@ def check_labels(labels, c: int | None) -> int:
     """The class count of a 1-based label vector: ``c``, or the largest
     label when ``c`` is None. An empty vector, a label that is not an
     integer (checked on the values given, before any cast, so 1.5 is not
-    read as 1), a label below 1 and a label above ``c`` raise ValueError,
-    in that order."""
+    read as 1, nor True as 1), a label below 1 and a label above ``c``
+    raise ValueError, in that order."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("labels must be a non-empty vector")
-    if not np.issubdtype(labels.dtype, np.integer) and not np.all(
-            np.isfinite(labels) & (labels == np.round(labels))):
+    if labels.dtype == bool or not (
+            np.issubdtype(labels.dtype, np.integer)
+            or np.all(np.isfinite(labels) & (labels == np.round(labels)))):
         raise ValueError("labels must be integers")
     if labels.min() < 1:
         raise ValueError(f"labels must be >= 1, got {int(labels.min())}")
@@ -167,20 +168,21 @@ class TransitionMatrix:
     @staticmethod
     def from_json(text: str, source: str) -> "TransitionMatrix":
         """The matrix that ``to_json`` wrote; every error it raises names
-        ``source``, the text's origin (a file path)."""
+        ``source``, the text's origin (a file path). Each entry is read by
+        ``float_field``, so a JSON boolean or a numeric string is refused."""
         obj = json.loads(text)
         missing = [k for k in ("c", "rows")
                    if not isinstance(obj, dict) or k not in obj]
         if missing:
             raise ValueError(f"{source}: missing key(s) {', '.join(missing)}")
         c = int_field(f"{source}: c", obj["c"])
-        try:
-            rows = np.asarray(obj["rows"], dtype=np.float64)
-        except (ValueError, TypeError):  # ragged, or not numbers
-            rows = None
-        if rows is None or rows.shape != (c, c):
+        rows = obj["rows"]
+        if not (isinstance(rows, list) and len(rows) == c and all(
+                isinstance(row, list) and len(row) == c for row in rows)):
             raise ValueError(f"{source}: rows must be c = {c} lists of {c} "
                              f"numbers each")
+        rows = [[float_field(f"{source}: rows[{i}][{j}]", v)
+                 for j, v in enumerate(row)] for i, row in enumerate(rows)]
         try:
             return TransitionMatrix(rows)
         except ValueError as exc:

@@ -25,7 +25,7 @@ from .classifier import (INIT_STREAM, SHUFFLE_STREAM, TARGET_STREAM, MlpModel,
                          init_model, sgd_step)
 from .data import ClassPrior, Dataset, TransitionMatrix, float_field
 from .kernels import median_bandwidth
-from .noise import GMatrix, gamma_weights
+from .noise import gamma_weights
 from .linear import _MmdProblem, _fit_front_end, solve_alpha_qp
 from .rng import child_generator
 
@@ -85,7 +85,7 @@ def _joint_batch(model: MlpModel, xs, ys, xt, q_mat, gamma_vec, class_rows,
         z1t, a1t, _ = _forward(model, xt)
         if sigma_used is None:
             sigma_used = _bandwidth(a1s, a1t, last_sigma)
-        prob = _MmdProblem(a1s, a1t, GMatrix(class_rows, ys), sigma_used)
+        prob = _MmdProblem(a1s, ys, a1t, class_rows, sigma_used)
         eye = np.eye(a1s.shape[1])  # a1 @ I == a1 exactly
         loss += pi1 * prob.eval(eye, alpha)
         dh_s, dh_t = prob.row_grads(eye, alpha)
@@ -105,10 +105,12 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
     hidden features after every epoch; gamma and the source weights follow
     each refresh. With pi1 = 0 the invariance term and the
     alpha refreshes are disabled and the loop reduces to classifier.train.
-    The noisy label prior and G come from ``linear.fit``'s own front end,
-    which refuses the inputs ``linear.fit`` refuses, with the same messages.
+    The noisy label prior and G's class rows come from ``linear.fit``'s own
+    front end, which refuses the inputs ``linear.fit`` refuses, with the
+    same messages; every kernel pass takes the rows with the source's own
+    labels (a batch's, or all of them for a refresh).
     """
-    noisy_prior, g = _fit_front_end(noisy_source, target, q)
+    noisy_prior, class_rows = _fit_front_end(noisy_source, target, q)
     xs_all = noisy_source.features
     xt_all = target.features
     labels_all = noisy_source.labels
@@ -136,7 +138,7 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
 
             loss, grads, last_sigma = _joint_batch(
                 model, xs_all[idx], labels_all[idx], xt_all[tidx], q.q,
-                gamma.gamma, g.class_rows, alpha, cfg.pi1, None, last_sigma)
+                gamma.gamma, class_rows, alpha, cfg.pi1, None, last_sigma)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite joint loss {loss!r} at epoch {epoch}, "
@@ -151,7 +153,8 @@ def fit_joint(cfg: JointConfig, noisy_source: Dataset, target: Dataset,
             h_s = _forward(model, xs_all)[1]
             h_t = _forward(model, xt_all)[1]
             a_mat, b_vec, _ = _MmdProblem(
-                h_s, h_t, g, _bandwidth(h_s, h_t, last_sigma)).terms(None)
+                h_s, labels_all, h_t, class_rows,
+                _bandwidth(h_s, h_t, last_sigma)).terms(None)
             alpha = solve_alpha_qp(a_mat, b_vec, start=alpha).p
             gamma = gamma_weights(alpha, q, noisy_prior)
     return model, ClassPrior(alpha / alpha.sum()), np.asarray(trace)

@@ -7,14 +7,15 @@ alpha through the flip-rate algebra:
 
     J(W, alpha) = v^T K_ss v / m^2 - 2 * 1^T K_ts v / (m n) + 1^T K_tt 1 / n^2.
 
-Since rows of G repeat per noisy class, every sum collapses to class-block
-sums, which is how the large-sample paths avoid materializing any full
-Gram matrix. Optimization alternates a simplex-constrained QP in alpha
-with conjugate-gradient steps for W on the manifold of orthonormal column
-frames. The QP is solved exactly for every class count, by enumerating
-the 2^c - 1 supports of its optimum. The fit ends on the first round that
-leaves W where it was: with A and b unchanged, another exact QP would only
-repeat the last one.
+Row k of G is the class row of noisy label y_k (``noise.build_g_matrix``
+gives the c class rows, the source its labels), so every sum collapses to
+class-block sums, which is how the large-sample paths avoid materializing
+any full Gram matrix. Optimization alternates a simplex-constrained QP in
+alpha with conjugate-gradient steps for W on the manifold of orthonormal
+column frames. The QP is solved exactly for every class count, by
+enumerating the 2^c - 1 supports of its optimum. The fit ends on the first
+round that leaves W where it was: with A and b unchanged, another exact QP
+would only repeat the last one.
 
 The kernel pass's sums come from ``kernels.kernel_sums`` and
 ``kernels.kernel_totals``; the ``kernels`` module docstring describes
@@ -31,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (ClassPrior, Dataset, Projection, TransitionMatrix,
-                   empirical_prior, frozen_field, int_field)
+                   check_labels, empirical_prior, frozen_field, int_field)
 from .kernels import kernel_sums, kernel_totals, median_bandwidth
-from .noise import GMatrix, build_g_matrix, clean_prior_from_noisy
+from .noise import build_g_matrix, clean_prior_from_noisy
 from .rng import as_generator
 
 ARMIJO_C1 = 1e-4
@@ -122,11 +123,15 @@ class _MmdProblem:
     hidden-layer rows with an identity W, for its penalty and the alpha
     refresh.
 
-    Holds raw features, the per-class weight rows, and the bandwidth. The
-    most recent pass is one record (``_Pass``), read by ``terms`` and
-    ``row_grads`` and keyed on the value of W (a private copy, compared
-    with ``np.array_equal``; ``None`` is its own key), so repeated
-    evaluations at one W cost one pass total, whichever array carries it.
+    Holds raw features, the source's noisy labels as one-hot columns, its
+    own copy of G's class rows (a later write to the caller's array cannot
+    make the kept pass stale), and the bandwidth; labels that
+    ``data.check_labels`` refuses, or a label count other than the source
+    row count, raise ValueError. The most recent pass is one record
+    (``_Pass``), read by ``terms`` and ``row_grads`` and keyed on the value
+    of W (a private copy, compared with ``np.array_equal``; ``None`` is its
+    own key), so repeated evaluations at one W cost one pass total,
+    whichever array carries it.
     The value is the alpha QP's own quadratic (``_qp_value``) plus const.
 
     A pass with a W asks ``kernels.kernel_sums`` for per-row sums, one
@@ -143,17 +148,21 @@ class _MmdProblem:
     ``kernels`` module docstring describes the two producers behind both.
     """
 
-    def __init__(self, source_feats: np.ndarray, target_feats: np.ndarray,
-                 g: GMatrix, sigma: float):
+    def __init__(self, source_feats: np.ndarray, noisy_labels: np.ndarray,
+                 target_feats: np.ndarray, class_rows: np.ndarray,
+                 sigma: float):
         self.s = np.asarray(source_feats, dtype=np.float64)
         self.t = np.asarray(target_feats, dtype=np.float64)
-        self.g = g
+        self.class_rows = np.array(class_rows, dtype=np.float64)
         self.sigma = float(sigma)
-        m = self.s.shape[0]
-        if g.n_samples != m:
-            raise ValueError("G rows must match the source sample count")
-        onehot = np.zeros((m, g.n_classes))
-        onehot[np.arange(m), g.labels - 1] = 1.0
+        m, c = self.s.shape[0], self.class_rows.shape[0]
+        check_labels(noisy_labels, c)
+        labels = np.asarray(noisy_labels, dtype=np.int64)
+        if labels.shape != (m,):
+            raise ValueError(f"noisy labels must be one per source row: got "
+                             f"shape {labels.shape} for {m} rows")
+        onehot = np.zeros((m, c))
+        onehot[np.arange(m), labels - 1] = 1.0
         self.onehot = onehot
         self._pass = None
 
@@ -165,7 +174,7 @@ class _MmdProblem:
         s = self.s if w is None else self.s @ w
         t = self.t if w is None else self.t @ w
         m, n = s.shape[0], t.shape[0]
-        c = self.g.n_classes
+        c = self.class_rows.shape[0]
         oh = self.onehot
         if w is None:  # the value reads only the class totals
             block, cross, tt = kernel_totals(s, t, self.sigma, oh,
@@ -180,7 +189,7 @@ class _MmdProblem:
             cross_by_class = r_ts[:, :c].sum(axis=0)
             tt_total = r_tt[:, 0].sum()
             rows = (s, t, *sums)
-        ghat = self.g.class_rows
+        ghat = self.class_rows
         a = ghat.T @ block @ ghat / (m * m)
         a = 0.5 * (a + a.T)
         b = ghat.T @ cross_by_class / (m * n)
@@ -218,8 +227,8 @@ class _MmdProblem:
             raise ValueError("the gradients need an explicit W")
         s, t, r_ss, r_ts, r_st, r_tt = self._pass_at(w).rows
         m, n = s.shape[0], t.shape[0]
-        c, d_out = self.g.n_classes, s.shape[1]
-        u = self.g.class_rows @ np.asarray(alpha, dtype=np.float64)
+        c, d_out = self.class_rows.shape[0], s.shape[1]
+        u = self.class_rows @ np.asarray(alpha, dtype=np.float64)
         v = self.onehot @ u
         sig2 = self.sigma ** 2
         k_ss_v = r_ss[:, :c] @ u
@@ -386,11 +395,12 @@ def grassmann_step(proj: Projection, euclidean_grad, state: GrassmannState):
 
 
 def _fit_front_end(noisy_source: Dataset, target: Dataset,
-                   q: TransitionMatrix) -> tuple[ClassPrior, GMatrix]:
+                   q: TransitionMatrix) -> tuple[ClassPrior, np.ndarray]:
     """The noise front end of ``fit`` and ``joint.fit_joint``: the noisy
-    label prior and G. First it refuses what neither can fit: a source or
-    target without rows, an unlabelled source, feature dims that differ,
-    or a source class count other than the flip-rate matrix's."""
+    label prior and G's c x c class rows. First it refuses what neither
+    can fit: a source or target without rows, an unlabelled source, feature
+    dims that differ, or a source class count other than the flip-rate
+    matrix's."""
     for name, data in (("source", noisy_source), ("target", target)):
         if data.n_samples == 0:
             raise ValueError(f"{name} dataset has no rows")
@@ -404,9 +414,8 @@ def _fit_front_end(noisy_source: Dataset, target: Dataset,
             f"{int(noisy_source.labels.max())}) does not match the flip-rate "
             f"matrix's {q.n_classes} classes")
     noisy_prior = empirical_prior(noisy_source.labels, q.n_classes)
-    g = build_g_matrix(q, clean_prior_from_noisy(noisy_prior, q),
-                       noisy_source.labels)
-    return noisy_prior, g
+    return noisy_prior, build_g_matrix(
+        q, clean_prior_from_noisy(noisy_prior, q))
 
 
 def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
@@ -428,7 +437,7 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     before optimization. The result's ``stop_reason`` names the exit taken.
     Inputs ``_fit_front_end`` refuses raise before any kernel work.
     """
-    _, g = _fit_front_end(noisy_source, target, q)
+    _, class_rows = _fit_front_end(noisy_source, target, q)
     d, c = noisy_source.dim, q.n_classes
     d_prime = d if config.mode == "tars_fixed_w" else config.d_prime
     if d_prime > d:
@@ -441,7 +450,8 @@ def fit(config: LinearFitConfig, noisy_source: Dataset, target: Dataset,
     proj = Projection(np.eye(d) if pinned else qr_retract(
         as_generator(config.seed).standard_normal((d, d_prime))))
 
-    prob = _MmdProblem(noisy_source.features, target.features, g, sigma)
+    prob = _MmdProblem(noisy_source.features, noisy_source.labels,
+                       target.features, class_rows, sigma)
     w_key = None if pinned else proj.w
     alpha = np.full(c, 1.0 / c)
     trace = [prob.eval(w_key, alpha)]

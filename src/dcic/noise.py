@@ -1,8 +1,9 @@
 """Flip-rate algebra: recovering the clean prior from the noisy one, the
-per-sample weight matrix G, the importance weights gamma of the noisy
-classes under a target prior (one function, ``gamma_weights``, for every
-caller), and an anchor-point estimator for the flip-rate matrix itself,
-which warns when its estimate is not diagonally dominant.
+c class rows of the per-sample weight matrix G, the importance weights
+gamma of the noisy classes under a target prior (one function,
+``gamma_weights``, for every caller), and an anchor-point estimator for the
+flip-rate matrix itself, which refuses non-finite posteriors and warns when
+its estimate is not diagonally dominant.
 
 Notation. Q is the row-stochastic flip-rate matrix; alpha is a candidate
 target class prior. G alpha gives the noisy class ratios beta_rho that
@@ -16,43 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassPrior, TransitionMatrix, check_labels, frozen_field
+from .data import ClassPrior, TransitionMatrix, frozen_field
 
 NEGATIVE_PRIOR_TOL = 1e-6
 ALPHA_FLOOR = 1e-9  # keeps gamma strictly positive at simplex vertices
 DEFAULT_ANCHOR_PERCENTILE = 97.0
-
-
-@dataclass(frozen=True)
-class GMatrix:
-    """Per-sample weight basis: row k equals g_{y_k} for noisy label y_k,
-    where g_i[j] = (Q^{-1})_{ij} / clean_prior[j].
-
-    ``class_rows`` holds the c distinct rows (one per noisy class) and
-    ``labels`` the 1-based noisy labels, so G = class_rows[labels - 1].
-    Large-sample code paths work on class_rows and per-class sums instead
-    of the expanded m x c matrix.
-    """
-
-    class_rows: np.ndarray   # (c, c)
-    labels: np.ndarray       # (m,) 1-based noisy labels
-
-    def __post_init__(self):
-        rows = frozen_field(self, "class_rows", self.class_rows)
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
-            raise ValueError("class_rows must be square (c x c)")
-        if np.ndim(self.labels) != 1:
-            raise ValueError("labels must be a vector")
-        check_labels(self.labels, rows.shape[0])
-        frozen_field(self, "labels", self.labels, np.int64)
-
-    @property
-    def n_samples(self) -> int:
-        return self.labels.size
-
-    @property
-    def n_classes(self) -> int:
-        return self.class_rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -93,16 +62,19 @@ def clean_prior_from_noisy(noisy_prior: ClassPrior, q: TransitionMatrix) -> Clas
     return ClassPrior(p / p.sum())
 
 
-def build_g_matrix(q: TransitionMatrix, clean_prior: ClassPrior,
-                   noisy_labels: np.ndarray) -> GMatrix:
-    """G with row k = g_{y_k}, g_i[j] = (Q^{-1})_{ij} / clean_prior[j]."""
+def build_g_matrix(q: TransitionMatrix, clean_prior: ClassPrior) -> np.ndarray:
+    """G's c x c class rows: row i is g_i, with
+    g_i[j] = (Q^{-1})_{ij} / clean_prior[j].
+
+    G itself has row k = g_{y_k} for noisy label y_k, that is
+    class_rows[labels - 1]; the kernel engine (``linear._MmdProblem``)
+    takes the class rows and the source's labels apart and never forms it.
+    """
     if clean_prior.n_classes != q.n_classes:
         raise ValueError("prior and transition matrix class counts differ")
     if np.any(clean_prior.p <= 0):
         raise ValueError("clean prior must be strictly positive")
-    q_inv = np.linalg.inv(q.q)
-    class_rows = q_inv / clean_prior.p[None, :]
-    return GMatrix(class_rows, np.asarray(noisy_labels))
+    return np.linalg.inv(q.q) / clean_prior.p[None, :]
 
 
 def gamma_weights(alpha: np.ndarray, q: TransitionMatrix,
@@ -135,7 +107,9 @@ def estimate_transition_anchor(posteriors: np.ndarray,
     the 97 default resists estimation outliers). Row i of the estimate is
     that sample's posterior vector, renormalized.
 
-    A degenerate estimate (near-identical rows) fails transition-matrix
+    A posterior holding a NaN or an inf raises, before the simplex check,
+    which a NaN would pass: every comparison with it is False. A
+    degenerate estimate (near-identical rows) fails transition-matrix
     validation and raises. A diagonal entry <= 0.5 warns (UserWarning):
     the algebra stays valid, but an estimate that is not diagonally
     dominant usually signals an estimation problem.
@@ -145,6 +119,8 @@ def estimate_transition_anchor(posteriors: np.ndarray,
         raise ValueError("posteriors must be a non-empty (m, c) matrix")
     if not 0.0 < percentile <= 100.0:
         raise ValueError("percentile must lie in (0, 100]")
+    if not np.isfinite(p).all():
+        raise ValueError("posteriors must be finite")
     if np.abs(p.sum(axis=1) - 1.0).max() > 1e-6 or p.min() < -1e-9:
         raise ValueError("posterior rows must lie on the simplex")
     m, c = p.shape

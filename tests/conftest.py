@@ -72,11 +72,10 @@ def joint_loss(model, source_batch: Dataset, target_batch: Dataset,
     if noisy_prior is None:
         noisy_prior = empirical_prior(source_batch.labels, c)
     gamma = gamma_weights(alpha_vec, q, noisy_prior)
-    clean_prior = clean_prior_from_noisy(noisy_prior, q)
-    g = build_g_matrix(q, clean_prior, source_batch.labels)
+    class_rows = build_g_matrix(q, clean_prior_from_noisy(noisy_prior, q))
     loss, grads, _ = _joint_batch(
         model, source_batch.features, source_batch.labels,
-        target_batch.features, q.q, gamma.gamma, g.class_rows, alpha_vec,
+        target_batch.features, q.q, gamma.gamma, class_rows, alpha_vec,
         cfg.pi1, sigma)
     if cfg.l2_coeff > 0:
         loss += cfg.l2_coeff * _weight_decay_value(model)
@@ -103,11 +102,12 @@ def write_dataset_csv(data: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def expand_weights(g, alpha):
+def expand_weights(class_rows, labels, alpha):
     """G alpha, the per-sample source weights that target-prior candidate
-    alpha implies: the class rows' weights expanded over the noisy labels."""
-    per_class = g.class_rows @ np.asarray(alpha, dtype=np.float64)
-    return per_class[g.labels - 1]
+    alpha implies: the class rows' weights expanded over the 1-based noisy
+    labels."""
+    per_class = np.asarray(class_rows) @ np.asarray(alpha, dtype=np.float64)
+    return per_class[np.asarray(labels) - 1]
 
 
 def brute_force_weighted_mmd(k_ss, k_tt, k_ts, weights):
@@ -206,7 +206,7 @@ def poly2_features(x):
     return np.hstack(cols)
 
 
-def dense_grad_w(w, alpha, source, target, g, sigma):
+def dense_grad_w(w, alpha, source, target, class_rows, sigma):
     """W gradient of the weighted MMD from full dense Grams.
 
     Every kernel entry k(x'_a, x'_b) contributes its quadratic-form
@@ -216,7 +216,7 @@ def dense_grad_w(w, alpha, source, target, g, sigma):
     w = np.asarray(w, dtype=np.float64)
     xs, xt = source.features, target.features
     m, n = xs.shape[0], xt.shape[0]
-    v = expand_weights(g, alpha)
+    v = expand_weights(class_rows, source.labels, alpha)
     sp, tp = xs @ w, xt @ w
 
     def pair_scatter(xa, xb, coeff_times_k):
@@ -270,13 +270,6 @@ def random_transition(rng, c, strength=0.6):
 def random_prior(rng, c, floor=0.1):
     p = rng.uniform(floor, 1.0, size=c)
     return ClassPrior(p / p.sum())
-
-
-def random_noisy_dataset(rng, m, d, c):
-    features = rng.standard_normal((m, d))
-    labels = rng.integers(1, c + 1, size=m)
-    labels[:c] = np.arange(1, c + 1)  # every class present
-    return Dataset(features, labels, c)
 
 
 def pytest_collection_modifyitems(config, items):

@@ -170,9 +170,9 @@ class TestObjectiveReparametrization:
             alpha /= alpha.sum()
             w = rng.standard_normal((d, d_p))
             sigma = median_bandwidth(np.vstack([feats_s, feats_t]))
-            g = build_g_matrix(TransitionMatrix(q_mat), ClassPrior(prior),
-                               labels)
-            got = _MmdProblem(feats_s, feats_t, g, sigma).eval(w, alpha)
+            g = build_g_matrix(TransitionMatrix(q_mat), ClassPrior(prior))
+            got = _MmdProblem(feats_s, labels, feats_t, g, sigma).eval(
+                w, alpha)
 
             # oracle: per-sample weights and a triple loop over scalar kernels
             rows = np.linalg.inv(q_mat) / prior[None, :]
@@ -207,12 +207,13 @@ class TestGradientSuite:
             source = Dataset(rng.standard_normal((m, d)), labels, 2)
             target = Dataset(rng.standard_normal((n, d)))
             g = build_g_matrix(symmetric_noise(2, 0.2),
-                               ClassPrior(np.array([0.5, 0.5])), labels)
+                               ClassPrior(np.array([0.5, 0.5])))
             alpha = rng.uniform(0.1, 1.0, size=2)
             alpha /= alpha.sum()
             sigma = 0.8 + rng.uniform(0.0, 1.0)
             w0 = rng.standard_normal((d, int(rng.integers(1, d + 1))))
-            prob = _MmdProblem(source.features, target.features, g, sigma)
+            prob = _MmdProblem(source.features, labels, target.features, g,
+                               sigma)
             analytic = prob.grad(w0, alpha)
             numeric = central_difference(lambda w: prob.eval(w, alpha), w0)
             worst["projection"] = max(worst["projection"],

@@ -10,8 +10,8 @@ from dcic.classifier import TrainConfig, train
 from dcic.data import (ClassPrior, Dataset, Projection,
                        TransitionMatrix, empirical_prior, read_dataset_csv,
                        symmetric_noise)
-from dcic.linear import LinearFitConfig, LinearFitResult
-from dcic.noise import GammaWeights, GMatrix
+from dcic.linear import LinearFitConfig, LinearFitResult, _MmdProblem
+from dcic.noise import GammaWeights
 from dcic.synth import GmmSpec, LocationScale
 
 
@@ -125,8 +125,11 @@ class TestTransitionMatrix:
         '{"c": 3, "rows": [[1.0]]}', '{"c": 2, "rows": [[1.0, 0.0], [1.0]]}',
         '{"c": 2, "rows": [[0.9, 0.2], [0.2, 0.8]]}',
         '{"c": 2, "rows": [[1.5, -0.5], [0.0, 1.0]]}',
-        '{"c": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]}'],
-        ids=["count", "ragged", "row-sum", "entries", "singular"])
+        '{"c": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]}',
+        '{"c": 2, "rows": [[true, false], [false, true]]}',
+        '{"c": 2, "rows": [["0.8", "0.2"], [0.2, 0.8]]}'],
+        ids=["count", "ragged", "row-sum", "entries", "singular", "booleans",
+             "strings"])
     def test_from_json_errors_name_the_source(self, text):
         with pytest.raises(ValueError, match=r"^q\.json: "):
             TransitionMatrix.from_json(text, "q.json")
@@ -287,7 +290,6 @@ def _valid_fields(cls) -> dict:
         TransitionMatrix: dict(q=np.eye(2)),
         ClassPrior: dict(p=[0.5, 0.5]),
         Projection: dict(w=np.eye(2)),
-        GMatrix: dict(class_rows=np.eye(2), labels=[1, 2]),
         GammaWeights: dict(gamma=np.ones(2)),
         GmmSpec: dict(means=np.zeros((2, 2)),
                       covariances=np.stack([np.eye(2)] * 2),
@@ -302,11 +304,11 @@ def _valid_fields(cls) -> dict:
 
 
 FLOAT_FIELDS = [(Dataset, "features"), (TransitionMatrix, "q"),
-                (ClassPrior, "p"), (Projection, "w"), (GMatrix, "class_rows"),
-                (GammaWeights, "gamma"), (GmmSpec, "means"),
-                (GmmSpec, "covariances"), (LocationScale, "shift"),
-                (LocationScale, "scale"), (LinearFitResult, "objective_trace")]
-ARRAY_FIELDS = FLOAT_FIELDS + [(Dataset, "labels"), (GMatrix, "labels")]
+                (ClassPrior, "p"), (Projection, "w"), (GammaWeights, "gamma"),
+                (GmmSpec, "means"), (GmmSpec, "covariances"),
+                (LocationScale, "shift"), (LocationScale, "scale"),
+                (LinearFitResult, "objective_trace")]
+ARRAY_FIELDS = FLOAT_FIELDS + [(Dataset, "labels")]
 
 
 class TestArrayFieldRule:
@@ -377,13 +379,15 @@ class TestLabelRule:
         ([1, 3], "labels must lie in 1..2"),
         (np.array([], dtype=np.int64), "labels must be a non-empty vector"),
         ([1, 1.5], "labels must be integers"),
-    ], ids=["zero", "c-plus-one", "empty", "non-integer"])
+        ([True, True], "labels must be integers"),
+    ], ids=["zero", "c-plus-one", "empty", "non-integer", "boolean"])
     @pytest.mark.parametrize("consumer", [
         lambda y: Dataset(np.zeros((len(y), 2)), y, 2),
-        lambda y: GMatrix(np.eye(2), y),
+        lambda y: _MmdProblem(np.zeros((len(y), 2)), y, np.zeros((2, 2)),
+                              np.eye(2), 1.0),
         lambda y: empirical_prior(np.asarray(y), 2),
         _train_labels,
-    ], ids=["Dataset", "GMatrix", "empirical_prior", "train"])
+    ], ids=["Dataset", "_MmdProblem", "empirical_prior", "train"])
     def test_bad_labels_refused(self, consumer, labels, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             consumer(labels)

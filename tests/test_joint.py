@@ -84,9 +84,9 @@ class TestJointLoss:
         from dcic.classifier import _forward
         h_s = _forward(model, source.features)[1]
         h_t = _forward(model, target.features)[1]
-        g = build_g_matrix(q, clean_prior_from_noisy(noisy_prior, q),
-                           source.labels)
-        want = _MmdProblem(h_s, h_t, g, sigma).eval(np.eye(5), alpha)
+        g = build_g_matrix(q, clean_prior_from_noisy(noisy_prior, q))
+        want = _MmdProblem(h_s, source.labels, h_t, g, sigma).eval(
+            np.eye(5), alpha)
         assert (full - ce) / pi1 == pytest.approx(want, abs=1e-10)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -260,9 +260,9 @@ def _dead_rows_on(monkeypatch, dead):
         return real_bandwidth(np.zeros_like(rows) if len(calls) in dead
                               else rows)
 
-    def problem(h_s, h_t, g, sigma):
+    def problem(h_s, labels, h_t, g, sigma):
         sigmas.append(sigma)
-        return real_problem(h_s, h_t, g, sigma)
+        return real_problem(h_s, labels, h_t, g, sigma)
 
     monkeypatch.setattr(joint_mod, "median_bandwidth", bandwidth)
     monkeypatch.setattr(joint_mod, "_MmdProblem", problem)

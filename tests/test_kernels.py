@@ -12,7 +12,6 @@ from dcic.kernels import (_SUBSAMPLE_SEED, MAX_NODES, _augmented,
                           chebyshev_totals, kernel_sums, kernel_totals,
                           median_bandwidth)
 from dcic.linear import _MmdProblem
-from dcic.noise import GMatrix
 
 
 def _engine_mmd(s, t, weights, sigma):
@@ -21,9 +20,8 @@ def _engine_mmd(s, t, weights, sigma):
     Both pass shapes (class-block sums, and per-row sums at W = I) must
     agree."""
     m, d = s.shape
-    g = GMatrix(np.diag(np.asarray(weights, dtype=np.float64)),
-                np.arange(1, m + 1))
-    prob = _MmdProblem(s, t, g, sigma)
+    prob = _MmdProblem(s, np.arange(1, m + 1), t,
+                       np.diag(np.asarray(weights, dtype=np.float64)), sigma)
     blocks = prob.eval(None, np.ones(m))
     rows = prob.eval(np.eye(d), np.ones(m))
     assert rows == pytest.approx(blocks, rel=1e-12, abs=1e-15)
@@ -353,9 +351,9 @@ class TestGaussianGramOut:
 
     def test_bad_sigma_rejected_by_the_engine(self, rng):
         # a W of one column: the pass would take the low-rank producer
-        g = GMatrix(np.eye(2), np.array([1, 2, 1, 2, 1, 2]))
         prob = _MmdProblem(rng.standard_normal((6, 3)),
-                           rng.standard_normal((5, 3)), g, 0.0)
+                           np.array([1, 2, 1, 2, 1, 2]),
+                           rng.standard_normal((5, 3)), np.eye(2), 0.0)
         with pytest.raises(ValueError, match="sigma"):
             prob.terms(np.eye(3)[:, :1])
 
@@ -465,17 +463,28 @@ class TestWeightedMmdSq:
             _engine_mmd(s, t, w, 1.0), rel=1e-12)
 
     def test_length_mismatch(self, rng):
-        g = GMatrix(np.eye(4), np.arange(1, 5))
-        with pytest.raises(ValueError):
-            _MmdProblem(rng.standard_normal((5, 2)),
-                        rng.standard_normal((4, 2)), g, 1.0)
+        # four noisy labels for five source rows
+        with pytest.raises(ValueError, match="one per source row: got shape "
+                                             r"\(4,\) for 5 rows"):
+            _MmdProblem(rng.standard_normal((5, 2)), np.arange(1, 5),
+                        rng.standard_normal((4, 2)), np.eye(4), 1.0)
+
+    @pytest.mark.parametrize("labels", [[1, 2, 1, 2, 1, 2],
+                                        [[1], [2], [1], [2], [1]]],
+                             ids=["six-for-five", "column"])
+    def test_label_count_other_than_source_rows_refused(self, rng, labels):
+        # the labels pick each source row's class row, one label per row
+        with pytest.raises(ValueError, match="^noisy labels must be one per "
+                                             "source row: got shape"):
+            _MmdProblem(rng.standard_normal((5, 2)), labels,
+                        rng.standard_normal((4, 2)), np.eye(2), 1.0)
 
     def test_quadratic_term_convex(self, rng):
         # with one class per row and G = I, the engine's alpha-quadratic is
         # A = K_ss / m^2, which is PSD, so u -> u^T A u is convex: the
         # midpoint value never exceeds the average of endpoint values
         x = rng.standard_normal((10, 2))
-        a, _, _ = _MmdProblem(x, x, GMatrix(np.eye(10), np.arange(1, 11)),
+        a, _, _ = _MmdProblem(x, np.arange(1, 11), x, np.eye(10),
                               1.0).terms(None)
         u = rng.standard_normal(10)
         v = rng.standard_normal(10)

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import expand_weights, random_prior, random_transition
 from dcic.data import ClassPrior, TransitionMatrix, symmetric_noise
-from dcic.noise import (GammaWeights, GMatrix, build_g_matrix,
-                        clean_prior_from_noisy, estimate_transition_anchor,
-                        gamma_weights)
+from dcic.linear import _MmdProblem
+from dcic.noise import (GammaWeights, build_g_matrix, clean_prior_from_noisy,
+                        estimate_transition_anchor, gamma_weights)
 
 
 class TestCleanPriorFromNoisy:
@@ -63,8 +63,7 @@ class TestBetaConversions:
 
     @staticmethod
     def _beta_rho(q, prior, alpha):
-        labels = np.arange(1, q.n_classes + 1)
-        return expand_weights(build_g_matrix(q, prior, labels), alpha)
+        return build_g_matrix(q, prior) @ alpha
 
     def test_identity_q(self):
         # without noise the noisy ratios are the clean ones, alpha / prior
@@ -125,45 +124,49 @@ class TestBetaConversions:
 
 
 class TestGMatrix:
+    """``build_g_matrix``'s class rows, and G alpha expanded over labels."""
+
     def test_identity_q_rows(self):
         prior = ClassPrior(np.array([0.25, 0.75]))
-        g = build_g_matrix(TransitionMatrix(np.eye(2)), prior,
-                           np.array([1, 2, 2]))
-        assert np.allclose(g.class_rows, np.diag(1.0 / prior.p))
+        rows = build_g_matrix(TransitionMatrix(np.eye(2)), prior)
+        assert np.allclose(rows, np.diag(1.0 / prior.p))
         # with alpha = clean prior every weight is exactly 1
-        assert np.allclose(expand_weights(g, prior.p), np.ones(3), atol=1e-15)
+        assert np.allclose(expand_weights(rows, [1, 2, 2], prior.p),
+                           np.ones(3), atol=1e-15)
 
     def test_no_shift_weights_are_one(self):
         # alpha = clean prior makes G alpha the all-ones vector for any Q
         q = symmetric_noise(2, 0.2)
         prior = ClassPrior(np.array([0.5, 0.5]))
-        g = build_g_matrix(q, prior, np.array([1, 2, 1, 2]))
-        assert np.abs(expand_weights(g, prior.p) - 1.0).max() <= 1e-12
+        w = expand_weights(build_g_matrix(q, prior), [1, 2, 1, 2], prior.p)
+        assert np.abs(w - 1.0).max() <= 1e-12
 
     def test_expanded_rows_match_class_rows(self, rng):
         q = random_transition(rng, 3)
         prior = random_prior(rng, 3)
         labels = rng.integers(1, 4, size=12)
-        g = build_g_matrix(q, prior, labels)
-        assert np.array_equal(g.labels, labels)
-        assert g.class_rows.shape == (3, 3)
-        assert g.n_samples == 12 and g.n_classes == 3
+        alpha = random_prior(rng, 3).p
+        rows = build_g_matrix(q, prior)
+        assert rows.shape == (3, 3)
+        # sample k's weight from its own row g_{y_k} of the definition
+        q_inv = np.linalg.inv(q.q)
+        want = [(q_inv[y - 1] / prior.p) @ alpha for y in labels]
+        assert np.allclose(expand_weights(rows, labels, alpha), want,
+                           rtol=0, atol=1e-12)
 
     def test_weights_constant_per_class(self, rng):
         q = random_transition(rng, 3)
-        g = build_g_matrix(q, random_prior(rng, 3),
-                           np.array([1, 2, 3, 1, 2, 3]))
+        rows = build_g_matrix(q, random_prior(rng, 3))
         alpha = random_prior(rng, 3).p
-        w = expand_weights(g, alpha)
+        w = expand_weights(rows, [1, 2, 3, 1, 2, 3], alpha)
         assert np.array_equal(w[:3], w[3:])
 
     def test_known_values_symmetric(self):
         # rho = 0.4 binary: Q^{-1} = [[3, -2], [-2, 3]], uniform prior
         # doubles it
-        g = build_g_matrix(symmetric_noise(2, 0.4),
-                           ClassPrior(np.array([0.5, 0.5])),
-                           np.array([1, 2]))
-        assert np.allclose(g.class_rows, [[6.0, -4.0], [-4.0, 6.0]], atol=1e-12)
+        rows = build_g_matrix(symmetric_noise(2, 0.4),
+                              ClassPrior(np.array([0.5, 0.5])))
+        assert np.allclose(rows, [[6.0, -4.0], [-4.0, 6.0]], atol=1e-12)
 
     def test_permutation_consistency(self, rng):
         # permuting classes in Q, prior, and labels permutes the weights
@@ -176,19 +179,24 @@ class TestGMatrix:
         q2 = TransitionMatrix(q.q[np.ix_(perm, perm)])
         prior2 = ClassPrior(prior.p[perm])
         labels2 = inv[labels - 1] + 1
-        w1 = expand_weights(build_g_matrix(q, prior, labels), alpha)
-        w2 = expand_weights(build_g_matrix(q2, prior2, labels2), alpha[perm])
+        w1 = expand_weights(build_g_matrix(q, prior), labels, alpha)
+        w2 = expand_weights(build_g_matrix(q2, prior2), labels2, alpha[perm])
         assert np.abs(w1 - w2).max() <= 1e-12
 
     def test_zero_prior_rejected(self):
         bad = ClassPrior.__new__(ClassPrior)
         object.__setattr__(bad, "p", np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            build_g_matrix(TransitionMatrix(np.eye(2)), bad, np.array([1]))
+            build_g_matrix(TransitionMatrix(np.eye(2)), bad)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            GMatrix(np.eye(2), np.array([0, 1]))
+        # the rows carry no labels: the engine that expands them over the
+        # source's labels refuses a label outside 1..c
+        rows = build_g_matrix(TransitionMatrix(np.eye(2)),
+                              ClassPrior(np.array([0.5, 0.5])))
+        x = np.zeros((2, 1))
+        with pytest.raises(ValueError, match="^labels must be >= 1, got 0$"):
+            _MmdProblem(x, np.array([0, 1]), x, rows, 1.0)
 
 
 class TestGammaWeights:
@@ -306,6 +314,14 @@ class TestAnchorEstimator:
     def test_non_simplex_rejected(self):
         with pytest.raises(ValueError):
             estimate_transition_anchor(np.array([[0.5, 0.6]]))
+
+    def test_nan_row_rejected(self):
+        # every comparison with NaN is False, so a NaN row passes a simplex
+        # check made of comparisons; it must be refused by name instead
+        p = np.tile([[0.9, 0.1], [0.1, 0.9]], (50, 1))
+        p[5] = np.nan
+        with pytest.raises(ValueError, match="^posteriors must be finite$"):
+            estimate_transition_anchor(p)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -193,7 +193,7 @@ def test_every_array_field_goes_through_frozen_field():
                     if stmt.target.id not in stored:
                         missing.append(fields[-1])
     assert "LinearFitResult.objective_trace" in fields
-    assert len(fields) == 13, fields
+    assert len(fields) == 11, fields
     assert not missing, missing
 
 
